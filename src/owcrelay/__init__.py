@@ -3,98 +3,51 @@ a moving human blocker, and optical relay cooperation.
 
 The package is organised around six areas:
 
-- :mod:`owcrelay.geometry`   exact link/cylinder intersection and the floor
-  region of blocking positions,
+- :mod:`owcrelay.geometry`   link/cylinder intersection and the floor region
+  of blocking positions, both from one clip and one distance kernel,
 - :mod:`owcrelay.channel`    narrow-beam and Lambertian propagation, surface
   discretisation, impulse responses,
-- :mod:`owcrelay.mobility`   waypoint-mobility position density, blockage
+- :mod:`owcrelay.mobility`   waypoint-mobility position density, region
   probabilities, position sampling,
-- :mod:`owcrelay.noma`       power allocation, receiver noise and SINR terms,
+- :mod:`owcrelay.noma`       power allocation and receiver noise,
 - :mod:`owcrelay.outage`     Monte Carlo and analytic outage estimators,
 - :mod:`owcrelay.scenario`   scenario files, defaults, result serialisation.
 
 :mod:`owcrelay.links` compiles a scenario into the static link budget the
-outage engines consume, and :mod:`owcrelay.quadrature` supplies the adaptive
-region integrator behind the blockage probabilities.
+outage engines consume and evaluates SINR over batches of link states, and
+:mod:`owcrelay.quadrature` supplies the adaptive region integrator behind
+the blockage probabilities.
+
+The names below are the ones the README, the command line and the
+benchmark use, plus the types they take or return; everything else is
+imported from its module.
 """
 
-from owcrelay.geometry import (
-    CylinderSpec,
-    Point3,
-    Rect,
-    Segment3,
-    StadiumRegion,
-    blocked_region,
-    region_area,
-    segment_intersects_cylinder,
-)
+from owcrelay.geometry import CylinderSpec, Point3, Rect, Segment3, StadiumRegion, blocked_region
 from owcrelay.channel import (
     ChannelImpulseResponse,
     ReceiverSpec,
     RoomModel,
     SurfaceGrid,
     TransmitterSpec,
-    UnservableLinkError,
     cir_rows,
-    dc_gain,
     discretize_surfaces,
     impulse_response,
-    lambertian_gain,
-    narrow_beam_los_gain,
 )
-from owcrelay.mobility import (
-    BlockageProbabilityTable,
-    RwpDistribution,
-    blockage_probability,
-    region_probability,
-    relay_path_blockage_probability,
-    rwp_pdf,
-    sample_human_position,
-    sample_human_positions,
-    union_region_probability,
-)
-from owcrelay.links import (
-    Link,
-    LinkBudget,
-    RelaySpec,
-    association_map,
-    build_link_budget,
-    evaluate_sinr,
-    link_cir,
-    relay_branch_map,
-    relay_pairing_map,
-)
-from owcrelay.noma import (
-    ApAllocation,
-    NoiseModel,
-    NomaAllocation,
-    SinrBreakdown,
-    noise_variance,
-    order_users_and_allocate,
-    relay_second_phase_sinr,
-    sinr_direct,
-    sinr_mrc,
-)
+from owcrelay.quadrature import QuadratureError, integrate_region
+from owcrelay.mobility import RwpDistribution, sample_human_positions
+from owcrelay.links import LinkBudget, build_link_budget, evaluate_sinr, link_cir
 from owcrelay.outage import (
+    BLOCK_SIZE,
     OutageReport,
     OutageRow,
     ensure_marginals,
-    is_outage,
     outage_independent_approx,
     outage_monte_carlo,
 )
 from owcrelay.scenario import (
-    ApConfig,
-    ChannelConfig,
-    HumanConfig,
-    NoiseConfig,
-    NomaConfig,
-    RelayConfig,
-    RoomConfig,
-    SamplerConfig,
     Scenario,
     ScenarioError,
-    UserConfig,
     default_scenario,
     load_scenario,
     result_lines,

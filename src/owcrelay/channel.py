@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from owcrelay.geometry import (
-    CylinderSpec,
-    Point3,
-    Segment3,
-    segment_intersects_cylinder,
-    segments_blocked,
-)
+from owcrelay.geometry import CylinderSpec, Point3, segments_blocked
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -41,7 +35,6 @@ __all__ = [
     "narrow_beam_los_gain",
     "lambertian_gain",
     "impulse_response",
-    "dc_gain",
     "cir_rows",
 ]
 
@@ -401,17 +394,8 @@ class ChannelImpulseResponse:
     origin_time: float = 0.0
 
     def dc_gain(self) -> float:
+        """Total power gain of the response: the exactly rounded sum of all bins."""
         return float(math.fsum(self.gains))
-
-    def peak_bin(self) -> int:
-        if self.gains.size == 0:
-            return 0
-        return int(np.argmax(self.gains))
-
-
-def dc_gain(cir: ChannelImpulseResponse) -> float:
-    """Total power gain of the response: the exactly rounded sum of all bins."""
-    return cir.dc_gain()
 
 
 def cir_rows(cir: ChannelImpulseResponse) -> tuple[tuple[int, float, float], ...]:
@@ -460,11 +444,7 @@ def impulse_response(
     center = None if blockage is None else np.asarray(blockage, dtype=float).reshape(-1)[:2]
 
     def leg_blocked(a: np.ndarray, b: np.ndarray) -> bool:
-        if center is None:
-            return False
-        return segment_intersects_cylinder(
-            Segment3(Point3(*a), Point3(*b)), center, cyl
-        )
+        return center is not None and bool(segments_blocked(a, b, center, cyl)[0])
 
     tx_pos = tx.position.as_array()
     rx_pos = rx.position.as_array()

@@ -17,8 +17,9 @@ import numpy as np
 
 from owcrelay.channel import cir_rows
 from owcrelay.links import build_link_budget, link_cir
-from owcrelay.mobility import RwpDistribution, rwp_pdf, sample_human_positions
+from owcrelay.mobility import RwpDistribution, sample_human_positions
 from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
+from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import (
     ScenarioError,
     default_scenario,
@@ -31,6 +32,13 @@ from owcrelay.scenario import (
 
 def _g(x: float) -> str:
     return format(float(x), ".10g")
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _load(args):
@@ -113,7 +121,7 @@ def _cmd_pdf(args) -> int:
         print("x,y,density")
         for y in ys:
             pts = np.column_stack([xs, np.full(n, y)])
-            dens = rwp_pdf(dist, pts)
+            dens = dist.pdf(pts)
             for x, d in zip(xs, dens):
                 print(f"{_g(x)},{_g(y)},{_g(d)}")
         return 0
@@ -166,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     blk = sub.add_parser("blockage", help="per-link blocking probabilities")
     blk.add_argument("--scenario")
-    blk.add_argument("--mc", type=int, default=0, help="also estimate from this many samples")
+    blk.add_argument("--mc", type=_count, default=0, help="also estimate from this many samples")
     blk.add_argument("--seed", type=int, default=1)
     blk.set_defaults(func=_cmd_blockage)
 
@@ -183,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pdf = sub.add_parser("pdf", help="pedestrian position density")
     pdf.add_argument("--scenario")
-    pdf.add_argument("--grid", type=int, default=0, help="dump density at N x N cell centers")
-    pdf.add_argument("--samples", type=int, default=0)
+    pdf.add_argument("--grid", type=_count, default=0, help="dump density at N x N cell centers")
+    pdf.add_argument("--samples", type=_count, default=0)
     pdf.add_argument("--seed", type=int, default=1)
     pdf.set_defaults(func=_cmd_pdf)
 
@@ -199,7 +207,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, KeyError, OSError) as exc:
+    except (ScenarioError, ValueError, KeyError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

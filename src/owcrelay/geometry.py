@@ -6,9 +6,13 @@ break the link is a stadium shape (a segment inflated by the cylinder
 radius), obtained by clipping the link to the height band the cylinder can
 reach and projecting the surviving piece onto the floor.
 
-The membership test of :class:`StadiumRegion` and the direct predicate
-:func:`segment_intersects_cylinder` share one arithmetic path, so they agree
-bit-for-bit on every input.
+One vectorised z-band clip and one point-to-spine offset kernel do all of
+this arithmetic: :func:`blocked_region` clips one link, while
+:func:`segments_blocked` (and :func:`segment_intersects_cylinder`, one row of
+it) clips many; :meth:`StadiumRegion.contains` and
+:meth:`StadiumRegion.signed_distance` measure from the clipped spine.
+Membership and the direct predicate therefore agree bit-for-bit by
+construction.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from owcrelay.quadrature import integrate_region
 
 __all__ = [
     "Point3",
@@ -29,7 +31,6 @@ __all__ = [
     "segment_intersects_cylinder",
     "segments_blocked",
     "blocked_region",
-    "region_area",
 ]
 
 
@@ -112,6 +113,10 @@ class Rect:
     def area(self) -> float:
         return self.width * self.height
 
+    def _offset(self, pts: np.ndarray):
+        wx, wy = self.p1 - self.p0
+        return _spine_offset(pts[:, 0], pts[:, 1], self.p0[0], self.p0[1], wx, wy)
+
     def contains(self, points) -> np.ndarray | bool:
         p = np.asarray(points, dtype=float)
         scalar = p.ndim == 1
@@ -134,117 +139,57 @@ class Rect:
         return Rect(x0, y0, x1, y1)
 
 
-def _z_band(az: float, bz: float, height: float):
-    """Parameter interval of a segment with its z inside [0, height].
+def _clip_to_band(a: np.ndarray, b: np.ndarray, height: float):
+    """Floor projection of the part of each segment a-b with 0 <= z <= height.
 
-    Returns (t_lo, t_hi) within [0, 1], or None when the segment never
-    enters the band.
+    ``a`` and ``b`` are (N, 3) arrays, or one of them (1, 3).  Returns the spine endpoints p0 and p1
+    as (N, 2) arrays and a boolean (N,) that is False where the segment
+    never enters the band.
     """
-    dz = bz - az
-    if dz == 0.0:
-        return (0.0, 1.0) if 0.0 <= az <= height else None
-    t0 = (0.0 - az) / dz
-    t1 = (height - az) / dz
-    lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-    lo = max(lo, 0.0)
-    hi = min(hi, 1.0)
-    return (lo, hi) if lo <= hi else None
+    az = a[:, 2]
+    dz = b[:, 2] - az
+    flat = dz == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (0.0 - az) / dz
+        t1 = (height - az) / dz
+    lo = np.where(flat, 0.0, np.maximum(np.minimum(t0, t1), 0.0))
+    hi = np.where(flat, 1.0, np.minimum(np.maximum(t0, t1), 1.0))
+    valid = np.where(flat, (az >= 0.0) & (az <= height), lo <= hi)
+    dxy = b[:, :2] - a[:, :2]
+    return a[:, :2] + lo[:, None] * dxy, a[:, :2] + hi[:, None] * dxy, valid
 
 
-def _clipped_spine(a: Point3, b: Point3, height: float):
-    """Floor projection of the sub-segment reachable by the cylinder.
-
-    Returns two xy endpoints (possibly coincident), or None when the whole
-    segment lies above the cylinder height.
-    """
-    band = _z_band(a.z, b.z, height)
-    if band is None:
-        return None
-    lo, hi = band
-    dx = b.x - a.x
-    dy = b.y - a.y
-    p0 = (a.x + lo * dx, a.y + lo * dy)
-    p1 = (a.x + hi * dx, a.y + hi * dy)
-    return p0, p1
-
-
-def point_segment_distance_sq(points, p0, p1) -> np.ndarray:
-    """Squared distance from 2-D points (N, 2) to the closed segment p0-p1."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    w = p1 - p0
-    ww = float(w @ w)
-    d = pts - p0
-    if ww == 0.0:
-        return d[:, 0] ** 2 + d[:, 1] ** 2
-    t = np.clip((d @ w) / ww, 0.0, 1.0)
-    diff = d - t[:, None] * w
-    return diff[:, 0] ** 2 + diff[:, 1] ** 2
-
-
-def segment_intersects_cylinder(link: Segment3, center, cyl: CylinderSpec) -> bool:
-    """True iff the closed segment meets the closed solid cylinder whose
-    axis footprint is at ``center`` (floor xy)."""
-    spine = _clipped_spine(link.a, link.b, cyl.height)
-    if spine is None:
-        return False
-    d2 = point_segment_distance_sq(np.asarray(center, dtype=float), spine[0], spine[1])
-    return bool(d2[0] <= cyl.radius * cyl.radius)
+def _spine_offset(px, py, p0x, p0y, wx, wy):
+    """Offset (ox, oy) from each point (px, py) to its closest point on the
+    spine p0 + t w, t in [0, 1].  All arguments broadcast; a zero-length
+    spine (ww == 0) takes t = 0."""
+    dx = px - p0x
+    dy = py - p0y
+    ww = wx * wx + wy * wy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((dx * wx + dy * wy) / ww, 0.0, 1.0)
+    t = np.where(ww > 0.0, t, 0.0)
+    return dx - t * wx, dy - t * wy
 
 
 def segments_blocked(a_pts, b_pts, center, cyl: CylinderSpec) -> np.ndarray:
-    """Vectorised form of :func:`segment_intersects_cylinder`.
+    """Which segments a-b meet the cylinder standing at ``center``.
 
     ``a_pts`` and ``b_pts`` broadcast to (N, 3); returns a boolean (N,).
     """
     a = np.atleast_2d(np.asarray(a_pts, dtype=float))
     b = np.atleast_2d(np.asarray(b_pts, dtype=float))
-    a, b = np.broadcast_arrays(a, b)
-    c = np.asarray(center, dtype=float)
-    n = a.shape[0]
-    out = np.zeros(n, dtype=bool)
-
-    az = a[:, 2]
-    dz = b[:, 2] - az
-    h = cyl.height
-    r2 = cyl.radius * cyl.radius
-
-    flat = dz == 0.0
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    valid = np.ones(n, dtype=bool)
-    if np.any(flat):
-        inside = (az >= 0.0) & (az <= h)
-        valid[flat] = inside[flat]
-    steep = ~flat
-    if np.any(steep):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t0 = (0.0 - az[steep]) / dz[steep]
-            t1 = (h - az[steep]) / dz[steep]
-        lo_s = np.minimum(t0, t1)
-        hi_s = np.maximum(t0, t1)
-        lo_s = np.maximum(lo_s, 0.0)
-        hi_s = np.minimum(hi_s, 1.0)
-        lo[steep] = lo_s
-        hi[steep] = hi_s
-        valid[steep] &= lo_s <= hi_s
-    if not np.any(valid):
-        return out
-
-    dxy = b[:, :2] - a[:, :2]
-    p0 = a[:, :2] + lo[:, None] * dxy
-    p1 = a[:, :2] + hi[:, None] * dxy
+    p0, p1, valid = _clip_to_band(a, b, cyl.height)
     w = p1 - p0
-    ww = w[:, 0] ** 2 + w[:, 1] ** 2
-    d = c[None, :] - p0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (d[:, 0] * w[:, 0] + d[:, 1] * w[:, 1]) / ww
-    t = np.where(ww > 0.0, np.clip(t, 0.0, 1.0), 0.0)
-    diff = d - t[:, None] * w
-    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    out[valid] = d2[valid] <= r2
-    return out
+    c = np.asarray(center, dtype=float)
+    ox, oy = _spine_offset(c[0], c[1], p0[:, 0], p0[:, 1], w[:, 0], w[:, 1])
+    return valid & (ox * ox + oy * oy <= cyl.radius * cyl.radius)
+
+
+def segment_intersects_cylinder(link: Segment3, center, cyl: CylinderSpec) -> bool:
+    """True iff the closed segment meets the closed solid cylinder whose
+    axis footprint is at ``center`` (floor xy)."""
+    return bool(segments_blocked(link.a.as_array(), link.b.as_array(), center, cyl)[0])
 
 
 class StadiumRegion:
@@ -281,6 +226,10 @@ class StadiumRegion:
             return 0.0
         return float(np.hypot(*(self.p1 - self.p0)))
 
+    def _offset(self, pts: np.ndarray):
+        wx, wy = self.p1 - self.p0
+        return _spine_offset(pts[:, 0], pts[:, 1], self.p0[0], self.p0[1], wx, wy)
+
     def contains(self, points) -> np.ndarray | bool:
         pts = np.asarray(points, dtype=float)
         scalar = pts.ndim == 1
@@ -288,8 +237,8 @@ class StadiumRegion:
         if self.empty:
             out = np.zeros(pts.shape[0], dtype=bool)
             return bool(out[0]) if scalar else out
-        d2 = point_segment_distance_sq(pts, self.p0, self.p1)
-        out = (d2 <= self.radius * self.radius) & self.clip.contains(pts)
+        ox, oy = self._offset(pts)
+        out = (ox * ox + oy * oy <= self.radius * self.radius) & self.clip.contains(pts)
         return bool(out[0]) if scalar else out
 
     def signed_distance(self, points):
@@ -302,19 +251,11 @@ class StadiumRegion:
             grad = np.zeros((pts.shape[0], 2))
             grad[:, 0] = 1.0
             return sd, grad
-        w = self.p1 - self.p0
-        ww = float(w @ w)
-        d = pts - self.p0
-        if ww == 0.0:
-            t = np.zeros(pts.shape[0])
-        else:
-            t = np.clip((d @ w) / ww, 0.0, 1.0)
-        diff = d - t[:, None] * w
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        grad = np.zeros_like(diff)
+        ox, oy = self._offset(pts)
+        dist = np.hypot(ox, oy)
         pos = dist > 0.0
-        grad[pos] = diff[pos] / dist[pos, None]
-        grad[~pos, 0] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = np.column_stack([np.where(pos, ox / dist, 1.0), np.where(pos, oy / dist, 0.0)])
         return dist - self.radius, grad
 
     def bbox(self) -> Rect | None:
@@ -334,23 +275,8 @@ class StadiumRegion:
 def blocked_region(link: Segment3, cyl: CylinderSpec, footprint: Rect) -> StadiumRegion:
     """Stadium region of blocker positions for one link, clipped to the
     room footprint."""
-    spine = _clipped_spine(link.a, link.b, cyl.height)
-    if spine is None:
+    p0, p1, valid = _clip_to_band(link.a.as_array()[None], link.b.as_array()[None], cyl.height)
+    if not valid[0]:
         return StadiumRegion.empty_region(footprint)
-    return StadiumRegion(spine[0], spine[1], cyl.radius, footprint)
+    return StadiumRegion(p0[0], p1[0], cyl.radius, footprint)
 
-
-def region_area(region: StadiumRegion, rel_tol: float = 1e-4) -> float:
-    """Area of a stadium region by adaptive quadrature of its indicator."""
-    if region.is_empty or region.radius == 0.0:
-        return 0.0
-    box = region.bbox()
-    if box is None:
-        return 0.0
-    return integrate_region(
-        region.signed_distance,
-        None,
-        (box.x0, box.y0, box.x1, box.y1),
-        rel_tol=rel_tol,
-        cut_scale=region.radius / 4.0,
-    )

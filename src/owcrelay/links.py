@@ -3,8 +3,9 @@ power allocation, noise, and per-link blocker regions.
 
 Everything random happens elsewhere; given a scenario this module produces
 the deterministic quantities the outage engines consume, including compiled
-per-user weight arrays so a batch of blocked/clear states can be turned into
-SINR values with a handful of matrix products.
+per-user weight arrays so that :func:`evaluate_sinr` turns a batch of
+blocked/clear states into SINR values with a handful of matrix products.
+Every terminal spec is built once, by :func:`_terminal_specs`.
 """
 
 from __future__ import annotations
@@ -22,16 +23,13 @@ from owcrelay.channel import (
     impulse_response,
 )
 from owcrelay.geometry import CylinderSpec, Point3, Rect, Segment3, StadiumRegion, blocked_region
-from owcrelay.noma import NoiseModel, NomaAllocation, noise_variance, order_users_and_allocate
+from owcrelay.noma import NoiseModel, noise_variance, order_users_and_allocate
 from owcrelay.scenario import Scenario
 
 __all__ = [
     "RelaySpec",
     "Link",
     "LinkBudget",
-    "association_map",
-    "relay_pairing_map",
-    "relay_branch_map",
     "build_link_budget",
     "evaluate_sinr",
     "link_cir",
@@ -45,15 +43,12 @@ class RelaySpec:
 
     The electrical gain retunes itself so the retransmitted power sits at
     the transmitter's cap whatever the received level; it therefore cancels
-    between the signal and forwarded-noise terms of the second phase, and
-    the nominal value here only scales diagnostics.
+    between the signal and forwarded-noise terms of the second phase.
     """
 
     relay_id: str
     transmitter: TransmitterSpec
     receiver: ReceiverSpec
-    paired_ap: str | None = None
-    gain: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,6 @@ class LinkBudget:
     cylinder: CylinderSpec
     links: tuple[Link, ...]
     regions: tuple[StadiumRegion, ...]
-    allocation: NomaAllocation
-    associations: dict[str, tuple[str, ...]]
-    pairings: dict[str, str]
-    branches: dict[str, tuple[tuple[str, str], ...]]
     user_terms: tuple[UserTerms, ...]
     threshold_db: float
     combining: str
@@ -153,7 +144,7 @@ def _inward_axis(position, room: RoomModel) -> tuple[float, float, float]:
     return min(candidates, key=lambda c: c[0])[1]
 
 
-def _ap_spec(cfg, room: RoomModel) -> TransmitterSpec:
+def _ap_spec(cfg) -> TransmitterSpec:
     return TransmitterSpec(
         position=Point3(*cfg.position_m),
         power_w=cfg.power_mw * 1e-3,
@@ -163,7 +154,7 @@ def _ap_spec(cfg, room: RoomModel) -> TransmitterSpec:
     )
 
 
-def _relay_spec(cfg, room: RoomModel, paired_ap: str | None = None) -> RelaySpec:
+def _relay_spec(cfg, room: RoomModel) -> RelaySpec:
     axis = cfg.axis if cfg.axis is not None else _inward_axis(cfg.position_m, room)
     pos = Point3(*cfg.position_m)
     tx = TransmitterSpec(
@@ -180,7 +171,7 @@ def _relay_spec(cfg, room: RoomModel, paired_ap: str | None = None) -> RelaySpec
         fov_rad=math.radians(cfg.fov_deg),
         responsivity=cfg.responsivity_a_per_w,
     )
-    return RelaySpec(relay_id=cfg.id, transmitter=tx, receiver=rx, paired_ap=paired_ap)
+    return RelaySpec(relay_id=cfg.id, transmitter=tx, receiver=rx)
 
 
 def _user_spec(cfg) -> ReceiverSpec:
@@ -193,72 +184,76 @@ def _user_spec(cfg) -> ReceiverSpec:
     )
 
 
-def association_map(scenario: Scenario) -> dict[str, tuple[str, ...]]:
+def _terminal_specs(scenario: Scenario, room: RoomModel):
+    """Every AP, relay and user spec of the scenario, each keyed by id in
+    scenario order."""
+    return (
+        {ap.id: _ap_spec(ap) for ap in scenario.aps},
+        {rl.id: _relay_spec(rl, room) for rl in scenario.relays},
+        {u.id: _user_spec(u) for u in scenario.users},
+    )
+
+
+def _association_map(scenario: Scenario, ap_specs, user_specs) -> dict[str, tuple[str, ...]]:
     """Users served by each source: the scenario's explicit map when present,
     otherwise every user inside the source's steering cone, in scenario
     order."""
     if scenario.associations is not None:
         return {ap.id: tuple(scenario.associations.get(ap.id, ())) for ap in scenario.aps}
-    room = _room_model(scenario)
     out: dict[str, tuple[str, ...]] = {}
-    for ap in scenario.aps:
-        spec = _ap_spec(ap, room)
+    for ap_id, spec in ap_specs.items():
         served = []
-        for user in scenario.users:
-            ang = spec.steering_angle_to(Point3(*user.position_m))
-            if ang <= spec.max_steering_rad + 1e-12:
-                served.append(user.id)
-        out[ap.id] = tuple(served)
+        for uid, rx in user_specs.items():
+            if spec.steering_angle_to(rx.position) <= spec.max_steering_rad + 1e-12:
+                served.append(uid)
+        out[ap_id] = tuple(served)
     return out
 
 
-def relay_pairing_map(scenario: Scenario) -> dict[str, str]:
+def _relay_pairing_map(scenario: Scenario, ap_specs, relay_specs) -> dict[str, str]:
     """Feeder source of each relay: the scenario's explicit map when present,
     otherwise the nearest source able to steer onto the relay."""
     if scenario.relay_pairings is not None:
         return dict(scenario.relay_pairings)
-    room = _room_model(scenario)
     out: dict[str, str] = {}
-    for rl in scenario.relays:
-        rp = Point3(*rl.position_m)
+    for rid, relay in relay_specs.items():
+        rp = relay.receiver.position
         best = None
         best_d = math.inf
-        for ap in scenario.aps:
-            spec = _ap_spec(ap, room)
+        for ap_id, spec in ap_specs.items():
             if spec.steering_angle_to(rp) > spec.max_steering_rad + 1e-12:
                 continue
             d = spec.position.distance_to(rp)
             if d < best_d:
                 best_d = d
-                best = ap.id
+                best = ap_id
         if best is not None:
-            out[rl.id] = best
+            out[rid] = best
     return out
 
 
-def relay_branch_map(
-    scenario: Scenario,
+def _relay_branch_map(
     associations: dict[str, tuple[str, ...]],
     pairings: dict[str, str],
+    relay_specs,
+    user_specs,
 ) -> dict[str, tuple[tuple[str, str], ...]]:
     """Second-phase branches per user as (feeder source, relay) pairs.
 
     A relay forwards to a user when the user sits inside its steering cone
     and its feeder source serves that user in the first phase.
     """
-    room = _room_model(scenario)
     out: dict[str, tuple[tuple[str, str], ...]] = {}
-    for user in scenario.users:
-        up = Point3(*user.position_m)
+    for uid, rx in user_specs.items():
         branches = []
-        for rl in scenario.relays:
-            ap_id = pairings.get(rl.id)
-            if ap_id is None or user.id not in associations.get(ap_id, ()):
+        for rid, relay in relay_specs.items():
+            ap_id = pairings.get(rid)
+            if ap_id is None or uid not in associations.get(ap_id, ()):
                 continue
-            spec = _relay_spec(rl, room).transmitter
-            if spec.steering_angle_to(up) <= spec.max_steering_rad + 1e-12:
-                branches.append((ap_id, rl.id))
-        out[user.id] = tuple(branches)
+            spec = relay.transmitter
+            if spec.steering_angle_to(rx.position) <= spec.max_steering_rad + 1e-12:
+                branches.append((ap_id, rid))
+        out[uid] = tuple(branches)
     return out
 
 
@@ -290,16 +285,10 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         background_current_a=scenario.noise.background_current_a,
     )
 
-    associations = association_map(scenario)
-    pairings = relay_pairing_map(scenario)
-    branches = relay_branch_map(scenario, associations, pairings)
-
-    ap_specs = {ap.id: _ap_spec(ap, room) for ap in scenario.aps}
-    relay_specs = {
-        rl.id: _relay_spec(rl, room, paired_ap=pairings.get(rl.id)) for rl in scenario.relays
-    }
-    user_specs = {u.id: _user_spec(u) for u in scenario.users}
-    user_cfg = {u.id: u for u in scenario.users}
+    ap_specs, relay_specs, user_specs = _terminal_specs(scenario, room)
+    associations = _association_map(scenario, ap_specs, user_specs)
+    pairings = _relay_pairing_map(scenario, ap_specs, relay_specs)
+    branches = _relay_branch_map(associations, pairings, relay_specs, user_specs)
 
     grid = None
     if cc.max_bounces >= 2:
@@ -344,10 +333,8 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
             gains[uid] = links[idx].h
         direct_gains[ap.id] = gains
 
-    active_relays = sorted(
-        {r for brs in branches.values() for _, r in brs},
-        key=lambda rid: [rl.id for rl in scenario.relays].index(rid),
-    )
+    used = {r for brs in branches.values() for _, r in brs}
+    active_relays = [rid for rid in relay_specs if rid in used]
     for rid in active_relays:
         ap_id = pairings[rid]
         add_link("feeder", ap_id, rid, ap_specs[ap_id], relay_specs[rid].receiver)
@@ -356,19 +343,16 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
             add_link("delivery", rid, user.id, relay_specs[rid].transmitter, user_specs[user.id])
 
     ap_powers = {ap.id: ap.power_mw * 1e-3 for ap in scenario.aps}
-    allocation = NomaAllocation(
-        by_ap={
-            ap_id: order_users_and_allocate(
-                ap_id,
-                tuple(gains),
-                gains,
-                power_ratio=scenario.noma.power_ratio,
-                budget_w=ap_powers[ap_id],
-            )
-            for ap_id, gains in direct_gains.items()
-        },
-        power_ratio=scenario.noma.power_ratio,
-    )
+    allocation = {
+        ap_id: order_users_and_allocate(
+            ap_id,
+            tuple(gains),
+            gains,
+            power_ratio=scenario.noma.power_ratio,
+            budget_w=ap_powers[ap_id],
+        )
+        for ap_id, gains in direct_gains.items()
+    }
 
     # per-terminal noise from the unblocked first phase
     user_noise: dict[str, float] = {}
@@ -377,9 +361,7 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         for ap_id, gains in direct_gains.items():
             if user.id in gains:
                 p_rx += ap_powers[ap_id] * gains[user.id]
-        user_noise[user.id] = noise_variance(
-            noise_model, p_rx, user_cfg[user.id].responsivity_a_per_w
-        )
+        user_noise[user.id] = noise_variance(noise_model, p_rx, user_specs[user.id].responsivity)
     relay_noise: dict[str, float] = {}
     for rid in active_relays:
         ap_id = pairings[rid]
@@ -393,12 +375,12 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
     terms: list[UserTerms] = []
     for user in scenario.users:
         uid = user.id
-        resp = user_cfg[uid].responsivity_a_per_w
+        resp = user_specs[uid].responsivity
         d_idx, d_w, i_idx, i_w = [], [], [], []
         for ap_id, gains in direct_gains.items():
             if uid not in gains:
                 continue
-            alloc = allocation.by_ap[ap_id]
+            alloc = allocation[ap_id]
             h = gains[uid]
             s = alloc.power_of(uid) * resp * h
             d_idx.append(index_of[(ap_id, uid)])
@@ -409,7 +391,7 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
                 i_w.append(t * t)
         bf_idx, bd_idx, b_sig, b_int, b_noise = [], [], [], [], []
         for ap_id, rid in branches[uid]:
-            alloc = allocation.by_ap[ap_id]
+            alloc = allocation[ap_id]
             h2 = links[index_of[(ap_id, rid)]].h * links[index_of[(rid, uid)]].h
             s = alloc.power_of(uid) * resp * h2
             b_sig.append(s * s)
@@ -441,10 +423,6 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         cylinder=cylinder,
         links=tuple(links),
         regions=tuple(regions),
-        allocation=allocation,
-        associations=associations,
-        pairings=pairings,
-        branches=branches,
         user_terms=tuple(terms),
         threshold_db=scenario.noma.threshold_db,
         combining=scenario.noma.combining,
@@ -500,20 +478,11 @@ def link_cir(budget: LinkBudget, tx_id: str, rx_id: str, blockage=None):
     blocker floor position, as in :func:`owcrelay.channel.impulse_response`.
     """
     budget.link_index(tx_id, rx_id)  # raises KeyError when absent
-    scenario = budget.scenario
     room = budget.room
-    cc = scenario.channel
-    ap_cfg = {ap.id: ap for ap in scenario.aps}
-    relay_cfg = {rl.id: rl for rl in scenario.relays}
-    user_cfg = {u.id: u for u in scenario.users}
-    if tx_id in ap_cfg:
-        tx = _ap_spec(ap_cfg[tx_id], room)
-    else:
-        tx = _relay_spec(relay_cfg[tx_id], room).transmitter
-    if rx_id in user_cfg:
-        rx = _user_spec(user_cfg[rx_id])
-    else:
-        rx = _relay_spec(relay_cfg[rx_id], room).receiver
+    cc = budget.scenario.channel
+    ap_specs, relay_specs, user_specs = _terminal_specs(budget.scenario, room)
+    tx = ap_specs[tx_id] if tx_id in ap_specs else relay_specs[tx_id].transmitter
+    rx = user_specs[rx_id] if rx_id in user_specs else relay_specs[rx_id].receiver
     grid = None
     if cc.max_bounces >= 2:
         _, grid = discretize_surfaces(room, cc.first_bounce_res_m, cc.second_bounce_res_m)

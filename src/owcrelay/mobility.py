@@ -11,29 +11,16 @@ link's stadium region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from owcrelay.geometry import (
-    CylinderSpec,
-    Rect,
-    Segment3,
-    StadiumRegion,
-    blocked_region,
-)
+from owcrelay.geometry import Rect, StadiumRegion
 from owcrelay.quadrature import integrate_region
 
 __all__ = [
     "RwpDistribution",
-    "BlockageProbabilityTable",
-    "rwp_pdf",
-    "blockage_probability",
-    "relay_path_blockage_probability",
     "region_probability",
-    "union_region_probability",
     "sample_human_positions",
-    "sample_human_position",
 ]
 
 _SAMPLE_CHUNK = 65536
@@ -95,36 +82,6 @@ class RwpDistribution:
         )
 
 
-@dataclass(frozen=True)
-class BlockageProbabilityTable:
-    """Per-link blocking probabilities plus how they were computed."""
-
-    probabilities: Mapping[str, float]
-    rel_tol: float
-    cylinder: CylinderSpec
-
-    def __post_init__(self):
-        for link_id, p in self.probabilities.items():
-            if not 0.0 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"probability for {link_id} outside [0, 1]: {p}")
-
-    def __getitem__(self, link_id: str) -> float:
-        return self.probabilities[link_id]
-
-
-def rwp_pdf(dist: RwpDistribution, point):
-    """Stationary plane density at a corner-origin floor point.
-
-    Accepts one (x, y) pair or an (N, 2) array; points outside the floor
-    rectangle evaluate to zero.
-    """
-    pts = np.asarray(point, dtype=float)
-    out = dist.pdf(pts)
-    if pts.ndim == 1:
-        return float(out[0])
-    return out
-
-
 def region_probability(
     region: StadiumRegion, dist: RwpDistribution, rel_tol: float = 1e-4
 ) -> float:
@@ -144,82 +101,6 @@ def region_probability(
         rel_tol=rel_tol,
         cut_scale=region.radius / 4.0,
     )
-
-
-def union_region_probability(
-    regions, dist: RwpDistribution, rel_tol: float = 1e-4
-) -> float:
-    """Probability mass of a union of stadium regions.
-
-    Integrates a single pointwise-minimum distance field, so overlap is
-    handled exactly rather than by summing per-region masses.
-    """
-    live = [r for r in regions if not r.is_empty and r.radius > 0.0]
-    if not live:
-        return 0.0
-    boxes = [r.bbox() for r in live]
-    boxes = [b for b in boxes if b is not None]
-    if not boxes:
-        return 0.0
-    hull = Rect(
-        min(b.x0 for b in boxes),
-        min(b.y0 for b in boxes),
-        max(b.x1 for b in boxes),
-        max(b.y1 for b in boxes),
-    ).intersect(dist.floor_rect)
-    if hull is None:
-        return 0.0
-
-    def union_sdf(points):
-        sds = []
-        grads = []
-        for r in live:
-            sd, g = r.signed_distance(points)
-            sds.append(sd)
-            grads.append(g)
-        sds = np.stack(sds)
-        grads = np.stack(grads)
-        pick = np.argmin(sds, axis=0)
-        cols = np.arange(points.shape[0])
-        return sds[pick, cols], grads[pick, cols]
-
-    return integrate_region(
-        union_sdf,
-        dist.pdf,
-        (hull.x0, hull.y0, hull.x1, hull.y1),
-        rel_tol=rel_tol,
-        cut_scale=min(r.radius for r in live) / 4.0,
-    )
-
-
-def blockage_probability(
-    link: Segment3,
-    cyl: CylinderSpec,
-    dist: RwpDistribution,
-    rel_tol: float = 1e-4,
-) -> float:
-    """Probability that the stationary blocker position breaks one link."""
-    region = blocked_region(link, cyl, dist.floor_rect)
-    return region_probability(region, dist, rel_tol)
-
-
-def relay_path_blockage_probability(
-    ap_to_relay: Segment3,
-    relay_to_user: Segment3,
-    cyl: CylinderSpec,
-    dist: RwpDistribution,
-    rel_tol: float = 1e-4,
-) -> float:
-    """Probability that one blocker position breaks a two-hop relayed path.
-
-    The path fails when either hop is blocked, so the event is the union of
-    the two stadium regions.
-    """
-    regions = [
-        blocked_region(ap_to_relay, cyl, dist.floor_rect),
-        blocked_region(relay_to_user, cyl, dist.floor_rect),
-    ]
-    return union_region_probability(regions, dist, rel_tol)
 
 
 def sample_human_positions(dist: RwpDistribution, n: int, rng) -> np.ndarray:
@@ -249,8 +130,3 @@ def sample_human_positions(dist: RwpDistribution, n: int, rng) -> np.ndarray:
         filled += take
     return out
 
-
-def sample_human_position(dist: RwpDistribution, rng) -> tuple[float, float]:
-    """Draw one stationary position as an (x, y) tuple."""
-    pos = sample_human_positions(dist, 1, rng)
-    return (float(pos[0, 0]), float(pos[0, 1]))

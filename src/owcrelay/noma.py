@@ -1,16 +1,15 @@
-"""Power-domain multiplexing, receiver noise, and diversity combining.
+"""Power-domain multiplexing and receiver noise.
 
 Each access point splits its optical power over the users it serves with
 geometrically decaying weights, largest share to the weakest channel.
 Successive decoding at a receiver removes every weaker user's signal, so the
 residual interference comes only from users decoded later (the stronger
-channels).  Squared electrical terms from different beams add, and the relay
-phase adds on top of the direct phase at the combiner.
+channels).  :func:`owcrelay.links.evaluate_sinr` turns these allocations and
+noise variances into SINR values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -19,12 +18,7 @@ __all__ = [
     "NoiseModel",
     "noise_variance",
     "ApAllocation",
-    "NomaAllocation",
     "order_users_and_allocate",
-    "sinr_direct",
-    "relay_second_phase_sinr",
-    "sinr_mrc",
-    "SinrBreakdown",
 ]
 
 ELECTRON_CHARGE = 1.602176634e-19
@@ -82,17 +76,6 @@ class ApAllocation:
         return self.ordered_users[i + 1 :]
 
 
-@dataclass(frozen=True)
-class NomaAllocation:
-    by_ap: Mapping[str, ApAllocation]
-    power_ratio: float
-
-    def serving_aps(self, user_id: str) -> tuple[str, ...]:
-        return tuple(
-            ap_id for ap_id, alloc in self.by_ap.items() if user_id in alloc.ordered_users
-        )
-
-
 def order_users_and_allocate(
     ap_id: str,
     served_users: Sequence[str],
@@ -122,102 +105,3 @@ def order_users_and_allocate(
     powers = tuple(budget_w * w / total for w in weights)
     return ApAllocation(ap_id, ordered, powers)
 
-
-def sinr_direct(
-    user_id: str,
-    allocation: NomaAllocation,
-    gains: Mapping[tuple[str, str], float],
-    blockage: Mapping[tuple[str, str], float],
-    responsivity: float,
-    noise_var: float,
-) -> float:
-    """First-phase electrical SINR of one user.
-
-    ``gains`` maps (ap, user) to channel gain and ``blockage`` maps the same
-    keys to a clear/blocked factor in {0, 1}.  Each beam contributes its
-    squared electrical signal term; residual interference from a later-decoded
-    user k is gated by the blockage state of the (ap, k) link.
-    """
-    num = 0.0
-    den = noise_var
-    for ap_id in allocation.serving_aps(user_id):
-        alloc = allocation.by_ap[ap_id]
-        h = gains[(ap_id, user_id)]
-        s = blockage[(ap_id, user_id)] * alloc.power_of(user_id) * responsivity * h
-        num += s * s
-        for k in alloc.interferers_of(user_id):
-            t = blockage[(ap_id, k)] * alloc.power_of(k) * responsivity * h
-            den += t * t
-    return num / den
-
-
-def relay_second_phase_sinr(
-    user_id: str,
-    branches: Sequence[tuple[str, str]],
-    branch_factors: Mapping[tuple[str, str], float],
-    allocation: NomaAllocation,
-    feeder_gains: Mapping[tuple[str, str], float],
-    delivery_gains: Mapping[tuple[str, str], float],
-    responsivity: float,
-    noise_var: float,
-    relay_noise: Mapping[str, float],
-    combining: str = "summed",
-) -> float:
-    """Second-phase SINR through forwarding relays.
-
-    A branch is an (ap, relay) pair whose end-to-end gain is the product of
-    the feeder gain (ap, relay) and the delivery gain (relay, user).  The
-    branch factor is 1 only when both hops are clear; it gates the signal,
-    the residual interference, and the forwarded relay noise of that branch.
-
-    ``combining`` selects how branch terms aggregate: "summed" forms one
-    ratio from the summed numerators and denominators, "per_branch" sums
-    the per-branch ratios.
-    """
-    if combining not in ("summed", "per_branch"):
-        raise ValueError(f"unknown combining mode {combining!r}")
-    num = 0.0
-    den = noise_var
-    total = 0.0
-    for ap_id, relay_id in branches:
-        g = branch_factors[(ap_id, relay_id)]
-        alloc = allocation.by_ap[ap_id]
-        h2 = feeder_gains[(ap_id, relay_id)] * delivery_gains[(relay_id, user_id)]
-        s = g * alloc.power_of(user_id) * responsivity * h2
-        b_num = s * s
-        b_int = 0.0
-        for k in alloc.interferers_of(user_id):
-            t = g * alloc.power_of(k) * responsivity * h2
-            b_int += t * t
-        b_noise = g * relay_noise[relay_id]
-        if combining == "per_branch":
-            total += b_num / (noise_var + b_int + b_noise)
-        else:
-            num += b_num
-            den += b_int + b_noise
-    if combining == "per_branch":
-        return total
-    return num / den
-
-
-def sinr_mrc(direct: float, relayed: float) -> float:
-    """Combiner output: the two phase SINRs add."""
-    return direct + relayed
-
-
-@dataclass(frozen=True)
-class SinrBreakdown:
-    """Per-user phase SINRs plus the clear/blocked factors that shaped them."""
-
-    direct: float
-    relayed: float
-    direct_factors: tuple[float, ...] = ()
-    branch_factors: tuple[float, ...] = ()
-
-    @property
-    def combined(self) -> float:
-        return sinr_mrc(self.direct, self.relayed)
-
-    def combined_db(self) -> float:
-        c = self.combined
-        return -math.inf if c <= 0.0 else 10.0 * math.log10(c)

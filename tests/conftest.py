@@ -1,13 +1,8 @@
 import pytest
 
-from owcrelay import (
-    ApConfig,
-    Scenario,
-    UserConfig,
-    build_link_budget,
-    default_scenario,
-)
+from owcrelay.links import build_link_budget
 from owcrelay.outage import ensure_marginals
+from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from owcrelay.channel import (
     TransmitterSpec,
     UnservableLinkError,
     cir_rows,
-    dc_gain,
     discretize_surfaces,
     impulse_response,
     lambertian_gain,
@@ -240,7 +239,6 @@ class TestImpulseResponse:
         )
         assert single.dc_gain() == 1.0
         assert empty.dc_gain() == 0.0
-        assert dc_gain(single) == 1.0
 
     def test_cir_rows_match_bins(self):
         tx = make_tx((1, 1, 3))

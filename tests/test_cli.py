@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-from owcrelay.mobility import RwpDistribution, rwp_pdf
+from owcrelay import cli
+from owcrelay.mobility import RwpDistribution
+from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import default_scenario, load_scenario, save_scenario
 
 from conftest import make_single_link_scenario
@@ -159,7 +161,7 @@ class TestPdf:
         dist = RwpDistribution(4.0, 8.0)
         for line in lines[1:]:
             x, y, d = (float(v) for v in line.split(","))
-            assert d == pytest.approx(rwp_pdf(dist, (x, y)), rel=1e-9)
+            assert d == pytest.approx(dist.pdf((x, y))[0], rel=1e-9)
         xs = sorted({float(line.split(",")[0]) for line in lines[1:]})
         assert xs == [1.0, 3.0]
 
@@ -185,3 +187,26 @@ class TestErrors:
         res = run_cli("blockage", "--scenario", "/nonexistent/path.yaml")
         assert res.returncode == 1
         assert res.stderr.startswith("error:")
+
+    def test_quadrature_failure_is_clean_error(self, monkeypatch, capsys):
+        # a real trigger (a 0.1 mm walker) exhausts the 6M-cell budget and
+        # peaks near 900 MB, so the failure is injected where the CLI meets it
+        def stalled(budget):
+            raise QuadratureError("cell budget 6000000 exhausted before convergence", 0.0)
+
+        monkeypatch.setattr(cli, "ensure_marginals", stalled)
+        assert cli.main(["blockage"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell budget")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("pdf", "--grid", "-1"), ("pdf", "--samples", "-1"), ("blockage", "--mc", "-1")],
+        ids=["pdf-grid", "pdf-samples", "blockage-mc"],
+    )
+    def test_negative_counts_rejected_at_parse_time(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "must be non-negative, got -1" in res.stderr

@@ -10,10 +10,11 @@ from owcrelay.geometry import (
     Segment3,
     StadiumRegion,
     blocked_region,
-    region_area,
     segment_intersects_cylinder,
     segments_blocked,
 )
+
+from reference import region_area
 
 CYL = CylinderSpec()
 FLOOR = Rect(0.0, 0.0, 4.0, 8.0)

@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 
 from owcrelay.geometry import CylinderSpec, Point3, Rect, Segment3, StadiumRegion, blocked_region
-from owcrelay.mobility import (
-    BlockageProbabilityTable,
-    RwpDistribution,
-    blockage_probability,
-    region_probability,
-    relay_path_blockage_probability,
-    rwp_pdf,
-    sample_human_position,
-    sample_human_positions,
-    union_region_probability,
-)
+from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
 DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
 CYL = CylinderSpec()
 FLOOR = Rect(0.0, 0.0, 4.0, 8.0)
+
+
+def link_probability(link, dist=DIST) -> float:
+    return region_probability(blocked_region(link, CYL, dist.floor_rect), dist)
 
 
 def gauss_integral(dist, n=24):
@@ -27,33 +21,33 @@ def gauss_integral(dist, n=24):
     xs = dist.origin_x + (x + 1) * dist.x_extent / 2
     ys = dist.origin_y + (x + 1) * dist.y_extent / 2
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = rwp_pdf(dist, grid).reshape(n, n)
+    vals = dist.pdf(grid).reshape(n, n)
     w2 = np.outer(wx, wx) * (dist.x_extent / 2) * (dist.y_extent / 2)
     return float(np.sum(vals * w2))
 
 
 class TestDensity:
     def test_center_peak_value(self):
-        assert rwp_pdf(DIST, (2.0, 4.0)) == pytest.approx(9 / 128, abs=1e-15)
+        assert DIST.pdf((2.0, 4.0))[0] == pytest.approx(9 / 128, abs=1e-15)
         assert DIST.peak_density == pytest.approx(9 / 128, abs=1e-15)
 
     def test_point_value(self):
         # 36/(4^3 8^3) * (1-4)(9-16) = 756/32768
-        assert rwp_pdf(DIST, (1.0, 1.0)) == pytest.approx(756 / 32768, rel=1e-12)
-        assert rwp_pdf(DIST, (1.0, 1.0)) == pytest.approx(0.0230713, abs=1e-7)
+        assert DIST.pdf((1.0, 1.0))[0] == pytest.approx(756 / 32768, rel=1e-12)
+        assert DIST.pdf((1.0, 1.0))[0] == pytest.approx(0.0230713, abs=1e-7)
 
     def test_boundary_zeros(self):
         for p in [(0.0, 4.0), (4.0, 4.0), (2.0, 0.0), (2.0, 8.0), (0.0, 0.0)]:
-            assert rwp_pdf(DIST, p) == 0.0
+            assert DIST.pdf(p)[0] == 0.0
 
     def test_outside_floor_is_zero_not_error(self):
-        assert rwp_pdf(DIST, (-0.1, 3.0)) == 0.0
-        assert rwp_pdf(DIST, (2.0, 8.4)) == 0.0
+        assert DIST.pdf((-0.1, 3.0))[0] == 0.0
+        assert DIST.pdf((2.0, 8.4))[0] == 0.0
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform([-1, -1], [5, 9], size=(5000, 2))
-        assert np.all(rwp_pdf(DIST, pts) >= 0.0)
+        assert np.all(DIST.pdf(pts) >= 0.0)
 
     def test_normalization(self):
         assert gauss_integral(DIST) == pytest.approx(1.0, abs=1e-12)
@@ -64,7 +58,7 @@ class TestDensity:
     def test_offset_frame(self):
         shifted = RwpDistribution(x_extent=4.0, y_extent=8.0, origin_x=3.0, origin_y=5.0)
         assert shifted.peak_density == DIST.peak_density
-        assert rwp_pdf(shifted, (4.0, 6.0)) == rwp_pdf(DIST, (1.0, 1.0))
+        assert shifted.pdf((4.0, 6.0))[0] == DIST.pdf((1.0, 1.0))[0]
         assert gauss_integral(shifted) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_extents_rejected(self):
@@ -75,14 +69,14 @@ class TestDensity:
 class TestRegionProbability:
     def test_vertical_link_disk(self):
         link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
-        p = blockage_probability(link, CYL, DIST)
+        p = link_probability(link)
         center_approx = 756 / 32768 * math.pi * 0.09
         assert abs(p - center_approx) / center_approx < 0.03
         assert p == pytest.approx(0.0064535, rel=1e-3)
 
     def test_empty_region_is_zero(self):
         link = Segment3(Point3(1, 1, 3), Point3(3, 1, 2.9))
-        assert blockage_probability(link, CYL, DIST) == 0.0
+        assert link_probability(link) == 0.0
 
     def test_entire_floor_is_one(self):
         region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0, FLOOR)
@@ -90,7 +84,7 @@ class TestRegionProbability:
 
     def test_quadrature_matches_monte_carlo(self):
         link = Segment3(Point3(1, 1, 3), Point3(2, 4, 1))
-        p = blockage_probability(link, CYL, DIST)
+        p = link_probability(link)
         region = blocked_region(link, CYL, FLOOR)
         n = 200_000
         pts = sample_human_positions(DIST, n, np.random.default_rng(4))
@@ -105,40 +99,9 @@ class TestRegionProbability:
         moved = Segment3(
             Point3(1.3 + 3, 2.0 + 5, 2.4), Point3(2.2 + 3, 5.0 + 5, 0.9)
         )
-        p0 = blockage_probability(link, CYL, DIST)
-        p1 = blockage_probability(moved, CYL, shifted_dist)
+        p0 = link_probability(link)
+        p1 = link_probability(moved, shifted_dist)
         assert p1 == pytest.approx(p0, rel=1e-9)
-
-
-class TestUnionProbability:
-    def test_identical_hops_idempotent(self):
-        feeder = Segment3(Point3(1, 1, 3), Point3(0, 1, 1.5))
-        p_union = relay_path_blockage_probability(feeder, feeder, CYL, DIST)
-        p_single = blockage_probability(feeder, CYL, DIST)
-        assert p_union == pytest.approx(p_single, rel=1e-9)
-
-    def test_union_bounds(self):
-        feeder = Segment3(Point3(1, 1, 3), Point3(0, 1, 1.5))
-        delivery = Segment3(Point3(0, 1, 1.5), Point3(2, 1, 1))
-        p_union = relay_path_blockage_probability(feeder, delivery, CYL, DIST)
-        p_f = blockage_probability(feeder, CYL, DIST)
-        p_d = blockage_probability(delivery, CYL, DIST)
-        assert p_union <= (p_f + p_d) * (1 + 1e-3)
-        assert p_union >= max(p_f, p_d) * (1 - 1e-3)
-
-    def test_disjoint_additivity(self):
-        a = Segment3(Point3(1, 1, 1.5), Point3(1, 1.6, 1.5))
-        b = Segment3(Point3(3, 6, 1.5), Point3(3, 6.8, 1.5))
-        ra = blocked_region(a, CYL, FLOOR)
-        rb = blocked_region(b, CYL, FLOOR)
-        p_union = union_region_probability([ra, rb], DIST)
-        p_sum = region_probability(ra, DIST) + region_probability(rb, DIST)
-        assert p_union == pytest.approx(p_sum, rel=5e-4)
-
-    def test_both_hops_above_height(self):
-        a = Segment3(Point3(1, 1, 3), Point3(2, 1, 2.5))
-        b = Segment3(Point3(2, 1, 2.5), Point3(3, 1, 2.2))
-        assert relay_path_blockage_probability(a, b, CYL, DIST) == 0.0
 
 
 class TestSampler:
@@ -165,7 +128,7 @@ class TestSampler:
             assert abs(float(np.var(pts[:, axis])) - var) <= 3 * se_var
 
     def test_single_sample_helper(self):
-        x, y = sample_human_position(DIST, np.random.default_rng(3))
+        (x, y), = sample_human_positions(DIST, 1, np.random.default_rng(3))
         assert 0 <= x <= 4 and 0 <= y <= 8
 
     def test_offset_frame_sampling(self):
@@ -173,24 +136,3 @@ class TestSampler:
         pts = sample_human_positions(shifted, 10_000, np.random.default_rng(6))
         assert np.all((pts >= [3, 5]) & (pts <= [7, 13]))
 
-
-class TestProbabilityTable:
-    def test_holds_probabilities(self):
-        table = BlockageProbabilityTable(
-            probabilities={"ap1->u1": 0.006, "ap1->r1": 0.012},
-            rel_tol=1e-4,
-            cylinder=CYL,
-        )
-        assert table["ap1->u1"] == 0.006
-        assert table.rel_tol == 1e-4
-        assert table.cylinder.radius == 0.3
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            BlockageProbabilityTable(
-                probabilities={"x": 1.5}, rel_tol=1e-4, cylinder=CYL
-            )
-        with pytest.raises(ValueError):
-            BlockageProbabilityTable(
-                probabilities={"x": -0.2}, rel_tol=1e-4, cylinder=CYL
-            )

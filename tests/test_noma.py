@@ -1,16 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from owcrelay.links import evaluate_sinr
 from owcrelay.noma import (
     ELECTRON_CHARGE,
     ApAllocation,
     NoiseModel,
-    NomaAllocation,
-    SinrBreakdown,
     noise_variance,
     order_users_and_allocate,
+)
+
+from reference import (
+    NomaAllocation,
+    SinrBreakdown,
+    reference_sinr,
     relay_second_phase_sinr,
     sinr_direct,
     sinr_mrc,
@@ -399,3 +405,17 @@ class TestMonotonicity:
             feeders, deliveries, 0.5, 1e-14, noise, combining="per_branch",
         )
         assert both_pb >= strong_pb
+
+
+class TestEvaluateSinrMatchesReference:
+    @pytest.mark.parametrize("combining", ["summed", "per_branch"])
+    def test_random_link_states(self, budget, combining):
+        b = dataclasses.replace(budget, combining=combining)
+        rng = np.random.default_rng(2000)
+        # each column clears its links with its own probability, so states
+        # range from nearly all blocked to nearly all clear
+        clear = (rng.random((b.link_count, 2000)) < rng.random(2000)).astype(float)
+        direct, combined = evaluate_sinr(b, clear)
+        ref_direct, ref_relayed = reference_sinr(b, clear)
+        np.testing.assert_allclose(direct, ref_direct, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(combined, ref_direct + ref_relayed, rtol=1e-12, atol=0.0)

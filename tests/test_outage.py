@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from owcrelay.outage import (
     outage_monte_carlo,
     threshold_linear,
 )
-from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario
+from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario, result_lines
 
 from conftest import make_single_link_scenario
 
@@ -149,6 +150,22 @@ class TestDeterminism:
         c = outage_monte_carlo(master_seed=3, **kw)
         assert [r.p_out for r in a.rows] == [r.p_out for r in b.rows]
         assert [r.p_out for r in a.rows] != [r.p_out for r in c.rows]
+
+    # SHA-256 of the CSV rows of a 65,536-sample default-room run, as printed
+    # by ``owcrelay simulate --samples 65536 --seed 2023 --blockage-model M``;
+    # any change to sampling, membership or SINR arithmetic moves it
+    DEFAULT_ROOM_CSV_SHA256 = {
+        "joint": "50cf5721ff678f3f96eb27b8110a464aae1994ceec6e7172f8c202c417c401b8",
+        "independent": "988a119e7e18a61bc57d7cb1962fa28fb7b5207169458d4c43f0fb38433b32eb",
+    }
+
+    @pytest.mark.parametrize("model", ["joint", "independent"])
+    def test_default_room_csv_digest(self, budget, model):
+        report = outage_monte_carlo(
+            budget=budget, n_samples=65_536, master_seed=2023, blockage_model=model
+        )
+        text = "".join(line + "\n" for line in result_lines(report.rows))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DEFAULT_ROOM_CSV_SHA256[model]
 
     def test_sample_count_not_block_aligned(self, single_link_budget):
         # totals that end mid-block still reproduce across worker counts
