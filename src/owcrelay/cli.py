@@ -51,20 +51,20 @@ def _cmd_simulate(args) -> int:
     scenario = _load(args)
     budget = build_link_budget(scenario)
     if args.method == "exact":
-        report = outage_independent_approx(budget=budget, mode=args.mode)
+        report = outage_independent_approx(budget)
     else:
         report = outage_monte_carlo(
-            budget=budget,
-            mode=args.mode,
+            budget,
             n_samples=args.samples,
             master_seed=args.seed,
             workers=args.workers,
             blockage_model=args.blockage_model,
         )
-    for line in result_lines(report.rows):
+    rows = [r for r in report.rows if args.mode in ("both", r.mode)]
+    for line in result_lines(rows):
         print(line)
     if args.out:
-        write_results(report.rows, args.out, fmt=args.format)
+        write_results(rows, args.out, fmt=args.format)
     return 0
 
 
@@ -116,8 +116,8 @@ def _cmd_pdf(args) -> int:
     dist = RwpDistribution(x_extent=scenario.room.width_m, y_extent=scenario.room.length_m)
     if args.grid:
         n = args.grid
-        xs = (np.arange(n) + 0.5) * dist.x_extent / n + dist.origin_x
-        ys = (np.arange(n) + 0.5) * dist.y_extent / n + dist.origin_y
+        xs = (np.arange(n) + 0.5) * dist.x_extent / n
+        ys = (np.arange(n) + 0.5) * dist.y_extent / n
         print("x,y,density")
         for y in ys:
             pts = np.column_stack([xs, np.full(n, y)])
@@ -154,8 +154,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", help="YAML scenario file (defaults built in)")
     sim.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
     sim.add_argument("--seed", type=int, default=None, help="master seed")
-    sim.add_argument("--workers", type=int, default=1, help="worker processes")
-    sim.add_argument("--mode", choices=["direct", "coop", "both"], default="both")
+    sim.add_argument("--workers", type=_count, default=1, help="worker processes")
+    sim.add_argument(
+        "--mode",
+        choices=["direct", "coop", "both"],
+        default="both",
+        help="print only this mode's rows",
+    )
     sim.add_argument(
         "--blockage-model",
         choices=["joint", "independent"],

@@ -113,10 +113,6 @@ class Rect:
     def area(self) -> float:
         return self.width * self.height
 
-    def _offset(self, pts: np.ndarray):
-        wx, wy = self.p1 - self.p0
-        return _spine_offset(pts[:, 0], pts[:, 1], self.p0[0], self.p0[1], wx, wy)
-
     def contains(self, points) -> np.ndarray | bool:
         p = np.asarray(points, dtype=float)
         scalar = p.ndim == 1

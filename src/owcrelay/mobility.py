@@ -26,26 +26,20 @@ __all__ = [
 _SAMPLE_CHUNK = 65536
 
 
-def _axis_pdf(coord, origin: float, extent: float) -> np.ndarray:
+def _axis_pdf(coord, extent: float) -> np.ndarray:
     """Marginal density 6/L^3 * (L^2/4 - s^2), s centred on the axis."""
-    s = np.asarray(coord, dtype=float) - (origin + extent / 2.0)
+    s = np.asarray(coord, dtype=float) - extent / 2.0
     val = (6.0 / extent**3) * (extent**2 / 4.0 - s * s)
     return np.where(np.abs(s) <= extent / 2.0, np.maximum(val, 0.0), 0.0)
 
 
 @dataclass(frozen=True)
 class RwpDistribution:
-    """Product-form stationary density on the floor rectangle.
-
-    ``origin_x``/``origin_y`` place the rectangle's corner in the shared
-    corner-origin frame; evaluation shifts to centred coordinates
-    internally.
-    """
+    """Product-form stationary density on the floor rectangle
+    ``[0, x_extent] x [0, y_extent]`` of the corner-origin room frame."""
 
     x_extent: float = 4.0
     y_extent: float = 8.0
-    origin_x: float = 0.0
-    origin_y: float = 0.0
 
     def __post_init__(self):
         if self.x_extent <= 0 or self.y_extent <= 0:
@@ -53,12 +47,7 @@ class RwpDistribution:
 
     @property
     def floor_rect(self) -> Rect:
-        return Rect(
-            self.origin_x,
-            self.origin_y,
-            self.origin_x + self.x_extent,
-            self.origin_y + self.y_extent,
-        )
+        return Rect(0.0, 0.0, self.x_extent, self.y_extent)
 
     @property
     def peak_density(self) -> float:
@@ -72,14 +61,10 @@ class RwpDistribution:
 
     def pdf(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _axis_pdf(pts[:, 0], self.origin_x, self.x_extent) * _axis_pdf(
-            pts[:, 1], self.origin_y, self.y_extent
-        )
+        return self.pdf_xy(pts[:, 0], pts[:, 1])
 
     def pdf_xy(self, x, y) -> np.ndarray:
-        return _axis_pdf(x, self.origin_x, self.x_extent) * _axis_pdf(
-            y, self.origin_y, self.y_extent
-        )
+        return _axis_pdf(x, self.x_extent) * _axis_pdf(y, self.y_extent)
 
 
 def region_probability(
@@ -113,14 +98,13 @@ def sample_human_positions(dist: RwpDistribution, n: int, rng) -> np.ndarray:
     if n < 0:
         raise ValueError("sample count must be non-negative")
     gen = np.random.default_rng(rng)
-    rect = dist.floor_rect
     peak = dist.peak_density
     out = np.empty((n, 2))
     filled = 0
     while filled < n:
         draw = gen.random((_SAMPLE_CHUNK, 3))
-        xs = rect.x0 + rect.width * draw[:, 0]
-        ys = rect.y0 + rect.height * draw[:, 1]
+        xs = dist.x_extent * draw[:, 0]
+        ys = dist.y_extent * draw[:, 1]
         keep = draw[:, 2] * peak <= dist.pdf_xy(xs, ys)
         kx = xs[keep]
         ky = ys[keep]

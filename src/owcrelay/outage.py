@@ -11,18 +11,19 @@ model.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from owcrelay.links import LinkBudget, build_link_budget, evaluate_sinr
+from owcrelay.links import LinkBudget, evaluate_sinr
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
-from owcrelay.scenario import Scenario
 
 __all__ = [
     "BLOCK_SIZE",
+    "MAX_LINKS",
     "OutageRow",
     "OutageReport",
     "is_outage",
@@ -33,6 +34,9 @@ __all__ = [
 # Monte Carlo work is split into fixed blocks; block b is always generated
 # from seed sequence [master_seed, b], so worker count cannot change results.
 BLOCK_SIZE = 16384
+
+# Enumeration visits 2^m link states for a user that depends on m links.
+MAX_LINKS = 16
 
 
 def threshold_linear(threshold_db: float) -> float:
@@ -54,10 +58,6 @@ class OutageRow:
     threshold_db: float
     seed: int
 
-    @property
-    def threshold_linear(self) -> float:
-        return threshold_linear(self.threshold_db)
-
 
 @dataclass(frozen=True)
 class OutageReport:
@@ -72,24 +72,47 @@ class OutageReport:
         raise KeyError(f"no row for {user_id!r} / {mode!r}")
 
 
+def _report(budget, p_out, method, model, n_samples=0, seed=0) -> OutageReport:
+    """Direct and coop rows of every user from ``p_out`` of shape (users, 2);
+    the Monte Carlo standard error when ``n_samples`` is set, else 0."""
+    rows = []
+    for t, pair in zip(budget.user_terms, p_out):
+        for mode, p in zip(("direct", "coop"), pair):
+            se = math.sqrt(p * (1.0 - p) / n_samples) if n_samples else 0.0
+            rows.append(
+                OutageRow(
+                    user_id=t.user_id,
+                    mode=mode,
+                    p_out=float(p),
+                    stderr=float(se),
+                    n_samples=n_samples,
+                    threshold_db=budget.threshold_db,
+                    seed=seed,
+                )
+            )
+    return OutageReport(rows=tuple(rows), method=method, blockage_model=model)
+
+
 def _mobility(budget: LinkBudget) -> RwpDistribution:
     return RwpDistribution(x_extent=budget.room.width, y_extent=budget.room.length)
 
 
-def ensure_marginals(budget: LinkBudget, rel_tol: float = 1e-4) -> np.ndarray:
-    """Per-link blocking probabilities under the stationary mobility law."""
+def ensure_marginals(budget: LinkBudget) -> np.ndarray:
+    """Per-link blocking probabilities under the stationary mobility law,
+    computed once per budget at the default relative tolerance (1e-4) of
+    :func:`~owcrelay.mobility.region_probability` and cached on it."""
     if budget.marginals is None:
         if budget.scenario.human.count == 0:
             budget.marginals = np.zeros(budget.link_count)
         else:
             dist = _mobility(budget)
-            budget.marginals = np.array(
-                [region_probability(r, dist, rel_tol) for r in budget.regions]
-            )
+            budget.marginals = np.array([region_probability(r, dist) for r in budget.regions])
     return budget.marginals
 
 
-def _run_block(budget, dist, master_seed, block_index, n, model, thr):
+def _run_block(budget, dist, master_seed, model, block_index, n):
+    """Direct and coop outage counts of every user, shape (users, 2), over
+    block ``block_index`` of ``n`` samples."""
     rng = np.random.default_rng([master_seed, block_index])
     links = budget.link_count
     if budget.scenario.human.count == 0:
@@ -102,49 +125,26 @@ def _run_block(budget, dist, master_seed, block_index, n, model, thr):
     else:
         u = rng.random((n, links))
         clear = (u >= budget.marginals[None, :]).T.astype(float)
-    direct, combined = evaluate_sinr(budget, clear)
-    return (
-        np.sum(direct <= thr, axis=1).astype(np.int64),
-        np.sum(combined <= thr, axis=1).astype(np.int64),
-    )
-
-
-def _block_worker(args):
-    return _run_block(*args)
-
-
-def _mode_rows(rows, mode):
-    if mode == "both":
-        return tuple(rows)
-    if mode not in ("direct", "coop"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return tuple(r for r in rows if r.mode == mode)
+    return np.stack(
+        [np.sum(is_outage(s, budget.threshold_db), axis=1) for s in evaluate_sinr(budget, clear)],
+        axis=1,
+    ).astype(np.int64)
 
 
 def outage_monte_carlo(
-    scenario: Scenario | None = None,
-    mode: str = "both",
+    budget: LinkBudget,
     n_samples: int | None = None,
     master_seed: int | None = None,
     workers: int = 1,
     blockage_model: str | None = None,
-    budget: LinkBudget | None = None,
-    rel_tol: float = 1e-4,
 ) -> OutageReport:
-    """Monte Carlo outage probabilities per user.
+    """Monte Carlo outage probabilities, direct and coop, per user.
 
-    ``mode`` selects the reported rows: "direct", "coop", or "both".
     ``blockage_model`` is "joint" (one pedestrian position drives all links
     of a sample, the physical model) or "independent" (each link flips its
     own coin with the quadrature marginal).  Sample count, seed, and model
     default to the scenario's sampler block.
     """
-    if budget is None:
-        if scenario is None:
-            raise ValueError("pass a scenario or a prebuilt budget")
-        budget = build_link_budget(scenario)
-    if mode not in ("direct", "coop", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
     sampler = budget.scenario.sampler
     n_total = int(n_samples if n_samples is not None else sampler.samples)
     seed = int(master_seed if master_seed is not None else sampler.seed)
@@ -154,77 +154,31 @@ def outage_monte_carlo(
     if n_total < 1:
         raise ValueError("sample count must be at least 1")
     if model == "independent":
-        ensure_marginals(budget, rel_tol)
+        ensure_marginals(budget)
 
-    thr = threshold_linear(budget.threshold_db)
-    dist = _mobility(budget)
-    tasks = []
-    start = 0
-    block = 0
-    while start < n_total:
-        n = min(BLOCK_SIZE, n_total - start)
-        tasks.append((budget, dist, seed, block, n, model, thr))
-        start += n
-        block += 1
-
+    sizes = [min(BLOCK_SIZE, n_total - start) for start in range(0, n_total, BLOCK_SIZE)]
+    run = functools.partial(_run_block, budget, _mobility(budget), seed, model)
     if workers <= 1:
-        results = [_block_worker(t) for t in tasks]
+        counts = sum(map(run, range(len(sizes)), sizes))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block_worker, tasks))
-
-    users = len(budget.user_terms)
-    direct_counts = np.zeros(users, dtype=np.int64)
-    coop_counts = np.zeros(users, dtype=np.int64)
-    for d, c in results:
-        direct_counts += d
-        coop_counts += c
-
-    rows = []
-    for i, t in enumerate(budget.user_terms):
-        for row_mode, count in (("direct", direct_counts[i]), ("coop", coop_counts[i])):
-            p = count / n_total
-            se = math.sqrt(p * (1.0 - p) / n_total)
-            rows.append(
-                OutageRow(
-                    user_id=t.user_id,
-                    mode=row_mode,
-                    p_out=float(p),
-                    stderr=float(se),
-                    n_samples=n_total,
-                    threshold_db=budget.threshold_db,
-                    seed=seed,
-                )
-            )
-    return OutageReport(rows=_mode_rows(rows, mode), method="mc", blockage_model=model)
+            counts = sum(pool.map(run, range(len(sizes)), sizes))
+    return _report(budget, counts / n_total, "mc", model, n_samples=n_total, seed=seed)
 
 
-def outage_independent_approx(
-    scenario: Scenario | None = None,
-    mode: str = "both",
-    budget: LinkBudget | None = None,
-    rel_tol: float = 1e-4,
-    max_links: int = 16,
-) -> OutageReport:
-    """Exact outage probabilities under the independent-link model.
+def outage_independent_approx(budget: LinkBudget) -> OutageReport:
+    """Exact outage probabilities, direct and coop, under the
+    independent-link model.
 
     For each user, every clear/blocked combination of the links entering its
     SINR is enumerated and weighted by the product of quadrature marginals.
     Exact for a user hanging off a single link; elsewhere it ignores the
     correlation one walking blocker induces across links.  Raises when a
-    user depends on more than ``max_links`` links; use the Monte Carlo
+    user depends on more than ``MAX_LINKS`` links; use the Monte Carlo
     engine there instead.
     """
-    if budget is None:
-        if scenario is None:
-            raise ValueError("pass a scenario or a prebuilt budget")
-        budget = build_link_budget(scenario)
-    if mode not in ("direct", "coop", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
-    p = ensure_marginals(budget, rel_tol)
-    thr = threshold_linear(budget.threshold_db)
-
-    rows = []
+    p = ensure_marginals(budget)
+    p_out = np.empty((len(budget.user_terms), 2))
     for i, t in enumerate(budget.user_terms):
         involved = np.unique(
             np.concatenate(
@@ -232,9 +186,9 @@ def outage_independent_approx(
             )
         )
         m = involved.size
-        if m > max_links:
+        if m > MAX_LINKS:
             raise ValueError(
-                f"user {t.user_id!r} depends on {m} links (limit {max_links}); "
+                f"user {t.user_id!r} depends on {m} links (limit {MAX_LINKS}); "
                 "use outage_monte_carlo with blockage_model='independent'"
             )
         size = 1 << m
@@ -245,19 +199,6 @@ def outage_independent_approx(
             bit = (combos >> j) & 1
             clear[link_idx] = bit
             prob *= np.where(bit == 1, 1.0 - p[link_idx], p[link_idx])
-        direct, combined = evaluate_sinr(budget, clear)
-        p_direct = float(np.sum(prob[direct[i] <= thr]))
-        p_coop = float(np.sum(prob[combined[i] <= thr]))
-        for row_mode, value in (("direct", p_direct), ("coop", p_coop)):
-            rows.append(
-                OutageRow(
-                    user_id=t.user_id,
-                    mode=row_mode,
-                    p_out=value,
-                    stderr=0.0,
-                    n_samples=0,
-                    threshold_db=budget.threshold_db,
-                    seed=0,
-                )
-            )
-    return OutageReport(rows=_mode_rows(rows, mode), method="exact", blockage_model="independent")
+        for k, sinr in enumerate(evaluate_sinr(budget, clear)):
+            p_out[i, k] = np.sum(prob[is_outage(sinr[i], budget.threshold_db)])
+    return _report(budget, p_out, "exact", "independent")

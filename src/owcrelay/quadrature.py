@@ -16,6 +16,13 @@ __all__ = ["QuadratureError", "integrate_region"]
 
 _GAUSS = 1.0 / np.sqrt(3.0)
 
+# Convergence is relative to max(|estimate|, _ABS_FLOOR), so a region of
+# (near) zero mass still settles.
+_ABS_FLOOR = 1e-12
+
+# Cells evaluated over all levels before the integrator gives up.
+MAX_CELLS = 6_000_000
+
 
 class QuadratureError(RuntimeError):
     """Raised when refinement stalls; carries the best estimate so far."""
@@ -67,17 +74,16 @@ def integrate_region(
     bbox,
     rel_tol: float = 1e-4,
     cut_scale: float | None = None,
-    abs_floor: float = 1e-12,
-    max_cells: int = 6_000_000,
 ) -> float:
-    """Integrate ``density`` (or 1 when None) over ``{p : sdf(p) <= 0}``
+    """Integrate ``density`` over ``{p : sdf(p) <= 0}``
     intersected with the axis-aligned box ``bbox = (x0, y0, x1, y1)``.
 
     ``sdf`` maps an (N, 2) array to ``(signed_distance, unit_gradient)``.
     The signed distance must be a true Euclidean distance so that the
-    half-diagonal test classifies cells safely.  ``cut_scale``, when given,
-    forbids convergence while boundary cells are still larger than it;
-    pass roughly a quarter of the smallest boundary feature radius.
+    half-diagonal test classifies cells safely.  ``density`` maps an (N, 2)
+    array to N values.  ``cut_scale``, when given, forbids convergence while
+    boundary cells are still larger than it; pass roughly a quarter of the
+    smallest boundary feature radius.
 
     Raises :class:`QuadratureError` when the cell budget is exhausted
     before the estimate settles.
@@ -105,21 +111,14 @@ def integrate_region(
         is_bdy = ~(is_in | is_out)
 
         if np.any(is_in):
-            c_in = centers[is_in]
-            if density is None:
-                inside_total += c_in.shape[0] * 4.0 * hx * hy
-            else:
-                offs = np.array(
-                    [[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]]
-                ) * _GAUSS
-                pts = (c_in[:, None, :] + offs[None, :, :]).reshape(-1, 2)
-                inside_total += float(np.sum(density(pts))) * hx * hy
+            offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]]) * _GAUSS
+            pts = (centers[is_in][:, None, :] + offs[None, :, :]).reshape(-1, 2)
+            inside_total += float(np.sum(density(pts))) * hx * hy
 
         bdy = centers[is_bdy]
         if bdy.shape[0]:
             frac = _cut_fraction(sd[is_bdy], grad[is_bdy], hx, hy)
-            dens = 1.0 if density is None else density(bdy)
-            bdy_est = float(np.sum(frac * dens)) * 4.0 * hx * hy
+            bdy_est = float(np.sum(frac * density(bdy))) * 4.0 * hx * hy
         else:
             bdy_est = 0.0
 
@@ -133,7 +132,7 @@ def integrate_region(
         if len(history) >= 3:
             (e2, ok2), (e1, ok1) = history[-1], history[-2]
             e0 = history[-3][0]
-            tol = 0.3 * rel_tol * max(abs(e2), abs_floor)
+            tol = 0.3 * rel_tol * max(abs(e2), _ABS_FLOOR)
             if ok2 and ok1 and abs(e2 - e1) <= tol and abs(e1 - e0) <= tol:
                 return e2
 
@@ -142,9 +141,9 @@ def integrate_region(
         offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]])
         centers = (bdy[:, None, :] + offs[None, :, :]).reshape(-1, 2)
         total_cells += centers.shape[0]
-        if total_cells > max_cells:
+        if total_cells > MAX_CELLS:
             raise QuadratureError(
-                f"cell budget {max_cells} exhausted before convergence",
+                f"cell budget {MAX_CELLS} exhausted before convergence",
                 best_estimate=best,
             )
 

@@ -141,7 +141,7 @@ def region_area(region: StadiumRegion, rel_tol: float = 1e-4) -> float:
         return 0.0
     return integrate_region(
         region.signed_distance,
-        None,
+        lambda pts: np.ones(len(pts)),
         (box.x0, box.y0, box.x1, box.y1),
         rel_tol=rel_tol,
         cut_scale=region.radius / 4.0,

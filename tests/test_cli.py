@@ -63,14 +63,15 @@ class TestSimulate:
         assert direct["p_out"] == coop["p_out"]  # no relays in this scenario
         assert 0.005 < float(direct["p_out"]) < 0.008
 
-    def test_mode_filter(self, single_link_file):
-        res = run_cli(
-            "simulate", "--scenario", single_link_file,
-            "--samples", "2048", "--seed", "1", "--mode", "direct",
-        )
-        lines = res.stdout.splitlines()
-        assert len(lines) == 2
-        assert lines[1].split(",")[1] == "direct"
+    @pytest.mark.parametrize("mode", ["direct", "coop"])
+    @pytest.mark.parametrize("method", ["mc", "exact"])
+    def test_mode_filter(self, method, mode):
+        # --mode only drops the other mode's lines of the unfiltered output
+        argv = ("simulate", "--method", method, "--samples", "4096", "--seed", "1")
+        header, *rows = run_cli(*argv).stdout.splitlines(keepends=True)
+        res = run_cli(*argv, "--mode", mode)
+        assert res.returncode == 0
+        assert res.stdout == header + "".join(r for r in rows if r.split(",")[1] == mode)
 
     def test_bad_sample_count_fails_cleanly(self, single_link_file):
         res = run_cli(
@@ -202,11 +203,22 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [("pdf", "--grid", "-1"), ("pdf", "--samples", "-1"), ("blockage", "--mc", "-1")],
-        ids=["pdf-grid", "pdf-samples", "blockage-mc"],
+        [
+            ("pdf", "--grid", "-1"),
+            ("pdf", "--samples", "-1"),
+            ("blockage", "--mc", "-1"),
+            ("simulate", "--workers", "-1"),
+        ],
+        ids=["pdf-grid", "pdf-samples", "blockage-mc", "simulate-workers"],
     )
     def test_negative_counts_rejected_at_parse_time(self, argv):
         res = run_cli(*argv)
         assert res.returncode == 2
         assert res.stdout == ""
         assert "must be non-negative, got -1" in res.stderr
+
+    def test_unknown_mode_rejected_at_parse_time(self):
+        res = run_cli("simulate", "--mode", "relay")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "argument --mode: invalid choice" in res.stderr

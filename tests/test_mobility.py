@@ -11,15 +11,15 @@ CYL = CylinderSpec()
 FLOOR = Rect(0.0, 0.0, 4.0, 8.0)
 
 
-def link_probability(link, dist=DIST) -> float:
-    return region_probability(blocked_region(link, CYL, dist.floor_rect), dist)
+def link_probability(link) -> float:
+    return region_probability(blocked_region(link, CYL, FLOOR), DIST)
 
 
 def gauss_integral(dist, n=24):
     """Independent tensor-product Gauss-Legendre oracle for the plane density."""
     x, wx = np.polynomial.legendre.leggauss(n)
-    xs = dist.origin_x + (x + 1) * dist.x_extent / 2
-    ys = dist.origin_y + (x + 1) * dist.y_extent / 2
+    xs = (x + 1) * dist.x_extent / 2
+    ys = (x + 1) * dist.y_extent / 2
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     vals = dist.pdf(grid).reshape(n, n)
     w2 = np.outer(wx, wx) * (dist.x_extent / 2) * (dist.y_extent / 2)
@@ -55,12 +55,6 @@ class TestDensity:
     def test_variances_property(self):
         assert DIST.variances == (0.8, 3.2)
 
-    def test_offset_frame(self):
-        shifted = RwpDistribution(x_extent=4.0, y_extent=8.0, origin_x=3.0, origin_y=5.0)
-        assert shifted.peak_density == DIST.peak_density
-        assert shifted.pdf((4.0, 6.0))[0] == DIST.pdf((1.0, 1.0))[0]
-        assert gauss_integral(shifted) == pytest.approx(1.0, abs=1e-12)
-
     def test_bad_extents_rejected(self):
         with pytest.raises(ValueError):
             RwpDistribution(x_extent=0.0, y_extent=8.0)
@@ -92,17 +86,6 @@ class TestRegionProbability:
         se = math.sqrt(p * (1 - p) / n)
         assert abs(hat - p) <= 3 * se
 
-    def test_translation_consistency(self):
-        # same physics in a frame shifted by (3, 5) on a larger floor
-        shifted_dist = RwpDistribution(x_extent=4.0, y_extent=8.0, origin_x=3.0, origin_y=5.0)
-        link = Segment3(Point3(1.3, 2.0, 2.4), Point3(2.2, 5.0, 0.9))
-        moved = Segment3(
-            Point3(1.3 + 3, 2.0 + 5, 2.4), Point3(2.2 + 3, 5.0 + 5, 0.9)
-        )
-        p0 = link_probability(link)
-        p1 = link_probability(moved, shifted_dist)
-        assert p1 == pytest.approx(p0, rel=1e-9)
-
 
 class TestSampler:
     def test_determinism(self):
@@ -130,9 +113,4 @@ class TestSampler:
     def test_single_sample_helper(self):
         (x, y), = sample_human_positions(DIST, 1, np.random.default_rng(3))
         assert 0 <= x <= 4 and 0 <= y <= 8
-
-    def test_offset_frame_sampling(self):
-        shifted = RwpDistribution(x_extent=4.0, y_extent=8.0, origin_x=3.0, origin_y=5.0)
-        pts = sample_human_positions(shifted, 10_000, np.random.default_rng(6))
-        assert np.all((pts >= [3, 5]) & (pts <= [7, 13]))
 

@@ -8,6 +8,7 @@ import pytest
 from owcrelay.links import build_link_budget
 from owcrelay.mobility import RwpDistribution, region_probability
 from owcrelay.outage import (
+    MAX_LINKS,
     ensure_marginals,
     is_outage,
     outage_independent_approx,
@@ -20,6 +21,7 @@ from conftest import make_single_link_scenario
 
 
 class TestIsOutage:
+    # the predicate both estimators count outage with
     def test_boundary_values(self):
         assert is_outage(36.30, 15.6)
         assert not is_outage(36.31, 15.6)
@@ -101,9 +103,11 @@ class TestSingleLink:
 class TestZeroHumans:
     def test_no_blockers_no_outage(self):
         sc = make_single_link_scenario()
-        sc = dataclasses.replace(sc, human=dataclasses.replace(sc.human, count=0))
-        mc = outage_monte_carlo(sc, n_samples=2_000, master_seed=1)
-        exact = outage_independent_approx(sc)
+        budget = build_link_budget(
+            dataclasses.replace(sc, human=dataclasses.replace(sc.human, count=0))
+        )
+        mc = outage_monte_carlo(budget, n_samples=2_000, master_seed=1)
+        exact = outage_independent_approx(budget)
         for row in (*mc.rows, *exact.rows):
             assert row.p_out == 0.0
 
@@ -125,8 +129,11 @@ class TestThresholdEffect:
         sc = make_single_link_scenario()
         lo_sc = dataclasses.replace(sc, noma=dataclasses.replace(sc.noma, threshold_db=40.0))
         hi_sc = dataclasses.replace(sc, noma=dataclasses.replace(sc.noma, threshold_db=60.0))
-        lo = outage_monte_carlo(lo_sc, n_samples=20_000, master_seed=9).by_user("u1", "direct")
-        hi = outage_monte_carlo(hi_sc, n_samples=20_000, master_seed=9).by_user("u1", "direct")
+        lo, hi = (
+            outage_monte_carlo(build_link_budget(s), n_samples=20_000, master_seed=9)
+            .by_user("u1", "direct")
+            for s in (lo_sc, hi_sc)
+        )
         assert hi.p_out == 1.0
         assert 0.0 < lo.p_out < 0.05
 
@@ -216,38 +223,37 @@ class TestDefaultScenario:
             c = report.by_user(t.user_id, "coop")
             assert c.p_out <= d.p_out + 3.0 * max(d.stderr, c.stderr)
 
-    def test_mode_filter(self, budget):
-        direct_only = outage_monte_carlo(
-            budget=budget, n_samples=4_096, master_seed=1, mode="direct",
-            blockage_model="joint",
-        )
-        assert {r.mode for r in direct_only.rows} == {"direct"}
-        assert len(direct_only.rows) == len(budget.user_terms)
+    def test_exact_rows_ignore_earlier_marginals(self, default_sc, budget):
+        # the shared budget's marginals were cached by earlier calls
+        ensure_marginals(budget)
+        fresh = build_link_budget(default_sc)
+        assert outage_independent_approx(budget).rows == outage_independent_approx(fresh).rows
 
 
 class TestEnumerationLimits:
-    def _many_ap_scenario(self, count=17):
+    def _many_ap_budget(self, count):
         aps = tuple(
             ApConfig(f"ap{k}", (0.96 + 0.005 * k, 1.0, 3.0)) for k in range(count)
         )
-        return Scenario(
-            name="many-beams",
-            aps=aps,
-            relays=(),
-            users=(UserConfig("u1", (1.0, 1.0, 1.0)),),
-            associations={ap.id: ("u1",) for ap in aps},
+        return build_link_budget(
+            Scenario(
+                name="many-beams",
+                aps=aps,
+                relays=(),
+                users=(UserConfig("u1", (1.0, 1.0, 1.0)),),
+                associations={ap.id: ("u1",) for ap in aps},
+            )
         )
 
     def test_link_cap_names_the_alternative(self):
-        sc = self._many_ap_scenario()
+        budget = self._many_ap_budget(MAX_LINKS + 1)
         with pytest.raises(ValueError, match="outage_monte_carlo"):
-            outage_independent_approx(sc)
+            outage_independent_approx(budget)
 
     def test_cap_override_enumerates_exactly(self):
-        sc = self._many_ap_scenario()
-        budget = build_link_budget(sc)
+        budget = self._many_ap_budget(MAX_LINKS)
         p = ensure_marginals(budget)
-        report = outage_independent_approx(budget=budget, max_links=17)
+        report = outage_independent_approx(budget)
         # any single clear beam clears the threshold, so outage needs every
         # beam blocked at once
         assert report.by_user("u1", "direct").p_out == pytest.approx(
@@ -256,12 +262,6 @@ class TestEnumerationLimits:
 
 
 class TestValidation:
-    def test_rejects_unknown_mode(self, single_link_budget):
-        with pytest.raises(ValueError):
-            outage_monte_carlo(budget=single_link_budget, mode="relay")
-        with pytest.raises(ValueError):
-            outage_independent_approx(budget=single_link_budget, mode="relay")
-
     def test_rejects_unknown_model(self, single_link_budget):
         with pytest.raises(ValueError):
             outage_monte_carlo(budget=single_link_budget, blockage_model="markov")
@@ -269,12 +269,6 @@ class TestValidation:
     def test_rejects_bad_sample_count(self, single_link_budget):
         with pytest.raises(ValueError):
             outage_monte_carlo(budget=single_link_budget, n_samples=0)
-
-    def test_requires_scenario_or_budget(self):
-        with pytest.raises(ValueError):
-            outage_monte_carlo()
-        with pytest.raises(ValueError):
-            outage_independent_approx()
 
     def test_by_user_unknown_row(self, single_link_budget):
         report = outage_independent_approx(budget=single_link_budget)
