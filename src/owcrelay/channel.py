@@ -4,10 +4,16 @@ diffuse reflections off the room surfaces.
 The beam is a top-hat cone.  A receiver collects the overlap of its aperture
 disk with the beam spot, as a fraction of the spot, projected onto its face.
 Power that misses the aperture continues to the first surface the beam axis
-hits, is deposited on the fine-grid surface element containing the hit point,
-and re-radiates as a Lambertian source.  Second-order paths go through a
-coarser grid covering every room surface.  Propagation delays are binned
-into a fixed-width impulse response.
+hits, is deposited on the first-bounce tile containing the hit point, and
+re-radiates as a Lambertian source.  Second-order paths go through a coarser
+grid covering every room surface.
+
+Every diffuse leg -- tile to detector, tile to grid patch, grid patch to
+detector -- is the same transfer from a Lambertian point source to a small
+flat patch, computed by one vectorised kernel, :func:`lambertian_gain`.
+Every path, direct or reflected, becomes a (gain, length) pair, and one
+``np.bincount`` over the propagation delays bins them all into a
+fixed-width impulse response.
 
 A blocking human is a solid vertical cylinder standing on the floor; when a
 blocker position is supplied, every individual path leg is tested against it
@@ -71,13 +77,6 @@ class RoomModel:
         if self.lambertian_mode < 1.0:
             raise ValueError("lambertian_mode must be >= 1")
 
-    def contains(self, p: Point3) -> bool:
-        return (
-            0.0 <= p.x <= self.width
-            and 0.0 <= p.y <= self.length
-            and 0.0 <= p.z <= self.height
-        )
-
 
 @dataclass(frozen=True)
 class TransmitterSpec:
@@ -109,9 +108,13 @@ class TransmitterSpec:
         c = float(np.clip(np.dot(d / n, self.axis), -1.0, 1.0))
         return math.acos(c)
 
+    def can_serve(self, target: Point3) -> bool:
+        """Whether ``target`` lies inside the steering cone."""
+        return self.steering_angle_to(target) <= self.max_steering_rad + 1e-12
+
     def check_servable(self, target: Point3) -> None:
-        ang = self.steering_angle_to(target)
-        if ang > self.max_steering_rad + 1e-12:
+        if not self.can_serve(target):
+            ang = self.steering_angle_to(target)
             raise UnservableLinkError(
                 f"target needs {math.degrees(ang):.2f} deg of steering, "
                 f"limit is {math.degrees(self.max_steering_rad):.2f} deg"
@@ -150,7 +153,6 @@ class SurfaceGrid:
     normals: np.ndarray
     areas: np.ndarray
     reflectivities: np.ndarray
-    resolution: float
 
     @property
     def element_count(self) -> int:
@@ -198,7 +200,11 @@ def _axis_cells(extent: float, resolution: float):
     return centers, widths
 
 
-def _surface_grid(room: RoomModel, resolution: float) -> SurfaceGrid:
+def discretize_surfaces(room: RoomModel, resolution: float = 0.20) -> SurfaceGrid:
+    """Tile all six faces at the given resolution.
+
+    Element areas sum to the exact interior surface area.
+    """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     centers, normals, areas, rhos = [], [], [], []
@@ -217,19 +223,7 @@ def _surface_grid(room: RoomModel, resolution: float) -> SurfaceGrid:
         normals=np.concatenate(normals),
         areas=np.concatenate(areas),
         reflectivities=np.concatenate(rhos),
-        resolution=resolution,
     )
-
-
-def discretize_surfaces(
-    room: RoomModel, first_res: float = 0.05, second_res: float = 0.20
-) -> tuple[SurfaceGrid, SurfaceGrid]:
-    """Tile all six faces at the first- and second-bounce resolutions.
-
-    Returns the fine grid and the coarse grid, in that order.  Element
-    areas on each grid sum to the exact interior surface area.
-    """
-    return _surface_grid(room, first_res), _surface_grid(room, second_res)
 
 
 def _disk_overlap(dist: float, r1: float, r2: float) -> float:
@@ -287,46 +281,30 @@ def narrow_beam_los_gain(tx: TransmitterSpec, rx: ReceiverSpec, aim: Point3 | No
     return capture * cos_in
 
 
-def lambertian_gain(src_pos, src_normal, src_mode: float, rx: ReceiverSpec) -> float:
-    """Point Lambertian source of the given cosine order to a small detector."""
-    s = np.asarray(src_pos, dtype=float)
-    r = rx.position.as_array() if isinstance(rx.position, Point3) else np.asarray(rx.position, float)
-    sn = np.asarray(src_normal, dtype=float)
-    rn = np.asarray(rx.normal, dtype=float)
-    d = r - s
-    dist = float(np.linalg.norm(d))
-    if dist == 0.0:
-        raise ValueError("source and receiver coincide")
-    d = d / dist
-    cos_e = float(np.dot(sn, d))
-    cos_i = float(np.dot(rn, -d))
-    if cos_e <= 0.0 or cos_i <= 0.0 or cos_i < math.cos(rx.fov_rad):
-        return 0.0
-    return (src_mode + 1) / (2.0 * math.pi * dist * dist) * cos_e**src_mode * cos_i * rx.area_m2
+def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos_fov: float = 0.0):
+    """Transfer from Lambertian point sources of cosine order ``mode`` to
+    small flat patches: ``(mode + 1) / (2 pi d^2) cos_e^mode cos_i area``.
 
-
-def _lambertian_to_many(src_pos, src_normal, src_mode, dst_pos, dst_normal, dst_area):
-    """Vectorised transfer from one point source to many patches.
-
-    Patches facing away on either end get exactly zero.
+    Positions and normals are ``(N, 3)`` rows that broadcast against each
+    other, so either end may be a single row.  A pair gets exactly zero
+    unless both ends face each other and the incidence cosine reaches
+    ``cos_fov`` (0 for room surfaces, ``cos(fov)`` for a detector).
+    Returns ``(gain, distance)``, one entry per pair.
     """
-    d = dst_pos - src_pos[None, :]
+    d = np.atleast_2d(np.asarray(dst, dtype=float) - np.asarray(src, dtype=float))
     dist2 = np.einsum("ij,ij->i", d, d)
     ok = dist2 > 0.0
     dist = np.sqrt(np.where(ok, dist2, 1.0))
     dhat = d / dist[:, None]
-    cos_e = dhat @ np.asarray(src_normal, dtype=float)
-    cos_i = -np.einsum("ij,ij->i", dhat, dst_normal)
-    vis = ok & (cos_e > 0.0) & (cos_i > 0.0)
-    out = np.zeros(dst_pos.shape[0])
-    out[vis] = (
-        (src_mode + 1)
-        / (2.0 * math.pi * dist2[vis])
-        * cos_e[vis] ** src_mode
-        * cos_i[vis]
-        * dst_area[vis]
+    cos_e = np.einsum("ij,ij->i", dhat, np.broadcast_to(src_normal, d.shape))
+    cos_i = -np.einsum("ij,ij->i", dhat, np.broadcast_to(dst_normal, d.shape))
+    vis = ok & (cos_e > 0.0) & (cos_i > 0.0) & (cos_i >= cos_fov)
+    area = np.broadcast_to(dst_area, dist.shape)
+    gain = np.zeros(dist.shape)
+    gain[vis] = (
+        (mode + 1) / (2.0 * math.pi * dist2[vis]) * cos_e[vis] ** mode * cos_i[vis] * area[vis]
     )
-    return out, dist
+    return gain, dist
 
 
 def _beam_exit(room: RoomModel, origin: np.ndarray, direction: np.ndarray):
@@ -382,7 +360,7 @@ def _snap_to_face(room: RoomModel, face: int, hit: np.ndarray, resolution: float
 class ChannelImpulseResponse:
     """Binned power gains plus the per-order totals they were built from.
 
-    Bin ``k`` covers the instant ``origin_time + k * bin_duration``.
+    Bin ``k`` covers the instant ``k * bin_duration``.
     """
 
     bin_duration: float
@@ -391,7 +369,6 @@ class ChannelImpulseResponse:
     first_order_gain: float
     second_order_gain: float
     blocked: bool = False
-    origin_time: float = 0.0
 
     def dc_gain(self) -> float:
         """Total power gain of the response: the exactly rounded sum of all bins."""
@@ -400,14 +377,9 @@ class ChannelImpulseResponse:
 
 def cir_rows(cir: ChannelImpulseResponse) -> tuple[tuple[int, float, float], ...]:
     """(bin_index, time_s, gain) for every nonzero bin, in time order."""
-    rows = []
-    for k in np.flatnonzero(cir.gains):
-        rows.append((int(k), cir.origin_time + int(k) * cir.bin_duration, float(cir.gains[k])))
-    return tuple(rows)
-
-
-def _bin_index(delay: float, bin_duration: float) -> int:
-    return int(round(delay / bin_duration))
+    return tuple(
+        (int(k), int(k) * cir.bin_duration, float(cir.gains[k])) for k in np.flatnonzero(cir.gains)
+    )
 
 
 def impulse_response(
@@ -420,7 +392,6 @@ def impulse_response(
     cylinder: CylinderSpec | None = None,
     aim: Point3 | None = None,
     first_res: float = 0.05,
-    second_res: float = 0.20,
     bin_duration: float = 1e-11,
     second_grid: SurfaceGrid | None = None,
 ) -> ChannelImpulseResponse:
@@ -431,6 +402,10 @@ def impulse_response(
     direct, transmitter-to-surface, element-to-receiver, element-to-element
     and element-to-receiver on second-order paths -- is tested against the
     cylinder, and blocked legs contribute zero.
+
+    The first bounce lands on the ``first_res`` tile containing the beam's
+    exit point; second-order paths go through ``second_grid``, tiled at
+    0.20 m by :func:`discretize_surfaces` when not given.
 
     Raises :class:`UnservableLinkError` when the aim point is outside the
     transmitter's steering cone.
@@ -448,6 +423,8 @@ def impulse_response(
 
     tx_pos = tx.position.as_array()
     rx_pos = rx.position.as_array()
+    rx_normal = np.asarray(rx.normal)
+    cos_fov = math.cos(rx.fov_rad)
     beam = target.as_array() - tx_pos
     beam = beam / np.linalg.norm(beam)
 
@@ -455,10 +432,12 @@ def impulse_response(
     los_blocked = leg_blocked(tx_pos, rx_pos)
     los = 0.0 if los_blocked else los_raw
 
-    d_direct = float(np.linalg.norm(rx_pos - tx_pos))
-    bins: dict[int, float] = {}
+    # every path as (gain, length), binned once at the end
+    path_gains: list = []
+    path_lengths: list = []
     if los > 0.0:
-        bins[_bin_index(d_direct / SPEED_OF_LIGHT, bin_duration)] = los
+        path_gains.append(los)
+        path_lengths.append(float(np.linalg.norm(rx_pos - tx_pos)))
 
     first = 0.0
     second = 0.0
@@ -471,59 +450,37 @@ def impulse_response(
             mode = room.lambertian_mode
 
             if not leg_blocked(e_center, rx_pos):
-                first = residue * e_rho * lambertian_gain(e_center, e_normal, mode, rx)
-            if first > 0.0:
-                d1 = float(np.linalg.norm(rx_pos - e_center))
-                b = _bin_index((d0 + d1) / SPEED_OF_LIGHT, bin_duration)
-                bins[b] = bins.get(b, 0.0) + first
+                g1, d1 = lambertian_gain(
+                    e_center, e_normal, mode, rx_pos, rx_normal, rx.area_m2, cos_fov
+                )
+                first = residue * e_rho * float(g1[0])
+                if first > 0.0:
+                    path_gains.append(first)
+                    path_lengths.append(d0 + d1)
 
             if max_bounces >= 2:
-                grid = second_grid
-                if grid is None or grid.resolution != second_res:
-                    grid = _surface_grid(room, second_res)
-                to_patch, d_ep = _lambertian_to_many(
+                grid = second_grid if second_grid is not None else discretize_surfaces(room)
+                to_patch, d_ep = lambertian_gain(
                     e_center, e_normal, mode, grid.centers, grid.normals, grid.areas
                 )
-                rel = rx_pos[None, :] - grid.centers
-                dist2 = np.einsum("ij,ij->i", rel, rel)
-                live = (to_patch > 0.0) & (dist2 > 0.0)
+                to_rx, d_pr = lambertian_gain(
+                    grid.centers, grid.normals, mode, rx_pos, rx_normal, rx.area_m2, cos_fov
+                )
+                live = (to_patch > 0.0) & (to_rx > 0.0)
                 if center is not None and np.any(live):
                     live &= ~segments_blocked(e_center[None, :], grid.centers, center, cyl)
                     live &= ~segments_blocked(grid.centers, rx_pos[None, :], center, cyl)
-                if np.any(live):
-                    dist = np.sqrt(dist2[live])
-                    dhat = rel[live] / dist[:, None]
-                    cos_e = np.einsum("ij,ij->i", grid.normals[live], dhat)
-                    cos_i = -(dhat @ np.asarray(rx.normal))
-                    vis = (cos_e > 0.0) & (cos_i > 0.0) & (cos_i >= math.cos(rx.fov_rad))
-                    if np.any(vis):
-                        g2 = (
-                            (mode + 1)
-                            / (2.0 * math.pi * dist[vis] ** 2)
-                            * cos_e[vis] ** mode
-                            * cos_i[vis]
-                            * rx.area_m2
-                        )
-                        contrib = (
-                            residue
-                            * e_rho
-                            * to_patch[live][vis]
-                            * grid.reflectivities[live][vis]
-                            * g2
-                        )
-                        delays = (d0 + d_ep[live][vis] + dist[vis]) / SPEED_OF_LIGHT
-                        idx = np.rint(delays / bin_duration).astype(int)
-                        second = float(np.sum(contrib))
-                        for b, c in zip(idx, contrib):
-                            bins[int(b)] = bins.get(int(b), 0.0) + float(c)
+                contrib = residue * e_rho * to_patch[live] * grid.reflectivities[live] * to_rx[live]
+                second = float(np.sum(contrib))
+                path_gains.append(contrib)
+                path_lengths.append(d0 + d_ep[live] + d_pr[live])
 
-    if bins:
-        length = max(bins) + 1
-        gains = np.zeros(length)
-        for b, c in bins.items():
-            gains[b] = c
-    else:
-        gains = np.zeros(0)
+    gains = np.zeros(0)
+    if path_gains:
+        delays = np.hstack(path_lengths) / SPEED_OF_LIGHT
+        bins = np.rint(delays / bin_duration).astype(int)
+        # an empty bincount comes back as integers
+        gains = np.bincount(bins, weights=np.hstack(path_gains)).astype(float, copy=False)
     return ChannelImpulseResponse(
         bin_duration=bin_duration,
         gains=gains,

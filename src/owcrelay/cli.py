@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="outage probabilities per user")
     sim.add_argument("--scenario", help="YAML scenario file (defaults built in)")
     sim.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-    sim.add_argument("--seed", type=int, default=None, help="master seed")
+    sim.add_argument("--seed", type=_count, default=None, help="master seed")
     sim.add_argument("--workers", type=_count, default=1, help="worker processes")
     sim.add_argument(
         "--mode",
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     blk = sub.add_parser("blockage", help="per-link blocking probabilities")
     blk.add_argument("--scenario")
     blk.add_argument("--mc", type=_count, default=0, help="also estimate from this many samples")
-    blk.add_argument("--seed", type=int, default=1)
+    blk.add_argument("--seed", type=_count, default=1)
     blk.set_defaults(func=_cmd_blockage)
 
     chn = sub.add_parser("channel", help="link gain matrix, or one link's response")
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     pdf.add_argument("--scenario")
     pdf.add_argument("--grid", type=_count, default=0, help="dump density at N x N cell centers")
     pdf.add_argument("--samples", type=_count, default=0)
-    pdf.add_argument("--seed", type=int, default=1)
+    pdf.add_argument("--seed", type=_count, default=1)
     pdf.set_defaults(func=_cmd_pdf)
 
     ini = sub.add_parser("init", help="write the default scenario as YAML")

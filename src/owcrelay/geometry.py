@@ -51,9 +51,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    def xy(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
     def distance_to(self, other: "Point3") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
@@ -68,9 +65,6 @@ class Segment3:
     def __post_init__(self):
         if (self.a.x, self.a.y, self.a.z) == (self.b.x, self.b.y, self.b.z):
             raise ValueError("degenerate segment: endpoints coincide")
-
-    def length(self) -> float:
-        return self.a.distance_to(self.b)
 
 
 @dataclass(frozen=True)

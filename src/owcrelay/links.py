@@ -204,7 +204,7 @@ def _association_map(scenario: Scenario, ap_specs, user_specs) -> dict[str, tupl
     for ap_id, spec in ap_specs.items():
         served = []
         for uid, rx in user_specs.items():
-            if spec.steering_angle_to(rx.position) <= spec.max_steering_rad + 1e-12:
+            if spec.can_serve(rx.position):
                 served.append(uid)
         out[ap_id] = tuple(served)
     return out
@@ -221,7 +221,7 @@ def _relay_pairing_map(scenario: Scenario, ap_specs, relay_specs) -> dict[str, s
         best = None
         best_d = math.inf
         for ap_id, spec in ap_specs.items():
-            if spec.steering_angle_to(rp) > spec.max_steering_rad + 1e-12:
+            if not spec.can_serve(rp):
                 continue
             d = spec.position.distance_to(rp)
             if d < best_d:
@@ -250,33 +250,37 @@ def _relay_branch_map(
             ap_id = pairings.get(rid)
             if ap_id is None or uid not in associations.get(ap_id, ()):
                 continue
-            spec = relay.transmitter
-            if spec.steering_angle_to(rx.position) <= spec.max_steering_rad + 1e-12:
+            if relay.transmitter.can_serve(rx.position):
                 branches.append((ap_id, rid))
         out[uid] = tuple(branches)
     return out
 
 
-def _link_gain(tx, rx, room, cc, grid):
-    cir = impulse_response(
-        tx,
-        rx,
-        room,
-        max_bounces=cc.max_bounces,
-        first_res=cc.first_bounce_res_m,
-        second_res=cc.second_bounce_res_m,
-        bin_duration=cc.bin_ns * 1e-9,
-        second_grid=grid,
-    )
-    reflected = cir.first_order_gain + cir.second_order_gain
-    return cir.dc_gain(), cir.los_gain, reflected
+def _channel(room: RoomModel, cc):
+    """Impulse response of a link under the scenario's channel settings,
+    as a function of (tx, rx, **impulse_response keywords).  The
+    second-bounce grid is tiled once here and shared by every call."""
+    grid = discretize_surfaces(room, cc.second_bounce_res_m) if cc.max_bounces >= 2 else None
+
+    def cir(tx, rx, **kwargs):
+        return impulse_response(
+            tx,
+            rx,
+            room,
+            max_bounces=cc.max_bounces,
+            first_res=cc.first_bounce_res_m,
+            bin_duration=cc.bin_ns * 1e-9,
+            second_grid=grid,
+            **kwargs,
+        )
+
+    return cir
 
 
 def build_link_budget(scenario: Scenario) -> LinkBudget:
     """Evaluate every deterministic quantity the outage engines need."""
     scenario.validate()
     room = _room_model(scenario)
-    cc = scenario.channel
     cylinder = CylinderSpec(height=scenario.human.height_m, radius=scenario.human.radius_m)
     footprint = Rect(0.0, 0.0, room.width, room.length)
     noise_model = NoiseModel(
@@ -290,10 +294,7 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
     pairings = _relay_pairing_map(scenario, ap_specs, relay_specs)
     branches = _relay_branch_map(associations, pairings, relay_specs, user_specs)
 
-    grid = None
-    if cc.max_bounces >= 2:
-        _, grid = discretize_surfaces(room, cc.first_bounce_res_m, cc.second_bounce_res_m)
-
+    channel = _channel(room, scenario.channel)
     links: list[Link] = []
     regions: list[StadiumRegion] = []
     index_of: dict[tuple[str, str], int] = {}
@@ -302,7 +303,7 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         key = (tx_id, rx_id)
         if key in index_of:
             return index_of[key]
-        h, h_los, h_ref = _link_gain(tx_spec, rx_spec, room, cc, grid)
+        cir = channel(tx_spec, rx_spec)
         seg = Segment3(tx_spec.position, rx_spec.position)
         idx = len(links)
         links.append(
@@ -313,9 +314,9 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
                 tx_id=tx_id,
                 rx_id=rx_id,
                 segment=seg,
-                h=h,
-                h_los=h_los,
-                h_reflected=h_ref,
+                h=cir.dc_gain(),
+                h_los=cir.los_gain,
+                h_reflected=cir.first_order_gain + cir.second_order_gain,
             )
         )
         regions.append(blocked_region(seg, cylinder, footprint))
@@ -478,23 +479,8 @@ def link_cir(budget: LinkBudget, tx_id: str, rx_id: str, blockage=None):
     blocker floor position, as in :func:`owcrelay.channel.impulse_response`.
     """
     budget.link_index(tx_id, rx_id)  # raises KeyError when absent
-    room = budget.room
-    cc = budget.scenario.channel
-    ap_specs, relay_specs, user_specs = _terminal_specs(budget.scenario, room)
+    ap_specs, relay_specs, user_specs = _terminal_specs(budget.scenario, budget.room)
     tx = ap_specs[tx_id] if tx_id in ap_specs else relay_specs[tx_id].transmitter
     rx = user_specs[rx_id] if rx_id in user_specs else relay_specs[rx_id].receiver
-    grid = None
-    if cc.max_bounces >= 2:
-        _, grid = discretize_surfaces(room, cc.first_bounce_res_m, cc.second_bounce_res_m)
-    return impulse_response(
-        tx,
-        rx,
-        room,
-        max_bounces=cc.max_bounces,
-        blockage=blockage,
-        cylinder=budget.cylinder,
-        first_res=cc.first_bounce_res_m,
-        second_res=cc.second_bounce_res_m,
-        bin_duration=cc.bin_ns * 1e-9,
-        second_grid=grid,
-    )
+    channel = _channel(budget.room, budget.scenario.channel)
+    return channel(tx, rx, blockage=blockage, cylinder=budget.cylinder)

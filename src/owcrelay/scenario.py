@@ -9,6 +9,7 @@ scientific-notation strings survive YAML's parsing quirks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict, replace
 from typing import Any
 
@@ -355,22 +356,21 @@ _SECTION_TYPES = {
 }
 
 
-def _coerce_float(value, path: str) -> float:
+def _coerce_float(value, path: str, what: str = "a number") -> float:
     try:
-        return float(value)
+        f = float(value)
+        if math.isfinite(f):
+            return f
     except (TypeError, ValueError):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
+        pass
+    raise ScenarioError(f"{path}: expected {what}, got {value!r}")
 
 
 def _coerce_int(value, path: str) -> int:
-    try:
-        f = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{path}: expected an integer, got {value!r}") from None
-    i = int(f)
-    if i != f:
+    f = _coerce_float(value, path, "an integer")
+    if not f.is_integer():
         raise ScenarioError(f"{path}: expected an integer, got {value!r}")
-    return i
+    return int(f)
 
 
 def _coerce_position(value, path: str) -> tuple[float, float, float]:

@@ -4,8 +4,10 @@ The scalar SINR functions below evaluate one user and one link state at a
 time with plain loops over the multiplexing allocation.  They are the oracle
 for the vectorised :func:`owcrelay.links.evaluate_sinr`; :func:`reference_sinr`
 rebuilds their inputs from a link budget's gains and scenario, independently
-of the budget's compiled weight arrays.  :func:`region_area` integrates a
-region's indicator with the package quadrature.
+of the budget's compiled weight arrays.  :func:`point_source_gain` is the
+one-pair scalar form of the channel's vectorised Lambertian kernel.
+:func:`region_area` integrates a region's indicator with the package
+quadrature.
 """
 
 from __future__ import annotations
@@ -130,6 +132,19 @@ class SinrBreakdown:
     def combined_db(self) -> float:
         c = self.combined
         return -math.inf if c <= 0.0 else 10.0 * math.log10(c)
+
+
+def point_source_gain(src, src_normal, mode, dst, dst_normal, dst_area, cos_fov=0.0) -> float:
+    """Lambertian point source of cosine order ``mode`` to one small flat
+    patch, evaluated with scalar arithmetic."""
+    d = [b - a for a, b in zip(src, dst)]
+    dist = math.sqrt(sum(c * c for c in d))
+    u = [c / dist for c in d]
+    cos_e = sum(n * c for n, c in zip(src_normal, u))
+    cos_i = -sum(n * c for n, c in zip(dst_normal, u))
+    if cos_e <= 0.0 or cos_i <= 0.0 or cos_i < cos_fov:
+        return 0.0
+    return (mode + 1) / (2.0 * math.pi * dist * dist) * cos_e**mode * cos_i * dst_area
 
 
 def region_area(region: StadiumRegion, rel_tol: float = 1e-4) -> float:

@@ -18,6 +18,8 @@ from owcrelay.channel import (
 )
 from owcrelay.geometry import CylinderSpec, Point3, Segment3, segment_intersects_cylinder
 
+from reference import point_source_gain
+
 ROOM = RoomModel(width=4.0, length=8.0, height=3.0)
 CYL = CylinderSpec()
 
@@ -40,6 +42,15 @@ def make_rx(position, normal=(0, 0, 1), area_m2=1e-4, fov_deg=90.0):
         fov_rad=math.radians(fov_deg),
         responsivity=0.5,
     )
+
+
+def point_to_rx(src_pos, src_normal, mode, rx):
+    """One Lambertian point source to a detector, through the channel kernel."""
+    gain, _ = lambertian_gain(
+        src_pos, src_normal, mode, rx.position.as_array(), rx.normal, rx.area_m2,
+        math.cos(rx.fov_rad),
+    )
+    return float(gain[0])
 
 
 def padded(gains, length):
@@ -96,18 +107,18 @@ class TestNarrowBeam:
 class TestLambertian:
     def test_unit_distance_head_on(self):
         rx = make_rx((0, 0, 0))
-        g = lambertian_gain((0, 0, 1), (0, 0, -1), 1.0, rx)
+        g = point_to_rx((0, 0, 1), (0, 0, -1), 1.0, rx)
         assert g == pytest.approx(1e-4 / math.pi, rel=1e-12)
         assert g == pytest.approx(3.18310e-5, abs=1e-9)
 
     def test_fov_cut(self):
         rx = make_rx((0, 0, 0), fov_deg=30.0)
         # incidence 45 degrees exceeds the 30 degree field of view
-        assert lambertian_gain((1, 0, 1), (0, 0, -1), 1.0, rx) == 0.0
+        assert point_to_rx((1, 0, 1), (0, 0, -1), 1.0, rx) == 0.0
 
     def test_emission_null_at_ninety_degrees(self):
         rx = make_rx((1, 0, 0))
-        assert lambertian_gain((0, 0, 0), (0, 0, 1), 1.0, rx) == 0.0
+        assert point_to_rx((0, 0, 0), (0, 0, 1), 1.0, rx) == 0.0
 
     def test_reciprocity_for_ideal_mode(self):
         rng = np.random.default_rng(21)
@@ -121,52 +132,79 @@ class TestLambertian:
             na /= np.linalg.norm(na)
             nb = -u + rng.normal(0, 0.2, 3)
             nb /= np.linalg.norm(nb)
-            fwd = lambertian_gain(a, na, 1.0, make_rx(b, normal=tuple(nb)))
-            bwd = lambertian_gain(b, nb, 1.0, make_rx(a, normal=tuple(na)))
+            fwd = point_to_rx(a, na, 1.0, make_rx(b, normal=tuple(nb)))
+            bwd = point_to_rx(b, nb, 1.0, make_rx(a, normal=tuple(na)))
             assert fwd == pytest.approx(bwd, rel=1e-12)
 
     def test_inverse_square_exact(self):
         rx1 = make_rx((0, 0, 1))
         rx2 = make_rx((0, 0, 2))
-        g1 = lambertian_gain((0, 0, 0), (0, 0, 1), 1.0, rx1)
-        g2 = lambertian_gain((0, 0, 0), (0, 0, 1), 1.0, rx2)
+        g1 = point_to_rx((0, 0, 0), (0, 0, 1), 1.0, rx1)
+        g2 = point_to_rx((0, 0, 0), (0, 0, 1), 1.0, rx2)
         assert g1 == pytest.approx(4.0 * g2, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [1.0, 2.5])
+    def test_kernel_matches_scalar_reference(self, mode):
+        # one source to many patches and many patches to one detector, the
+        # two broadcast shapes the impulse response uses
+        rng = np.random.default_rng(5)
+        n = 400
+        pts = rng.uniform([0, 0, 0], [4, 8, 3], size=(n, 3))
+        normals = rng.normal(size=(n, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        areas = rng.uniform(0.01, 0.04, n)
+        src, src_n = np.array([2.0, 4.0, 1.5]), np.array([0.6, 0.0, 0.8])
+        cos_fov = math.cos(math.radians(60.0))
+
+        out, dist = lambertian_gain(src, src_n, mode, pts, normals, areas)
+        back, _ = lambertian_gain(pts, normals, mode, src, src_n, 1e-4, cos_fov)
+        ref_out = [
+            point_source_gain(src, src_n, mode, p, nv, a) for p, nv, a in zip(pts, normals, areas)
+        ]
+        ref_back = [
+            point_source_gain(p, nv, mode, src, src_n, 1e-4, cos_fov) for p, nv in zip(pts, normals)
+        ]
+        for got, ref in ((out, ref_out), (back, ref_back)):
+            assert np.array_equal(got > 0.0, np.asarray(ref) > 0.0)
+            assert 0 < np.count_nonzero(got) < n
+            assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
+        assert np.allclose(dist, np.linalg.norm(pts - src, axis=1), rtol=1e-15, atol=0.0)
 
     def test_higher_mode_narrows(self):
         rx = make_rx((1, 0, 0), normal=(-1, 0, 0))
-        off_axis = lambertian_gain((0, 0, 0), (0.6, 0, 0.8), 1.0, rx)
-        off_axis3 = lambertian_gain((0, 0, 0), (0.6, 0, 0.8), 3.0, rx)
+        off_axis = point_to_rx((0, 0, 0), (0.6, 0, 0.8), 1.0, rx)
+        off_axis3 = point_to_rx((0, 0, 0), (0.6, 0, 0.8), 3.0, rx)
         # cos_e = 0.6: quadrupling the exponent shrinks the off-axis gain
         assert off_axis3 < off_axis
 
 
 class TestDiscretization:
     def test_default_room_element_counts(self):
-        fine, coarse = discretize_surfaces(ROOM, 0.05, 0.20)
+        fine, coarse = discretize_surfaces(ROOM, 0.05), discretize_surfaces(ROOM, 0.20)
         assert fine.element_count == 54_400
         assert coarse.element_count == 3_400
 
     def test_total_area_preserved(self):
-        fine, coarse = discretize_surfaces(ROOM, 0.05, 0.20)
+        fine, coarse = discretize_surfaces(ROOM, 0.05), discretize_surfaces(ROOM, 0.20)
         assert fine.total_area == pytest.approx(136.0, rel=1e-12)
         assert coarse.total_area == pytest.approx(136.0, rel=1e-12)
 
     def test_partial_edge_tiles_keep_true_area(self):
         # 0.3 m cells do not divide the extents; remainder tiles make up the area
-        fine, _ = discretize_surfaces(ROOM, 0.3, 0.3)
+        fine = discretize_surfaces(ROOM, 0.3)
         assert fine.total_area == pytest.approx(136.0, rel=1e-12)
         assert np.min(fine.areas) < 0.3 * 0.3 - 1e-12
 
     def test_unit_wall_at_half_meter(self):
         cube = RoomModel(width=1.0, length=1.0, height=1.0)
-        fine, _ = discretize_surfaces(cube, 0.5, 0.5)
+        fine = discretize_surfaces(cube, 0.5)
         # 6 faces x 4 elements per 1x1 face
         assert fine.element_count == 24
         assert fine.total_area == pytest.approx(6.0, rel=1e-12)
 
     def test_bad_resolution_rejected(self):
         with pytest.raises(ValueError):
-            discretize_surfaces(ROOM, -0.05, 0.2)
+            discretize_surfaces(ROOM, -0.05)
 
 
 class TestImpulseResponse:
@@ -268,7 +306,7 @@ class TestImpulseResponse:
         tx = make_tx((1, 1, 3), steer_deg=80.0)
         rx = make_rx((1.2, 2, 1))
         aim = Point3(0.0, 2.013, 1.487)  # off-lattice wall spot
-        analytic = 0.8 * lambertian_gain((0.0, 2.013, 1.487), (1, 0, 0), 1.0, rx)
+        analytic = 0.8 * point_to_rx((0.0, 2.013, 1.487), (1, 0, 0), 1.0, rx)
         errs = []
         for res in (0.05, 0.0125):
             cir = impulse_response(tx, rx, ROOM, max_bounces=1, aim=aim, first_res=res)

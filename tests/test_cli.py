@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -136,6 +137,29 @@ class TestChannel:
         assert res.returncode == 2
         assert "single link" in res.stderr
 
+    # stdout SHA-256 of the default room, recorded before the channel kernel
+    # and binning were merged; any change to a printed gain shows here
+    DEFAULT_ROOM_STDOUT_SHA256 = {
+        "matrix": "fdb8a6e1c92d1206c54150493176256ad3df73528f54cf1d90dc1b137e200b71",
+        "cir-r1-u1": "6ca9603ed67dcbb377c1ae0f88860c6b152028ebc03453a872eaf8558d1d7bbc",
+        "cir-ap1-r1": "9737c12d74d7f517b4ace1aaa5918706494b5e842c406d03e92c5e62fe09c3ee",
+    }
+
+    @pytest.mark.parametrize(
+        "key,argv",
+        [
+            ("matrix", ()),
+            ("cir-r1-u1", ("--tx", "r1", "--rx", "u1", "--cir")),
+            ("cir-ap1-r1", ("--tx", "ap1", "--rx", "r1", "--cir")),
+        ],
+        ids=["matrix", "cir-r1-u1", "cir-ap1-r1"],
+    )
+    def test_default_room_stdout_digest(self, key, argv):
+        res = run_cli("channel", *argv)
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == self.DEFAULT_ROOM_STDOUT_SHA256[key]
+
 
 class TestPdf:
     def test_summary(self):
@@ -184,6 +208,15 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stderr.startswith("error: unknown key: beams")
 
+    def test_non_finite_number_in_scenario(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("sampler: {samples: .inf}\n")
+        res = run_cli("simulate", "--scenario", str(bad))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: sampler.samples: expected an integer")
+        assert "Traceback" not in res.stderr
+
     def test_missing_scenario_file(self):
         res = run_cli("blockage", "--scenario", "/nonexistent/path.yaml")
         assert res.returncode == 1
@@ -208,8 +241,14 @@ class TestErrors:
             ("pdf", "--samples", "-1"),
             ("blockage", "--mc", "-1"),
             ("simulate", "--workers", "-1"),
+            ("simulate", "--seed", "-1"),
+            ("blockage", "--seed", "-1", "--mc", "10"),
+            ("pdf", "--seed", "-1", "--samples", "10"),
         ],
-        ids=["pdf-grid", "pdf-samples", "blockage-mc", "simulate-workers"],
+        ids=[
+            "pdf-grid", "pdf-samples", "blockage-mc", "simulate-workers",
+            "simulate-seed", "blockage-seed", "pdf-seed",
+        ],
     )
     def test_negative_counts_rejected_at_parse_time(self, argv):
         res = run_cli(*argv)

@@ -177,10 +177,19 @@ class TestRejection:
         assert "[0, 4.0]" in msg
 
     def test_bad_number(self):
-        with pytest.raises(ScenarioError, match="noma.threshold_db"):
-            scenario_from_dict({"noma": {"threshold_db": "lots"}})
-        with pytest.raises(ScenarioError, match="sampler.samples"):
-            scenario_from_dict({"sampler": {"samples": 1.5}})
+        # non-finite values are rejected by path too, never run or crash later
+        for section, key, value in [
+            ("noma", "threshold_db", "lots"),
+            ("sampler", "samples", 1.5),
+            ("noma", "threshold_db", float("nan")),
+            ("noma", "power_ratio", float("nan")),
+            ("noise", "bandwidth_ghz", float("inf")),
+            ("room", "width_m", "-inf"),
+            ("sampler", "samples", float("inf")),
+            ("sampler", "seed", float("nan")),
+        ]:
+            with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: expected"):
+                scenario_from_dict({section: {key: value}})
 
     def test_referential_integrity(self, default_sc):
         bad_ap = dataclasses.replace(default_sc, associations={"zz": ("u1",)})
