@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from owcrelay.channel import cir_rows
+from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, link_cir
 from owcrelay.mobility import RwpDistribution, sample_human_positions
 from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
@@ -48,6 +49,13 @@ def _load(args):
 
 
 def _cmd_simulate(args) -> int:
+    if args.method == "exact" and args.blockage_model == "joint":
+        print(
+            "error: exact enumeration is the independent-link model; "
+            "the joint model needs --method mc",
+            file=sys.stderr,
+        )
+        return 2
     scenario = _load(args)
     budget = build_link_budget(scenario)
     if args.method == "exact":
@@ -78,9 +86,8 @@ def _cmd_blockage(args) -> int:
     if args.mc:
         dist = RwpDistribution(x_extent=scenario.room.width_m, y_extent=scenario.room.length_m)
         pts = sample_human_positions(dist, args.mc, np.random.default_rng(args.seed))
-        for link, region in zip(budget.links, budget.regions):
-            p = float(np.mean(region.contains(pts)))
-            print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(p)},mc")
+        for link, inside in zip(budget.links, regions_contain(budget.regions, pts)):
+            print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(np.mean(inside))},mc")
     return 0
 
 
@@ -152,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="outage probabilities per user")
     sim.add_argument("--scenario", help="YAML scenario file (defaults built in)")
-    sim.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
+    sim.add_argument("--samples", type=_count, default=None, help="Monte Carlo sample count")
     sim.add_argument("--seed", type=_count, default=None, help="master seed")
     sim.add_argument("--workers", type=_count, default=1, help="worker processes")
     sim.add_argument(

@@ -28,6 +28,7 @@ __all__ = [
     "CylinderSpec",
     "Rect",
     "StadiumRegion",
+    "regions_contain",
     "segment_intersects_cylinder",
     "segments_blocked",
     "blocked_region",
@@ -94,18 +95,6 @@ class Rect:
     def __post_init__(self):
         if not (self.x0 <= self.x1 and self.y0 <= self.y1):
             raise ValueError(f"empty rectangle bounds {self!r}")
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
     def contains(self, points) -> np.ndarray | bool:
         p = np.asarray(points, dtype=float)
@@ -207,29 +196,9 @@ class StadiumRegion:
     def empty_region(cls, clip: Rect) -> "StadiumRegion":
         return cls(None, None, 0.0, clip, empty=True)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.empty
-
-    def spine_length(self) -> float:
-        if self.empty:
-            return 0.0
-        return float(np.hypot(*(self.p1 - self.p0)))
-
-    def _offset(self, pts: np.ndarray):
-        wx, wy = self.p1 - self.p0
-        return _spine_offset(pts[:, 0], pts[:, 1], self.p0[0], self.p0[1], wx, wy)
-
     def contains(self, points) -> np.ndarray | bool:
-        pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if self.empty:
-            out = np.zeros(pts.shape[0], dtype=bool)
-            return bool(out[0]) if scalar else out
-        ox, oy = self._offset(pts)
-        out = (ox * ox + oy * oy <= self.radius * self.radius) & self.clip.contains(pts)
-        return bool(out[0]) if scalar else out
+        out = regions_contain((self,), points)[0]
+        return bool(out[0]) if np.ndim(points) == 1 else out
 
     def signed_distance(self, points):
         """Distance to the stadium boundary, negative inside, with the unit
@@ -241,7 +210,8 @@ class StadiumRegion:
             grad = np.zeros((pts.shape[0], 2))
             grad[:, 0] = 1.0
             return sd, grad
-        ox, oy = self._offset(pts)
+        wx, wy = self.p1 - self.p0
+        ox, oy = _spine_offset(pts[:, 0], pts[:, 1], self.p0[0], self.p0[1], wx, wy)
         dist = np.hypot(ox, oy)
         pos = dist > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -260,6 +230,30 @@ class StadiumRegion:
             max(self.p0[1], self.p1[1]) + r,
         )
         return raw.intersect(self.clip)
+
+
+def regions_contain(regions, points) -> np.ndarray:
+    """Membership of floor points in stadium regions, boolean (len(regions),
+    n): row j is ``regions[j].contains(points)``.  One spine-offset pass per
+    region over contiguous x and y columns; each distinct clip rectangle is
+    tested once per batch and applied only where some point falls outside."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    x = np.ascontiguousarray(pts[:, 0])
+    y = np.ascontiguousarray(pts[:, 1])
+    out = np.zeros((len(regions), x.size), dtype=bool)
+    rows_by_clip: dict[Rect, list[int]] = {}
+    for j, region in enumerate(regions):
+        if region.empty:
+            continue
+        wx, wy = region.p1 - region.p0
+        ox, oy = _spine_offset(x, y, region.p0[0], region.p0[1], wx, wy)
+        out[j] = ox * ox + oy * oy <= region.radius * region.radius
+        rows_by_clip.setdefault(region.clip, []).append(j)
+    for clip, rows in rows_by_clip.items():
+        inside = clip.contains(pts)
+        if not inside.all():
+            out[rows] &= inside
+    return out
 
 
 def blocked_region(link: Segment3, cyl: CylinderSpec, footprint: Rect) -> StadiumRegion:

@@ -71,7 +71,7 @@ def region_probability(
     region: StadiumRegion, dist: RwpDistribution, rel_tol: float = 1e-4
 ) -> float:
     """Probability mass of one stadium region under the stationary density."""
-    if region.is_empty or region.radius == 0.0:
+    if region.empty or region.radius == 0.0:
         return 0.0
     box = region.bbox()
     if box is None:

@@ -4,9 +4,10 @@ Two engines share the compiled link budget.  The Monte Carlo engine draws
 blocker positions (or, optionally, independent per-link states) in fixed
 blocks with per-block seeds derived from the master seed, so the result is
 identical no matter how many worker processes execute the blocks.  The
-enumeration engine walks every clear/blocked combination of the links a user
-depends on, weighting by quadrature marginals, under the independent-link
-model.
+enumeration engine works under the independent-link model, weighting by
+quadrature marginals: a user's direct SINR and relayed SINR hang off disjoint
+links, so it walks the clear/blocked combinations of each half separately and
+merges the two through one sorted cumulative sum.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from owcrelay.geometry import regions_contain
 from owcrelay.links import LinkBudget, evaluate_sinr
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
 __all__ = [
     "BLOCK_SIZE",
     "MAX_LINKS",
+    "MAX_SAMPLES",
     "OutageRow",
     "OutageReport",
     "is_outage",
@@ -35,8 +38,13 @@ __all__ = [
 # from seed sequence [master_seed, b], so worker count cannot change results.
 BLOCK_SIZE = 16384
 
-# Enumeration visits 2^m link states for a user that depends on m links.
+# Enumeration visits 2^a + 2^b link states for a user whose direct SINR
+# depends on a links and whose relayed SINR depends on b links; the cap
+# applies to each half.
 MAX_LINKS = 16
+
+# Largest Monte Carlo sample count: 262,144 blocks.
+MAX_SAMPLES = 2**32
 
 
 def threshold_linear(threshold_db: float) -> float:
@@ -110,18 +118,21 @@ def ensure_marginals(budget: LinkBudget) -> np.ndarray:
     return budget.marginals
 
 
-def _run_block(budget, dist, master_seed, model, block_index, n):
+def _run_block(budget, dist, master_seed, model, n_total, block_index):
     """Direct and coop outage counts of every user, shape (users, 2), over
-    block ``block_index`` of ``n`` samples."""
+    block ``block_index`` of a ``n_total``-sample run."""
+    n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     links = budget.link_count
     if budget.scenario.human.count == 0:
         clear = np.ones((links, n))
     elif model == "joint":
+        # float rows allocated after the sample: a boolean clear (which
+        # evaluate_sinr copies to float) or the other order makes the heap
+        # shrink and regrow every block, about 2,000 page faults each
         pts = sample_human_positions(dist, n, rng)
         clear = np.empty((links, n))
-        for j, region in enumerate(budget.regions):
-            clear[j] = ~region.contains(pts)
+        np.logical_not(regions_contain(budget.regions, pts), out=clear)
     else:
         u = rng.random((n, links))
         clear = (u >= budget.marginals[None, :]).T.astype(float)
@@ -151,54 +162,90 @@ def outage_monte_carlo(
     model = blockage_model if blockage_model is not None else sampler.blockage_model
     if model not in ("joint", "independent"):
         raise ValueError(f"unknown blockage model {model!r}")
-    if n_total < 1:
-        raise ValueError("sample count must be at least 1")
+    if not 1 <= n_total <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {n_total}")
     if model == "independent":
         ensure_marginals(budget)
 
-    sizes = [min(BLOCK_SIZE, n_total - start) for start in range(0, n_total, BLOCK_SIZE)]
-    run = functools.partial(_run_block, budget, _mobility(budget), seed, model)
+    blocks = range(-(-n_total // BLOCK_SIZE))
+    run = functools.partial(_run_block, budget, _mobility(budget), seed, model, n_total)
     if workers <= 1:
-        counts = sum(map(run, range(len(sizes)), sizes))
+        counts = sum(map(run, blocks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run, range(len(sizes)), sizes))
+            counts = sum(pool.map(run, blocks))
     return _report(budget, counts / n_total, "mc", model, n_samples=n_total, seed=seed)
+
+
+def _half_states(link_count: int, idx: np.ndarray, p: np.ndarray):
+    """Every clear/blocked state of the links ``idx``, all other links
+    blocked, as a (link_count, 2^len(idx)) matrix, with the probability of
+    each state under the marginals ``p``."""
+    combos = np.arange(1 << idx.size)
+    clear = np.zeros((link_count, combos.size))
+    prob = np.ones(combos.size)
+    for j, link_idx in enumerate(idx):
+        bit = (combos >> j) & 1
+        clear[link_idx] = bit
+        prob *= np.where(bit == 1, 1.0 - p[link_idx], p[link_idx])
+    return clear, prob
+
+
+def _outage_cut(d: np.ndarray, r: np.ndarray, threshold_db: float) -> np.ndarray:
+    """For each direct SINR in ``d``, the number of leading entries of the
+    ascending ``r`` with ``is_outage(d + r)``.
+
+    Rounding is monotone, so those entries are a prefix of ``r``.  The
+    search on ``thr - d`` can miss its end by an ulp either way; each fix
+    step moves a cut over a whole run of equal ``r``, up or down.
+    """
+    cut = np.searchsorted(r, threshold_linear(threshold_db) - d, side="right")
+    while True:
+        up = cut < r.size
+        up[up] = is_outage(d[up] + r[cut[up]], threshold_db)
+        down = cut > 0
+        down[down] = ~is_outage(d[down] + r[cut[down] - 1], threshold_db)
+        if not (up.any() or down.any()):
+            return cut
+        cut[up] = np.searchsorted(r, r[cut[up]], side="right")
+        cut[down] = np.searchsorted(r, r[cut[down] - 1], side="left")
 
 
 def outage_independent_approx(budget: LinkBudget) -> OutageReport:
     """Exact outage probabilities, direct and coop, under the
     independent-link model.
 
-    For each user, every clear/blocked combination of the links entering its
-    SINR is enumerated and weighted by the product of quadrature marginals.
-    Exact for a user hanging off a single link; elsewhere it ignores the
-    correlation one walking blocker induces across links.  Raises when a
-    user depends on more than ``MAX_LINKS`` links; use the Monte Carlo
-    engine there instead.
+    A user's direct SINR d hangs off its direct and interfering links, its
+    relayed SINR r off its relay branches' links, so under independence d
+    and r are independent: each half's states are enumerated and weighted
+    by products of quadrature marginals, and P(d + r in outage) is summed
+    over d from the cumulative distribution of sorted r.  This ignores the
+    correlation one walking blocker induces across links.  Raises when
+    either half exceeds ``MAX_LINKS`` links; use the Monte Carlo engine
+    there instead.
     """
     p = ensure_marginals(budget)
     p_out = np.empty((len(budget.user_terms), 2))
     for i, t in enumerate(budget.user_terms):
-        involved = np.unique(
-            np.concatenate(
-                [t.direct_idx, t.int_idx, t.branch_feeder_idx, t.branch_delivery_idx]
-            )
-        )
-        m = involved.size
-        if m > MAX_LINKS:
-            raise ValueError(
-                f"user {t.user_id!r} depends on {m} links (limit {MAX_LINKS}); "
-                "use outage_monte_carlo with blockage_model='independent'"
-            )
-        size = 1 << m
-        combos = np.arange(size)
-        clear = np.ones((budget.link_count, size))
-        prob = np.ones(size)
-        for j, link_idx in enumerate(involved):
-            bit = (combos >> j) & 1
-            clear[link_idx] = bit
-            prob *= np.where(bit == 1, 1.0 - p[link_idx], p[link_idx])
-        for k, sinr in enumerate(evaluate_sinr(budget, clear)):
-            p_out[i, k] = np.sum(prob[is_outage(sinr[i], budget.threshold_db)])
+        direct_half = np.unique(np.concatenate([t.direct_idx, t.int_idx]))
+        relay_half = np.unique(np.concatenate([t.branch_feeder_idx, t.branch_delivery_idx]))
+        if np.intersect1d(direct_half, relay_half).size:
+            raise ValueError(f"user {t.user_id!r}: a link enters both its direct and relayed SINR")
+        for name, half in (("direct", direct_half), ("relay", relay_half)):
+            if half.size > MAX_LINKS:
+                raise ValueError(
+                    f"user {t.user_id!r} depends on {half.size} {name} links "
+                    f"(limit {MAX_LINKS} per half); "
+                    "use outage_monte_carlo with blockage_model='independent'"
+                )
+        clear, p_d = _half_states(budget.link_count, direct_half, p)
+        d = evaluate_sinr(budget, clear)[0][i]
+        # every direct-half link blocked: the direct SINR is exactly 0.0, so
+        # the combined SINR is exactly the relayed one
+        clear, p_r = _half_states(budget.link_count, relay_half, p)
+        r = evaluate_sinr(budget, clear)[1][i]
+        order = np.argsort(r, kind="stable")
+        below = np.concatenate([[0.0], np.cumsum(p_r[order])])
+        p_out[i, 0] = np.sum(p_d[is_outage(d, budget.threshold_db)])
+        p_out[i, 1] = np.sum(p_d * below[_outage_cut(d, r[order], budget.threshold_db)])
     return _report(budget, p_out, "exact", "independent")

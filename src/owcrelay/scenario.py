@@ -223,8 +223,10 @@ class Scenario:
             errors.append("noma.threshold_db: must be positive")
         if self.noma.combining not in ("summed", "per_branch"):
             errors.append(f"noma.combining: unknown mode {self.noma.combining!r}")
-        if self.sampler.samples < 1:
-            errors.append("sampler.samples: must be at least 1")
+        from owcrelay.outage import MAX_SAMPLES  # outage imports this module
+
+        if not 1 <= self.sampler.samples <= MAX_SAMPLES:
+            errors.append(f"sampler.samples: must lie in [1, {MAX_SAMPLES}]")
         if self.sampler.seed < 0:
             errors.append("sampler.seed: must be non-negative")
         if self.sampler.blockage_model not in ("joint", "independent"):

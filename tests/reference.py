@@ -7,7 +7,8 @@ rebuilds their inputs from a link budget's gains and scenario, independently
 of the budget's compiled weight arrays.  :func:`point_source_gain` is the
 one-pair scalar form of the channel's vectorised Lambertian kernel.
 :func:`region_area` integrates a region's indicator with the package
-quadrature.
+quadrature.  :func:`joint_state_outage` is the independent-link enumeration
+over joint link states that the split enumeration must reproduce.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from owcrelay.geometry import StadiumRegion
+from owcrelay.links import evaluate_sinr
 from owcrelay.noma import ApAllocation, NoiseModel, noise_variance, order_users_and_allocate
+from owcrelay.outage import ensure_marginals, is_outage
 from owcrelay.quadrature import integrate_region
 
 
@@ -149,7 +152,7 @@ def point_source_gain(src, src_normal, mode, dst, dst_normal, dst_area, cos_fov=
 
 def region_area(region: StadiumRegion, rel_tol: float = 1e-4) -> float:
     """Area of a stadium region by adaptive quadrature of its indicator."""
-    if region.is_empty or region.radius == 0.0:
+    if region.empty or region.radius == 0.0:
         return 0.0
     box = region.bbox()
     if box is None:
@@ -227,3 +230,26 @@ def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 relay_noise, combining=budget.combining,
             )
     return direct, relayed
+
+
+def joint_state_outage(budget) -> np.ndarray:
+    """Independent-link outage probabilities, shape (users, 2), by walking
+    all 2^m joint clear/blocked states of the m links entering each user's
+    SINR, as the enumeration engine did before it split direct and relay
+    links."""
+    p = ensure_marginals(budget)
+    p_out = np.empty((len(budget.user_terms), 2))
+    for i, t in enumerate(budget.user_terms):
+        involved = np.unique(
+            np.concatenate([t.direct_idx, t.int_idx, t.branch_feeder_idx, t.branch_delivery_idx])
+        )
+        combos = np.arange(1 << involved.size)
+        clear = np.ones((budget.link_count, combos.size))
+        prob = np.ones(combos.size)
+        for j, link_idx in enumerate(involved):
+            bit = (combos >> j) & 1
+            clear[link_idx] = bit
+            prob *= np.where(bit == 1, 1.0 - p[link_idx], p[link_idx])
+        for k, sinr in enumerate(evaluate_sinr(budget, clear)):
+            p_out[i, k] = np.sum(prob[is_outage(sinr[i], budget.threshold_db)])
+    return p_out

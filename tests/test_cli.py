@@ -244,10 +244,11 @@ class TestErrors:
             ("simulate", "--seed", "-1"),
             ("blockage", "--seed", "-1", "--mc", "10"),
             ("pdf", "--seed", "-1", "--samples", "10"),
+            ("simulate", "--samples", "-1"),
         ],
         ids=[
             "pdf-grid", "pdf-samples", "blockage-mc", "simulate-workers",
-            "simulate-seed", "blockage-seed", "pdf-seed",
+            "simulate-seed", "blockage-seed", "pdf-seed", "simulate-samples",
         ],
     )
     def test_negative_counts_rejected_at_parse_time(self, argv):
@@ -255,6 +256,22 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "must be non-negative, got -1" in res.stderr
+
+    def test_sample_count_above_cap(self):
+        res = run_cli("simulate", "--samples", "4294967297")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: sample count must lie in [1, 4294967296]")
+
+    def test_exact_method_refuses_joint_model(self):
+        # enumeration is the independent-link model; it must not print those
+        # rows under the joint model's name
+        res = run_cli("simulate", "--method", "exact", "--blockage-model", "joint")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: exact enumeration is the independent-link model")
+        assert "--method mc" in res.stderr
+        assert run_cli("simulate", "--method", "exact", "--blockage-model", "independent").returncode == 0
 
     def test_unknown_mode_rejected_at_parse_time(self):
         res = run_cli("simulate", "--mode", "relay")

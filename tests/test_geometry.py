@@ -10,9 +10,11 @@ from owcrelay.geometry import (
     Segment3,
     StadiumRegion,
     blocked_region,
+    regions_contain,
     segment_intersects_cylinder,
     segments_blocked,
 )
+from owcrelay.mobility import RwpDistribution, sample_human_positions
 
 from reference import region_area
 
@@ -63,7 +65,7 @@ class TestBlockedRegion:
     def test_vertical_link_gives_disk(self):
         link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
         region = blocked_region(link, CYL, FLOOR)
-        assert region.spine_length() == 0.0
+        assert np.array_equal(region.p0, region.p1)
         assert np.allclose(region.p0, [1.0, 1.0])
         assert math.isclose(region_area(region), math.pi * 0.09, rel_tol=1e-4)
 
@@ -73,13 +75,13 @@ class TestBlockedRegion:
         # spine starts where the link crosses z = 1.8 (t = 0.6)
         assert np.allclose(region.p0, [1.6, 2.8], atol=1e-12)
         assert np.allclose(region.p1, [2.0, 4.0], atol=1e-12)
-        assert math.isclose(region.spine_length(), 1.26491, rel_tol=1e-5)
+        assert math.isclose(math.dist(region.p0, region.p1), 1.26491, rel_tol=1e-5)
         assert math.isclose(region_area(region), 1.041689, rel_tol=1e-4)
 
     def test_link_above_height_is_empty(self):
         link = Segment3(Point3(1, 1, 3), Point3(3, 1, 2.9))
         region = blocked_region(link, CYL, FLOOR)
-        assert region.is_empty
+        assert region.empty
         assert region_area(region) == 0.0
         assert not region.contains((1.0, 1.0))
 
@@ -92,9 +94,10 @@ class TestBlockedRegion:
         for _ in range(20):
             region = blocked_region(random_link(rng), CYL, FLOOR)
             area = region_area(region)
-            cap = region.spine_length() * 2 * CYL.radius + math.pi * CYL.radius**2
+            spine = 0.0 if region.empty else math.dist(region.p0, region.p1)
+            cap = spine * 2 * CYL.radius + math.pi * CYL.radius**2
             assert area <= cap * (1 + 1e-4)
-            assert area <= FLOOR.area * (1 + 1e-4)
+            assert area <= 4.0 * 8.0 * (1 + 1e-4)  # the floor
 
     def test_membership_consistency_sample(self):
         rng = np.random.default_rng(11)
@@ -144,6 +147,68 @@ class TestBlockedRegion:
         assert not region.contains((-0.05, 1.5))
         assert region.contains((0.05, 1.5))
         assert region_area(region) < 1.0 * 2 * 0.3 + math.pi * 0.09
+
+
+class TestRegionsContain:
+    # the batch membership of joint Monte Carlo must equal one
+    # StadiumRegion.contains call per region, element for element
+    def _regions(self, budget):
+        half = Rect(0.0, 0.0, 2.0, 8.0)
+        return (
+            *budget.regions,
+            StadiumRegion((1.0, 1.0), (3.0, 1.0), 0.5, FLOOR),
+            StadiumRegion((1.0, 1.0), (3.0, 1.0), 0.5, half),  # clip cuts the stadium
+            StadiumRegion((1.0, 1.0), (1.0, 1.0), 0.5, FLOOR),  # zero-length spine
+            StadiumRegion.empty_region(FLOOR),
+            StadiumRegion.empty_region(half),
+        )
+
+    def _assert_equals_stacked(self, regions, pts):
+        batch = regions_contain(regions, pts)
+        assert batch.dtype == bool
+        assert np.array_equal(batch, np.stack([r.contains(pts) for r in regions]))
+        return batch
+
+    def test_sampler_output(self, budget):
+        dist = RwpDistribution(budget.room.width, budget.room.length)
+        pts = sample_human_positions(dist, 5000, np.random.default_rng(3))
+        batch = self._assert_equals_stacked(self._regions(budget), pts)
+        assert batch.any()
+
+    def test_points_outside_the_floor(self, budget):
+        w, ln = budget.room.width, budget.room.length
+        rng = np.random.default_rng(4)
+        pts = np.concatenate(
+            [
+                rng.uniform([-1.0, -1.0], [w + 1.0, ln + 1.0], size=(2000, 2)),
+                [(-0.1, 1.0), (1.0, -0.2), (w + 0.05, 2.0), (1.0, ln + 0.1), (2.0 + 1e-12, 1.2)],
+            ]
+        )
+        regions = self._regions(budget)
+        batch = self._assert_equals_stacked(regions, pts)
+        assert not batch[:, -5:-1].any()
+        assert not batch[-4, -1]  # just past the cutting clip edge
+
+    def test_points_on_edges(self, budget):
+        # binary-exact points at distance exactly 0.5 from the spines, and one
+        # on the cutting clip edge x = 2: closed sets, so all inside
+        pts = np.array(
+            [(2.0, 1.5), (2.0, 0.5), (3.5, 1.0), (0.5, 1.0), (1.0, 1.5), (1.0, 0.5), (2.0, 1.2)]
+        )
+        regions = self._regions(budget)
+        batch = self._assert_equals_stacked(regions, pts)
+        k = len(budget.regions)
+        assert batch[k].all()
+        assert batch[k + 1].tolist() == [True, True, False, True, True, True, True]
+        assert batch[k + 2].tolist() == [False, False, False, True, True, True, False]
+        for j, p in enumerate(pts):
+            assert batch[:, j].tolist() == [r.contains(tuple(p)) for r in regions]
+
+    def test_empty_regions(self, budget):
+        pts = np.array([(1.0, 1.0), (2.0, 4.0)])
+        assert regions_contain((), pts).shape == (0, 2)
+        empty = (StadiumRegion.empty_region(FLOOR),) * 3
+        assert not self._assert_equals_stacked(empty, pts).any()
 
 
 class TestSpecsAndRects:

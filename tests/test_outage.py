@@ -1,23 +1,38 @@
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from owcrelay import outage
 from owcrelay.links import build_link_budget
 from owcrelay.mobility import RwpDistribution, region_probability
 from owcrelay.outage import (
     MAX_LINKS,
+    MAX_SAMPLES,
+    _outage_cut,
     ensure_marginals,
     is_outage,
     outage_independent_approx,
     outage_monte_carlo,
     threshold_linear,
 )
-from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario, result_lines
+from owcrelay.scenario import (
+    ApConfig,
+    RelayConfig,
+    Scenario,
+    UserConfig,
+    default_scenario,
+    load_scenario,
+    result_lines,
+)
 
 from conftest import make_single_link_scenario
+from reference import joint_state_outage
+
+DENSE_TILE = Path(__file__).with_name("dense_tile.yaml")
 
 
 class TestIsOutage:
@@ -231,7 +246,9 @@ class TestDefaultScenario:
 
 
 class TestEnumerationLimits:
-    def _many_ap_budget(self, count):
+    # MAX_LINKS caps each half of a user's links: direct (here one beam per
+    # source) and relay (feeder and delivery of each branch)
+    def _many_ap_budget(self, count, relays=()):
         aps = tuple(
             ApConfig(f"ap{k}", (0.96 + 0.005 * k, 1.0, 3.0)) for k in range(count)
         )
@@ -239,7 +256,7 @@ class TestEnumerationLimits:
             Scenario(
                 name="many-beams",
                 aps=aps,
-                relays=(),
+                relays=relays,
                 users=(UserConfig("u1", (1.0, 1.0, 1.0)),),
                 associations={ap.id: ("u1",) for ap in aps},
             )
@@ -260,6 +277,64 @@ class TestEnumerationLimits:
             float(np.prod(p)), rel=1e-10
         )
 
+    def test_cap_applies_per_half(self):
+        # 16 direct links plus one relay branch: 18 links in all, 2^16 + 2^2
+        # states; the branch alone clears the threshold, so coop outage needs
+        # every beam blocked and the branch broken
+        budget = self._many_ap_budget(MAX_LINKS, relays=(RelayConfig("r1", (0.0, 1.0, 1.5)),))
+        t = budget.user_terms[0]
+        assert (t.direct_idx.size, t.branch_feeder_idx.size, budget.link_count) == (16, 1, 18)
+        p = ensure_marginals(budget)
+        report = outage_independent_approx(budget)
+        all_beams = float(np.prod(p[t.direct_idx]))
+        branch = 1.0 - (1.0 - p[t.branch_feeder_idx[0]]) * (1.0 - p[t.branch_delivery_idx[0]])
+        assert report.by_user("u1", "direct").p_out == pytest.approx(all_beams, rel=1e-10)
+        assert report.by_user("u1", "coop").p_out == pytest.approx(all_beams * branch, rel=1e-10)
+
+
+class TestSplitEnumeration:
+    THRESHOLD_DB = 15.6
+
+    def _assert_cut_is_exact(self, d, r):
+        cut = _outage_cut(d, r, self.THRESHOLD_DB)
+        brute = is_outage(d[:, None] + r[None, :], self.THRESHOLD_DB)
+        assert np.array_equal(cut, brute.sum(axis=1))
+        # and the outage states are exactly the first cut entries of r
+        assert np.array_equal(brute, np.arange(r.size)[None, :] < cut[:, None])
+        return cut
+
+    def test_cut_on_ties_and_zero_blocks(self):
+        thr = threshold_linear(self.THRESHOLD_DB)
+        r = np.array([0.0] * 40 + [1.0] * 5 + [thr / 2] * 9 + [thr] * 3 + [2 * thr])
+        d = np.array([0.0, 1.0, thr / 2, thr - 1.0, thr, np.nextafter(thr, np.inf), 3 * thr])
+        cut = self._assert_cut_is_exact(d, r)
+        assert cut.tolist() == [57, 54, 54, 45, 40, 0, 0]
+
+    def test_cut_where_search_and_sum_round_apart(self):
+        # r one ulp either side of thr - d: d + r and thr - d round
+        # differently for many of these, in both directions
+        thr = threshold_linear(self.THRESHOLD_DB)
+        rng = np.random.default_rng(0)
+        d = thr * rng.uniform(0.01, 1.0, 300)
+        edge = thr - d
+        r = np.sort(
+            np.concatenate(
+                [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), np.zeros(50)]
+            )
+        )
+        d = np.concatenate([d, [0.0, np.nextafter(thr, 0.0), thr, np.nextafter(thr, np.inf)]])
+        naive = np.searchsorted(r, thr - d, side="right")
+        cut = self._assert_cut_is_exact(d, r)
+        assert (naive < cut).any() and (naive > cut).any()
+
+    @pytest.mark.parametrize("room", ["default", "dense-tile"])
+    def test_rows_equal_joint_state_enumeration(self, room, budget):
+        if room == "dense-tile":
+            budget = build_link_budget(load_scenario(DENSE_TILE))
+        rows = outage_independent_approx(budget).rows
+        split = np.array([r.p_out for r in rows]).reshape(-1, 2)
+        np.testing.assert_allclose(split, joint_state_outage(budget), rtol=1e-12, atol=0.0)
+
 
 class TestValidation:
     def test_rejects_unknown_model(self, single_link_budget):
@@ -269,6 +344,14 @@ class TestValidation:
     def test_rejects_bad_sample_count(self, single_link_budget):
         with pytest.raises(ValueError):
             outage_monte_carlo(budget=single_link_budget, n_samples=0)
+
+    def test_rejects_sample_count_above_cap_before_any_block(self, single_link_budget, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(outage, "_run_block", no_work)
+        with pytest.raises(ValueError, match=f"sample count must lie in \\[1, {MAX_SAMPLES}\\]"):
+            outage_monte_carlo(budget=single_link_budget, n_samples=MAX_SAMPLES + 1)
 
     def test_by_user_unknown_row(self, single_link_budget):
         report = outage_independent_approx(budget=single_link_budget)

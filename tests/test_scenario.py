@@ -4,7 +4,7 @@ import re
 import pytest
 import yaml
 
-from owcrelay.outage import OutageRow
+from owcrelay.outage import MAX_SAMPLES, OutageRow
 from owcrelay.scenario import (
     ApConfig,
     HumanConfig,
@@ -190,6 +190,14 @@ class TestRejection:
         ]:
             with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: expected"):
                 scenario_from_dict({section: {key: value}})
+
+    def test_sample_count_cap(self, tmp_path):
+        doc = tmp_path / "big.yaml"
+        doc.write_text(f"sampler: {{samples: {MAX_SAMPLES + 1}}}\n")
+        with pytest.raises(ScenarioError, match=rf"sampler\.samples: must lie in \[1, {MAX_SAMPLES}\]"):
+            load_scenario(doc)
+        doc.write_text(f"sampler: {{samples: {MAX_SAMPLES}}}\n")
+        assert load_scenario(doc).sampler.samples == MAX_SAMPLES
 
     def test_referential_integrity(self, default_sc):
         bad_ap = dataclasses.replace(default_sc, associations={"zz": ("u1",)})
