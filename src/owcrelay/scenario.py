@@ -2,15 +2,19 @@
 
 A scenario document is a plain mapping with the same shape as
 :func:`Scenario.to_dict`.  Loading merges the document into the defaults,
-rejects unknown keys by path, and coerces numeric fields through float so
-scientific-notation strings survive YAML's parsing quirks.
+rejects unknown keys by path, and coerces every value to its field's
+annotated type, so the dataclasses below are the only schema.  Numbers go
+through float so scientific-notation strings survive YAML's parsing quirks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
 import yaml
@@ -118,7 +122,20 @@ class ChannelConfig:
     first_bounce_res_m: float = 0.05
     second_bounce_res_m: float = 0.20
     bin_ns: float = 0.01
-    wavelength_nm: float = 850.0  # carried as metadata; nothing models dispersion
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_ANGLE = (lambda v: 0 < v <= 90, "must lie in (0, 90]")
+# range rules of the aps, relays and users entries, each applied where the field exists
+_ENTRY_RANGES = {
+    "power_mw": _POSITIVE,
+    "divergence_mrad": _POSITIVE,
+    "area_cm2": _POSITIVE,
+    "responsivity_a_per_w": _POSITIVE,
+    "max_steering_deg": _ANGLE,
+    "fov_deg": _ANGLE,
+    "elevation_deg": (lambda v: 0 <= v <= 90, "must lie in [0, 90]"),
+}
 
 
 @dataclass(frozen=True)
@@ -180,32 +197,12 @@ class Scenario:
                     errors.append(f"{kind}[{i}].id: duplicate id {cfg.id!r}")
                 seen.add(cfg.id)
                 check_terminal(kind, cfg.id or i, cfg)
-
-        for i, ap in enumerate(self.aps):
-            if ap.power_mw <= 0:
-                errors.append(f"aps[{i}].power_mw: must be positive")
-            if ap.divergence_mrad <= 0:
-                errors.append(f"aps[{i}].divergence_mrad: must be positive")
-            if not 0 < ap.max_steering_deg <= 90:
-                errors.append(f"aps[{i}].max_steering_deg: must lie in (0, 90]")
-        for i, rl in enumerate(self.relays):
-            if rl.power_mw <= 0:
-                errors.append(f"relays[{i}].power_mw: must be positive")
-            if rl.divergence_mrad <= 0:
-                errors.append(f"relays[{i}].divergence_mrad: must be positive")
-            if not 0 < rl.max_steering_deg <= 90:
-                errors.append(f"relays[{i}].max_steering_deg: must lie in (0, 90]")
-            if rl.area_cm2 <= 0 or rl.responsivity_a_per_w <= 0:
-                errors.append(f"relays[{i}]: detector area and responsivity must be positive")
-            if not 0 < rl.fov_deg <= 90:
-                errors.append(f"relays[{i}].fov_deg: must lie in (0, 90]")
-        for i, u in enumerate(self.users):
-            if u.area_cm2 <= 0 or u.responsivity_a_per_w <= 0:
-                errors.append(f"users[{i}]: detector area and responsivity must be positive")
-            if not 0 < u.fov_deg <= 90:
-                errors.append(f"users[{i}].fov_deg: must lie in (0, 90]")
-            if not 0 <= u.elevation_deg <= 90:
-                errors.append(f"users[{i}].elevation_deg: must lie in [0, 90]")
+                for name, (in_range, rule) in _ENTRY_RANGES.items():
+                    if hasattr(cfg, name) and not in_range(getattr(cfg, name)):
+                        errors.append(f"{kind}[{i}].{name}: {rule}")
+                axis = getattr(cfg, "axis", None)
+                if axis is not None and sum(v * v for v in axis) == 0.0:
+                    errors.append(f"{kind}[{cfg.id or i}].axis: must be a non-zero vector")
 
         if self.human.height_m <= 0 or self.human.radius_m <= 0:
             errors.append("human: height and radius must be positive")
@@ -239,8 +236,6 @@ class Scenario:
             errors.append("channel: grid resolutions must be positive")
         if self.channel.bin_ns <= 0:
             errors.append("channel.bin_ns: must be positive")
-        if self.channel.wavelength_nm <= 0:
-            errors.append("channel.wavelength_nm: must be positive")
 
         ap_ids = {ap.id for ap in self.aps}
         user_ids = {u.id for u in self.users}
@@ -317,160 +312,79 @@ def default_scenario() -> Scenario:
     )
 
 
-_NUMERIC_SCALARS = {
-    ("room",): {
-        "width_m", "length_m", "height_m",
-        "wall_reflectivity", "ceiling_reflectivity", "floor_reflectivity",
-        "lambertian_mode",
-    },
-    ("human",): {"height_m", "radius_m"},
-    ("noise",): {"bandwidth_ghz", "noise_density_a2hz", "background_current_a"},
-    ("noma",): {"power_ratio", "threshold_db"},
-    ("channel",): {"first_bounce_res_m", "second_bounce_res_m", "bin_ns", "wavelength_nm"},
-}
-
-_INT_SCALARS = {
-    ("sampler",): {"samples", "seed"},
-    ("channel",): {"max_bounces"},
-    ("human",): {"count"},
-}
-
-_ENTRY_NUMERIC = {
-    "aps": {"power_mw", "divergence_mrad", "max_steering_deg"},
-    "relays": {
-        "power_mw", "divergence_mrad", "max_steering_deg", "area_cm2", "fov_deg",
-        "responsivity_a_per_w",
-    },
-    "users": {
-        "area_cm2", "fov_deg", "responsivity_a_per_w",
-        "elevation_deg", "azimuth_deg",
-    },
-}
-
-_ENTRY_TYPES = {"aps": ApConfig, "relays": RelayConfig, "users": UserConfig}
-_SECTION_TYPES = {
-    "room": RoomConfig,
-    "human": HumanConfig,
-    "noise": NoiseConfig,
-    "noma": NomaConfig,
-    "sampler": SamplerConfig,
-    "channel": ChannelConfig,
-}
+_VECTOR = tuple[float, float, float]
 
 
-def _coerce_float(value, path: str, what: str = "a number") -> float:
-    try:
-        f = float(value)
-        if math.isfinite(f):
-            return f
-    except (TypeError, ValueError):
-        pass
-    raise ScenarioError(f"{path}: expected {what}, got {value!r}")
+@functools.cache
+def _schema(cls) -> tuple[dict[str, Any], tuple[str, ...]]:
+    """Resolved field annotations of a config dataclass, and the fields
+    without a default, which every document entry must state."""
+    required = tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return typing.get_type_hints(cls), required
 
 
-def _coerce_int(value, path: str) -> int:
-    f = _coerce_float(value, path, "an integer")
-    if not f.is_integer():
-        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
-    return int(f)
-
-
-def _coerce_position(value, path: str) -> tuple[float, float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ScenarioError(f"{path}: expected [x, y, z]")
-    return tuple(_coerce_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _merge_section(section: str, base, doc: Any) -> Any:
+def _merge(cls, base, doc: Any, path: str):
+    """Merge the mapping ``doc`` into ``base``, an instance of the dataclass
+    ``cls``, or build a new ``cls`` from ``doc`` alone when ``base`` is None."""
     if not isinstance(doc, dict):
-        raise ScenarioError(f"{section}: expected a mapping")
-    cls = _SECTION_TYPES[section]
-    known = set(cls.__dataclass_fields__)
+        raise ScenarioError(f"{path or 'scenario document'}: expected a mapping")
+    hints, required = _schema(cls)
+    if not all(name in doc for name in required):
+        raise ScenarioError(f"{path}: {' and '.join(map(repr, required))} are required")
     updates = {}
     for key, value in doc.items():
-        path = f"{section}.{key}"
-        if key not in known:
-            raise ScenarioError(f"unknown key: {path}")
-        if key in _NUMERIC_SCALARS.get((section,), set()):
-            updates[key] = _coerce_float(value, path)
-        elif key in _INT_SCALARS.get((section,), set()):
-            updates[key] = _coerce_int(value, path)
-        else:
-            updates[key] = str(value)
-    return replace(base, **updates)
+        key_path = f"{path}.{key}" if path else str(key)
+        if key not in hints:
+            raise ScenarioError(f"unknown key: {key_path}")
+        updates[key] = _coerce(value, hints[key], key_path, getattr(base, key, None))
+    return cls(**updates) if base is None else replace(base, **updates)
 
 
-def _merge_entry(kind: str, index: int, doc: Any):
-    cls = _ENTRY_TYPES[kind]
-    path = f"{kind}[{index}]"
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: expected a mapping")
-    known = set(cls.__dataclass_fields__)
-    if "id" not in doc or "position_m" not in doc:
-        raise ScenarioError(f"{path}: 'id' and 'position_m' are required")
-    kwargs = {}
-    for key, value in doc.items():
-        kp = f"{path}.{key}"
-        if key not in known:
-            raise ScenarioError(f"unknown key: {kp}")
-        if key == "id":
-            kwargs[key] = str(value)
-        elif key == "position_m":
-            kwargs[key] = _coerce_position(value, kp)
-        elif key == "axis":
-            kwargs[key] = None if value is None else _coerce_position(value, kp)
-        elif key in _ENTRY_NUMERIC[kind]:
-            kwargs[key] = _coerce_float(value, kp)
-        else:
-            kwargs[key] = str(value)
-    return cls(**kwargs)
-
-
-def _coerce_associations(value) -> dict[str, tuple[str, ...]] | None:
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise ScenarioError("associations: expected a mapping of ap id to user id list")
-    out = {}
-    for ap_id, uids in value.items():
-        if not isinstance(uids, (list, tuple)):
-            raise ScenarioError(f"associations[{ap_id}]: expected a list of user ids")
-        out[str(ap_id)] = tuple(str(u) for u in uids)
-    return out
-
-
-def _coerce_pairings(value) -> dict[str, str] | None:
-    if value is None:
-        return None
-    if not isinstance(value, dict):
-        raise ScenarioError("relay_pairings: expected a mapping of relay id to ap id")
-    return {str(rid): str(ap_id) for rid, ap_id in value.items()}
+def _coerce(value, annotation, path: str, base=None):
+    """Convert one document value to ``annotation``; ``base`` is the value a
+    nested section merges into."""
+    if annotation is float or annotation is int:
+        what = "a number" if annotation is float else "an integer"
+        f = math.nan
+        # YAML reads on/off/yes/no/true/false as booleans, which float() takes as 1 or 0
+        if not isinstance(value, bool):
+            try:
+                f = float(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        if not math.isfinite(f) or (annotation is int and not f.is_integer()):
+            raise ScenarioError(f"{path}: expected {what}, got {value!r}")
+        return f if annotation is float else int(f)
+    if annotation is str:
+        return str(value)
+    if annotation == _VECTOR:
+        if not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise ScenarioError(f"{path}: expected [x, y, z]")
+        return tuple(_coerce(v, float, f"{path}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(annotation):
+        return _merge(annotation, base, value, path)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is types.UnionType:  # T | None
+        return None if value is None else _coerce(value, args[0], path)
+    if origin is tuple:  # tuple[T, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioError(f"{path}: expected a list")
+        return tuple(_coerce(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{path}: expected a mapping")
+        return {
+            _coerce(k, args[0], path): _coerce(v, args[1], f"{path}[{k}]")
+            for k, v in value.items()
+        }
+    raise TypeError(f"{path}: no coercion for annotation {annotation!r}")
 
 
 def scenario_from_dict(doc: Any) -> Scenario:
     """Build a scenario by merging a plain mapping into the defaults."""
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a mapping")
-    base = default_scenario()
-    updates: dict[str, Any] = {}
-    for key, value in doc.items():
-        if key == "name" or key == "description":
-            updates[key] = str(value)
-        elif key == "associations":
-            updates[key] = _coerce_associations(value)
-        elif key == "relay_pairings":
-            updates[key] = _coerce_pairings(value)
-        elif key in _SECTION_TYPES:
-            updates[key] = _merge_section(key, getattr(base, key), value)
-        elif key in _ENTRY_TYPES:
-            if not isinstance(value, list):
-                raise ScenarioError(f"{key}: expected a list")
-            updates[key] = tuple(_merge_entry(key, i, e) for i, e in enumerate(value))
-        else:
-            raise ScenarioError(f"unknown key: {key}")
-    scenario = replace(base, **updates)
+    scenario = _merge(Scenario, default_scenario(), {} if doc is None else doc, "")
     scenario.validate()
     return scenario
 
@@ -498,13 +412,21 @@ def _sig10(x: float) -> float:
 
 
 def _result_records(rows) -> list[dict]:
+    """One record per outage row, floats already rounded to 10 significant digits."""
     records = []
     for row in rows:
-        if isinstance(row, dict):
-            rec = {k: row[k] for k in _RESULT_FIELDS}
-        else:
-            rec = {k: getattr(row, k) for k in _RESULT_FIELDS}
-        records.append(rec)
+        r = row if isinstance(row, dict) else {k: getattr(row, k) for k in _RESULT_FIELDS}
+        records.append(
+            {
+                "user_id": r["user_id"],
+                "mode": r["mode"],
+                "p_out": _sig10(r["p_out"]),
+                "stderr": _sig10(r["stderr"]),
+                "n_samples": int(r["n_samples"]),
+                "threshold_db": _sig10(r["threshold_db"]),
+                "seed": int(r["seed"]),
+            }
+        )
     return records
 
 
@@ -515,17 +437,7 @@ def result_lines(rows) -> list[str]:
     lines = [",".join(_RESULT_FIELDS)]
     for rec in _result_records(rows):
         lines.append(
-            ",".join(
-                [
-                    str(rec["user_id"]),
-                    str(rec["mode"]),
-                    format(float(rec["p_out"]), ".10g"),
-                    format(float(rec["stderr"]), ".10g"),
-                    str(int(rec["n_samples"])),
-                    format(float(rec["threshold_db"]), ".10g"),
-                    str(int(rec["seed"])),
-                ]
-            )
+            ",".join(format(v, ".10g") if isinstance(v, float) else str(v) for v in rec.values())
         )
     return lines
 
@@ -544,15 +456,6 @@ def write_results(rows, path, fmt: str = "csv") -> None:
     elif fmt == "jsonl":
         with open(path, "w", encoding="utf-8") as fh:
             for rec in _result_records(rows):
-                out = {
-                    "user_id": rec["user_id"],
-                    "mode": rec["mode"],
-                    "p_out": _sig10(rec["p_out"]),
-                    "stderr": _sig10(rec["stderr"]),
-                    "n_samples": int(rec["n_samples"]),
-                    "threshold_db": _sig10(rec["threshold_db"]),
-                    "seed": int(rec["seed"]),
-                }
-                fh.write(json.dumps(out, sort_keys=True) + "\n")
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
     else:
         raise ValueError(f"unknown result format {fmt!r}")

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import typing
 
 import pytest
 import yaml
@@ -8,6 +9,7 @@ from owcrelay.outage import MAX_SAMPLES, OutageRow
 from owcrelay.scenario import (
     ApConfig,
     HumanConfig,
+    RelayConfig,
     Scenario,
     ScenarioError,
     UserConfig,
@@ -76,8 +78,19 @@ DEFAULT_AUDIT = [
     ("channel.first_bounce_res_m", 0.05),
     ("channel.second_bounce_res_m", 0.20),
     ("channel.bin_ns", 0.01),
-    ("channel.wavelength_nm", 850.0),
 ]
+
+
+def _numeric_fields():
+    """(top-level key, is an entry list, config class, field name) for every
+    numeric field of every section and entry dataclass of a scenario."""
+    for key, hint in typing.get_type_hints(Scenario).items():
+        entry = typing.get_origin(hint) is tuple
+        cls = typing.get_args(hint)[0] if entry else hint
+        if dataclasses.is_dataclass(cls):
+            for name, annotation in typing.get_type_hints(cls).items():
+                if annotation in (float, int):
+                    yield key, entry, cls, name
 
 
 class TestDefaults:
@@ -155,6 +168,21 @@ class TestRoundTrip:
         sc = scenario_from_dict({"sampler": {"samples": 1e5}})
         assert sc.sampler.samples == 100000
 
+    @pytest.mark.parametrize(
+        "key, entry, cls, name",
+        [pytest.param(*f, id=f"{f[0]}.{f[3]}") for f in _numeric_fields()],
+    )
+    def test_every_numeric_field_coerces_to_its_annotation(self, key, entry, cls, name):
+        default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+        doc = {name: str(default)}  # e.g. "100000" or "0.05"
+        if entry:
+            sc = scenario_from_dict({key: [{"id": "x1", "position_m": [2.0, 4.0, 1.0], **doc}]})
+            value = getattr(getattr(sc, key)[0], name)
+        else:
+            value = getattr(getattr(scenario_from_dict({key: doc}), key), name)
+        assert value == default
+        assert type(value) is typing.get_type_hints(cls)[name]
+
 
 class TestRejection:
     def test_unknown_top_level_key(self):
@@ -187,6 +215,8 @@ class TestRejection:
             ("room", "width_m", "-inf"),
             ("sampler", "samples", float("inf")),
             ("sampler", "seed", float("nan")),
+            ("human", "count", False),
+            ("room", "width_m", True),
         ]:
             with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: expected"):
                 scenario_from_dict({section: {key: value}})
@@ -231,12 +261,6 @@ class TestRejection:
             ),
             (
                 lambda sc: dataclasses.replace(
-                    sc, channel=dataclasses.replace(sc.channel, wavelength_nm=-1.0)
-                ),
-                "wavelength_nm",
-            ),
-            (
-                lambda sc: dataclasses.replace(
                     sc, channel=dataclasses.replace(sc.channel, max_bounces=3)
                 ),
                 "max_bounces",
@@ -266,6 +290,24 @@ class TestRejection:
                 "duplicate",
             ),
             (lambda sc: dataclasses.replace(sc, users=()), "at least one user"),
+            (
+                lambda sc: dataclasses.replace(
+                    sc, relays=(RelayConfig("r1", (0.0, 1.0, 1.5), axis=(0.0, 0.0, 0.0)),)
+                ),
+                r"^relays\[r1\]\.axis: must be a non-zero vector$",
+            ),
+            (
+                lambda sc: dataclasses.replace(
+                    sc, aps=(dataclasses.replace(sc.aps[0], power_mw=0.0),) + sc.aps[1:]
+                ),
+                r"^aps\[0\]\.power_mw: must be positive$",
+            ),
+            (
+                lambda sc: dataclasses.replace(
+                    sc, users=sc.users[:1] + (dataclasses.replace(sc.users[1], fov_deg=120.0),)
+                ),
+                r"^users\[1\]\.fov_deg: must lie in \(0, 90\]$",
+            ),
         ],
     )
     def test_validation_failures(self, default_sc, mutate, fragment):
