@@ -4,12 +4,14 @@ A standing person is modelled as a vertical solid cylinder resting on the
 floor.  For a fixed link the set of floor positions of the cylinder axis that
 break the link is a stadium shape (a segment inflated by the cylinder
 radius), obtained by clipping the link to the height band the cylinder can
-reach and projecting the surviving piece onto the floor.
+reach and projecting the surviving piece onto the floor.  The stadium is not
+cut at the walls: where the pedestrian can stand belongs to the mobility law
+(:mod:`owcrelay.mobility`), whose density is zero off the floor and whose
+sampler never leaves it.
 
 One vectorised z-band clip and one point-to-spine offset kernel do all of
 this arithmetic: :func:`blocked_region` clips one link, while
-:func:`segments_blocked` (and :func:`segment_intersects_cylinder`, one row of
-it) clips many; :meth:`StadiumRegion.contains` and
+:func:`segments_blocked` clips many; :meth:`StadiumRegion.contains` and
 :meth:`StadiumRegion.signed_distance` measure from the clipped spine.
 Membership and the direct predicate therefore agree bit-for-bit by
 construction.
@@ -29,7 +31,6 @@ __all__ = [
     "Rect",
     "StadiumRegion",
     "regions_contain",
-    "segment_intersects_cylinder",
     "segments_blocked",
     "blocked_region",
 ]
@@ -96,18 +97,6 @@ class Rect:
         if not (self.x0 <= self.x1 and self.y0 <= self.y1):
             raise ValueError(f"empty rectangle bounds {self!r}")
 
-    def contains(self, points) -> np.ndarray | bool:
-        p = np.asarray(points, dtype=float)
-        scalar = p.ndim == 1
-        p = np.atleast_2d(p)
-        ok = (
-            (p[:, 0] >= self.x0)
-            & (p[:, 0] <= self.x1)
-            & (p[:, 1] >= self.y0)
-            & (p[:, 1] <= self.y1)
-        )
-        return bool(ok[0]) if scalar else ok
-
     def intersect(self, other: "Rect") -> "Rect | None":
         x0 = max(self.x0, other.x0)
         y0 = max(self.y0, other.y0)
@@ -165,26 +154,19 @@ def segments_blocked(a_pts, b_pts, center, cyl: CylinderSpec) -> np.ndarray:
     return valid & (ox * ox + oy * oy <= cyl.radius * cyl.radius)
 
 
-def segment_intersects_cylinder(link: Segment3, center, cyl: CylinderSpec) -> bool:
-    """True iff the closed segment meets the closed solid cylinder whose
-    axis footprint is at ``center`` (floor xy)."""
-    return bool(segments_blocked(link.a.as_array(), link.b.as_array(), center, cyl)[0])
-
-
 class StadiumRegion:
     """Floor positions of the cylinder axis that block a given link.
 
-    Membership is ``distance(point, spine) <= radius`` and point inside the
-    clip rectangle.  An empty region (link entirely above the cylinder)
-    contains nothing.
+    Membership is ``distance(point, spine) <= radius``, off the floor too.
+    An empty region (link entirely above the cylinder, or no pedestrian in
+    the room) contains nothing.
     """
 
-    def __init__(self, spine_p0, spine_p1, radius: float, clip: Rect, empty: bool = False):
+    def __init__(self, spine_p0, spine_p1, radius: float, empty: bool = False):
         if radius < 0:
             raise ValueError(f"region radius must be >= 0, got {radius}")
         self.empty = bool(empty)
         self.radius = float(radius)
-        self.clip = clip
         if self.empty:
             self.p0 = None
             self.p1 = None
@@ -193,8 +175,8 @@ class StadiumRegion:
             self.p1 = np.asarray(spine_p1, dtype=float)
 
     @classmethod
-    def empty_region(cls, clip: Rect) -> "StadiumRegion":
-        return cls(None, None, 0.0, clip, empty=True)
+    def empty_region(cls) -> "StadiumRegion":
+        return cls(None, None, 0.0, empty=True)
 
     def contains(self, points) -> np.ndarray | bool:
         out = regions_contain((self,), points)[0]
@@ -202,8 +184,7 @@ class StadiumRegion:
 
     def signed_distance(self, points):
         """Distance to the stadium boundary, negative inside, with the unit
-        outward gradient.  The clip rectangle is not part of this distance
-        field; quadrature restricts its domain to ``bbox()`` instead."""
+        outward gradient."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.empty:
             sd = np.full(pts.shape[0], np.inf)
@@ -219,48 +200,39 @@ class StadiumRegion:
         return dist - self.radius, grad
 
     def bbox(self) -> Rect | None:
-        """Bounding box of the region intersected with the clip rectangle."""
+        """Bounding box of the stadium, or None when it is empty."""
         if self.empty:
             return None
         r = self.radius
-        raw = Rect(
+        return Rect(
             min(self.p0[0], self.p1[0]) - r,
             min(self.p0[1], self.p1[1]) - r,
             max(self.p0[0], self.p1[0]) + r,
             max(self.p0[1], self.p1[1]) + r,
         )
-        return raw.intersect(self.clip)
 
 
 def regions_contain(regions, points) -> np.ndarray:
     """Membership of floor points in stadium regions, boolean (len(regions),
     n): row j is ``regions[j].contains(points)``.  One spine-offset pass per
-    region over contiguous x and y columns; each distinct clip rectangle is
-    tested once per batch and applied only where some point falls outside."""
+    region over contiguous x and y columns."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1])
     out = np.zeros((len(regions), x.size), dtype=bool)
-    rows_by_clip: dict[Rect, list[int]] = {}
     for j, region in enumerate(regions):
         if region.empty:
             continue
         wx, wy = region.p1 - region.p0
         ox, oy = _spine_offset(x, y, region.p0[0], region.p0[1], wx, wy)
         out[j] = ox * ox + oy * oy <= region.radius * region.radius
-        rows_by_clip.setdefault(region.clip, []).append(j)
-    for clip, rows in rows_by_clip.items():
-        inside = clip.contains(pts)
-        if not inside.all():
-            out[rows] &= inside
     return out
 
 
-def blocked_region(link: Segment3, cyl: CylinderSpec, footprint: Rect) -> StadiumRegion:
-    """Stadium region of blocker positions for one link, clipped to the
-    room footprint."""
+def blocked_region(link: Segment3, cyl: CylinderSpec) -> StadiumRegion:
+    """Stadium region of blocker positions for one link."""
     p0, p1, valid = _clip_to_band(link.a.as_array()[None], link.b.as_array()[None], cyl.height)
     if not valid[0]:
-        return StadiumRegion.empty_region(footprint)
-    return StadiumRegion(p0[0], p1[0], cyl.radius, footprint)
+        return StadiumRegion.empty_region()
+    return StadiumRegion(p0[0], p1[0], cyl.radius)
 

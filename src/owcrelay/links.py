@@ -22,7 +22,7 @@ from owcrelay.channel import (
     discretize_surfaces,
     impulse_response,
 )
-from owcrelay.geometry import CylinderSpec, Point3, Rect, Segment3, StadiumRegion, blocked_region
+from owcrelay.geometry import CylinderSpec, Point3, Segment3, StadiumRegion, blocked_region
 from owcrelay.noma import NoiseModel, noise_variance, order_users_and_allocate
 from owcrelay.scenario import Scenario
 
@@ -58,7 +58,6 @@ class Link:
     kind: str  # "direct", "feeder" or "delivery"
     tx_id: str
     rx_id: str
-    segment: Segment3
     h: float
     h_los: float
     h_reflected: float
@@ -282,7 +281,6 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
     scenario.validate()
     room = _room_model(scenario)
     cylinder = CylinderSpec(height=scenario.human.height_m, radius=scenario.human.radius_m)
-    footprint = Rect(0.0, 0.0, room.width, room.length)
     noise_model = NoiseModel(
         bandwidth_hz=scenario.noise.bandwidth_ghz * 1e9,
         noise_density_a2_per_hz=scenario.noise.noise_density_a2hz,
@@ -304,7 +302,6 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         if key in index_of:
             return index_of[key]
         cir = channel(tx_spec, rx_spec)
-        seg = Segment3(tx_spec.position, rx_spec.position)
         idx = len(links)
         links.append(
             Link(
@@ -313,13 +310,15 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
                 kind=kind,
                 tx_id=tx_id,
                 rx_id=rx_id,
-                segment=seg,
                 h=cir.dc_gain(),
                 h_los=cir.los_gain,
                 h_reflected=cir.first_order_gain + cir.second_order_gain,
             )
         )
-        regions.append(blocked_region(seg, cylinder, footprint))
+        if scenario.human.count == 0:  # no pedestrian: nothing blocks
+            regions.append(StadiumRegion.empty_region())
+        else:
+            regions.append(blocked_region(Segment3(tx_spec.position, rx_spec.position), cylinder))
         index_of[key] = idx
         return idx
 

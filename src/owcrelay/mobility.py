@@ -70,13 +70,11 @@ class RwpDistribution:
 def region_probability(
     region: StadiumRegion, dist: RwpDistribution, rel_tol: float = 1e-4
 ) -> float:
-    """Probability mass of one stadium region under the stationary density."""
+    """Probability mass of one stadium region under the stationary density,
+    integrated over the part of the region's box on the floor."""
     if region.empty or region.radius == 0.0:
         return 0.0
-    box = region.bbox()
-    if box is None:
-        return 0.0
-    box = box.intersect(dist.floor_rect)
+    box = region.bbox().intersect(dist.floor_rect)
     if box is None:
         return 0.0
     return integrate_region(

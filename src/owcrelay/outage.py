@@ -110,11 +110,8 @@ def ensure_marginals(budget: LinkBudget) -> np.ndarray:
     computed once per budget at the default relative tolerance (1e-4) of
     :func:`~owcrelay.mobility.region_probability` and cached on it."""
     if budget.marginals is None:
-        if budget.scenario.human.count == 0:
-            budget.marginals = np.zeros(budget.link_count)
-        else:
-            dist = _mobility(budget)
-            budget.marginals = np.array([region_probability(r, dist) for r in budget.regions])
+        dist = _mobility(budget)
+        budget.marginals = np.array([region_probability(r, dist) for r in budget.regions])
     return budget.marginals
 
 
@@ -124,9 +121,7 @@ def _run_block(budget, dist, master_seed, model, n_total, block_index):
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     links = budget.link_count
-    if budget.scenario.human.count == 0:
-        clear = np.ones((links, n))
-    elif model == "joint":
+    if model == "joint":
         # float rows allocated after the sample: a boolean clear (which
         # evaluate_sinr copies to float) or the other order makes the heap
         # shrink and regrow every block, about 2,000 page faults each

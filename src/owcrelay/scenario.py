@@ -345,6 +345,8 @@ def _merge(cls, base, doc: Any, path: str):
 def _coerce(value, annotation, path: str, base=None):
     """Convert one document value to ``annotation``; ``base`` is the value a
     nested section merges into."""
+    if annotation is int and type(value) is int:
+        return value  # exact, where float() would round past 2**53
     if annotation is float or annotation is int:
         what = "a number" if annotation is float else "an integer"
         f = math.nan

@@ -6,9 +6,10 @@ for the vectorised :func:`owcrelay.links.evaluate_sinr`; :func:`reference_sinr`
 rebuilds their inputs from a link budget's gains and scenario, independently
 of the budget's compiled weight arrays.  :func:`point_source_gain` is the
 one-pair scalar form of the channel's vectorised Lambertian kernel.
-:func:`region_area` integrates a region's indicator with the package
-quadrature.  :func:`joint_state_outage` is the independent-link enumeration
-over joint link states that the split enumeration must reproduce.
+:func:`region_area` integrates a region's indicator over a floor rectangle
+with the package quadrature.  :func:`joint_state_outage` is the
+independent-link enumeration over joint link states that the split
+enumeration must reproduce.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from owcrelay.geometry import StadiumRegion
+from owcrelay.geometry import Rect, StadiumRegion
 from owcrelay.links import evaluate_sinr
 from owcrelay.noma import ApAllocation, NoiseModel, noise_variance, order_users_and_allocate
 from owcrelay.outage import ensure_marginals, is_outage
@@ -150,11 +151,12 @@ def point_source_gain(src, src_normal, mode, dst, dst_normal, dst_area, cos_fov=
     return (mode + 1) / (2.0 * math.pi * dist * dist) * cos_e**mode * cos_i * dst_area
 
 
-def region_area(region: StadiumRegion, rel_tol: float = 1e-4) -> float:
-    """Area of a stadium region by adaptive quadrature of its indicator."""
+def region_area(region: StadiumRegion, floor: Rect, rel_tol: float = 1e-4) -> float:
+    """Area of the part of a stadium region on ``floor``, by adaptive
+    quadrature of its indicator."""
     if region.empty or region.radius == 0.0:
         return 0.0
-    box = region.bbox()
+    box = region.bbox().intersect(floor)
     if box is None:
         return 0.0
     return integrate_region(

@@ -16,11 +16,10 @@ from owcrelay.channel import ReceiverSpec, RoomModel, TransmitterSpec, impulse_r
 from owcrelay.geometry import (
     CylinderSpec,
     Point3,
-    Rect,
     Segment3,
     StadiumRegion,
     blocked_region,
-    segment_intersects_cylinder,
+    segments_blocked,
 )
 from owcrelay.links import evaluate_sinr
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
@@ -28,7 +27,6 @@ from owcrelay.outage import outage_independent_approx, outage_monte_carlo
 
 from reference import reference_sinr, sinr_mrc
 
-FLOOR = Rect(0.0, 0.0, 4.0, 8.0)
 DIST = RwpDistribution(4.0, 8.0)
 CYL = CylinderSpec()
 
@@ -39,9 +37,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_density_normalization():
-    whole_floor = StadiumRegion(
-        spine_p0=(-10.0, 4.0), spine_p1=(14.0, 4.0), radius=20.0, clip=FLOOR
-    )
+    whole_floor = StadiumRegion(spine_p0=(-10.0, 4.0), spine_p1=(14.0, 4.0), radius=20.0)
     total = region_probability(whole_floor, DIST, rel_tol=1e-6)
     center = DIST.pdf((2.0, 4.0))[0]
     ok = abs(total - 1.0) <= 1e-9 and abs(center - 0.0703125) <= 1e-12
@@ -59,9 +55,9 @@ def test_criterion_2_membership_matches_predicate():
             continue
         center = rng.uniform([0, 0], [4, 8])
         link = Segment3(Point3(*a), Point3(*b))
-        region = blocked_region(link, CYL, FLOOR)
+        region = blocked_region(link, CYL)
         in_region = bool(region.contains(center[None, :])[0])
-        hits = segment_intersects_cylinder(link, center, CYL)
+        hits = segments_blocked(a, b, center, CYL)[0]
         mismatches += in_region != hits
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 10.0
@@ -75,7 +71,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
     for ap in default_sc.aps:
         for user in default_sc.users:
             seg = Segment3(Point3(*ap.position_m), Point3(*user.position_m))
-            regions.append(blocked_region(seg, CYL, FLOOR))
+            regions.append(blocked_region(seg, CYL))
             labels.append(f"{ap.id}:{user.id}")
     assert len(regions) == 48  # every source-user pair, served or not
     for link, region in zip(budget.links, budget.regions):

@@ -16,7 +16,7 @@ from owcrelay.channel import (
     lambertian_gain,
     narrow_beam_los_gain,
 )
-from owcrelay.geometry import CylinderSpec, Point3, Segment3, segment_intersects_cylinder
+from owcrelay.geometry import CylinderSpec, Point3, segments_blocked
 
 from reference import point_source_gain
 
@@ -364,12 +364,8 @@ class TestBlockageConsistency:
         # beam continues past the receiver and exits on the floor
         hit = np.array([1, 1, 3]) + 1.5 * (np.array([2.48, 3.48, 1]) - np.array([1, 1, 3]))
         center = (2.184, 2.984)  # on the direct path below 1.8 m
-        los_cut = segment_intersects_cylinder(
-            Segment3(Point3(1, 1, 3), Point3(2.48, 3.48, 1)), center, CYL
-        )
-        feeder_cut = segment_intersects_cylinder(
-            Segment3(Point3(1, 1, 3), Point3(*hit)), center, CYL
-        )
+        los_cut = segments_blocked((1, 1, 3), (2.48, 3.48, 1), center, CYL)[0]
+        feeder_cut = segments_blocked((1, 1, 3), hit, center, CYL)[0]
         assert los_cut and feeder_cut
 
         blocked = impulse_response(tx, rx, ROOM, max_bounces=1, blockage=center)
@@ -392,12 +388,8 @@ class TestBlockageConsistency:
 
         e_center = np.array([4.0, 4.725, 1.625])  # containing 5 cm wall cell
         center = (2.6, 4.3625)  # midpoint of the element-to-receiver leg
-        delivery_cut = segment_intersects_cylinder(
-            Segment3(Point3(*e_center), Point3(1.2, 4.0, 1)), center, CYL
-        )
-        feeder_cut = segment_intersects_cylinder(
-            Segment3(Point3(1, 1, 3), Point3(4.0, 4.72, 1.63)), center, CYL
-        )
+        delivery_cut = segments_blocked(e_center, (1.2, 4.0, 1), center, CYL)[0]
+        feeder_cut = segments_blocked((1, 1, 3), (4.0, 4.72, 1.63), center, CYL)[0]
         assert delivery_cut and not feeder_cut
 
         blocked = impulse_response(tx, rx, ROOM, max_bounces=1, aim=aim, blockage=center)
@@ -415,12 +407,8 @@ class TestBlockageConsistency:
         # the beam dips under 1.8 m only near the wall; park the blocker
         # there, clear of the element-to-receiver leg
         center = (3.628, 4.259)
-        feeder_cut = segment_intersects_cylinder(
-            Segment3(Point3(1, 1, 3), Point3(4.0, 4.72, 1.63)), center, CYL
-        )
-        delivery_cut = segment_intersects_cylinder(
-            Segment3(Point3(4.0, 4.725, 1.625), Point3(1.2, 4.0, 1)), center, CYL
-        )
+        feeder_cut = segments_blocked((1, 1, 3), (4.0, 4.72, 1.63), center, CYL)[0]
+        delivery_cut = segments_blocked((4.0, 4.725, 1.625), (1.2, 4.0, 1), center, CYL)[0]
         assert feeder_cut and not delivery_cut
 
         blocked = impulse_response(tx, rx, ROOM, max_bounces=1, aim=aim, blockage=center)

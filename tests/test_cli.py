@@ -74,6 +74,14 @@ class TestSimulate:
         assert res.returncode == 0
         assert res.stdout == header + "".join(r for r in rows if r.split(",")[1] == mode)
 
+    def test_scenario_seed_above_2_53_matches_flag(self, tmp_path):
+        doc = tmp_path / "seed.yaml"
+        doc.write_text("sampler: {seed: 9007199254740993}\n")
+        from_file = run_cli("simulate", "--samples", "4096", "--scenario", str(doc))
+        from_flag = run_cli("simulate", "--samples", "4096", "--seed", "9007199254740993")
+        assert from_file.returncode == 0
+        assert from_file.stdout == from_flag.stdout
+
     def test_bad_sample_count_fails_cleanly(self, single_link_file):
         res = run_cli(
             "simulate", "--scenario", single_link_file, "--samples", "0"
@@ -101,6 +109,15 @@ class TestBlockage:
         mc = float(lines[2].split(",")[3])
         assert lines[2].endswith(",mc")
         assert abs(mc - quad) < 3.0 * (quad / 20000) ** 0.5
+
+    def test_no_walker_blocks_nothing(self, tmp_path):
+        doc = tmp_path / "empty.yaml"
+        doc.write_text("human: {count: 0}\n")
+        res = run_cli("blockage", "--scenario", str(doc), "--mc", "2000")
+        assert res.returncode == 0
+        rows = res.stdout.splitlines()[1:]
+        assert {r.split(",")[4] for r in rows} == {"quadrature", "mc"}
+        assert all(float(r.split(",")[3]) == 0.0 for r in rows)
 
 
 class TestChannel:

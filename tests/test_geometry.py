@@ -11,10 +11,9 @@ from owcrelay.geometry import (
     StadiumRegion,
     blocked_region,
     regions_contain,
-    segment_intersects_cylinder,
     segments_blocked,
 )
-from owcrelay.mobility import RwpDistribution, sample_human_positions
+from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
 from reference import region_area
 
@@ -30,23 +29,19 @@ def random_link(rng) -> Segment3:
 
 class TestIntersectionPredicate:
     def test_axis_aligned_hit(self):
-        link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
-        assert segment_intersects_cylinder(link, (1.0, 1.0), CYL)
+        assert segments_blocked((1, 1, 3), (1, 1, 1), (1.0, 1.0), CYL)[0]
 
     def test_offset_miss(self):
         # horizontal distance 0.4 exceeds the 0.3 radius
-        link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
-        assert not segment_intersects_cylinder(link, (1.0, 1.4), CYL)
+        assert not segments_blocked((1, 1, 3), (1, 1, 1), (1.0, 1.4), CYL)[0]
 
     def test_link_above_blocker_height(self):
-        link = Segment3(Point3(1, 1, 3), Point3(1, 1, 2.5))
         for center in [(1.0, 1.0), (0.5, 0.5), (3.0, 7.0)]:
-            assert not segment_intersects_cylinder(link, center, CYL)
+            assert not segments_blocked((1, 1, 3), (1, 1, 2.5), center, CYL)[0]
 
     def test_grazing_contact_counts_as_blocked(self):
         # distance exactly equals the radius (0.5 is binary-exact)
-        link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
-        assert segment_intersects_cylinder(link, (1.5, 1.0), CylinderSpec(radius=0.5))
+        assert segments_blocked((1, 1, 3), (1, 1, 1), (1.5, 1.0), CylinderSpec(radius=0.5))[0]
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -55,45 +50,42 @@ class TestIntersectionPredicate:
         center = (2.0, 4.0)
         batch = segments_blocked(a, b, center, CYL)
         for i in range(64):
-            one = segment_intersects_cylinder(
-                Segment3(Point3(*a[i]), Point3(*b[i])), center, CYL
-            )
-            assert batch[i] == one
+            assert batch[i] == segments_blocked(a[i], b[i], center, CYL)[0]
 
 
 class TestBlockedRegion:
     def test_vertical_link_gives_disk(self):
         link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
-        region = blocked_region(link, CYL, FLOOR)
+        region = blocked_region(link, CYL)
         assert np.array_equal(region.p0, region.p1)
         assert np.allclose(region.p0, [1.0, 1.0])
-        assert math.isclose(region_area(region), math.pi * 0.09, rel_tol=1e-4)
+        assert math.isclose(region_area(region, FLOOR), math.pi * 0.09, rel_tol=1e-4)
 
     def test_slanted_link_spine_and_area(self):
         link = Segment3(Point3(1, 1, 3), Point3(2, 4, 1))
-        region = blocked_region(link, CYL, FLOOR)
+        region = blocked_region(link, CYL)
         # spine starts where the link crosses z = 1.8 (t = 0.6)
         assert np.allclose(region.p0, [1.6, 2.8], atol=1e-12)
         assert np.allclose(region.p1, [2.0, 4.0], atol=1e-12)
         assert math.isclose(math.dist(region.p0, region.p1), 1.26491, rel_tol=1e-5)
-        assert math.isclose(region_area(region), 1.041689, rel_tol=1e-4)
+        assert math.isclose(region_area(region, FLOOR), 1.041689, rel_tol=1e-4)
 
     def test_link_above_height_is_empty(self):
         link = Segment3(Point3(1, 1, 3), Point3(3, 1, 2.9))
-        region = blocked_region(link, CYL, FLOOR)
+        region = blocked_region(link, CYL)
         assert region.empty
-        assert region_area(region) == 0.0
+        assert region_area(region, FLOOR) == 0.0
         assert not region.contains((1.0, 1.0))
 
     def test_corner_quarter_disk_area(self):
-        region = StadiumRegion((0.0, 0.0), (0.0, 0.0), 0.3, FLOOR)
-        assert math.isclose(region_area(region), math.pi * 0.09 / 4.0, rel_tol=1e-4)
+        region = StadiumRegion((0.0, 0.0), (0.0, 0.0), 0.3)
+        assert math.isclose(region_area(region, FLOOR), math.pi * 0.09 / 4.0, rel_tol=1e-4)
 
     def test_area_upper_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            region = blocked_region(random_link(rng), CYL, FLOOR)
-            area = region_area(region)
+            region = blocked_region(random_link(rng), CYL)
+            area = region_area(region, FLOOR)
             spine = 0.0 if region.empty else math.dist(region.p0, region.p1)
             cap = spine * 2 * CYL.radius + math.pi * CYL.radius**2
             assert area <= cap * (1 + 1e-4)
@@ -104,16 +96,17 @@ class TestBlockedRegion:
         for _ in range(1000):
             link = random_link(rng)
             center = rng.uniform([0, 0], [4, 8])
-            region = blocked_region(link, CYL, FLOOR)
-            assert region.contains(center) == segment_intersects_cylinder(link, center, CYL)
+            region = blocked_region(link, CYL)
+            hits = segments_blocked(link.a.as_array(), link.b.as_array(), center, CYL)[0]
+            assert region.contains(center) == hits
 
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform([0, 0], [4, 8], size=(200, 2))
         for _ in range(10):
             link = random_link(rng)
-            small = blocked_region(link, CylinderSpec(radius=0.2), FLOOR)
-            large = blocked_region(link, CylinderSpec(radius=0.35), FLOOR)
+            small = blocked_region(link, CylinderSpec(radius=0.2))
+            large = blocked_region(link, CylinderSpec(radius=0.35))
             inside_small = small.contains(pts)
             inside_large = large.contains(pts)
             assert np.all(inside_large[inside_small])
@@ -126,41 +119,51 @@ class TestBlockedRegion:
                 Point3(4 - link.a.x, link.a.y, link.a.z),
                 Point3(4 - link.b.x, link.b.y, link.b.z),
             )
-            region = blocked_region(link, CYL, FLOOR)
-            region_m = blocked_region(mirrored, CYL, FLOOR)
+            region = blocked_region(link, CYL)
+            region_m = blocked_region(mirrored, CYL)
             pts = rng.uniform([0, 0], [4, 8], size=(200, 2))
             flipped = np.column_stack([4 - pts[:, 0], pts[:, 1]])
             assert np.array_equal(region.contains(pts), region_m.contains(flipped))
 
     def test_degenerate_spine_is_disk(self):
         link = Segment3(Point3(2.5, 3.0, 2.6), Point3(2.5, 3.0, 0.4))
-        region = blocked_region(link, CYL, FLOOR)
+        region = blocked_region(link, CYL)
         rng = np.random.default_rng(17)
         pts = rng.uniform([1.5, 2.0], [3.5, 4.0], size=(500, 2))
         d = np.hypot(pts[:, 0] - 2.5, pts[:, 1] - 3.0)
         assert np.array_equal(region.contains(pts), d <= 0.3)
 
-    def test_clip_applies_in_blocked_region(self):
+    def test_part_outside_the_room_carries_no_probability_or_area(self):
         # spine near the wall: part of the stadium falls outside the room
         link = Segment3(Point3(0.1, 1.0, 1.7), Point3(0.1, 2.0, 1.7))
-        region = blocked_region(link, CYL, FLOOR)
-        assert not region.contains((-0.05, 1.5))
-        assert region.contains((0.05, 1.5))
-        assert region_area(region) < 1.0 * 2 * 0.3 + math.pi * 0.09
+        region = blocked_region(link, CYL)
+        assert region.contains((-0.05, 1.5))  # the stadium itself is not cut
+        assert region.bbox().x0 < 0.0
+        # in-floor area: the whole stadium less the 0.2 m strip and two half
+        # circular segments at distance 0.1 from the cap centres
+        cut = 0.09 * math.acos(1.0 / 3.0) - 0.1 * math.sqrt(0.08)
+        inside = 1.0 * 2 * 0.3 + math.pi * 0.09 - 0.2 - cut
+        assert math.isclose(region_area(region, FLOOR), inside, rel_tol=1e-4)
+        # the walker never stands off the floor, so sampling agrees with the
+        # quadrature over the floor part
+        dist = RwpDistribution(4.0, 8.0)
+        p = region_probability(region, dist)
+        n = 200_000
+        pts = sample_human_positions(dist, n, np.random.default_rng(6))
+        hat = float(np.mean(region.contains(pts)))
+        assert abs(hat - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
 class TestRegionsContain:
     # the batch membership of joint Monte Carlo must equal one
     # StadiumRegion.contains call per region, element for element
     def _regions(self, budget):
-        half = Rect(0.0, 0.0, 2.0, 8.0)
         return (
             *budget.regions,
-            StadiumRegion((1.0, 1.0), (3.0, 1.0), 0.5, FLOOR),
-            StadiumRegion((1.0, 1.0), (3.0, 1.0), 0.5, half),  # clip cuts the stadium
-            StadiumRegion((1.0, 1.0), (1.0, 1.0), 0.5, FLOOR),  # zero-length spine
-            StadiumRegion.empty_region(FLOOR),
-            StadiumRegion.empty_region(half),
+            StadiumRegion((1.0, 1.0), (3.0, 1.0), 0.5),
+            StadiumRegion((1.0, 1.0), (1.0, 1.0), 0.5),  # zero-length spine
+            StadiumRegion((0.1, 1.0), (0.1, 2.0), 0.3),  # crosses the wall x = 0
+            StadiumRegion.empty_region(),
         )
 
     def _assert_equals_stacked(self, regions, pts):
@@ -181,33 +184,30 @@ class TestRegionsContain:
         pts = np.concatenate(
             [
                 rng.uniform([-1.0, -1.0], [w + 1.0, ln + 1.0], size=(2000, 2)),
-                [(-0.1, 1.0), (1.0, -0.2), (w + 0.05, 2.0), (1.0, ln + 0.1), (2.0 + 1e-12, 1.2)],
+                [(-0.1, 1.0), (1.0, -0.2), (w + 0.05, 2.0), (1.0, ln + 0.1), (-0.15, 1.5)],
             ]
         )
         regions = self._regions(budget)
         batch = self._assert_equals_stacked(regions, pts)
-        assert not batch[:, -5:-1].any()
-        assert not batch[-4, -1]  # just past the cutting clip edge
+        assert batch[-2, -1]  # membership does not stop at the wall
+        assert not batch[-1].any()
 
     def test_points_on_edges(self, budget):
-        # binary-exact points at distance exactly 0.5 from the spines, and one
-        # on the cutting clip edge x = 2: closed sets, so all inside
-        pts = np.array(
-            [(2.0, 1.5), (2.0, 0.5), (3.5, 1.0), (0.5, 1.0), (1.0, 1.5), (1.0, 0.5), (2.0, 1.2)]
-        )
+        # binary-exact points at distance exactly 0.5 from the spines: closed
+        # sets, so all inside
+        pts = np.array([(2.0, 1.5), (2.0, 0.5), (3.5, 1.0), (0.5, 1.0), (1.0, 1.5), (1.0, 0.5)])
         regions = self._regions(budget)
         batch = self._assert_equals_stacked(regions, pts)
         k = len(budget.regions)
         assert batch[k].all()
-        assert batch[k + 1].tolist() == [True, True, False, True, True, True, True]
-        assert batch[k + 2].tolist() == [False, False, False, True, True, True, False]
+        assert batch[k + 1].tolist() == [False, False, False, True, True, True]
         for j, p in enumerate(pts):
             assert batch[:, j].tolist() == [r.contains(tuple(p)) for r in regions]
 
     def test_empty_regions(self, budget):
         pts = np.array([(1.0, 1.0), (2.0, 4.0)])
         assert regions_contain((), pts).shape == (0, 2)
-        empty = (StadiumRegion.empty_region(FLOOR),) * 3
+        empty = (StadiumRegion.empty_region(),) * 3
         assert not self._assert_equals_stacked(empty, pts).any()
 
 
@@ -216,21 +216,14 @@ class TestSpecsAndRects:
         with pytest.raises(ValueError):
             CylinderSpec(radius=-0.1)
         with pytest.raises(ValueError):
-            StadiumRegion((0, 0), (1, 0), -1.0, FLOOR)
-
-    def test_rect_contains_is_closed(self):
-        assert FLOOR.contains((0.0, 0.0))
-        assert FLOOR.contains((4.0, 8.0))
-        assert not FLOOR.contains((4.0001, 8.0))
+            StadiumRegion((0, 0), (1, 0), -1.0)
 
     def test_rect_intersect(self):
         r = Rect(1, 1, 5, 9).intersect(FLOOR)
         assert (r.x0, r.y0, r.x1, r.y1) == (1, 1, 4, 8)
 
     def test_signed_distance_sign_convention(self):
-        region = blocked_region(
-            Segment3(Point3(2, 4, 1.5), Point3(2, 5, 1.5)), CYL, FLOOR
-        )
+        region = blocked_region(Segment3(Point3(2, 4, 1.5), Point3(2, 5, 1.5)), CYL)
         sd_in, _ = region.signed_distance([(2.0, 4.5)])
         sd_out, grad = region.signed_distance([(2.0, 6.0)])
         assert sd_in[0] < 0 < sd_out[0]

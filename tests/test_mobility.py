@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from owcrelay.geometry import CylinderSpec, Point3, Rect, Segment3, StadiumRegion, blocked_region
+from owcrelay.geometry import CylinderSpec, Point3, Segment3, StadiumRegion, blocked_region
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
 DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
 CYL = CylinderSpec()
-FLOOR = Rect(0.0, 0.0, 4.0, 8.0)
 
 
 def link_probability(link) -> float:
-    return region_probability(blocked_region(link, CYL, FLOOR), DIST)
+    return region_probability(blocked_region(link, CYL), DIST)
 
 
 def gauss_integral(dist, n=24):
@@ -73,13 +72,13 @@ class TestRegionProbability:
         assert link_probability(link) == 0.0
 
     def test_entire_floor_is_one(self):
-        region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0, FLOOR)
+        region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0)
         assert region_probability(region, DIST) == pytest.approx(1.0, abs=1e-9)
 
     def test_quadrature_matches_monte_carlo(self):
         link = Segment3(Point3(1, 1, 3), Point3(2, 4, 1))
         p = link_probability(link)
-        region = blocked_region(link, CYL, FLOOR)
+        region = blocked_region(link, CYL)
         n = 200_000
         pts = sample_human_positions(DIST, n, np.random.default_rng(4))
         hat = float(np.mean(region.contains(pts)))

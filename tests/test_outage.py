@@ -116,15 +116,20 @@ class TestSingleLink:
 
 
 class TestZeroHumans:
+    # no walker is a budget of empty regions; the estimators need no branch
     def test_no_blockers_no_outage(self):
         sc = make_single_link_scenario()
         budget = build_link_budget(
             dataclasses.replace(sc, human=dataclasses.replace(sc.human, count=0))
         )
-        mc = outage_monte_carlo(budget, n_samples=2_000, master_seed=1)
-        exact = outage_independent_approx(budget)
-        for row in (*mc.rows, *exact.rows):
-            assert row.p_out == 0.0
+        assert all(r.empty for r in budget.regions)
+        reports = [outage_independent_approx(budget)]
+        for model in ("joint", "independent"):
+            reports.append(
+                outage_monte_carlo(budget, n_samples=2_000, master_seed=1, blockage_model=model)
+            )
+        for report in reports:
+            assert all(row.p_out == 0.0 for row in report.rows)
 
     def test_marginals_all_zero(self):
         sc = make_single_link_scenario()

@@ -168,6 +168,12 @@ class TestRoundTrip:
         sc = scenario_from_dict({"sampler": {"samples": 1e5}})
         assert sc.sampler.samples == 100000
 
+    def test_large_integer_loads_exactly(self, tmp_path):
+        # 2**53 + 1 is not a float: a detour through float() gives 2**53
+        doc = tmp_path / "seed.yaml"
+        doc.write_text("sampler: {seed: 9007199254740993}\n")
+        assert load_scenario(doc).sampler.seed == 9007199254740993
+
     @pytest.mark.parametrize(
         "key, entry, cls, name",
         [pytest.param(*f, id=f"{f[0]}.{f[3]}") for f in _numeric_fields()],
