@@ -3,10 +3,10 @@ a moving human blocker, and optical relay cooperation.
 
 The package is organised around six areas:
 
-- :mod:`owcrelay.geometry`   link/cylinder intersection and the floor region
-  of blocking positions, both from one clip and one distance kernel,
+- :mod:`owcrelay.geometry`   the floor region of walker positions that block
+  each link, the one place blockage is decided,
 - :mod:`owcrelay.channel`    narrow-beam and Lambertian propagation, surface
-  discretisation, impulse responses,
+  discretisation, unobstructed impulse responses,
 - :mod:`owcrelay.mobility`   waypoint-mobility position density, region
   probabilities, position sampling,
 - :mod:`owcrelay.noma`       power allocation and receiver noise,
@@ -23,7 +23,7 @@ benchmark use, plus the types they take or return; everything else is
 imported from its module.
 """
 
-from owcrelay.geometry import CylinderSpec, Point3, Rect, Segment3, StadiumRegion, blocked_region
+from owcrelay.geometry import CylinderSpec, Point3, Rect, StadiumRegion, blocked_region
 from owcrelay.channel import (
     ChannelImpulseResponse,
     ReceiverSpec,

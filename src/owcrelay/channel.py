@@ -15,9 +15,9 @@ Every path, direct or reflected, becomes a (gain, length) pair, and one
 ``np.bincount`` over the propagation delays bins them all into a
 fixed-width impulse response.
 
-A blocking human is a solid vertical cylinder standing on the floor; when a
-blocker position is supplied, every individual path leg is tested against it
-and blocked legs contribute nothing.
+Responses are unobstructed: the channel knows nothing of pedestrians.
+Whether a walker cuts a link is decided by the link's blocking region in
+:mod:`owcrelay.geometry`, and a cut link loses its whole gain.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from owcrelay.geometry import CylinderSpec, Point3, segments_blocked
+from owcrelay.geometry import Point3
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -368,7 +368,6 @@ class ChannelImpulseResponse:
     los_gain: float
     first_order_gain: float
     second_order_gain: float
-    blocked: bool = False
 
     def dc_gain(self) -> float:
         """Total power gain of the response: the exactly rounded sum of all bins."""
@@ -387,21 +386,13 @@ def impulse_response(
     rx: ReceiverSpec,
     room: RoomModel,
     max_bounces: int = 2,
-    blockage=None,
     *,
-    cylinder: CylinderSpec | None = None,
     aim: Point3 | None = None,
     first_res: float = 0.05,
     bin_duration: float = 1e-11,
     second_grid: SurfaceGrid | None = None,
 ) -> ChannelImpulseResponse:
-    """Impulse response of one steered link.
-
-    ``blockage`` is an optional floor position (x, y) of a blocking human
-    cylinder (``cylinder`` spec, default 1.8 m x 0.3 m).  Every path leg --
-    direct, transmitter-to-surface, element-to-receiver, element-to-element
-    and element-to-receiver on second-order paths -- is tested against the
-    cylinder, and blocked legs contribute zero.
+    """Unobstructed impulse response of one steered link.
 
     The first bounce lands on the ``first_res`` tile containing the beam's
     exit point; second-order paths go through ``second_grid``, tiled at
@@ -415,12 +406,6 @@ def impulse_response(
     target = aim if aim is not None else rx.position
     tx.check_servable(target)
 
-    cyl = cylinder if cylinder is not None else CylinderSpec()
-    center = None if blockage is None else np.asarray(blockage, dtype=float).reshape(-1)[:2]
-
-    def leg_blocked(a: np.ndarray, b: np.ndarray) -> bool:
-        return center is not None and bool(segments_blocked(a, b, center, cyl)[0])
-
     tx_pos = tx.position.as_array()
     rx_pos = rx.position.as_array()
     rx_normal = np.asarray(rx.normal)
@@ -428,9 +413,7 @@ def impulse_response(
     beam = target.as_array() - tx_pos
     beam = beam / np.linalg.norm(beam)
 
-    los_raw = narrow_beam_los_gain(tx, rx, aim=target)
-    los_blocked = leg_blocked(tx_pos, rx_pos)
-    los = 0.0 if los_blocked else los_raw
+    los = narrow_beam_los_gain(tx, rx, aim=target)
 
     # every path as (gain, length), binned once at the end
     path_gains: list = []
@@ -443,20 +426,19 @@ def impulse_response(
     second = 0.0
     if max_bounces >= 1:
         face, hit = _beam_exit(room, tx_pos, beam)
-        residue = 0.0 if leg_blocked(tx_pos, hit) else 1.0 - los
+        residue = 1.0 - los
         if residue > 0.0:
             e_center, e_normal, e_rho = _snap_to_face(room, face, hit, first_res)
             d0 = float(np.linalg.norm(e_center - tx_pos))
             mode = room.lambertian_mode
 
-            if not leg_blocked(e_center, rx_pos):
-                g1, d1 = lambertian_gain(
-                    e_center, e_normal, mode, rx_pos, rx_normal, rx.area_m2, cos_fov
-                )
-                first = residue * e_rho * float(g1[0])
-                if first > 0.0:
-                    path_gains.append(first)
-                    path_lengths.append(d0 + d1)
+            g1, d1 = lambertian_gain(
+                e_center, e_normal, mode, rx_pos, rx_normal, rx.area_m2, cos_fov
+            )
+            first = residue * e_rho * float(g1[0])
+            if first > 0.0:
+                path_gains.append(first)
+                path_lengths.append(d0 + d1)
 
             if max_bounces >= 2:
                 grid = second_grid if second_grid is not None else discretize_surfaces(room)
@@ -467,9 +449,6 @@ def impulse_response(
                     grid.centers, grid.normals, mode, rx_pos, rx_normal, rx.area_m2, cos_fov
                 )
                 live = (to_patch > 0.0) & (to_rx > 0.0)
-                if center is not None and np.any(live):
-                    live &= ~segments_blocked(e_center[None, :], grid.centers, center, cyl)
-                    live &= ~segments_blocked(grid.centers, rx_pos[None, :], center, cyl)
                 contrib = residue * e_rho * to_patch[live] * grid.reflectivities[live] * to_rx[live]
                 second = float(np.sum(contrib))
                 path_gains.append(contrib)
@@ -487,5 +466,4 @@ def impulse_response(
         los_gain=los,
         first_order_gain=first,
         second_order_gain=second,
-        blocked=los_blocked,
     )

@@ -1,4 +1,5 @@
-"""Exact geometry for line-of-sight links and the cylindrical blocker model.
+"""Geometry of the cylindrical blocker model: the one place that decides
+which pedestrian positions cut which link.
 
 A standing person is modelled as a vertical solid cylinder resting on the
 floor.  For a fixed link the set of floor positions of the cylinder axis that
@@ -9,12 +10,10 @@ cut at the walls: where the pedestrian can stand belongs to the mobility law
 (:mod:`owcrelay.mobility`), whose density is zero off the floor and whose
 sampler never leaves it.
 
-One vectorised z-band clip and one point-to-spine offset kernel do all of
-this arithmetic: :func:`blocked_region` clips one link, while
-:func:`segments_blocked` clips many; :meth:`StadiumRegion.contains` and
-:meth:`StadiumRegion.signed_distance` measure from the clipped spine.
-Membership and the direct predicate therefore agree bit-for-bit by
-construction.
+:func:`blocked_region` clips one link with the z-band clip;
+:meth:`StadiumRegion.contains`, :func:`regions_contain` and
+:meth:`StadiumRegion.signed_distance` all measure from the clipped spine
+through one point-to-spine offset kernel.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ import numpy as np
 
 __all__ = [
     "Point3",
-    "Segment3",
     "CylinderSpec",
     "Rect",
     "StadiumRegion",
     "regions_contain",
-    "segments_blocked",
     "blocked_region",
 ]
 
@@ -55,18 +52,6 @@ class Point3:
 
     def distance_to(self, other: "Point3") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-
-@dataclass(frozen=True)
-class Segment3:
-    """A closed straight segment with distinct endpoints."""
-
-    a: Point3
-    b: Point3
-
-    def __post_init__(self):
-        if (self.a.x, self.a.y, self.a.z) == (self.b.x, self.b.y, self.b.z):
-            raise ValueError("degenerate segment: endpoints coincide")
 
 
 @dataclass(frozen=True)
@@ -138,20 +123,6 @@ def _spine_offset(px, py, p0x, p0y, wx, wy):
         t = np.clip((dx * wx + dy * wy) / ww, 0.0, 1.0)
     t = np.where(ww > 0.0, t, 0.0)
     return dx - t * wx, dy - t * wy
-
-
-def segments_blocked(a_pts, b_pts, center, cyl: CylinderSpec) -> np.ndarray:
-    """Which segments a-b meet the cylinder standing at ``center``.
-
-    ``a_pts`` and ``b_pts`` broadcast to (N, 3); returns a boolean (N,).
-    """
-    a = np.atleast_2d(np.asarray(a_pts, dtype=float))
-    b = np.atleast_2d(np.asarray(b_pts, dtype=float))
-    p0, p1, valid = _clip_to_band(a, b, cyl.height)
-    w = p1 - p0
-    c = np.asarray(center, dtype=float)
-    ox, oy = _spine_offset(c[0], c[1], p0[:, 0], p0[:, 1], w[:, 0], w[:, 1])
-    return valid & (ox * ox + oy * oy <= cyl.radius * cyl.radius)
 
 
 class StadiumRegion:
@@ -229,10 +200,9 @@ def regions_contain(regions, points) -> np.ndarray:
     return out
 
 
-def blocked_region(link: Segment3, cyl: CylinderSpec) -> StadiumRegion:
-    """Stadium region of blocker positions for one link."""
-    p0, p1, valid = _clip_to_band(link.a.as_array()[None], link.b.as_array()[None], cyl.height)
+def blocked_region(a: Point3, b: Point3, cyl: CylinderSpec) -> StadiumRegion:
+    """Stadium region of blocker positions for the link from ``a`` to ``b``."""
+    p0, p1, valid = _clip_to_band(a.as_array()[None], b.as_array()[None], cyl.height)
     if not valid[0]:
         return StadiumRegion.empty_region()
     return StadiumRegion(p0[0], p1[0], cyl.radius)
-

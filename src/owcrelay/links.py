@@ -19,10 +19,11 @@ from owcrelay.channel import (
     ReceiverSpec,
     RoomModel,
     TransmitterSpec,
+    UnservableLinkError,
     discretize_surfaces,
     impulse_response,
 )
-from owcrelay.geometry import CylinderSpec, Point3, Segment3, StadiumRegion, blocked_region
+from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
 from owcrelay.noma import NoiseModel, noise_variance, order_users_and_allocate
 from owcrelay.scenario import Scenario
 
@@ -71,7 +72,7 @@ class UserTerms:
     interference adds ``int_w . clear[int_idx]`` to the noise floor.
     Relay phase: branch b is live when both ``clear[branch_feeder_idx[b]]``
     and ``clear[branch_delivery_idx[b]]`` hold, and then contributes its
-    signal, interference and forwarded-noise weights.
+    signal weight and its interference-plus-forwarded-noise weight.
     """
 
     user_id: str
@@ -83,15 +84,13 @@ class UserTerms:
     branch_feeder_idx: np.ndarray
     branch_delivery_idx: np.ndarray
     branch_sig_w: np.ndarray
-    branch_int_w: np.ndarray
-    branch_noise_w: np.ndarray
+    branch_den_w: np.ndarray
 
 
 @dataclass
 class LinkBudget:
     scenario: Scenario
     room: RoomModel
-    cylinder: CylinderSpec
     links: tuple[Link, ...]
     regions: tuple[StadiumRegion, ...]
     user_terms: tuple[UserTerms, ...]
@@ -257,11 +256,11 @@ def _relay_branch_map(
 
 def _channel(room: RoomModel, cc):
     """Impulse response of a link under the scenario's channel settings,
-    as a function of (tx, rx, **impulse_response keywords).  The
-    second-bounce grid is tiled once here and shared by every call."""
+    as a function of (tx, rx).  The second-bounce grid is tiled once here
+    and shared by every call."""
     grid = discretize_surfaces(room, cc.second_bounce_res_m) if cc.max_bounces >= 2 else None
 
-    def cir(tx, rx, **kwargs):
+    def cir(tx, rx):
         return impulse_response(
             tx,
             rx,
@@ -270,7 +269,6 @@ def _channel(room: RoomModel, cc):
             first_res=cc.first_bounce_res_m,
             bin_duration=cc.bin_ns * 1e-9,
             second_grid=grid,
-            **kwargs,
         )
 
     return cir
@@ -301,12 +299,16 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         key = (tx_id, rx_id)
         if key in index_of:
             return index_of[key]
-        cir = channel(tx_spec, rx_spec)
+        link_id = f"{tx_id}->{rx_id}"
+        try:
+            cir = channel(tx_spec, rx_spec)
+        except UnservableLinkError as exc:
+            raise UnservableLinkError(f"link {link_id}: {exc}") from None
         idx = len(links)
         links.append(
             Link(
                 index=idx,
-                link_id=f"{tx_id}->{rx_id}",
+                link_id=link_id,
                 kind=kind,
                 tx_id=tx_id,
                 rx_id=rx_id,
@@ -318,7 +320,7 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         if scenario.human.count == 0:  # no pedestrian: nothing blocks
             regions.append(StadiumRegion.empty_region())
         else:
-            regions.append(blocked_region(Segment3(tx_spec.position, rx_spec.position), cylinder))
+            regions.append(blocked_region(tx_spec.position, rx_spec.position, cylinder))
         index_of[key] = idx
         return idx
 
@@ -389,16 +391,16 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
                 t = alloc.power_of(k) * resp * h
                 i_idx.append(index_of[(ap_id, k)])
                 i_w.append(t * t)
-        bf_idx, bd_idx, b_sig, b_int, b_noise = [], [], [], [], []
+        bf_idx, bd_idx, b_sig, b_den = [], [], [], []
         for ap_id, rid in branches[uid]:
             alloc = allocation[ap_id]
             h2 = links[index_of[(ap_id, rid)]].h * links[index_of[(rid, uid)]].h
             s = alloc.power_of(uid) * resp * h2
             b_sig.append(s * s)
-            b_int.append(
-                sum((alloc.power_of(k) * resp * h2) ** 2 for k in alloc.interferers_of(uid))
+            interference = sum(
+                (alloc.power_of(k) * resp * h2) ** 2 for k in alloc.interferers_of(uid)
             )
-            b_noise.append(relay_noise[rid])
+            b_den.append(interference + relay_noise[rid])
             bf_idx.append(index_of[(ap_id, rid)])
             bd_idx.append(index_of[(rid, uid)])
         terms.append(
@@ -412,15 +414,13 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
                 branch_feeder_idx=np.asarray(bf_idx, dtype=np.intp),
                 branch_delivery_idx=np.asarray(bd_idx, dtype=np.intp),
                 branch_sig_w=np.asarray(b_sig, dtype=float),
-                branch_int_w=np.asarray(b_int, dtype=float),
-                branch_noise_w=np.asarray(b_noise, dtype=float),
+                branch_den_w=np.asarray(b_den, dtype=float),
             )
         )
 
     return LinkBudget(
         scenario=scenario,
         room=room,
-        cylinder=cylinder,
         links=tuple(links),
         regions=tuple(regions),
         user_terms=tuple(terms),
@@ -435,7 +435,8 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     ``clear`` has shape (link_count, n) with 1 where a link is unobstructed.
     Returns (direct, combined), each of shape (user_count, n).  The blocked
     or clear factors are binary, so squaring commutes with the gating and
-    each term is weight times factor.
+    each term is weight times factor; an empty index array (no direct,
+    interfering or relay link) sums to 0.
     """
     clear = np.asarray(clear, dtype=float)
     if clear.ndim == 1:
@@ -445,41 +446,26 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     direct = np.empty((users, n))
     combined = np.empty((users, n))
     for i, t in enumerate(budget.user_terms):
-        num = t.direct_w @ clear[t.direct_idx] if t.direct_idx.size else np.zeros(n)
-        den = np.full(n, t.noise_var)
-        if t.int_idx.size:
-            den = den + t.int_w @ clear[t.int_idx]
-        d = num / den
-        if t.branch_feeder_idx.size:
-            gamma = clear[t.branch_feeder_idx] * clear[t.branch_delivery_idx]
-            if budget.combining == "per_branch":
-                r_num = t.branch_sig_w[:, None] * gamma
-                r_den = (
-                    t.noise_var
-                    + (t.branch_int_w[:, None] + t.branch_noise_w[:, None]) * gamma
-                )
-                r = np.sum(r_num / r_den, axis=0)
-            else:
-                r_num = t.branch_sig_w @ gamma
-                r_den = t.noise_var + (t.branch_int_w + t.branch_noise_w) @ gamma
-                r = r_num / r_den
+        d = (t.direct_w @ clear[t.direct_idx]) / (t.noise_var + t.int_w @ clear[t.int_idx])
+        gamma = clear[t.branch_feeder_idx] * clear[t.branch_delivery_idx]
+        if budget.combining == "per_branch":
+            # a live branch adds sig / (noise + den), a dead one adds 0
+            r = (t.branch_sig_w / (t.noise_var + t.branch_den_w)) @ gamma
         else:
-            r = np.zeros(n)
+            r = (t.branch_sig_w @ gamma) / (t.noise_var + t.branch_den_w @ gamma)
         direct[i] = d
         combined[i] = d + r
     return direct, combined
 
 
-def link_cir(budget: LinkBudget, tx_id: str, rx_id: str, blockage=None):
-    """Recompute the impulse response of one budget link.
+def link_cir(budget: LinkBudget, tx_id: str, rx_id: str):
+    """Recompute the unobstructed impulse response of one budget link.
 
     The budget keeps only the integrated gains; this rebuilds the full
-    binned response for inspection or dumping.  ``blockage`` is an optional
-    blocker floor position, as in :func:`owcrelay.channel.impulse_response`.
+    binned response for inspection or dumping.
     """
     budget.link_index(tx_id, rx_id)  # raises KeyError when absent
     ap_specs, relay_specs, user_specs = _terminal_specs(budget.scenario, budget.room)
     tx = ap_specs[tx_id] if tx_id in ap_specs else relay_specs[tx_id].transmitter
     rx = user_specs[rx_id] if rx_id in user_specs else relay_specs[rx_id].receiver
-    channel = _channel(budget.room, budget.scenario.channel)
-    return channel(tx, rx, blockage=blockage, cylinder=budget.cylinder)
+    return _channel(budget.room, budget.scenario.channel)(tx, rx)

@@ -6,6 +6,9 @@ for the vectorised :func:`owcrelay.links.evaluate_sinr`; :func:`reference_sinr`
 rebuilds their inputs from a link budget's gains and scenario, independently
 of the budget's compiled weight arrays.  :func:`point_source_gain` is the
 one-pair scalar form of the channel's vectorised Lambertian kernel.
+:func:`segment_meets_cylinder` is the blocker predicate, written with
+scalar arithmetic and no geometry internals, that the stadium regions of
+:mod:`owcrelay.geometry` must reproduce.
 :func:`region_area` integrates a region's indicator over a floor rectangle
 with the package quadrature.  :func:`joint_state_outage` is the
 independent-link enumeration over joint link states that the split
@@ -149,6 +152,37 @@ def point_source_gain(src, src_normal, mode, dst, dst_normal, dst_area, cos_fov=
     if cos_e <= 0.0 or cos_i <= 0.0 or cos_i < cos_fov:
         return 0.0
     return (mode + 1) / (2.0 * math.pi * dist * dist) * cos_e**mode * cos_i * dst_area
+
+
+def segment_meets_cylinder(a, b, center, cyl) -> bool:
+    """Whether the closed segment a-b passes through the solid vertical
+    cylinder ``cyl`` (height, radius) standing on the floor at ``center``.
+
+    The segment parameter t in [0, 1] is first limited to the heights the
+    cylinder occupies, 0 <= z <= height; the squared horizontal distance to
+    the cylinder axis, a quadratic in t, is then minimised over what is left.
+    """
+    ax, ay, az = (float(v) for v in a)
+    bx, by, bz = (float(v) for v in b)
+    dz = bz - az
+    if dz == 0.0:
+        if not 0.0 <= az <= cyl.height:
+            return False
+        lo, hi = 0.0, 1.0
+    else:
+        t_floor = -az / dz
+        t_top = (cyl.height - az) / dz
+        lo = max(0.0, min(t_floor, t_top))
+        hi = min(1.0, max(t_floor, t_top))
+        if lo > hi:
+            return False
+    ux, uy = bx - ax, by - ay
+    fx, fy = ax - float(center[0]), ay - float(center[1])
+    # |f + t u|^2 is smallest at t = -(f . u) / (u . u), held inside [lo, hi]
+    uu = ux * ux + uy * uy
+    t = lo if uu == 0.0 else min(hi, max(lo, -(fx * ux + fy * uy) / uu))
+    gx, gy = fx + t * ux, fy + t * uy
+    return gx * gx + gy * gy <= cyl.radius * cyl.radius
 
 
 def region_area(region: StadiumRegion, floor: Rect, rel_tol: float = 1e-4) -> float:

@@ -13,19 +13,12 @@ import numpy as np
 import pytest
 
 from owcrelay.channel import ReceiverSpec, RoomModel, TransmitterSpec, impulse_response
-from owcrelay.geometry import (
-    CylinderSpec,
-    Point3,
-    Segment3,
-    StadiumRegion,
-    blocked_region,
-    segments_blocked,
-)
+from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
 from owcrelay.links import evaluate_sinr
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
 
-from reference import reference_sinr, sinr_mrc
+from reference import reference_sinr, segment_meets_cylinder, sinr_mrc
 
 DIST = RwpDistribution(4.0, 8.0)
 CYL = CylinderSpec()
@@ -54,10 +47,9 @@ def test_criterion_2_membership_matches_predicate():
         if np.allclose(a, b):
             continue
         center = rng.uniform([0, 0], [4, 8])
-        link = Segment3(Point3(*a), Point3(*b))
-        region = blocked_region(link, CYL)
+        region = blocked_region(Point3(*a), Point3(*b), CYL)
         in_region = bool(region.contains(center[None, :])[0])
-        hits = segments_blocked(a, b, center, CYL)[0]
+        hits = segment_meets_cylinder(a, b, center, CYL)
         mismatches += in_region != hits
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 10.0
@@ -70,8 +62,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
     labels = []
     for ap in default_sc.aps:
         for user in default_sc.users:
-            seg = Segment3(Point3(*ap.position_m), Point3(*user.position_m))
-            regions.append(blocked_region(seg, CYL))
+            regions.append(blocked_region(Point3(*ap.position_m), Point3(*user.position_m), CYL))
             labels.append(f"{ap.id}:{user.id}")
     assert len(regions) == 48  # every source-user pair, served or not
     for link, region in zip(budget.links, budget.regions):

@@ -82,6 +82,14 @@ class TestSimulate:
         assert from_file.returncode == 0
         assert from_file.stdout == from_flag.stdout
 
+    def test_exact_default_room_stdout_digest(self):
+        # every exact row rests on the blocking-region marginals, so a change
+        # to any region shows here
+        res = run_cli("simulate", "--method", "exact")
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == "a6eb99607c150ca97fe859bcf0bbf6fef1fac407219629233a2eb69a7d9e2082"
+
     def test_bad_sample_count_fails_cleanly(self, single_link_file):
         res = run_cli(
             "simulate", "--scenario", single_link_file, "--samples", "0"
@@ -118,6 +126,14 @@ class TestBlockage:
         rows = res.stdout.splitlines()[1:]
         assert {r.split(",")[4] for r in rows} == {"quadrature", "mc"}
         assert all(float(r.split(",")[3]) == 0.0 for r in rows)
+
+    def test_default_room_stdout_digest(self):
+        # one quadrature marginal per link of the default room: a change to
+        # any blocking region shows here
+        res = run_cli("blockage")
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == "06a54d24301b490ed0a94f5c2ecb8fee42e2fc3b02dc48028c1d3054a2b56636"
 
 
 class TestChannel:
@@ -232,6 +248,20 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error: sampler.samples: expected an integer")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "doc,link_id",
+        [("associations: {ap1: [u3]}\n", "ap1->u3"), ("relay_pairings: {r1: ap8}\n", "ap8->r1")],
+        ids=["association", "relay-pairing"],
+    )
+    def test_unservable_explicit_map_names_the_link(self, tmp_path, doc, link_id):
+        path = tmp_path / "map.yaml"
+        path.write_text(doc)
+        res = run_cli("simulate", "--method", "exact", "--scenario", str(path))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: link {link_id}: target needs")
         assert "Traceback" not in res.stderr
 
     def test_missing_scenario_file(self):

@@ -7,63 +7,64 @@ from owcrelay.geometry import (
     CylinderSpec,
     Point3,
     Rect,
-    Segment3,
     StadiumRegion,
     blocked_region,
     regions_contain,
-    segments_blocked,
 )
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
-from reference import region_area
+from reference import region_area, segment_meets_cylinder
 
 CYL = CylinderSpec()
 FLOOR = Rect(0.0, 0.0, 4.0, 8.0)
 
 
-def random_link(rng) -> Segment3:
+def random_link(rng) -> tuple[Point3, Point3]:
     a = rng.uniform([0, 0, 0], [4, 8, 3])
     b = rng.uniform([0, 0, 0], [4, 8, 3])
-    return Segment3(Point3(*a), Point3(*b))
+    return Point3(*a), Point3(*b)
+
+
+def blocks(a, b, center, cyl=CYL) -> bool:
+    return blocked_region(Point3(*a), Point3(*b), cyl).contains(center)
 
 
 class TestIntersectionPredicate:
     def test_axis_aligned_hit(self):
-        assert segments_blocked((1, 1, 3), (1, 1, 1), (1.0, 1.0), CYL)[0]
+        assert blocks((1, 1, 3), (1, 1, 1), (1.0, 1.0))
 
     def test_offset_miss(self):
         # horizontal distance 0.4 exceeds the 0.3 radius
-        assert not segments_blocked((1, 1, 3), (1, 1, 1), (1.0, 1.4), CYL)[0]
+        assert not blocks((1, 1, 3), (1, 1, 1), (1.0, 1.4))
 
     def test_link_above_blocker_height(self):
         for center in [(1.0, 1.0), (0.5, 0.5), (3.0, 7.0)]:
-            assert not segments_blocked((1, 1, 3), (1, 1, 2.5), center, CYL)[0]
+            assert not blocks((1, 1, 3), (1, 1, 2.5), center)
 
     def test_grazing_contact_counts_as_blocked(self):
         # distance exactly equals the radius (0.5 is binary-exact)
-        assert segments_blocked((1, 1, 3), (1, 1, 1), (1.5, 1.0), CylinderSpec(radius=0.5))[0]
+        assert blocks((1, 1, 3), (1, 1, 1), (1.5, 1.0), CylinderSpec(radius=0.5))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
         a = rng.uniform([0, 0, 0], [4, 8, 3], size=(64, 3))
         b = rng.uniform([0, 0, 0], [4, 8, 3], size=(64, 3))
         center = (2.0, 4.0)
-        batch = segments_blocked(a, b, center, CYL)
+        regions = [blocked_region(Point3(*p), Point3(*q), CYL) for p, q in zip(a, b)]
+        batch = regions_contain(regions, center)[:, 0]
         for i in range(64):
-            assert batch[i] == segments_blocked(a[i], b[i], center, CYL)[0]
+            assert batch[i] == segment_meets_cylinder(a[i], b[i], center, CYL)
 
 
 class TestBlockedRegion:
     def test_vertical_link_gives_disk(self):
-        link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
-        region = blocked_region(link, CYL)
+        region = blocked_region(Point3(1, 1, 3), Point3(1, 1, 1), CYL)
         assert np.array_equal(region.p0, region.p1)
         assert np.allclose(region.p0, [1.0, 1.0])
         assert math.isclose(region_area(region, FLOOR), math.pi * 0.09, rel_tol=1e-4)
 
     def test_slanted_link_spine_and_area(self):
-        link = Segment3(Point3(1, 1, 3), Point3(2, 4, 1))
-        region = blocked_region(link, CYL)
+        region = blocked_region(Point3(1, 1, 3), Point3(2, 4, 1), CYL)
         # spine starts where the link crosses z = 1.8 (t = 0.6)
         assert np.allclose(region.p0, [1.6, 2.8], atol=1e-12)
         assert np.allclose(region.p1, [2.0, 4.0], atol=1e-12)
@@ -71,8 +72,7 @@ class TestBlockedRegion:
         assert math.isclose(region_area(region, FLOOR), 1.041689, rel_tol=1e-4)
 
     def test_link_above_height_is_empty(self):
-        link = Segment3(Point3(1, 1, 3), Point3(3, 1, 2.9))
-        region = blocked_region(link, CYL)
+        region = blocked_region(Point3(1, 1, 3), Point3(3, 1, 2.9), CYL)
         assert region.empty
         assert region_area(region, FLOOR) == 0.0
         assert not region.contains((1.0, 1.0))
@@ -84,7 +84,7 @@ class TestBlockedRegion:
     def test_area_upper_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            region = blocked_region(random_link(rng), CYL)
+            region = blocked_region(*random_link(rng), CYL)
             area = region_area(region, FLOOR)
             spine = 0.0 if region.empty else math.dist(region.p0, region.p1)
             cap = spine * 2 * CYL.radius + math.pi * CYL.radius**2
@@ -94,19 +94,19 @@ class TestBlockedRegion:
     def test_membership_consistency_sample(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            link = random_link(rng)
+            a, b = random_link(rng)
             center = rng.uniform([0, 0], [4, 8])
-            region = blocked_region(link, CYL)
-            hits = segments_blocked(link.a.as_array(), link.b.as_array(), center, CYL)[0]
+            region = blocked_region(a, b, CYL)
+            hits = segment_meets_cylinder(a.as_array(), b.as_array(), center, CYL)
             assert region.contains(center) == hits
 
     def test_radius_monotonicity(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform([0, 0], [4, 8], size=(200, 2))
         for _ in range(10):
-            link = random_link(rng)
-            small = blocked_region(link, CylinderSpec(radius=0.2))
-            large = blocked_region(link, CylinderSpec(radius=0.35))
+            a, b = random_link(rng)
+            small = blocked_region(a, b, CylinderSpec(radius=0.2))
+            large = blocked_region(a, b, CylinderSpec(radius=0.35))
             inside_small = small.contains(pts)
             inside_large = large.contains(pts)
             assert np.all(inside_large[inside_small])
@@ -114,20 +114,15 @@ class TestBlockedRegion:
     def test_reflection_symmetry(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            link = random_link(rng)
-            mirrored = Segment3(
-                Point3(4 - link.a.x, link.a.y, link.a.z),
-                Point3(4 - link.b.x, link.b.y, link.b.z),
-            )
-            region = blocked_region(link, CYL)
-            region_m = blocked_region(mirrored, CYL)
+            a, b = random_link(rng)
+            region = blocked_region(a, b, CYL)
+            region_m = blocked_region(Point3(4 - a.x, a.y, a.z), Point3(4 - b.x, b.y, b.z), CYL)
             pts = rng.uniform([0, 0], [4, 8], size=(200, 2))
             flipped = np.column_stack([4 - pts[:, 0], pts[:, 1]])
             assert np.array_equal(region.contains(pts), region_m.contains(flipped))
 
     def test_degenerate_spine_is_disk(self):
-        link = Segment3(Point3(2.5, 3.0, 2.6), Point3(2.5, 3.0, 0.4))
-        region = blocked_region(link, CYL)
+        region = blocked_region(Point3(2.5, 3.0, 2.6), Point3(2.5, 3.0, 0.4), CYL)
         rng = np.random.default_rng(17)
         pts = rng.uniform([1.5, 2.0], [3.5, 4.0], size=(500, 2))
         d = np.hypot(pts[:, 0] - 2.5, pts[:, 1] - 3.0)
@@ -135,8 +130,7 @@ class TestBlockedRegion:
 
     def test_part_outside_the_room_carries_no_probability_or_area(self):
         # spine near the wall: part of the stadium falls outside the room
-        link = Segment3(Point3(0.1, 1.0, 1.7), Point3(0.1, 2.0, 1.7))
-        region = blocked_region(link, CYL)
+        region = blocked_region(Point3(0.1, 1.0, 1.7), Point3(0.1, 2.0, 1.7), CYL)
         assert region.contains((-0.05, 1.5))  # the stadium itself is not cut
         assert region.bbox().x0 < 0.0
         # in-floor area: the whole stadium less the 0.2 m strip and two half
@@ -223,7 +217,7 @@ class TestSpecsAndRects:
         assert (r.x0, r.y0, r.x1, r.y1) == (1, 1, 4, 8)
 
     def test_signed_distance_sign_convention(self):
-        region = blocked_region(Segment3(Point3(2, 4, 1.5), Point3(2, 5, 1.5)), CYL)
+        region = blocked_region(Point3(2, 4, 1.5), Point3(2, 5, 1.5), CYL)
         sd_in, _ = region.signed_distance([(2.0, 4.5)])
         sd_out, grad = region.signed_distance([(2.0, 6.0)])
         assert sd_in[0] < 0 < sd_out[0]

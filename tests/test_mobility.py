@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from owcrelay.geometry import CylinderSpec, Point3, Segment3, StadiumRegion, blocked_region
+from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
 DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
 CYL = CylinderSpec()
 
 
-def link_probability(link) -> float:
-    return region_probability(blocked_region(link, CYL), DIST)
+def link_probability(a: Point3, b: Point3) -> float:
+    return region_probability(blocked_region(a, b, CYL), DIST)
 
 
 def gauss_integral(dist, n=24):
@@ -61,24 +61,22 @@ class TestDensity:
 
 class TestRegionProbability:
     def test_vertical_link_disk(self):
-        link = Segment3(Point3(1, 1, 3), Point3(1, 1, 1))
-        p = link_probability(link)
+        p = link_probability(Point3(1, 1, 3), Point3(1, 1, 1))
         center_approx = 756 / 32768 * math.pi * 0.09
         assert abs(p - center_approx) / center_approx < 0.03
         assert p == pytest.approx(0.0064535, rel=1e-3)
 
     def test_empty_region_is_zero(self):
-        link = Segment3(Point3(1, 1, 3), Point3(3, 1, 2.9))
-        assert link_probability(link) == 0.0
+        assert link_probability(Point3(1, 1, 3), Point3(3, 1, 2.9)) == 0.0
 
     def test_entire_floor_is_one(self):
         region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0)
         assert region_probability(region, DIST) == pytest.approx(1.0, abs=1e-9)
 
     def test_quadrature_matches_monte_carlo(self):
-        link = Segment3(Point3(1, 1, 3), Point3(2, 4, 1))
-        p = link_probability(link)
-        region = blocked_region(link, CYL)
+        a, b = Point3(1, 1, 3), Point3(2, 4, 1)
+        p = link_probability(a, b)
+        region = blocked_region(a, b, CYL)
         n = 200_000
         pts = sample_human_positions(DIST, n, np.random.default_rng(4))
         hat = float(np.mean(region.contains(pts)))
