@@ -18,7 +18,7 @@ import numpy as np
 from owcrelay.channel import cir_rows
 from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, link_cir
-from owcrelay.mobility import RwpDistribution, sample_human_positions
+from owcrelay.mobility import sample_human_positions, walker_law
 from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
 from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import (
@@ -84,8 +84,8 @@ def _cmd_blockage(args) -> int:
     for link, p in zip(budget.links, marginals):
         print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(p)},quadrature")
     if args.mc:
-        dist = RwpDistribution(x_extent=scenario.room.width_m, y_extent=scenario.room.length_m)
-        pts = sample_human_positions(dist, args.mc, np.random.default_rng(args.seed))
+        rng = np.random.default_rng(args.seed)
+        pts = sample_human_positions(walker_law(scenario), args.mc, rng)
         for link, inside in zip(budget.links, regions_contain(budget.regions, pts)):
             print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(np.mean(inside))},mc")
     return 0
@@ -120,7 +120,7 @@ def _cmd_channel(args) -> int:
 
 def _cmd_pdf(args) -> int:
     scenario = _load(args)
-    dist = RwpDistribution(x_extent=scenario.room.width_m, y_extent=scenario.room.length_m)
+    dist = walker_law(scenario)
     if args.grid:
         n = args.grid
         xs = (np.arange(n) + 0.5) * dist.x_extent / n

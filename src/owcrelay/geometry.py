@@ -11,9 +11,12 @@ cut at the walls: where the pedestrian can stand belongs to the mobility law
 sampler never leaves it.
 
 :func:`blocked_region` clips one link with the z-band clip;
-:meth:`StadiumRegion.contains`, :func:`regions_contain` and
-:meth:`StadiumRegion.signed_distance` all measure from the clipped spine
-through one point-to-spine offset kernel.
+:meth:`StadiumRegion.contains`, :func:`regions_contain`,
+:meth:`StadiumRegion.signed_distance` and :class:`FloorCells` all measure
+from the clipped spine through one point-to-spine offset kernel, and every
+exact membership answer comes from one comparison, :func:`_covers`.
+:class:`FloorCells` decides whole floor cells at once where no region
+boundary comes near them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "Rect",
     "StadiumRegion",
     "regions_contain",
+    "FloorCells",
     "blocked_region",
 ]
 
@@ -93,23 +97,24 @@ class Rect:
 
 
 def _clip_to_band(a: np.ndarray, b: np.ndarray, height: float):
-    """Floor projection of the part of each segment a-b with 0 <= z <= height.
-
-    ``a`` and ``b`` are (N, 3) arrays, or one of them (1, 3).  Returns the spine endpoints p0 and p1
-    as (N, 2) arrays and a boolean (N,) that is False where the segment
-    never enters the band.
-    """
-    az = a[:, 2]
-    dz = b[:, 2] - az
-    flat = dz == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """Floor projection (p0, p1) of the part of segment a-b with
+    0 <= z <= height, or None when the segment never enters the band.
+    ``a`` and ``b`` are 3-vectors."""
+    az = a[2]
+    dz = b[2] - az
+    if dz == 0.0:
+        if not 0.0 <= az <= height:
+            return None
+        lo, hi = 0.0, 1.0
+    else:
         t0 = (0.0 - az) / dz
         t1 = (height - az) / dz
-    lo = np.where(flat, 0.0, np.maximum(np.minimum(t0, t1), 0.0))
-    hi = np.where(flat, 1.0, np.minimum(np.maximum(t0, t1), 1.0))
-    valid = np.where(flat, (az >= 0.0) & (az <= height), lo <= hi)
-    dxy = b[:, :2] - a[:, :2]
-    return a[:, :2] + lo[:, None] * dxy, a[:, :2] + hi[:, None] * dxy, valid
+        lo = max(min(t0, t1), 0.0)
+        hi = min(max(t0, t1), 1.0)
+        if lo > hi:
+            return None
+    dxy = b[:2] - a[:2]
+    return a[:2] + lo * dxy, a[:2] + hi * dxy
 
 
 def _spine_offset(px, py, p0x, p0y, wx, wy):
@@ -183,6 +188,21 @@ class StadiumRegion:
         )
 
 
+def _spine(region: StadiumRegion) -> tuple:
+    """(p0x, p0y, wx, wy, radius) of a non-empty region: its spine is
+    p0 + t w, t in [0, 1]."""
+    wx, wy = region.p1 - region.p0
+    return region.p0[0], region.p0[1], wx, wy, region.radius
+
+
+def _covers(x, y, p0x, p0y, wx, wy, radius) -> np.ndarray:
+    """The exact membership test: squared distance from (x, y) to the spine
+    at most radius squared.  All arguments broadcast, so one call can test
+    each point against its own region."""
+    ox, oy = _spine_offset(x, y, p0x, p0y, wx, wy)
+    return ox * ox + oy * oy <= radius * radius
+
+
 def regions_contain(regions, points) -> np.ndarray:
     """Membership of floor points in stadium regions, boolean (len(regions),
     n): row j is ``regions[j].contains(points)``.  One spine-offset pass per
@@ -192,17 +212,75 @@ def regions_contain(regions, points) -> np.ndarray:
     y = np.ascontiguousarray(pts[:, 1])
     out = np.zeros((len(regions), x.size), dtype=bool)
     for j, region in enumerate(regions):
-        if region.empty:
-            continue
-        wx, wy = region.p1 - region.p0
-        ox, oy = _spine_offset(x, y, region.p0[0], region.p0[1], wx, wy)
-        out[j] = ox * ox + oy * oy <= region.radius * region.radius
+        if not region.empty:
+            out[j] = _covers(x, y, *_spine(region))
     return out
+
+
+# Slack of the cell classification beyond half a cell diagonal: rounding in
+# a cell lookup or a centre distance is far below it, so a point of a
+# decided cell is never near enough a boundary for its exact test to differ.
+_CELL_MARGIN = 1e-9
+
+
+class FloorCells:
+    """The floor ``[0, width] x [0, length]`` tiled by square cells of side
+    ``size``, each classified against every region by the distance d from
+    its centre to the region's spine.
+
+    With half-diagonal hd, a cell lies inside a region where
+    d <= radius - hd - 1e-9 m and outside it where d >= radius + hd + 1e-9 m;
+    otherwise the pair is undecided.  ``inside`` and ``undecided`` are
+    boolean (regions, cells); ``decided`` marks the cells with no undecided
+    region.  Cell c covers column ``c % nx`` and row ``c // nx``.
+    """
+
+    def __init__(self, regions, width: float, length: float, size: float):
+        self.size = float(size)
+        self.nx = math.ceil(width / size)
+        self.ny = math.ceil(length / size)
+        cx = (np.tile(np.arange(self.nx), self.ny) + 0.5) * size
+        cy = (np.repeat(np.arange(self.ny), self.nx) + 0.5) * size
+        half = size * math.sqrt(0.5)
+        # (5, regions): one column of spine parameters per region, zero
+        # where the region is empty and so never undecided
+        self.spines = np.zeros((5, len(regions)))
+        self.inside = np.zeros((len(regions), cx.size), dtype=bool)
+        self.undecided = np.zeros_like(self.inside)
+        for j, region in enumerate(regions):
+            if region.empty:
+                continue
+            self.spines[:, j] = _spine(region)
+            p0x, p0y, wx, wy, r = self.spines[:, j]
+            d = np.hypot(*_spine_offset(cx, cy, p0x, p0y, wx, wy))
+            self.inside[j] = d <= r - half - _CELL_MARGIN
+            self.undecided[j] = ~self.inside[j] & (d < r + half + _CELL_MARGIN)
+        self.decided = ~self.undecided.any(axis=0)
+
+    @property
+    def count(self) -> int:
+        return self.nx * self.ny
+
+    def cell_of(self, x, y) -> np.ndarray:
+        """Cell index of each floor point; x = width and y = length fall in
+        the last column and row."""
+        ix = np.minimum((x / self.size).astype(np.intp), self.nx - 1)
+        iy = np.minimum((y / self.size).astype(np.intp), self.ny - 1)
+        return iy * self.nx + ix
+
+    def contain(self, x, y, cells) -> np.ndarray:
+        """:func:`regions_contain` of the floor points (x, y) lying in
+        ``cells``: decided pairs read from the table, undecided ones tested
+        exactly."""
+        out = self.inside[:, cells]
+        j, k = np.divmod(np.flatnonzero(self.undecided[:, cells]), len(cells))
+        out[j, k] = _covers(x[k], y[k], *self.spines[:, j])
+        return out
 
 
 def blocked_region(a: Point3, b: Point3, cyl: CylinderSpec) -> StadiumRegion:
     """Stadium region of blocker positions for the link from ``a`` to ``b``."""
-    p0, p1, valid = _clip_to_band(a.as_array()[None], b.as_array()[None], cyl.height)
-    if not valid[0]:
+    spine = _clip_to_band(a.as_array(), b.as_array(), cyl.height)
+    if spine is None:
         return StadiumRegion.empty_region()
-    return StadiumRegion(p0[0], p1[0], cyl.radius)
+    return StadiumRegion(*spine, cyl.radius)

@@ -19,11 +19,14 @@ from owcrelay.quadrature import integrate_region
 
 __all__ = [
     "RwpDistribution",
+    "walker_law",
     "region_probability",
     "sample_human_positions",
 ]
 
-_SAMPLE_CHUNK = 65536
+# Candidate rows per draw; the output depends only on the generator's
+# stream, not on this size.
+_SAMPLE_CHUNK = 8192
 
 
 def _axis_pdf(coord, extent: float) -> np.ndarray:
@@ -65,6 +68,11 @@ class RwpDistribution:
 
     def pdf_xy(self, x, y) -> np.ndarray:
         return _axis_pdf(x, self.x_extent) * _axis_pdf(y, self.y_extent)
+
+
+def walker_law(scenario) -> RwpDistribution:
+    """Stationary position law of the scenario's pedestrian on its floor."""
+    return RwpDistribution(x_extent=scenario.room.width_m, y_extent=scenario.room.length_m)
 
 
 def region_probability(

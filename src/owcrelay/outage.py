@@ -3,7 +3,11 @@
 Two engines share the compiled link budget.  The Monte Carlo engine draws
 blocker positions (or, optionally, independent per-link states) in fixed
 blocks with per-block seeds derived from the master seed, so the result is
-identical no matter how many worker processes execute the blocks.  The
+identical no matter how many worker processes execute the blocks.  Under
+the joint model a run first tiles the floor into cells and decides, once,
+the outage of every cell that no region boundary crosses; a sample there is
+counted by its cell, and only samples of the other cells are tested
+exactly and go through the SINR.  The
 enumeration engine works under the independent-link model, weighting by
 quadrature marginals: a user's direct SINR and relayed SINR hang off disjoint
 links, so it walks the clear/blocked combinations of each half separately and
@@ -19,9 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from owcrelay.geometry import regions_contain
+from owcrelay.geometry import FloorCells
 from owcrelay.links import LinkBudget, evaluate_sinr
-from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
+from owcrelay.mobility import (
+    RwpDistribution,
+    region_probability,
+    sample_human_positions,
+    walker_law,
+)
 
 __all__ = [
     "BLOCK_SIZE",
@@ -45,6 +54,11 @@ MAX_LINKS = 16
 
 # Largest Monte Carlo sample count: 262,144 blocks.
 MAX_SAMPLES = 2**32
+
+# Joint Monte Carlo floor cells: a sixth of the walker's radius on a side,
+# larger where that would make more than 2^16 cells.
+_CELLS_PER_RADIUS = 6
+_MAX_CELLS = 2**16
 
 
 def threshold_linear(threshold_db: float) -> float:
@@ -101,40 +115,83 @@ def _report(budget, p_out, method, model, n_samples=0, seed=0) -> OutageReport:
     return OutageReport(rows=tuple(rows), method=method, blockage_model=model)
 
 
-def _mobility(budget: LinkBudget) -> RwpDistribution:
-    return RwpDistribution(x_extent=budget.room.width, y_extent=budget.room.length)
-
-
 def ensure_marginals(budget: LinkBudget) -> np.ndarray:
     """Per-link blocking probabilities under the stationary mobility law,
     computed once per budget at the default relative tolerance (1e-4) of
     :func:`~owcrelay.mobility.region_probability` and cached on it."""
     if budget.marginals is None:
-        dist = _mobility(budget)
+        dist = walker_law(budget.scenario)
         budget.marginals = np.array([region_probability(r, dist) for r in budget.regions])
     return budget.marginals
 
 
-def _run_block(budget, dist, master_seed, model, n_total, block_index):
+def _outage(budget: LinkBudget, clear) -> np.ndarray:
+    """Direct and coop outage of every user in each link state of
+    ``clear``, boolean (users, 2, n)."""
+    sinr = evaluate_sinr(budget, clear)
+    return np.stack([is_outage(s, budget.threshold_db) for s in sinr], axis=1)
+
+
+@dataclass(frozen=True)
+class _JointTable:
+    """Floor cells of a joint run, with the direct and coop outage of every
+    user in each decided cell as 0.0 or 1.0, shape (cells, users * 2), and
+    0.0 in the undecided cells.  Float, so counting a block's samples is
+    one BLAS product; its integer sums are exact."""
+
+    cells: FloorCells
+    outage: np.ndarray
+
+
+def _joint_table(budget: LinkBudget, dist: RwpDistribution) -> _JointTable:
+    """The cell table of a joint run over the floor of ``dist``."""
+    size = max(
+        budget.scenario.human.radius_m / _CELLS_PER_RADIUS,
+        math.sqrt(dist.x_extent * dist.y_extent / _MAX_CELLS),
+    )
+    cells = FloorCells(budget.regions, dist.x_extent, dist.y_extent, size)
+    decided = np.flatnonzero(cells.decided)
+    outage = np.zeros((cells.count, 2 * len(budget.user_terms)))
+    # at most a block's worth of columns per evaluate_sinr, which is one
+    # call on the default room
+    for start in range(0, decided.size, BLOCK_SIZE):
+        part = decided[start : start + BLOCK_SIZE]
+        outage[part] = _outage(budget, ~cells.inside[:, part]).reshape(outage.shape[1], -1).T
+    return _JointTable(cells, outage)
+
+
+def _run_block(budget, dist, master_seed, model, n_total, table, block_index):
     """Direct and coop outage counts of every user, shape (users, 2), over
-    block ``block_index`` of a ``n_total``-sample run."""
+    block ``block_index`` of a ``n_total``-sample run; ``table`` is the
+    joint run's :class:`_JointTable`.  A joint sample in a decided cell
+    counts by its cell; the others are tested exactly."""
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
-    links = budget.link_count
     if model == "joint":
-        # float rows allocated after the sample: a boolean clear (which
-        # evaluate_sinr copies to float) or the other order makes the heap
-        # shrink and regrow every block, about 2,000 page faults each
         pts = sample_human_positions(dist, n, rng)
-        clear = np.empty((links, n))
-        np.logical_not(regions_contain(budget.regions, pts), out=clear)
-    else:
-        u = rng.random((n, links))
-        clear = (u >= budget.marginals[None, :]).T.astype(float)
-    return np.stack(
-        [np.sum(is_outage(s, budget.threshold_db), axis=1) for s in evaluate_sinr(budget, clear)],
-        axis=1,
-    ).astype(np.int64)
+        x, y = pts[:, 0], pts[:, 1]
+        cell = table.cells.cell_of(x, y)
+        counts = np.bincount(cell, minlength=table.cells.count) @ table.outage
+        near = np.flatnonzero(~table.cells.decided[cell])
+        clear = ~table.cells.contain(x[near], y[near], cell[near])
+        return counts.reshape(-1, 2).astype(np.int64) + _outage(budget, clear).sum(axis=2)
+    u = rng.random((n, budget.link_count))
+    clear = (u >= budget.marginals[None, :]).T.astype(float)
+    return _outage(budget, clear).sum(axis=2)
+
+
+# A pool worker's joint table, set once per worker by its initializer; the
+# parent process never sets it.
+_pool_table = None
+
+
+def _keep_pool_table(table):
+    global _pool_table
+    _pool_table = table
+
+
+def _run_pool_block(budget, dist, master_seed, model, n_total, block_index):
+    return _run_block(budget, dist, master_seed, model, n_total, _pool_table, block_index)
 
 
 def outage_monte_carlo(
@@ -163,12 +220,16 @@ def outage_monte_carlo(
         ensure_marginals(budget)
 
     blocks = range(-(-n_total // BLOCK_SIZE))
-    run = functools.partial(_run_block, budget, _mobility(budget), seed, model, n_total)
+    dist = walker_law(budget.scenario)
+    table = _joint_table(budget, dist) if model == "joint" else None
+    args = (budget, dist, seed, model, n_total)
     if workers <= 1:
-        counts = sum(map(run, blocks))
+        counts = sum(map(functools.partial(_run_block, *args, table), blocks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(run, blocks))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_keep_pool_table, initargs=(table,)
+        ) as pool:
+            counts = sum(pool.map(functools.partial(_run_pool_block, *args), blocks))
     return _report(budget, counts / n_total, "mc", model, n_samples=n_total, seed=seed)
 
 

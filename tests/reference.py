@@ -12,7 +12,9 @@ scalar arithmetic and no geometry internals, that the stadium regions of
 :func:`region_area` integrates a region's indicator over a floor rectangle
 with the package quadrature.  :func:`joint_state_outage` is the
 independent-link enumeration over joint link states that the split
-enumeration must reproduce.
+enumeration must reproduce.  :func:`sample_positions_65536` is the position
+sampler as it drew 65,536 candidate rows at a time; the package draws
+smaller chunks of the same stream and must return the same positions.
 """
 
 from __future__ import annotations
@@ -289,3 +291,21 @@ def joint_state_outage(budget) -> np.ndarray:
         for k, sinr in enumerate(evaluate_sinr(budget, clear)):
             p_out[i, k] = np.sum(prob[is_outage(sinr[i], budget.threshold_db)])
     return p_out
+
+
+def sample_positions_65536(dist, n: int, rng) -> np.ndarray:
+    """``n`` stationary positions of ``dist`` by rejection against a uniform
+    envelope at the peak density, drawing candidates 65,536 rows at a time."""
+    gen = np.random.default_rng(rng)
+    out = np.empty((n, 2))
+    filled = 0
+    while filled < n:
+        draw = gen.random((65536, 3))
+        xs = dist.x_extent * draw[:, 0]
+        ys = dist.y_extent * draw[:, 1]
+        keep = draw[:, 2] * dist.peak_density <= dist.pdf_xy(xs, ys)
+        take = min(int(np.count_nonzero(keep)), n - filled)
+        out[filled : filled + take, 0] = xs[keep][:take]
+        out[filled : filled + take, 1] = ys[keep][:take]
+        filled += take
+    return out

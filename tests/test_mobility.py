@@ -6,6 +6,8 @@ import pytest
 from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
+from reference import sample_positions_65536
+
 DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
 CYL = CylinderSpec()
 
@@ -106,6 +108,15 @@ class TestSampler:
             se_var = math.sqrt((mu4 - var**2) / n)
             assert abs(float(np.mean(pts[:, axis])) - extent / 2) <= 3 * se_mean
             assert abs(float(np.var(pts[:, axis])) - var) <= 3 * se_var
+
+    @pytest.mark.parametrize("n", [1, 16_384, 200_000])
+    def test_equals_the_65536_row_draw(self, n):
+        # the chunk size is not part of the output: the same candidate
+        # stream gives the same positions, byte for byte
+        for dist, seed in ((DIST, 0), (DIST, [2023, 5]), (RwpDistribution(6.0, 12.0), 9)):
+            got = sample_human_positions(dist, n, np.random.default_rng(seed))
+            want = sample_positions_65536(dist, n, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
     def test_single_sample_helper(self):
         (x, y), = sample_human_positions(DIST, 1, np.random.default_rng(3))

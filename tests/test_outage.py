@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from owcrelay import outage
-from owcrelay.links import build_link_budget
-from owcrelay.mobility import RwpDistribution, region_probability
+from owcrelay.geometry import regions_contain
+from owcrelay.links import build_link_budget, evaluate_sinr
+from owcrelay.mobility import (
+    RwpDistribution,
+    region_probability,
+    sample_human_positions,
+    walker_law,
+)
 from owcrelay.outage import (
+    BLOCK_SIZE,
     MAX_LINKS,
     MAX_SAMPLES,
     _outage_cut,
@@ -339,6 +346,102 @@ class TestSplitEnumeration:
         rows = outage_independent_approx(budget).rows
         split = np.array([r.p_out for r in rows]).reshape(-1, 2)
         np.testing.assert_allclose(split, joint_state_outage(budget), rtol=1e-12, atol=0.0)
+
+
+def _joint_room(name):
+    base = default_scenario()
+    if name == "dense-tile":
+        return load_scenario(DENSE_TILE)
+    if name == "thin-walker":
+        return dataclasses.replace(base, human=dataclasses.replace(base.human, radius_m=1.0e-4))
+    if name == "no-walker":
+        return dataclasses.replace(base, human=dataclasses.replace(base.human, count=0))
+    return base
+
+
+@pytest.fixture(scope="module", params=["default", "dense-tile", "thin-walker", "no-walker"])
+def joint_budget(request):
+    return build_link_budget(_joint_room(request.param))
+
+
+def _adversarial_points(cells, regions, width, length):
+    """Floor points where a cell table is most likely to go wrong: cell
+    corners and edge midpoints, points on every region boundary, each also
+    one ulp away along x and along y, and points on the far walls."""
+    gx = np.minimum(np.arange(cells.nx + 1) * cells.size, width)
+    gy = np.minimum(np.arange(cells.ny + 1) * cells.size, length)
+    mx, my = (gx[:-1] + gx[1:]) / 2, (gy[:-1] + gy[1:]) / 2
+    parts = [np.stack(np.meshgrid(a, b), axis=-1).reshape(-1, 2) for a, b in
+             ((gx, gy), (mx, gy), (gx, my))]
+    parts += [np.column_stack([np.full(gy.size, width), gy]),
+              np.column_stack([gx, np.full(gx.size, length)])]
+    t = np.linspace(0.0, 1.0, 41)[:, None]
+    angle = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)[:, None]
+    ring = np.hstack([np.cos(angle), np.sin(angle)])
+    for region in regions:
+        if region.empty:
+            continue
+        w = region.p1 - region.p0
+        u = w / np.hypot(*w) if w.any() else np.array([1.0, 0.0])
+        normal = region.radius * np.array([-u[1], u[0]])
+        spine = region.p0 + t * w
+        parts += [spine + normal, spine - normal]
+        parts += [region.p0 + region.radius * ring, region.p1 + region.radius * ring]
+    pts = np.concatenate(parts)
+    nudged = [pts]
+    for axis in (0, 1):
+        for way in (-np.inf, np.inf):
+            p = pts.copy()
+            p[:, axis] = np.nextafter(p[:, axis], way)
+            nudged.append(p)
+    pts = np.concatenate(nudged)
+    on_floor = (pts >= 0.0).all(axis=1) & (pts[:, 0] <= width) & (pts[:, 1] <= length)
+    return pts[on_floor]
+
+
+class TestJointTable:
+    # joint Monte Carlo counts a sample by its floor cell wherever no region
+    # boundary comes near the cell; that must change no membership and no count
+
+    def _table(self, budget):
+        return outage._joint_table(budget, walker_law(budget.scenario))
+
+    def test_cells_agree_with_exact_membership(self, joint_budget):
+        cells = self._table(joint_budget).cells
+        dist = walker_law(joint_budget.scenario)
+        pts = _adversarial_points(cells, joint_budget.regions, dist.x_extent, dist.y_extent)
+        x, y = pts[:, 0], pts[:, 1]
+        cell = cells.cell_of(x, y)
+        exact = regions_contain(joint_budget.regions, pts)
+        assert np.array_equal(cells.contain(x, y, cell), exact)
+        if all(r.empty for r in joint_budget.regions):
+            assert cells.decided.all() and not exact.any()
+        else:
+            # both kinds of cell, and both sides of the boundaries, were met
+            assert cells.decided[cell].any() and not cells.decided[cell].all()
+            assert exact.any() and not exact.all()
+
+    def test_cell_size_follows_the_walker_radius(self, joint_budget):
+        cells = self._table(joint_budget).cells
+        radius = joint_budget.scenario.human.radius_m
+        assert cells.size >= radius / 6
+        assert cells.count <= 2**16 + cells.nx + cells.ny + 1
+        if cells.size > radius / 6:  # capped by the cell count
+            assert cells.count > 2**16 / 2
+
+    @pytest.mark.parametrize("n_total, block", [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2)])
+    def test_block_counts_equal_exact_membership(self, joint_budget, n_total, block):
+        dist = walker_law(joint_budget.scenario)
+        got = outage._run_block(
+            joint_budget, dist, 5, "joint", n_total, self._table(joint_budget), block
+        )
+        n = min(BLOCK_SIZE, n_total - block * BLOCK_SIZE)
+        pts = sample_human_positions(dist, n, np.random.default_rng([5, block]))
+        clear = ~regions_contain(joint_budget.regions, pts)
+        want = [is_outage(s, joint_budget.threshold_db).sum(axis=1)
+                for s in evaluate_sinr(joint_budget, clear)]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.stack(want, axis=1))
 
 
 class TestValidation:
