@@ -432,13 +432,13 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
 def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SINR of every user for a batch of link states.
 
-    ``clear`` has shape (link_count, n) with 1 where a link is unobstructed.
-    Returns (direct, combined), each of shape (user_count, n).  The blocked
-    or clear factors are binary, so squaring commutes with the gating and
-    each term is weight times factor; an empty index array (no direct,
-    interfering or relay link) sums to 0.
+    ``clear`` is a boolean (link_count, n) array, True where a link is
+    unobstructed; it is not copied, and only the rows a user gathers meet
+    the float weights, inside the matrix products.  Returns (direct,
+    combined), each (user_count, n).  The factors are binary, so squaring
+    commutes with the gating; an empty index array sums to 0.
     """
-    clear = np.asarray(clear, dtype=float)
+    clear = np.asarray(clear)
     if clear.ndim == 1:
         clear = clear[:, None]
     n = clear.shape[1]

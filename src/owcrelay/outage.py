@@ -176,22 +176,21 @@ def _run_block(budget, dist, master_seed, model, n_total, table, block_index):
         clear = ~table.cells.contain(x[near], y[near], cell[near])
         return counts.reshape(-1, 2).astype(np.int64) + _outage(budget, clear).sum(axis=2)
     u = rng.random((n, budget.link_count))
-    clear = (u >= budget.marginals[None, :]).T.astype(float)
-    return _outage(budget, clear).sum(axis=2)
+    return _outage(budget, (u >= budget.marginals).T).sum(axis=2)
 
 
-# A pool worker's joint table, set once per worker by its initializer; the
-# parent process never sets it.
-_pool_table = None
+# A pool worker's run, ``_run_block`` with all but the block index bound, set
+# once per worker by its initializer; the parent process never sets it.
+_pool_run = None
 
 
-def _keep_pool_table(table):
-    global _pool_table
-    _pool_table = table
+def _keep_pool_run(run):
+    global _pool_run
+    _pool_run = run
 
 
-def _run_pool_block(budget, dist, master_seed, model, n_total, block_index):
-    return _run_block(budget, dist, master_seed, model, n_total, _pool_table, block_index)
+def _run_pool_block(block_index):
+    return _pool_run(block_index)
 
 
 def outage_monte_carlo(
@@ -222,28 +221,27 @@ def outage_monte_carlo(
     blocks = range(-(-n_total // BLOCK_SIZE))
     dist = walker_law(budget.scenario)
     table = _joint_table(budget, dist) if model == "joint" else None
-    args = (budget, dist, seed, model, n_total)
+    run = functools.partial(_run_block, budget, dist, seed, model, n_total, table)
     if workers <= 1:
-        counts = sum(map(functools.partial(_run_block, *args, table), blocks))
+        counts = sum(map(run, blocks))
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_keep_pool_table, initargs=(table,)
+            max_workers=workers, initializer=_keep_pool_run, initargs=(run,)
         ) as pool:
-            counts = sum(pool.map(functools.partial(_run_pool_block, *args), blocks))
+            counts = sum(pool.map(_run_pool_block, blocks))
     return _report(budget, counts / n_total, "mc", model, n_samples=n_total, seed=seed)
 
 
 def _half_states(link_count: int, idx: np.ndarray, p: np.ndarray):
     """Every clear/blocked state of the links ``idx``, all other links
-    blocked, as a (link_count, 2^len(idx)) matrix, with the probability of
-    each state under the marginals ``p``."""
+    blocked, as a boolean (link_count, 2^len(idx)) matrix, with the
+    probability of each state under the marginals ``p``."""
     combos = np.arange(1 << idx.size)
-    clear = np.zeros((link_count, combos.size))
+    clear = np.zeros((link_count, combos.size), dtype=bool)
     prob = np.ones(combos.size)
     for j, link_idx in enumerate(idx):
-        bit = (combos >> j) & 1
-        clear[link_idx] = bit
-        prob *= np.where(bit == 1, 1.0 - p[link_idx], p[link_idx])
+        clear[link_idx] = (combos >> j) & 1
+        prob *= np.where(clear[link_idx], 1.0 - p[link_idx], p[link_idx])
     return clear, prob
 
 

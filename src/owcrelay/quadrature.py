@@ -23,6 +23,10 @@ _ABS_FLOOR = 1e-12
 # Cells evaluated over all levels before the integrator gives up.
 MAX_CELLS = 6_000_000
 
+# Most cells of one level evaluated at once, which bounds the memory of a
+# large level.
+SLICE_CELLS = 2**17
+
 
 class QuadratureError(RuntimeError):
     """Raised when refinement stalls; carries the best estimate so far."""
@@ -68,22 +72,17 @@ def _cut_fraction(sd, grad, hx, hy):
     return np.clip(area / (4.0 * hx_ * hy_), 0.0, 1.0)
 
 
-def integrate_region(
-    sdf,
-    density,
-    bbox,
-    rel_tol: float = 1e-4,
-    cut_scale: float | None = None,
-) -> float:
+def integrate_region(sdf, density, bbox, cut_scale: float, rel_tol: float = 1e-4) -> float:
     """Integrate ``density`` over ``{p : sdf(p) <= 0}``
     intersected with the axis-aligned box ``bbox = (x0, y0, x1, y1)``.
 
     ``sdf`` maps an (N, 2) array to ``(signed_distance, unit_gradient)``.
     The signed distance must be a true Euclidean distance so that the
     half-diagonal test classifies cells safely.  ``density`` maps an (N, 2)
-    array to N values.  ``cut_scale``, when given, forbids convergence while
-    boundary cells are still larger than it; pass roughly a quarter of the
-    smallest boundary feature radius.
+    array to N values.  ``cut_scale`` forbids convergence while boundary
+    cells are still larger than it; pass roughly a quarter of the smallest
+    boundary feature radius.  A level is evaluated ``SLICE_CELLS`` cells at
+    a time, and the slice totals are summed in order.
 
     Raises :class:`QuadratureError` when the cell budget is exhausted
     before the estimate settles.
@@ -102,32 +101,32 @@ def integrate_region(
     best = 0.0
 
     for _ in range(48):
-        sd, grad = sdf(centers)
-        sd = np.asarray(sd, dtype=float)
         halfdiag = float(np.hypot(hx, hy))
+        bdy_est = 0.0
+        bdy_parts = []
+        for start in range(0, centers.shape[0], SLICE_CELLS):
+            cells = centers[start : start + SLICE_CELLS]
+            sd, grad = sdf(cells)
+            sd = np.asarray(sd, dtype=float)
+            is_in = sd <= -halfdiag
+            is_bdy = ~(is_in | (sd >= halfdiag))
 
-        is_in = sd <= -halfdiag
-        is_out = sd >= halfdiag
-        is_bdy = ~(is_in | is_out)
+            if np.any(is_in):
+                offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]]) * _GAUSS
+                pts = (cells[is_in][:, None, :] + offs[None, :, :]).reshape(-1, 2)
+                inside_total += float(np.sum(density(pts))) * hx * hy
 
-        if np.any(is_in):
-            offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]]) * _GAUSS
-            pts = (centers[is_in][:, None, :] + offs[None, :, :]).reshape(-1, 2)
-            inside_total += float(np.sum(density(pts))) * hx * hy
-
-        bdy = centers[is_bdy]
-        if bdy.shape[0]:
-            frac = _cut_fraction(sd[is_bdy], grad[is_bdy], hx, hy)
-            bdy_est = float(np.sum(frac * density(bdy))) * 4.0 * hx * hy
-        else:
-            bdy_est = 0.0
+            bdy_parts.append(cells[is_bdy])
+            if bdy_parts[-1].shape[0]:
+                frac = _cut_fraction(sd[is_bdy], grad[is_bdy], hx, hy)
+                bdy_est += float(np.sum(frac * density(bdy_parts[-1]))) * 4.0 * hx * hy
+        bdy_count = sum(part.shape[0] for part in bdy_parts)
 
         est = inside_total + bdy_est
         best = est
-        cut_ok = cut_scale is None or halfdiag <= cut_scale
-        history.append((est, cut_ok))
+        history.append((est, halfdiag <= cut_scale))
 
-        if bdy.shape[0] == 0:
+        if bdy_count == 0:
             return est
         if len(history) >= 3:
             (e2, ok2), (e1, ok1) = history[-1], history[-2]
@@ -136,15 +135,18 @@ def integrate_region(
             if ok2 and ok1 and abs(e2 - e1) <= tol and abs(e1 - e0) <= tol:
                 return e2
 
-        hx /= 2.0
-        hy /= 2.0
-        offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]])
-        centers = (bdy[:, None, :] + offs[None, :, :]).reshape(-1, 2)
-        total_cells += centers.shape[0]
+        # checked before the next level is built, so a level over the
+        # budget is never allocated
+        total_cells += 4 * bdy_count
         if total_cells > MAX_CELLS:
             raise QuadratureError(
                 f"cell budget {MAX_CELLS} exhausted before convergence",
                 best_estimate=best,
             )
+        hx /= 2.0
+        hy /= 2.0
+        offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]])
+        bdy = bdy_parts[0] if len(bdy_parts) == 1 else np.concatenate(bdy_parts)
+        centers = (bdy[:, None, :] + offs[None, :, :]).reshape(-1, 2)
 
     raise QuadratureError("refinement depth exhausted", best_estimate=best)

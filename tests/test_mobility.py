@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from owcrelay import quadrature
 from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
 from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
 
@@ -74,6 +75,15 @@ class TestRegionProbability:
     def test_entire_floor_is_one(self):
         region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0)
         assert region_probability(region, DIST) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b", [(Point3(1, 1, 3), Point3(1, 1, 1)), (Point3(1, 1, 3), Point3(2, 4, 1))]
+    )
+    def test_sliced_levels_match_whole_levels(self, monkeypatch, a, b):
+        # a level evaluated a few cells at a time sums the same cells
+        whole = link_probability(a, b)
+        monkeypatch.setattr(quadrature, "SLICE_CELLS", 7)
+        assert link_probability(a, b) == pytest.approx(whole, rel=1e-12, abs=0.0)
 
     def test_quadrature_matches_monte_carlo(self):
         a, b = Point3(1, 1, 3), Point3(2, 4, 1)

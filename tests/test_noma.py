@@ -408,14 +408,25 @@ class TestMonotonicity:
 
 
 class TestEvaluateSinrMatchesReference:
-    @pytest.mark.parametrize("combining", ["summed", "per_branch"])
-    def test_random_link_states(self, budget, combining):
+    @pytest.mark.parametrize(
+        "combining, dtype",
+        [
+            pytest.param("summed", float, id="summed"),
+            pytest.param("per_branch", float, id="per_branch"),
+            pytest.param("summed", bool, id="summed-bool"),
+            pytest.param("per_branch", bool, id="per_branch-bool"),
+        ],
+    )
+    def test_random_link_states(self, budget, combining, dtype):
         b = dataclasses.replace(budget, combining=combining)
         rng = np.random.default_rng(2000)
         # each column clears its links with its own probability, so states
         # range from nearly all blocked to nearly all clear
-        clear = (rng.random((b.link_count, 2000)) < rng.random(2000)).astype(float)
-        direct, combined = evaluate_sinr(b, clear)
-        ref_direct, ref_relayed = reference_sinr(b, clear)
+        clear = rng.random((b.link_count, 2000)) < rng.random(2000)
+        direct, combined = evaluate_sinr(b, clear.astype(dtype))
+        ref_direct, ref_relayed = reference_sinr(b, clear.astype(float))
         np.testing.assert_allclose(direct, ref_direct, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(combined, ref_direct + ref_relayed, rtol=1e-12, atol=0.0)
+        # boolean and float 0/1 link states give the same bits
+        other = evaluate_sinr(b, clear.astype(float if dtype is bool else bool))
+        assert np.array_equal(direct, other[0]) and np.array_equal(combined, other[1])

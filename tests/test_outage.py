@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,33 @@ class TestDeterminism:
         )
         text = "".join(line + "\n" for line in result_lines(report.rows))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DEFAULT_ROOM_CSV_SHA256[model]
+
+    @pytest.mark.parametrize("model", ["joint", "independent"])
+    def test_pool_tasks_are_block_indices(self, budget, model, monkeypatch):
+        # a pool worker gets the whole run once, through its initializer, so
+        # a task carries nothing but its block index
+        tasks = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                tasks.append((fn, args, kwargs))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(outage, "ProcessPoolExecutor", RecordingPool)
+        kw = dict(budget=budget, n_samples=2 * BLOCK_SIZE + 999, master_seed=17,
+                  blockage_model=model)
+        two = outage_monte_carlo(workers=2, **kw)
+        one = outage_monte_carlo(workers=1, **kw)
+        assert two.rows == one.rows
+        # ProcessPoolExecutor.map submits chunks of argument tuples to a
+        # wrapper around the mapped function
+        blocks = []
+        for fn, (chunk,), kwargs in tasks:
+            assert fn.args == (outage._run_pool_block,) and not kwargs
+            for args in chunk:
+                assert len(args) == 1 and type(args[0]) is int
+                blocks.append(args[0])
+        assert sorted(blocks) == [0, 1, 2]
 
     def test_sample_count_not_block_aligned(self, single_link_budget):
         # totals that end mid-block still reproduce across worker counts
@@ -440,6 +468,30 @@ class TestJointTable:
         clear = ~regions_contain(joint_budget.regions, pts)
         want = [is_outage(s, joint_budget.threshold_db).sum(axis=1)
                 for s in evaluate_sinr(joint_budget, clear)]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.stack(want, axis=1))
+
+
+@pytest.fixture(scope="module", params=["default", "dense-tile"])
+def independent_budget(request, budget):
+    if request.param == "default":
+        return budget
+    return build_link_budget(_joint_room(request.param))
+
+
+class TestIndependentBlock:
+    # an independent block hands its boolean link states to the SINR as they
+    # are; the counts must be those of the same draws as a float 0/1 matrix
+
+    @pytest.mark.parametrize("n_total, block", [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2)])
+    def test_block_counts_equal_float_link_states(self, independent_budget, n_total, block):
+        b = independent_budget
+        p = ensure_marginals(b)
+        got = outage._run_block(b, walker_law(b.scenario), 5, "independent", n_total, None, block)
+        n = min(BLOCK_SIZE, n_total - block * BLOCK_SIZE)
+        u = np.random.default_rng([5, block]).random((n, b.link_count))
+        clear = (u >= p[None, :]).T.astype(float)
+        want = [is_outage(s, b.threshold_db).sum(axis=1) for s in evaluate_sinr(b, clear)]
         assert got.dtype == np.int64
         assert np.array_equal(got, np.stack(want, axis=1))
 
