@@ -6,7 +6,8 @@ disk with the beam spot, as a fraction of the spot, projected onto its face.
 Power that misses the aperture continues to the first surface the beam axis
 hits, is deposited on the first-bounce tile containing the hit point, and
 re-radiates as a Lambertian source.  Second-order paths go through a coarser
-grid covering every room surface.
+grid covering every room surface; the grid keeps its gains to the last
+receiver it served, which responses into the same receiver reuse.
 
 Every diffuse leg -- tile to detector, tile to grid patch, grid patch to
 detector -- is the same transfer from a Lambertian point source to a small
@@ -23,7 +24,7 @@ Whether a walker cuts a link is decided by the link's blocking region in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,6 +154,22 @@ class SurfaceGrid:
     normals: np.ndarray
     areas: np.ndarray
     reflectivities: np.ndarray
+    # (detector, mode) -> (gain, distance) of the last detector asked for
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def gains_to(self, rx: "ReceiverSpec", mode: float):
+        """:func:`lambertian_gain` from every element, as a source of cosine
+        order ``mode``, to the detector ``rx``.  The last detector's gains
+        are kept, so responses into one receiver computed one after another
+        share them."""
+        key = (rx, mode)
+        if key not in self._last:
+            self._last.clear()
+            self._last[key] = lambertian_gain(
+                self.centers, self.normals, mode, rx.position.as_array(),
+                np.asarray(rx.normal), rx.area_m2, math.cos(rx.fov_rad),
+            )
+        return self._last[key]
 
     @property
     def element_count(self) -> int:
@@ -370,8 +387,9 @@ class ChannelImpulseResponse:
     second_order_gain: float
 
     def dc_gain(self) -> float:
-        """Total power gain of the response: the exactly rounded sum of all bins."""
-        return float(math.fsum(self.gains))
+        """Total power gain of the response: the exactly rounded sum of all
+        bins, taken over the non-zero ones."""
+        return math.fsum(self.gains[np.flatnonzero(self.gains)].tolist())
 
 
 def cir_rows(cir: ChannelImpulseResponse) -> tuple[tuple[int, float, float], ...]:
@@ -445,9 +463,7 @@ def impulse_response(
                 to_patch, d_ep = lambertian_gain(
                     e_center, e_normal, mode, grid.centers, grid.normals, grid.areas
                 )
-                to_rx, d_pr = lambertian_gain(
-                    grid.centers, grid.normals, mode, rx_pos, rx_normal, rx.area_m2, cos_fov
-                )
+                to_rx, d_pr = grid.gains_to(rx, mode)
                 live = (to_patch > 0.0) & (to_rx > 0.0)
                 contrib = residue * e_rho * to_patch[live] * grid.reflectivities[live] * to_rx[live]
                 second = float(np.sum(contrib))

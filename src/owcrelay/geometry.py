@@ -12,9 +12,10 @@ sampler never leaves it.
 
 :func:`blocked_region` clips one link with the z-band clip;
 :meth:`StadiumRegion.contains`, :func:`regions_contain`,
-:meth:`StadiumRegion.signed_distance` and :class:`FloorCells` all measure
-from the clipped spine through one point-to-spine offset kernel, and every
-exact membership answer comes from one comparison, :func:`_covers`.
+:meth:`StadiumRegion.signed_distance`, :class:`FloorCells` and the
+quadrature of :mod:`owcrelay.quadrature` all measure from the clipped spine
+through one point-to-spine offset kernel, and every exact membership answer
+comes from one comparison, :func:`_covers`.
 :class:`FloorCells` decides whole floor cells at once where no region
 boundary comes near them.
 """
@@ -167,13 +168,10 @@ class StadiumRegion:
             grad = np.zeros((pts.shape[0], 2))
             grad[:, 0] = 1.0
             return sd, grad
-        wx, wy = self.p1 - self.p0
-        ox, oy = _spine_offset(pts[:, 0], pts[:, 1], self.p0[0], self.p0[1], wx, wy)
+        p0x, p0y, wx, wy, radius = _spine(self)
+        ox, oy = _spine_offset(pts[:, 0], pts[:, 1], p0x, p0y, wx, wy)
         dist = np.hypot(ox, oy)
-        pos = dist > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = np.column_stack([np.where(pos, ox / dist, 1.0), np.where(pos, oy / dist, 0.0)])
-        return dist - self.radius, grad
+        return dist - radius, np.column_stack(_outward(ox, oy, dist))
 
     def bbox(self) -> Rect | None:
         """Bounding box of the stadium, or None when it is empty."""
@@ -193,6 +191,15 @@ def _spine(region: StadiumRegion) -> tuple:
     p0 + t w, t in [0, 1]."""
     wx, wy = region.p1 - region.p0
     return region.p0[0], region.p0[1], wx, wy, region.radius
+
+
+def _outward(ox, oy, dist):
+    """Unit outward gradient of the distance to a spine, from the offset
+    (ox, oy) of length ``dist`` to the closest spine point; (1, 0) on the
+    spine itself."""
+    pos = dist > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pos, ox / dist, 1.0), np.where(pos, oy / dist, 0.0)
 
 
 def _covers(x, y, p0x, p0y, wx, wy, radius) -> np.ndarray:

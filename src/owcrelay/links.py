@@ -274,6 +274,34 @@ def _channel(room: RoomModel, cc):
     return cir
 
 
+def _links(room: RoomModel, cc, specs) -> list[Link]:
+    """The link of each (kind, tx_id, rx_id, tx_spec, rx_spec), with its
+    unobstructed gains.  The responses are computed receiver by receiver,
+    so the second-bounce grid works out its gains to each receiver once;
+    an unservable link is reported first in link order."""
+    for _, tx_id, rx_id, tx, rx in specs:
+        try:
+            tx.check_servable(rx.position)
+        except UnservableLinkError as exc:
+            raise UnservableLinkError(f"link {tx_id}->{rx_id}: {exc}") from None
+    channel = _channel(room, cc)
+    links: list = [None] * len(specs)
+    for i in sorted(range(len(specs)), key=lambda i: specs[i][2]):
+        kind, tx_id, rx_id, tx, rx = specs[i]
+        cir = channel(tx, rx)
+        links[i] = Link(
+            index=i,
+            link_id=f"{tx_id}->{rx_id}",
+            kind=kind,
+            tx_id=tx_id,
+            rx_id=rx_id,
+            h=cir.dc_gain(),
+            h_los=cir.los_gain,
+            h_reflected=cir.first_order_gain + cir.second_order_gain,
+        )
+    return links
+
+
 def build_link_budget(scenario: Scenario) -> LinkBudget:
     """Evaluate every deterministic quantity the outage engines need."""
     scenario.validate()
@@ -290,51 +318,18 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
     pairings = _relay_pairing_map(scenario, ap_specs, relay_specs)
     branches = _relay_branch_map(associations, pairings, relay_specs, user_specs)
 
-    channel = _channel(room, scenario.channel)
-    links: list[Link] = []
-    regions: list[StadiumRegion] = []
+    # (kind, tx_id, rx_id, tx_spec, rx_spec) of every link, in link order
+    specs: list[tuple] = []
     index_of: dict[tuple[str, str], int] = {}
 
     def add_link(kind, tx_id, rx_id, tx_spec, rx_spec):
-        key = (tx_id, rx_id)
-        if key in index_of:
-            return index_of[key]
-        link_id = f"{tx_id}->{rx_id}"
-        try:
-            cir = channel(tx_spec, rx_spec)
-        except UnservableLinkError as exc:
-            raise UnservableLinkError(f"link {link_id}: {exc}") from None
-        idx = len(links)
-        links.append(
-            Link(
-                index=idx,
-                link_id=link_id,
-                kind=kind,
-                tx_id=tx_id,
-                rx_id=rx_id,
-                h=cir.dc_gain(),
-                h_los=cir.los_gain,
-                h_reflected=cir.first_order_gain + cir.second_order_gain,
-            )
-        )
-        if scenario.human.count == 0:  # no pedestrian: nothing blocks
-            regions.append(StadiumRegion.empty_region())
-        else:
-            regions.append(blocked_region(tx_spec.position, rx_spec.position, cylinder))
-        index_of[key] = idx
-        return idx
+        if (tx_id, rx_id) not in index_of:
+            index_of[tx_id, rx_id] = len(specs)
+            specs.append((kind, tx_id, rx_id, tx_spec, rx_spec))
 
-    direct_gains: dict[str, dict[str, float]] = {}
     for ap in scenario.aps:
-        served = associations[ap.id]
-        if not served:
-            continue
-        gains = {}
-        for uid in served:
-            idx = add_link("direct", ap.id, uid, ap_specs[ap.id], user_specs[uid])
-            gains[uid] = links[idx].h
-        direct_gains[ap.id] = gains
-
+        for uid in associations[ap.id]:
+            add_link("direct", ap.id, uid, ap_specs[ap.id], user_specs[uid])
     used = {r for brs in branches.values() for _, r in brs}
     active_relays = [rid for rid in relay_specs if rid in used]
     for rid in active_relays:
@@ -343,6 +338,17 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
     for user in scenario.users:
         for ap_id, rid in branches[user.id]:
             add_link("delivery", rid, user.id, relay_specs[rid].transmitter, user_specs[user.id])
+
+    links = _links(room, scenario.channel, specs)
+    if scenario.human.count == 0:  # no pedestrian: nothing blocks
+        regions = [StadiumRegion.empty_region() for _ in specs]
+    else:
+        regions = [blocked_region(tx.position, rx.position, cylinder) for *_, tx, rx in specs]
+    direct_gains = {
+        ap.id: {uid: links[index_of[ap.id, uid]].h for uid in associations[ap.id]}
+        for ap in scenario.aps
+        if associations[ap.id]
+    }
 
     ap_powers = {ap.id: ap.power_mw * 1e-3 for ap in scenario.aps}
     allocation = {

@@ -27,7 +27,7 @@ from owcrelay.geometry import FloorCells
 from owcrelay.links import LinkBudget, evaluate_sinr
 from owcrelay.mobility import (
     RwpDistribution,
-    region_probability,
+    region_probabilities,
     sample_human_positions,
     walker_law,
 )
@@ -118,10 +118,10 @@ def _report(budget, p_out, method, model, n_samples=0, seed=0) -> OutageReport:
 def ensure_marginals(budget: LinkBudget) -> np.ndarray:
     """Per-link blocking probabilities under the stationary mobility law,
     computed once per budget at the default relative tolerance (1e-4) of
-    :func:`~owcrelay.mobility.region_probability` and cached on it."""
+    :func:`~owcrelay.mobility.region_probabilities` and cached on it."""
     if budget.marginals is None:
         dist = walker_law(budget.scenario)
-        budget.marginals = np.array([region_probability(r, dist) for r in budget.regions])
+        budget.marginals = region_probabilities(budget.regions, dist)
     return budget.marginals
 
 

@@ -1,31 +1,52 @@
-"""Adaptive quadtree quadrature over implicitly defined plane regions.
+"""Adaptive quadtree quadrature of a plane density over stadium regions,
+all regions in one level loop.
 
-The integrand is ``density`` restricted to the set where a signed distance
-field is non-positive.  Cells wholly inside the region are integrated with a
-tensor 2x2 Gauss rule (exact for the polynomial densities used elsewhere in
-this package); cells crossing the boundary are either split further or, once
-they are small relative to the local boundary curvature, closed with an
-exact area fraction for a linear cut.
+Each region starts from one root cell, the part of its bounding box on the
+floor.  Cells wholly inside the region take the density's cell mass, its
+tensor 2x2 Gauss integral (exact for the polynomial densities used
+elsewhere in this package); cells crossing the boundary are either split
+further or, once they are small relative to the local boundary curvature,
+closed with an exact area fraction for a linear cut.
+
+One pass over a level's cells refines every region at once.  The cells stay
+grouped by region, so a region's cells are a run and its sums are run sums.
+Each region keeps its own cell sizes, convergence history and cell budget,
+exactly as if it were integrated alone, and drops out once it settles.
+Memory stays bounded: a level's cells are built ``SLICE_CELLS`` at a time
+from their parent boundary cells, and a batch of regions holding more than
+``SLICE_CELLS`` boundary cells is split into groups of consecutive regions
+that are finished one after another.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
+
 import numpy as np
 
-__all__ = ["QuadratureError", "integrate_region"]
+from owcrelay.geometry import _outward, _spine, _spine_offset
 
-_GAUSS = 1.0 / np.sqrt(3.0)
+__all__ = ["QuadratureError", "integrate_region"]
 
 # Convergence is relative to max(|estimate|, _ABS_FLOOR), so a region of
 # (near) zero mass still settles.
 _ABS_FLOOR = 1e-12
 
-# Cells evaluated over all levels before the integrator gives up.
+# Cells one region may evaluate over all levels before the integrator gives
+# up.
 MAX_CELLS = 6_000_000
 
-# Most cells of one level evaluated at once, which bounds the memory of a
-# large level.
-SLICE_CELLS = 2**17
+# Levels one region may refine before the integrator gives up.
+_MAX_LEVELS = 48
+
+# Most cells of one level evaluated at once, and most boundary cells a batch
+# of regions carries into its next level before it is split; together they
+# bound the memory of a large level.
+SLICE_CELLS = 3 * 2**10
+
+# Child offsets of a cell, in half-sizes of the child: the four quadrants.
+_CHILD_X = np.array([-1.0, 1.0, -1.0, 1.0])
+_CHILD_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
 class QuadratureError(RuntimeError):
@@ -36,27 +57,22 @@ class QuadratureError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def _cut_fraction(sd, grad, hx, hy):
+def _cut_fraction(sd, gx, gy, hx, hy):
     """Fraction of a 2*hx by 2*hy cell on the inside of the boundary.
 
     The boundary through the cell is replaced by its tangent line
-    ``n . q = -sd`` in cell-centred coordinates, with ``n`` the outward
-    unit gradient.  The inside fraction of that half plane is exact.
+    ``n . q = -sd`` in cell-centred coordinates, with ``n = (gx, gy)`` the
+    outward unit gradient.  The inside fraction of that half plane is exact.
     """
-    nx = np.abs(grad[:, 0])
-    ny = np.abs(grad[:, 1])
-    nrm = np.hypot(nx, ny)
-    nrm[nrm == 0.0] = 1.0
-    nx = nx / nrm
-    ny = ny / nrm
-
+    nx = np.abs(gx)
+    ny = np.abs(gy)
     swap = nx > ny
     nmax = np.where(swap, nx, ny)
     nmin = np.where(swap, ny, nx)
     hx_ = np.where(swap, hy, hx)
     hy_ = np.where(swap, hx, hy)
 
-    u = -np.asarray(sd, dtype=float) / nmax
+    u = -sd / nmax
     a = nmin / nmax
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -72,81 +88,204 @@ def _cut_fraction(sd, grad, hx, hy):
     return np.clip(area / (4.0 * hx_ * hy_), 0.0, 1.0)
 
 
-def integrate_region(sdf, density, bbox, cut_scale: float, rel_tol: float = 1e-4) -> float:
-    """Integrate ``density`` over ``{p : sdf(p) <= 0}``
-    intersected with the axis-aligned box ``bbox = (x0, y0, x1, y1)``.
+def _run_sums(values, counts) -> np.ndarray:
+    """Sum of each run of ``counts[i]`` consecutive ``values``."""
+    out = np.zeros(counts.size)
+    if values.size:
+        full = counts > 0
+        out[full] = np.add.reduceat(values, (np.cumsum(counts) - counts)[full])
+    return out
 
-    ``sdf`` maps an (N, 2) array to ``(signed_distance, unit_gradient)``.
-    The signed distance must be a true Euclidean distance so that the
-    half-diagonal test classifies cells safely.  ``density`` maps an (N, 2)
-    array to N values.  ``cut_scale`` forbids convergence while boundary
-    cells are still larger than it; pass roughly a quarter of the smallest
-    boundary feature radius.  A level is evaluated ``SLICE_CELLS`` cells at
-    a time, and the slice totals are summed in order.
 
-    Raises :class:`QuadratureError` when the cell budget is exhausted
-    before the estimate settles.
+@dataclass
+class _Batch:
+    """Regions refined together, all at the same level.
+
+    ``x`` and ``y`` are the cells the batch holds, grouped by region in
+    batch order: the roots at level 0, after it the previous level's
+    boundary cells.  Every other field has one entry per region.
     """
-    x0, y0, x1, y1 = (float(v) for v in bbox)
-    if not (x1 > x0 and y1 > y0):
-        return 0.0
 
-    centers = np.array([[(x0 + x1) / 2.0, (y0 + y1) / 2.0]])
-    hx = (x1 - x0) / 2.0
-    hy = (y1 - y0) / 2.0
+    x: np.ndarray
+    y: np.ndarray
+    level: int
+    ids: np.ndarray  # index in the caller's list of regions
+    spines: np.ndarray  # (5, regions): p0x, p0y, wx, wy, radius
+    hx: np.ndarray  # half-sizes of the current level's cells
+    hy: np.ndarray
+    counts: np.ndarray  # cells held
+    cells: np.ndarray  # cells evaluated so far
+    inside: np.ndarray  # mass of the inside cells so far
+    e1: np.ndarray  # estimate of the last level
+    e0: np.ndarray  # estimate of the level before
+    ok1: np.ndarray  # last level's cells within a quarter of the radius
 
-    inside_total = 0.0
-    history: list[tuple[float, bool]] = []
-    total_cells = 1
-    best = 0.0
+    def take(self, sel, x, y) -> "_Batch":
+        """The regions ``sel`` of this batch, holding the cells (x, y)."""
+        per_region = {f.name: getattr(self, f.name)[..., sel] for f in fields(self)[3:]}
+        return _Batch(x, y, self.level, **per_region)
 
-    for _ in range(48):
-        halfdiag = float(np.hypot(hx, hy))
-        bdy_est = 0.0
-        bdy_parts = []
-        for start in range(0, centers.shape[0], SLICE_CELLS):
-            cells = centers[start : start + SLICE_CELLS]
-            sd, grad = sdf(cells)
-            sd = np.asarray(sd, dtype=float)
-            is_in = sd <= -halfdiag
-            is_bdy = ~(is_in | (sd >= halfdiag))
 
-            if np.any(is_in):
-                offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]]) * _GAUSS
-                pts = (cells[is_in][:, None, :] + offs[None, :, :]).reshape(-1, 2)
-                inside_total += float(np.sum(density(pts))) * hx * hy
+def _level_slices(b: _Batch):
+    """The cells of a batch's current level, at most ``SLICE_CELLS`` at a
+    time, with how many of them belong to each region: the roots at level
+    0, else the four children of each held cell."""
+    if b.level == 0:
+        yield b.x, b.y, b.counts
+        return
+    step = max(1, SLICE_CELLS // 4)
+    ends = np.cumsum(b.counts)
+    starts = ends - b.counts
+    for lo in range(0, b.x.size, step):
+        hi = lo + step
+        n = np.clip(ends, lo, hi) - np.clip(starts, lo, hi)
+        hx = np.repeat(b.hx, n)[:, None]
+        hy = np.repeat(b.hy, n)[:, None]
+        yield (
+            (b.x[lo:hi, None] + _CHILD_X * hx).ravel(),
+            (b.y[lo:hi, None] + _CHILD_Y * hy).ravel(),
+            4 * n,
+        )
 
-            bdy_parts.append(cells[is_bdy])
-            if bdy_parts[-1].shape[0]:
-                frac = _cut_fraction(sd[is_bdy], grad[is_bdy], hx, hy)
-                bdy_est += float(np.sum(frac * density(bdy_parts[-1]))) * 4.0 * hx * hy
-        bdy_count = sum(part.shape[0] for part in bdy_parts)
 
-        est = inside_total + bdy_est
-        best = est
-        history.append((est, halfdiag <= cut_scale))
+def _classify(b: _Batch, x, y, n, halfdiag):
+    """Inside and boundary cells of a slice whose first ``n[0]`` cells are
+    the batch's first region's, and so on: (inner, n_in, edge, n_edge), the
+    indices of each kind and how many each region has, then the signed
+    distance and the unit outward gradient at each boundary cell."""
+    p0x, p0y, wx, wy, radius = b.spines
+    # measured from each region's p0, so the kernel holds two spine
+    # parameters per cell, not four
+    ox, oy = _spine_offset(
+        x - np.repeat(p0x, n), y - np.repeat(p0y, n), 0.0, 0.0, np.repeat(wx, n), np.repeat(wy, n)
+    )
+    dist = np.hypot(ox, oy)
+    sd = dist - np.repeat(radius, n)
+    hd = np.repeat(halfdiag, n)
+    bounds = np.concatenate(([0], np.cumsum(n)))
+    inner = np.flatnonzero(sd <= -hd)
+    edge = np.flatnonzero(np.abs(sd) < hd)
+    n_in = np.diff(np.searchsorted(inner, bounds))
+    n_edge = np.diff(np.searchsorted(edge, bounds))
+    return inner, n_in, edge, n_edge, sd[edge], *_outward(ox[edge], oy[edge], dist[edge])
 
-        if bdy_count == 0:
-            return est
-        if len(history) >= 3:
-            (e2, ok2), (e1, ok1) = history[-1], history[-2]
-            e0 = history[-3][0]
-            tol = 0.3 * rel_tol * max(abs(e2), _ABS_FLOOR)
-            if ok2 and ok1 and abs(e2 - e1) <= tol and abs(e1 - e0) <= tol:
-                return e2
+
+def integrate_region(regions, floor, density, cell_mass, rel_tol: float = 1e-4) -> np.ndarray:
+    """Integral of a density over each stadium region of ``regions``,
+    restricted to the floor rectangle ``floor``; one value per region, 0 for
+    an empty region or one off the floor.
+
+    ``density(x, y)`` is the density at the points (x, y), and
+    ``cell_mass(x, y, hx, hy)`` its 2x2 Gauss integral over the cells of
+    centres (x, y) and half-sizes (hx, hy).  A region's boundary cells are
+    split until their half-diagonal is at most a quarter of its radius and
+    its estimate has settled to ``rel_tol``.
+
+    Raises :class:`QuadratureError` when a region exhausts its budget of
+    ``MAX_CELLS`` cells before its estimate settles.
+    """
+    out = np.zeros(len(regions))
+    ids, spines, boxes = [], [], []
+    for j, region in enumerate(regions):
+        if region.empty or region.radius == 0.0:
+            continue
+        box = region.bbox().intersect(floor)
+        if box is None or not (box.x1 > box.x0 and box.y1 > box.y0):
+            continue
+        ids.append(j)
+        spines.append(_spine(region))
+        boxes.append((box.x0, box.y0, box.x1, box.y1))
+    if not ids:
+        return out
+    x0, y0, x1, y1 = np.array(boxes).T
+    n = len(ids)
+    zeros = np.zeros(n)
+    ones = np.ones(n, dtype=np.int64)
+    stack = [
+        _Batch(
+            x=(x0 + x1) / 2.0, y=(y0 + y1) / 2.0, level=0, ids=np.array(ids),
+            spines=np.array(spines).T, hx=(x1 - x0) / 2.0, hy=(y1 - y0) / 2.0,
+            counts=ones, cells=ones, inside=zeros, e1=zeros, e0=zeros, ok1=zeros > 0.0,
+        )
+    ]
+    while stack:
+        stack.extend(reversed(_refine(stack.pop(), out, density, cell_mass, rel_tol)))
+    return out
+
+
+def _refine(b: _Batch, out, density, cell_mass, rel_tol: float) -> list:
+    """Evaluate levels of batch ``b``, writing each region's integral into
+    ``out`` as it settles, until all have settled or the batch holds more
+    than ``SLICE_CELLS`` boundary cells; then return the unsettled regions as
+    consecutive parts to finish in order."""
+    while True:
+        if b.level:
+            b.hx = b.hx / 2.0
+            b.hy = b.hy / 2.0
+        halfdiag = np.hypot(b.hx, b.hy)
+        k = halfdiag.size
+        inside = np.zeros(k)
+        cut = np.zeros(k)
+        counts = np.zeros(k, dtype=np.int64)
+        bx, by = [], []
+        for x, y, n in _level_slices(b):
+            inner, n_in, edge, n_edge, sd, gx, gy = _classify(b, x, y, n, halfdiag)
+            mass = cell_mass(x[inner], y[inner], np.repeat(b.hx, n_in), np.repeat(b.hy, n_in))
+            inside += _run_sums(mass, n_in)
+            xb = x[edge]
+            yb = y[edge]
+            frac = _cut_fraction(sd, gx, gy, np.repeat(b.hx, n_edge), np.repeat(b.hy, n_edge))
+            cut += _run_sums(frac * density(xb, yb), n_edge)
+            bx.append(xb)
+            by.append(yb)
+            counts += n_edge
+
+        b.x = np.concatenate(bx)
+        b.y = np.concatenate(by)
+        b.counts = counts
+        b.level += 1
+        b.inside = b.inside + inside
+        est = b.inside + cut * 4.0 * b.hx * b.hy
+        ok = halfdiag <= b.spines[4] / 4.0
+        tol = 0.3 * rel_tol * np.maximum(np.abs(est), _ABS_FLOOR)
+        settled = (counts == 0) | (
+            (b.level >= 3) & ok & b.ok1
+            & (np.abs(est - b.e1) <= tol) & (np.abs(b.e1 - b.e0) <= tol)
+        )
+        out[b.ids[settled]] = est[settled]
+        b.e0, b.e1, b.ok1 = b.e1, est, ok
+        if settled.all():
+            return []
 
         # checked before the next level is built, so a level over the
         # budget is never allocated
-        total_cells += 4 * bdy_count
-        if total_cells > MAX_CELLS:
+        b.cells = b.cells + 4 * counts
+        over = np.flatnonzero(~settled & (b.cells > MAX_CELLS))
+        if over.size:
             raise QuadratureError(
                 f"cell budget {MAX_CELLS} exhausted before convergence",
-                best_estimate=best,
+                best_estimate=float(est[over[0]]),
             )
-        hx /= 2.0
-        hy /= 2.0
-        offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]])
-        bdy = bdy_parts[0] if len(bdy_parts) == 1 else np.concatenate(bdy_parts)
-        centers = (bdy[:, None, :] + offs[None, :, :]).reshape(-1, 2)
+        if b.level == _MAX_LEVELS:
+            raise QuadratureError(
+                "refinement depth exhausted", best_estimate=float(est[~settled][0])
+            )
 
-    raise QuadratureError("refinement depth exhausted", best_estimate=best)
+        if settled.any():
+            keep = np.flatnonzero(np.repeat(~settled, counts))
+            b = b.take(np.flatnonzero(~settled), b.x[keep], b.y[keep])
+        if b.x.size > SLICE_CELLS and b.counts.size > 1:
+            # consecutive regions holding at most SLICE_CELLS cells together,
+            # or one region alone
+            ends = np.cumsum(b.counts)
+            parts = []
+            lo = 0
+            while lo < ends.size:
+                base = ends[lo - 1] if lo else 0
+                hi = np.searchsorted(ends, base + SLICE_CELLS, side="right")
+                hi = max(lo + 1, int(hi))
+                top = ends[hi - 1]
+                # copies, so no waiting part keeps the whole level alive
+                parts.append(b.take(slice(lo, hi), b.x[base:top].copy(), b.y[base:top].copy()))
+                lo = hi
+            return parts

@@ -10,7 +10,10 @@ one-pair scalar form of the channel's vectorised Lambertian kernel.
 scalar arithmetic and no geometry internals, that the stadium regions of
 :mod:`owcrelay.geometry` must reproduce.
 :func:`region_area` integrates a region's indicator over a floor rectangle
-with the package quadrature.  :func:`joint_state_outage` is the
+with the package quadrature.  :func:`integrate_one_region` is the adaptive
+quadrature one region at a time, the oracle for the package's batched
+level loop, and :func:`region_probabilities_one_by_one` applies it to the
+walker law.  :func:`joint_state_outage` is the
 independent-link enumeration over joint link states that the split
 enumeration must reproduce.  :func:`sample_positions_65536` is the position
 sampler as it drew 65,536 candidate rows at a time; the package draws
@@ -27,9 +30,12 @@ import numpy as np
 
 from owcrelay.geometry import Rect, StadiumRegion
 from owcrelay.links import evaluate_sinr
+from owcrelay.mobility import RwpDistribution
 from owcrelay.noma import ApAllocation, NoiseModel, noise_variance, order_users_and_allocate
 from owcrelay.outage import ensure_marginals, is_outage
-from owcrelay.quadrature import integrate_region
+from owcrelay.quadrature import MAX_CELLS, QuadratureError, integrate_region
+
+_GAUSS = 1.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -188,20 +194,117 @@ def segment_meets_cylinder(a, b, center, cyl) -> bool:
 
 
 def region_area(region: StadiumRegion, floor: Rect, rel_tol: float = 1e-4) -> float:
-    """Area of the part of a stadium region on ``floor``, by adaptive
+    """Area of the part of a stadium region on ``floor``, by the package
     quadrature of its indicator."""
-    if region.empty or region.radius == 0.0:
-        return 0.0
-    box = region.bbox().intersect(floor)
-    if box is None:
-        return 0.0
-    return integrate_region(
-        region.signed_distance,
-        lambda pts: np.ones(len(pts)),
-        (box.x0, box.y0, box.x1, box.y1),
-        rel_tol=rel_tol,
-        cut_scale=region.radius / 4.0,
+    return float(
+        integrate_region(
+            [region], floor, lambda x, y: np.ones_like(x), lambda x, y, hx, hy: 4.0 * hx * hy,
+            rel_tol=rel_tol,
+        )[0]
     )
+
+
+def _cut_fraction(sd, grad, hx, hy):
+    """Fraction of a 2*hx by 2*hy cell on the inside of the tangent line
+    ``n . q = -sd`` of the boundary, ``n`` the normalised ``grad``."""
+    nx = np.abs(grad[:, 0])
+    ny = np.abs(grad[:, 1])
+    nrm = np.hypot(nx, ny)
+    nrm[nrm == 0.0] = 1.0
+    nx = nx / nrm
+    ny = ny / nrm
+
+    swap = nx > ny
+    nmax = np.where(swap, nx, ny)
+    nmin = np.where(swap, ny, nx)
+    hx_ = np.where(swap, hy, hx)
+    hy_ = np.where(swap, hx, hy)
+
+    u = -np.asarray(sd, dtype=float) / nmax
+    a = nmin / nmax
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1 = np.clip((u - hy_) / a, -hx_, hx_)
+        x2 = np.clip((u + hy_) / a, -hx_, hx_)
+        area_gen = (
+            2.0 * hy_ * (x1 + hx_)
+            + (u + hy_) * (x2 - x1)
+            - 0.5 * a * (x2 * x2 - x1 * x1)
+        )
+    area_flat = 2.0 * hx_ * np.clip(u + hy_, 0.0, 2.0 * hy_)
+    area = np.where(a > 0.0, area_gen, area_flat)
+    return np.clip(area / (4.0 * hx_ * hy_), 0.0, 1.0)
+
+
+def integrate_one_region(sdf, density, bbox, cut_scale: float, rel_tol: float = 1e-4) -> float:
+    """Integral of ``density`` over ``{p : sdf(p) <= 0}`` within ``bbox =
+    (x0, y0, x1, y1)``, one region at a time: the per-region level loop the
+    batched :func:`owcrelay.quadrature.integrate_region` must reproduce.
+
+    Each level's cells are classified by the signed distance of their
+    centres against the half-diagonal; inside cells take the 2x2 Gauss rule,
+    boundary cells the linear cut fraction times the centre density, and
+    boundary cells are split into four.  The estimate settles once the last
+    two levels' cells are within ``cut_scale`` and the last three estimates
+    agree to ``0.3 rel_tol``.
+    """
+    x0, y0, x1, y1 = (float(v) for v in bbox)
+    if not (x1 > x0 and y1 > y0):
+        return 0.0
+    centers = np.array([[(x0 + x1) / 2.0, (y0 + y1) / 2.0]])
+    hx = (x1 - x0) / 2.0
+    hy = (y1 - y0) / 2.0
+    inside_total = 0.0
+    history: list[tuple[float, bool]] = []
+    total_cells = 1
+    for _ in range(48):
+        halfdiag = float(np.hypot(hx, hy))
+        sd, grad = sdf(centers)
+        is_in = sd <= -halfdiag
+        is_bdy = ~(is_in | (sd >= halfdiag))
+        offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]]) * _GAUSS
+        pts = (centers[is_in][:, None, :] + offs[None, :, :]).reshape(-1, 2)
+        inside_total += float(np.sum(density(pts))) * hx * hy
+        bdy = centers[is_bdy]
+        frac = _cut_fraction(sd[is_bdy], grad[is_bdy], hx, hy)
+        est = inside_total + float(np.sum(frac * density(bdy))) * 4.0 * hx * hy
+        history.append((est, halfdiag <= cut_scale))
+        if bdy.shape[0] == 0:
+            return est
+        if len(history) >= 3:
+            (e2, ok2), (e1, ok1) = history[-1], history[-2]
+            tol = 0.3 * rel_tol * max(abs(e2), 1e-12)
+            if ok2 and ok1 and abs(e2 - e1) <= tol and abs(e1 - history[-3][0]) <= tol:
+                return e2
+        total_cells += 4 * bdy.shape[0]
+        if total_cells > MAX_CELLS:
+            raise QuadratureError(f"cell budget {MAX_CELLS} exhausted before convergence", est)
+        hx /= 2.0
+        hy /= 2.0
+        offs = np.array([[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]])
+        centers = (bdy[:, None, :] + offs[None, :, :]).reshape(-1, 2)
+    raise QuadratureError("refinement depth exhausted", est)
+
+
+def region_probabilities_one_by_one(regions, dist: RwpDistribution, rel_tol: float = 1e-4):
+    """Probability mass of each stadium region's part on the floor under
+    ``dist``, from :func:`integrate_one_region` on its bounding box cut to
+    the floor; 0 for an empty region or one off the floor."""
+    out = []
+    for region in regions:
+        box = None if region.empty or region.radius == 0.0 else region.bbox().intersect(
+            dist.floor_rect
+        )
+        if box is None:
+            out.append(0.0)
+            continue
+        out.append(
+            integrate_one_region(
+                region.signed_distance, dist.pdf, (box.x0, box.y0, box.x1, box.y1),
+                cut_scale=region.radius / 4.0, rel_tol=rel_tol,
+            )
+        )
+    return np.array(out)
 
 
 def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import pytest
 from owcrelay.channel import ReceiverSpec, RoomModel, TransmitterSpec, impulse_response
 from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
 from owcrelay.links import evaluate_sinr
-from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
+from owcrelay.mobility import RwpDistribution, region_probabilities, sample_human_positions
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
 
 from reference import reference_sinr, segment_meets_cylinder, sinr_mrc
@@ -31,7 +31,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_density_normalization():
     whole_floor = StadiumRegion(spine_p0=(-10.0, 4.0), spine_p1=(14.0, 4.0), radius=20.0)
-    total = region_probability(whole_floor, DIST, rel_tol=1e-6)
+    total = region_probabilities([whole_floor], DIST, rel_tol=1e-6)[0]
     center = DIST.pdf((2.0, 4.0))[0]
     ok = abs(total - 1.0) <= 1e-9 and abs(center - 0.0703125) <= 1e-12
     _report(1, ok, f"floor integral {total:.12f}, center density {center:.10f}")
@@ -70,7 +70,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
             regions.append(region)
             labels.append(link.link_id)
 
-    probs = [region_probability(r, DIST, rel_tol=1e-4) for r in regions]
+    probs = region_probabilities(regions, DIST, rel_tol=1e-4)
     pts = sample_human_positions(DIST, 1_000_000, np.random.default_rng(123))
     worst = 0.0
     ok = True
@@ -91,7 +91,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
 
 
 def test_criterion_4_single_link_equivalence(single_link_budget):
-    p_quad = region_probability(single_link_budget.regions[0], DIST, rel_tol=1e-6)
+    p_quad = region_probabilities(single_link_budget.regions, DIST, rel_tol=1e-6)[0]
     report = outage_monte_carlo(
         budget=single_link_budget, n_samples=1_000_000, master_seed=17,
         blockage_model="joint",

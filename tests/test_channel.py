@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from owcrelay.channel import (
     narrow_beam_los_gain,
 )
 from owcrelay.geometry import Point3
+from owcrelay.links import build_link_budget, link_cir
+from owcrelay.scenario import default_scenario, load_scenario
 
 from reference import point_source_gain
 
@@ -368,3 +371,29 @@ class TestEnergyBound:
             narrow_beam_los_gain(tx, rx, aim=Point3(1.0, 1.0, 1.0)) for rx in receivers
         )
         assert total == 1.0  # only the aimed aperture overlaps the 4 mm spot
+
+
+class TestLinkBudgetResponses:
+    @pytest.mark.parametrize("room", ["default", "dense-tile"])
+    def test_gains_equal_responses_computed_alone(self, room):
+        # the budget computes responses receiver by receiver through one
+        # grid that keeps its last receiver's gains; each link's gains must
+        # equal its response computed alone on a fresh grid
+        scenario = (
+            default_scenario() if room == "default"
+            else load_scenario(Path(__file__).with_name("dense_tile.yaml"))
+        )
+        budget = build_link_budget(scenario)
+        assert [link.index for link in budget.links] == list(range(budget.link_count))
+        for link in budget.links:
+            cir = link_cir(budget, link.tx_id, link.rx_id)
+            assert (link.h, link.h_los, link.h_reflected) == (
+                cir.dc_gain(), cir.los_gain, cir.first_order_gain + cir.second_order_gain,
+            )
+
+    def test_dc_gain_is_the_exact_sum_of_all_bins(self):
+        gains = np.zeros(4000)
+        gains[[3, 100, 3999]] = [1e-3, 1e-20, 0.5]
+        cir = ChannelImpulseResponse(1e-11, gains, 0.5, 1e-3, 1e-20)
+        assert cir.dc_gain() == math.fsum(gains.tolist())
+        assert cir.dc_gain() == 0.5 + 1e-3 + 1e-20

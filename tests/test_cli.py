@@ -252,8 +252,14 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "doc,link_id",
-        [("associations: {ap1: [u3]}\n", "ap1->u3"), ("relay_pairings: {r1: ap8}\n", "ap8->r1")],
-        ids=["association", "relay-pairing"],
+        [
+            ("associations: {ap1: [u3]}\n", "ap1->u3"),
+            ("relay_pairings: {r1: ap8}\n", "ap8->r1"),
+            # responses are computed receiver by receiver (u1's two links
+            # first), but the first unservable link in link order is named
+            ("associations: {ap1: [u1, u2], ap2: [u1]}\n", "ap1->u2"),
+        ],
+        ids=["association", "relay-pairing", "first-in-link-order"],
     )
     def test_unservable_explicit_map_names_the_link(self, tmp_path, doc, link_id):
         path = tmp_path / "map.yaml"
@@ -270,8 +276,8 @@ class TestErrors:
         assert res.stderr.startswith("error:")
 
     def test_quadrature_failure_is_clean_error(self, monkeypatch, capsys):
-        # a real trigger (a 0.1 mm walker) exhausts the 6M-cell budget and
-        # peaks near 900 MB, so the failure is injected where the CLI meets it
+        # a real trigger (a 0.1 mm walker) takes seconds to exhaust the
+        # 6M-cell budget, so the failure is injected where the CLI meets it
         def stalled(budget):
             raise QuadratureError("cell budget 6000000 exhausted before convergence", 0.0)
 

@@ -11,7 +11,7 @@ from owcrelay.geometry import (
     blocked_region,
     regions_contain,
 )
-from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
+from owcrelay.mobility import RwpDistribution, region_probabilities, sample_human_positions
 
 from reference import region_area, segment_meets_cylinder
 
@@ -141,7 +141,7 @@ class TestBlockedRegion:
         # the walker never stands off the floor, so sampling agrees with the
         # quadrature over the floor part
         dist = RwpDistribution(4.0, 8.0)
-        p = region_probability(region, dist)
+        p = region_probabilities([region], dist)[0]
         n = 200_000
         pts = sample_human_positions(dist, n, np.random.default_rng(6))
         hat = float(np.mean(region.contains(pts)))

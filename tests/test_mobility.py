@@ -1,20 +1,31 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from owcrelay import quadrature
 from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
-from owcrelay.mobility import RwpDistribution, region_probability, sample_human_positions
+from owcrelay.links import build_link_budget
+from owcrelay.mobility import (
+    RwpDistribution,
+    region_probabilities,
+    sample_human_positions,
+    walker_law,
+)
+from owcrelay.outage import ensure_marginals
+from owcrelay.quadrature import QuadratureError
+from owcrelay.scenario import default_scenario, load_scenario
 
-from reference import sample_positions_65536
+from reference import region_probabilities_one_by_one, sample_positions_65536
 
 DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
 CYL = CylinderSpec()
 
 
 def link_probability(a: Point3, b: Point3) -> float:
-    return region_probability(blocked_region(a, b, CYL), DIST)
+    return region_probabilities([blocked_region(a, b, CYL)], DIST)[0]
 
 
 def gauss_integral(dist, n=24):
@@ -54,6 +65,18 @@ class TestDensity:
     def test_normalization(self):
         assert gauss_integral(DIST) == pytest.approx(1.0, abs=1e-12)
 
+    def test_cell_mass_is_the_gauss_rule(self):
+        # the closed form equals the 2x2 Gauss rule, exact for this density
+        rng = np.random.default_rng(5)
+        hx, hy = rng.uniform(1e-4, 0.5, (2, 1000))
+        x = rng.uniform(hx, 4.0 - hx)
+        y = rng.uniform(hy, 8.0 - hy)
+        g = 1.0 / math.sqrt(3.0)
+        gauss = hx * hy * sum(DIST.pdf_xy(x + sx * g * hx, y + sy * g * hy)
+                              for sx in (-1, 1) for sy in (-1, 1))
+        np.testing.assert_allclose(DIST.cell_mass(x, y, hx, hy), gauss, rtol=1e-12, atol=0.0)
+        assert DIST.cell_mass(2.0, 4.0, 2.0, 4.0) == pytest.approx(1.0, abs=1e-15)
+
     def test_variances_property(self):
         assert DIST.variances == (0.8, 3.2)
 
@@ -74,7 +97,7 @@ class TestRegionProbability:
 
     def test_entire_floor_is_one(self):
         region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0)
-        assert region_probability(region, DIST) == pytest.approx(1.0, abs=1e-9)
+        assert region_probabilities([region], DIST)[0] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "a, b", [(Point3(1, 1, 3), Point3(1, 1, 1)), (Point3(1, 1, 3), Point3(2, 4, 1))]
@@ -94,6 +117,95 @@ class TestRegionProbability:
         hat = float(np.mean(region.contains(pts)))
         se = math.sqrt(p * (1 - p) / n)
         assert abs(hat - p) <= 3 * se
+
+
+def _room(name):
+    base = default_scenario()
+    if name == "dense-tile":
+        return load_scenario(Path(__file__).with_name("dense_tile.yaml"))
+    if name == "no-walker":
+        return dataclasses.replace(base, human=dataclasses.replace(base.human, count=0))
+    if name == "thin-walker":
+        return dataclasses.replace(base, human=dataclasses.replace(base.human, radius_m=1.0e-4))
+    return base
+
+
+def assert_matches_one_by_one(probs, regions, dist, rel_tol=1e-4):
+    """Marginals of the one-pass quadrature against the per-region loop:
+    rel 1e-12, and zero exactly where the loop gives zero."""
+    ref = region_probabilities_one_by_one(regions, dist, rel_tol=rel_tol)
+    assert np.array_equal(probs == 0.0, ref == 0.0)
+    np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0.0)
+
+
+# stadiums at and past the walls and corners of the 4 x 8 m floor, one off
+# it, one empty, one of radius 0, one covering the floor, a disk and a long
+# thin stadium
+EDGE_REGIONS = [
+    StadiumRegion((0.1, 1.0), (0.1, 2.0), 0.3),
+    StadiumRegion((-0.2, 5.0), (0.5, 7.9), 0.3),
+    StadiumRegion((0.0, 0.0), (0.0, 0.0), 0.3),
+    StadiumRegion((3.9, 7.9), (4.2, 8.3), 0.25),
+    StadiumRegion((5.0, 1.0), (6.0, 2.0), 0.3),
+    StadiumRegion.empty_region(),
+    StadiumRegion((1.0, 1.0), (2.0, 2.0), 0.0),
+    StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0),
+    StadiumRegion((1.0, 1.0), (1.0, 1.0), 0.3),
+    StadiumRegion((1.0, 1.0), (3.0, 6.0), 0.05),
+]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("room", ["default", "dense-tile", "no-walker"])
+    def test_marginals_match_per_region_loop(self, room):
+        budget = build_link_budget(_room(room))
+        probs = ensure_marginals(budget)
+        assert_matches_one_by_one(probs, budget.regions, walker_law(budget.scenario))
+        assert (probs == 0.0).all() == (room == "no-walker")
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-2])
+    def test_regions_past_the_walls(self, rel_tol):
+        # at a loose tolerance the estimates settle before the cells are
+        # within a quarter of the radius, so the cut-scale rule decides
+        probs = region_probabilities(EDGE_REGIONS, DIST, rel_tol=rel_tol)
+        assert_matches_one_by_one(probs, EDGE_REGIONS, DIST, rel_tol=rel_tol)
+        assert probs[4:7].tolist() == [0.0, 0.0, 0.0]
+        assert 0.0 < probs[0] < probs[1]
+
+    def test_split_batches_match_per_region_loop(self, monkeypatch):
+        # a cap of 64 held cells splits the default room's batch into
+        # parts of a few regions, then of one, at the deeper levels
+        budget = build_link_budget(default_scenario())
+        parts = []
+        refine = quadrature._refine
+
+        def counted(*args):
+            out = refine(*args)
+            parts.append(len(out))
+            return out
+
+        monkeypatch.setattr(quadrature, "_refine", counted)
+        monkeypatch.setattr(quadrature, "SLICE_CELLS", 64)
+        probs = region_probabilities(budget.regions, walker_law(budget.scenario))
+        assert max(parts) > 1
+        assert_matches_one_by_one(probs, budget.regions, walker_law(budget.scenario))
+
+    def test_split_slices_of_edge_regions(self, monkeypatch):
+        # one parent cell a slice, and every batch split down to one region
+        monkeypatch.setattr(quadrature, "SLICE_CELLS", 7)
+        regions = [EDGE_REGIONS[j] for j in (0, 3, 4, 5, 6)]
+        assert_matches_one_by_one(region_probabilities(regions, DIST), regions, DIST)
+
+    def test_thin_walker_exhausts_the_cell_budget(self):
+        # every region of a 0.1 mm walker grows toward the budget at once;
+        # the first to pass it stops the pass
+        budget = build_link_budget(_room("thin-walker"))
+        with pytest.raises(
+            QuadratureError, match="^cell budget 6000000 exhausted before convergence$"
+        ) as info:
+            ensure_marginals(budget)
+        assert info.value.best_estimate >= 0.0
+        assert budget.marginals is None
 
 
 class TestSampler:

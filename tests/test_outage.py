@@ -12,7 +12,7 @@ from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, evaluate_sinr
 from owcrelay.mobility import (
     RwpDistribution,
-    region_probability,
+    region_probabilities,
     sample_human_positions,
     walker_law,
 )
@@ -65,9 +65,7 @@ class TestIsOutage:
 class TestSingleLink:
     def test_exact_matches_quadrature(self, single_link_budget):
         report = outage_independent_approx(budget=single_link_budget)
-        p_region = region_probability(
-            single_link_budget.regions[0], RwpDistribution(4.0, 8.0)
-        )
+        p_region = region_probabilities(single_link_budget.regions, RwpDistribution(4.0, 8.0))[0]
         row = report.by_user("u1", "direct")
         assert row.p_out == pytest.approx(p_region, rel=1e-12)
         # no relays: the combined link is the direct link
@@ -79,9 +77,7 @@ class TestSingleLink:
             budget=single_link_budget, n_samples=200_000, master_seed=3,
             blockage_model="joint",
         )
-        p_region = region_probability(
-            single_link_budget.regions[0], RwpDistribution(4.0, 8.0)
-        )
+        p_region = region_probabilities(single_link_budget.regions, RwpDistribution(4.0, 8.0))[0]
         row = report.by_user("u1", "direct")
         assert abs(row.p_out - p_region) <= 3.0 * row.stderr
         assert report.blockage_model == "joint"
@@ -92,9 +88,7 @@ class TestSingleLink:
             budget=single_link_budget, n_samples=200_000, master_seed=3,
             blockage_model="independent",
         )
-        p_region = region_probability(
-            single_link_budget.regions[0], RwpDistribution(4.0, 8.0)
-        )
+        p_region = region_probabilities(single_link_budget.regions, RwpDistribution(4.0, 8.0))[0]
         row = report.by_user("u1", "direct")
         assert abs(row.p_out - p_region) <= 3.0 * row.stderr
 
