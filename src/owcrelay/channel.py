@@ -1,13 +1,14 @@
 """Optical channel model: steered narrow-beam line of sight plus up to two
 diffuse reflections off the room surfaces.
 
-The beam is a top-hat cone.  A receiver collects the overlap of its aperture
-disk with the beam spot, as a fraction of the spot, projected onto its face.
-Power that misses the aperture continues to the first surface the beam axis
-hits, is deposited on the first-bounce tile containing the hit point, and
-re-radiates as a Lambertian source.  Second-order paths go through a coarser
-grid covering every room surface; the grid keeps its gains to the last
-receiver it served, which responses into the same receiver reuse.
+The beam is a top-hat cone steered at the receiver's centre.  The receiver
+collects the share of the spot its centred aperture disk covers, projected
+onto its face.  Power that misses the aperture continues along the beam axis
+to the first surface it hits, is deposited on the first-bounce tile
+containing the hit point, and re-radiates as a Lambertian source.
+Second-order paths go through a coarser grid covering every room surface;
+the grid keeps its gains to the last receiver it served, which responses
+into the same receiver reuse.
 
 Every diffuse leg -- tile to detector, tile to grid patch, grid patch to
 detector -- is the same transfer from a Lambertian point source to a small
@@ -243,58 +244,28 @@ def discretize_surfaces(room: RoomModel, resolution: float = 0.20) -> SurfaceGri
     )
 
 
-def _disk_overlap(dist: float, r1: float, r2: float) -> float:
-    """Area of intersection of two disks with centre distance ``dist``."""
-    if dist >= r1 + r2:
-        return 0.0
-    r_small, r_big = (r1, r2) if r1 <= r2 else (r2, r1)
-    if dist <= r_big - r_small:
-        return math.pi * r_small * r_small
-    # lens of two circular segments
-    d2, a2, b2 = dist * dist, r1 * r1, r2 * r2
-    alpha = math.acos(np.clip((d2 + a2 - b2) / (2.0 * dist * r1), -1.0, 1.0))
-    beta = math.acos(np.clip((d2 + b2 - a2) / (2.0 * dist * r2), -1.0, 1.0))
-    return (
-        a2 * (alpha - math.sin(2.0 * alpha) / 2.0)
-        + b2 * (beta - math.sin(2.0 * beta) / 2.0)
-    )
-
-
-def narrow_beam_los_gain(tx: TransmitterSpec, rx: ReceiverSpec, aim: Point3 | None = None) -> float:
+def narrow_beam_los_gain(tx: TransmitterSpec, rx: ReceiverSpec) -> float:
     """Fraction of transmit power collected by the detector over the direct
     path.
 
-    The beam is steered at ``aim`` (the receiver's position when omitted);
-    an aim outside the steering cone raises :class:`UnservableLinkError`.
-    The captured fraction is the aperture-disk/top-hat-spot overlap as a
-    fraction of the spot, times the incidence cosine; a detector whose
-    aperture misses the spot entirely collects nothing.
+    The beam is steered at the receiver's centre, so the aperture disk sits
+    centred in the top-hat spot; a receiver outside the steering cone raises
+    :class:`UnservableLinkError`.  The captured fraction is the aperture's
+    share of the spot, ``min(1, r_aperture^2 / r_spot^2)``, times the
+    incidence cosine.
     """
-    target = aim if aim is not None else rx.position
-    tx.check_servable(target)
-    beam = target.as_array() - tx.position.as_array()
-    bn = np.linalg.norm(beam)
-    if bn == 0.0:
-        raise ValueError("beam aim coincides with the transmitter")
-    beam = beam / bn
-
+    tx.check_servable(rx.position)
     rel = rx.position.as_array() - tx.position.as_array()
-    axial = float(np.dot(rel, beam))
-    if axial <= 0.0:
-        return 0.0
-    offset = float(np.linalg.norm(rel - axial * beam))
+    d = float(np.linalg.norm(rel))
+    axial = float(np.dot(rel, rel / d))
     spot_radius = axial * math.tan(tx.divergence_rad)
     aperture_radius = math.sqrt(rx.area_m2 / math.pi)
-    overlap = _disk_overlap(offset, spot_radius, aperture_radius)
-    if overlap <= 0.0:
-        return 0.0
 
-    d = float(np.linalg.norm(rel))
     cos_in = float(np.dot(np.asarray(rx.normal), -rel / d))
     if cos_in < math.cos(rx.fov_rad) or cos_in <= 0.0:
         return 0.0
-    spot_area = math.pi * spot_radius * spot_radius
-    capture = min(1.0, overlap / spot_area)
+    aperture_area = math.pi * aperture_radius * aperture_radius
+    capture = min(1.0, aperture_area / (math.pi * spot_radius * spot_radius))
     return capture * cos_in
 
 
@@ -405,7 +376,6 @@ def impulse_response(
     room: RoomModel,
     max_bounces: int = 2,
     *,
-    aim: Point3 | None = None,
     first_res: float = 0.05,
     bin_duration: float = 1e-11,
     second_grid: SurfaceGrid | None = None,
@@ -416,22 +386,19 @@ def impulse_response(
     exit point; second-order paths go through ``second_grid``, tiled at
     0.20 m by :func:`discretize_surfaces` when not given.
 
-    Raises :class:`UnservableLinkError` when the aim point is outside the
+    Raises :class:`UnservableLinkError` when the receiver is outside the
     transmitter's steering cone.
     """
     if max_bounces not in (0, 1, 2):
         raise ValueError("max_bounces must be 0, 1 or 2")
-    target = aim if aim is not None else rx.position
-    tx.check_servable(target)
+    los = narrow_beam_los_gain(tx, rx)
 
     tx_pos = tx.position.as_array()
     rx_pos = rx.position.as_array()
     rx_normal = np.asarray(rx.normal)
     cos_fov = math.cos(rx.fov_rad)
-    beam = target.as_array() - tx_pos
+    beam = rx_pos - tx_pos
     beam = beam / np.linalg.norm(beam)
-
-    los = narrow_beam_los_gain(tx, rx, aim=target)
 
     # every path as (gain, length), binned once at the end
     path_gains: list = []

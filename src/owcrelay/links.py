@@ -445,8 +445,6 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     commutes with the gating; an empty index array sums to 0.
     """
     clear = np.asarray(clear)
-    if clear.ndim == 1:
-        clear = clear[:, None]
     n = clear.shape[1]
     users = len(budget.user_terms)
     direct = np.empty((users, n))

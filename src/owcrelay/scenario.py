@@ -188,8 +188,8 @@ class Scenario:
                     f"[0, {r.width_m}] x [0, {r.length_m}] x [0, {r.height_m}]"
                 )
 
+        seen = set()  # ids are unique across all three kinds
         for kind, items in (("aps", self.aps), ("relays", self.relays), ("users", self.users)):
-            seen = set()
             for i, cfg in enumerate(items):
                 if not cfg.id:
                     errors.append(f"{kind}[{i}].id: must be non-empty")

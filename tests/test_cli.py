@@ -270,6 +270,15 @@ class TestErrors:
         assert res.stderr.startswith(f"error: link {link_id}: target needs")
         assert "Traceback" not in res.stderr
 
+    def test_id_shared_across_kinds_is_rejected(self, tmp_path):
+        # a relay named like a user would otherwise merge their links
+        path = tmp_path / "dupid.yaml"
+        path.write_text("relays: [{id: u1, position_m: [0.0, 1.0, 1.5]}]\n")
+        res = run_cli("simulate", "--samples", "4096", "--scenario", str(path))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: users[0].id: duplicate id 'u1'\n"
+
     def test_missing_scenario_file(self):
         res = run_cli("blockage", "--scenario", "/nonexistent/path.yaml")
         assert res.returncode == 1

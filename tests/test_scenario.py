@@ -295,6 +295,11 @@ class TestRejection:
                 ),
                 "duplicate",
             ),
+            (
+                # a relay and a user may not share an id either
+                lambda sc: dataclasses.replace(sc, relays=(RelayConfig("u1", (0.0, 1.0, 1.5)),)),
+                r"^users\[0\]\.id: duplicate id 'u1'$",
+            ),
             (lambda sc: dataclasses.replace(sc, users=()), "at least one user"),
             (
                 lambda sc: dataclasses.replace(
