@@ -262,7 +262,7 @@ def narrow_beam_los_gain(tx: TransmitterSpec, rx: ReceiverSpec) -> float:
     aperture_radius = math.sqrt(rx.area_m2 / math.pi)
 
     cos_in = float(np.dot(np.asarray(rx.normal), -rel / d))
-    if cos_in < math.cos(rx.fov_rad) or cos_in <= 0.0:
+    if cos_in < math.cos(rx.fov_rad):
         return 0.0
     aperture_area = math.pi * aperture_radius * aperture_radius
     capture = min(1.0, aperture_area / (math.pi * spot_radius * spot_radius))

@@ -237,32 +237,43 @@ class FloorCells:
 
     With half-diagonal hd, a cell lies inside a region where
     d <= radius - hd - 1e-9 m and outside it where d >= radius + hd + 1e-9 m;
-    otherwise the pair is undecided.  ``inside`` and ``undecided`` are
-    boolean (regions, cells); ``decided`` marks the cells with no undecided
-    region.  Cell c covers column ``c % nx`` and row ``c // nx``.
+    otherwise the pair is undecided.  Only the cells within two cells of a
+    region's bounding box are measured; every other cell is farther than
+    radius + hd from the spine.  ``inside`` is boolean (cells, regions); the
+    undecided regions of cell c are ``near[start[c]:start[c + 1]]``, and
+    ``decided`` marks the cells with none.  Cell c covers column ``c % nx``
+    and row ``c // nx``.
     """
 
     def __init__(self, regions, width: float, length: float, size: float):
         self.size = float(size)
         self.nx = math.ceil(width / size)
         self.ny = math.ceil(length / size)
-        cx = (np.tile(np.arange(self.nx), self.ny) + 0.5) * size
-        cy = (np.repeat(np.arange(self.ny), self.nx) + 0.5) * size
         half = size * math.sqrt(0.5)
         # (5, regions): one column of spine parameters per region, zero
         # where the region is empty and so never undecided
         self.spines = np.zeros((5, len(regions)))
-        self.inside = np.zeros((len(regions), cx.size), dtype=bool)
-        self.undecided = np.zeros_like(self.inside)
+        self.inside = np.zeros((self.count, len(regions)), dtype=bool)
+        undecided = np.zeros_like(self.inside)
         for j, region in enumerate(regions):
             if region.empty:
                 continue
             self.spines[:, j] = _spine(region)
             p0x, p0y, wx, wy, r = self.spines[:, j]
-            d = np.hypot(*_spine_offset(cx, cy, p0x, p0y, wx, wy))
-            self.inside[j] = d <= r - half - _CELL_MARGIN
-            self.undecided[j] = ~self.inside[j] & (d < r + half + _CELL_MARGIN)
-        self.decided = ~self.undecided.any(axis=0)
+            box = region.bbox()
+            ix, iy = (
+                np.arange(max(math.floor(lo / size) - 2, 0), min(math.ceil(hi / size) + 2, n))
+                for lo, hi, n in ((box.x0, box.x1, self.nx), (box.y0, box.y1, self.ny))
+            )
+            cell = (iy[:, None] * self.nx + ix).ravel()
+            cx, cy = (ix + 0.5) * size, (iy[:, None] + 0.5) * size
+            d = np.hypot(*_spine_offset(cx, cy, p0x, p0y, wx, wy)).ravel()
+            inner = d <= r - half - _CELL_MARGIN
+            self.inside[cell[inner], j] = True
+            undecided[cell[~inner & (d < r + half + _CELL_MARGIN)], j] = True
+        pair_cell, self.near = np.nonzero(undecided)
+        self.start = np.searchsorted(pair_cell, np.arange(self.count + 1))
+        self.decided = self.start[1:] == self.start[:-1]
 
     @property
     def count(self) -> int:
@@ -277,12 +288,17 @@ class FloorCells:
 
     def contain(self, x, y, cells) -> np.ndarray:
         """:func:`regions_contain` of the floor points (x, y) lying in
-        ``cells``: decided pairs read from the table, undecided ones tested
-        exactly."""
-        out = self.inside[:, cells]
-        j, k = np.divmod(np.flatnonzero(self.undecided[:, cells]), len(cells))
-        out[j, k] = _covers(x[k], y[k], *self.spines[:, j])
-        return out
+        ``cells``: each point's row of ``inside``, with its cell's undecided
+        regions tested exactly."""
+        out = self.inside[cells]
+        lo = self.start[cells]
+        runs = self.start[cells + 1] - lo
+        # pair i belongs to point k[i] and sits at its cell's run start
+        # plus its rank within the point's run
+        k = np.repeat(np.arange(len(cells)), runs)
+        j = self.near[np.arange(k.size) + np.repeat(lo - (np.cumsum(runs) - runs), runs)]
+        out[k, j] = _covers(x[k], y[k], *self.spines[:, j])
+        return np.ascontiguousarray(out.T)
 
 
 def blocked_region(a: Point3, b: Point3, cyl: CylinderSpec) -> StadiumRegion:

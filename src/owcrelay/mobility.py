@@ -29,11 +29,16 @@ __all__ = [
 _SAMPLE_CHUNK = 8192
 
 
+def _parabola(s, extent: float):
+    """6/L^3 * (L^2/4 - s^2), the axis density at offset s from the centre
+    of the axis for |s| <= L/2."""
+    return (6.0 / extent**3) * (extent**2 / 4.0 - s * s)
+
+
 def _axis_pdf(coord, extent: float) -> np.ndarray:
-    """Marginal density 6/L^3 * (L^2/4 - s^2), s centred on the axis."""
+    """Marginal density: the parabola on the axis, zero off it."""
     s = np.asarray(coord, dtype=float) - extent / 2.0
-    val = (6.0 / extent**3) * (extent**2 / 4.0 - s * s)
-    return np.where(np.abs(s) <= extent / 2.0, np.maximum(val, 0.0), 0.0)
+    return np.where(np.abs(s) <= extent / 2.0, np.maximum(_parabola(s, extent), 0.0), 0.0)
 
 
 def _axis_mass(coord, half, extent: float) -> np.ndarray:
@@ -95,28 +100,33 @@ def region_probabilities(regions, dist: RwpDistribution, rel_tol: float = 1e-4) 
 
 
 def sample_human_positions(dist: RwpDistribution, n: int, rng) -> np.ndarray:
-    """Draw ``n`` stationary positions, shape (n, 2), by rejection against a
-    uniform envelope at the peak density.
+    """Draw ``n`` stationary positions by rejection against a uniform
+    envelope at the peak density.  The result has shape (n, 2) and is the
+    transpose of a (2, n) array, so each coordinate column is contiguous.
 
     ``rng`` is a seed or a numpy Generator.  The chunked draw pattern is
     fixed, so a given generator state always yields the same output.
+    Candidates lie on the floor, where the density is the product of the two
+    parabolas, so the sampler skips the clamps of :meth:`RwpDistribution.pdf_xy`.
     """
     if n < 0:
         raise ValueError("sample count must be non-negative")
     gen = np.random.default_rng(rng)
-    peak = dist.peak_density
-    out = np.empty((n, 2))
+    lx, ly = dist.x_extent, dist.y_extent
+    out = np.empty((2, n))
+    draw = np.empty((_SAMPLE_CHUNK, 3))
+    # the chunk's x, y and acceptance columns, each contiguous
+    cols = np.empty((3, _SAMPLE_CHUNK))
+    xs, ys, u = cols
     filled = 0
     while filled < n:
-        draw = gen.random((_SAMPLE_CHUNK, 3))
-        xs = dist.x_extent * draw[:, 0]
-        ys = dist.y_extent * draw[:, 1]
-        keep = draw[:, 2] * peak <= dist.pdf_xy(xs, ys)
-        kx = xs[keep]
-        ky = ys[keep]
-        take = min(kx.size, n - filled)
-        out[filled : filled + take, 0] = kx[:take]
-        out[filled : filled + take, 1] = ky[:take]
-        filled += take
-    return out
-
+        np.copyto(cols.T, gen.random(out=draw))
+        xs *= lx
+        ys *= ly
+        u *= dist.peak_density
+        keep = np.flatnonzero(u <= _parabola(xs - lx / 2.0, lx) * _parabola(ys - ly / 2.0, ly))
+        keep = keep[: n - filled]
+        np.take(xs, keep, out=out[0, filled : filled + keep.size])
+        np.take(ys, keep, out=out[1, filled : filled + keep.size])
+        filled += keep.size
+    return out.T

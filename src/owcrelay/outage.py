@@ -5,9 +5,9 @@ blocker positions (or, optionally, independent per-link states) in fixed
 blocks with per-block seeds derived from the master seed, so the result is
 identical no matter how many worker processes execute the blocks.  Under
 the joint model a run first tiles the floor into cells and decides, once,
-the outage of every cell that no region boundary crosses; a sample there is
-counted by its cell, and only samples of the other cells are tested
-exactly and go through the SINR.  The
+the outage of each distinct link state of the cells that no region boundary
+crosses; a sample there is counted by its cell's state, and only samples of
+the other cells are tested exactly and go through the SINR.  The
 enumeration engine works under the independent-link model, weighting by
 quadrature marginals: a user's direct SINR and relayed SINR hang off disjoint
 links, so it walks the clear/blocked combinations of each half separately and
@@ -134,12 +134,13 @@ def _outage(budget: LinkBudget, clear) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _JointTable:
-    """Floor cells of a joint run, with the direct and coop outage of every
-    user in each decided cell as 0.0 or 1.0, shape (cells, users * 2), and
-    0.0 in the undecided cells.  Float, so counting a block's samples is
-    one BLAS product; its integer sums are exact."""
+    """Floor cells of a joint run.  ``outage`` is boolean (states + 1,
+    users * 2): the direct and coop outage of every user in each distinct
+    link state of the decided cells, and a last row of zeros.  ``state``
+    gives each cell its row, the last one for the undecided cells."""
 
     cells: FloorCells
+    state: np.ndarray
     outage: np.ndarray
 
 
@@ -151,30 +152,40 @@ def _joint_table(budget: LinkBudget, dist: RwpDistribution) -> _JointTable:
     )
     cells = FloorCells(budget.regions, dist.x_extent, dist.y_extent, size)
     decided = np.flatnonzero(cells.decided)
-    outage = np.zeros((cells.count, 2 * len(budget.user_terms)))
-    # at most a block's worth of columns per evaluate_sinr, which is one
-    # call on the default room
-    for start in range(0, decided.size, BLOCK_SIZE):
-        part = decided[start : start + BLOCK_SIZE]
-        outage[part] = _outage(budget, ~cells.inside[:, part]).reshape(outage.shape[1], -1).T
-    return _JointTable(cells, outage)
+    # decided cells sorted by their packed link states; equal states run together
+    keys = np.packbits(cells.inside[decided], axis=1)
+    order = np.lexsort(keys.T)
+    decided, keys = decided[order], keys[order]
+    new = np.ones(decided.size, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = decided[new]
+    state = np.full(cells.count, first.size, dtype=np.int32)
+    state[decided] = np.cumsum(new) - 1
+    outage = np.zeros((first.size + 1, 2 * len(budget.user_terms)), dtype=bool)
+    # at most a block's worth of columns per evaluate_sinr
+    for start in range(0, first.size, BLOCK_SIZE):
+        part = first[start : start + BLOCK_SIZE]
+        clear = ~np.ascontiguousarray(cells.inside[part].T)
+        outage[start : start + part.size] = _outage(budget, clear).reshape(outage.shape[1], -1).T
+    return _JointTable(cells, state, outage)
 
 
 def _run_block(budget, dist, master_seed, model, n_total, table, block_index):
     """Direct and coop outage counts of every user, shape (users, 2), over
     block ``block_index`` of a ``n_total``-sample run; ``table`` is the
     joint run's :class:`_JointTable`.  A joint sample in a decided cell
-    counts by its cell; the others are tested exactly."""
+    counts by its cell's state; the others are tested exactly."""
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     if model == "joint":
         pts = sample_human_positions(dist, n, rng)
         x, y = pts[:, 0], pts[:, 1]
         cell = table.cells.cell_of(x, y)
-        counts = np.bincount(cell, minlength=table.cells.count) @ table.outage
-        near = np.flatnonzero(~table.cells.decided[cell])
+        state = table.state[cell]
+        counts = np.bincount(state, minlength=len(table.outage)) @ table.outage
+        near = np.flatnonzero(state == len(table.outage) - 1)
         clear = ~table.cells.contain(x[near], y[near], cell[near])
-        return counts.reshape(-1, 2).astype(np.int64) + _outage(budget, clear).sum(axis=2)
+        return counts.reshape(-1, 2) + _outage(budget, clear).sum(axis=2)
     u = rng.random((n, budget.link_count))
     return _outage(budget, (u >= budget.marginals).T).sum(axis=2)
 

@@ -18,6 +18,9 @@ independent-link enumeration over joint link states that the split
 enumeration must reproduce.  :func:`sample_positions_65536` is the position
 sampler as it drew 65,536 candidate rows at a time; the package draws
 smaller chunks of the same stream and must return the same positions.
+:func:`classify_full_floor` classifies every floor cell against every
+region, the loop :class:`owcrelay.geometry.FloorCells` runs only near each
+region.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from owcrelay.geometry import Rect, StadiumRegion
+from owcrelay.geometry import _CELL_MARGIN, Rect, StadiumRegion, _spine, _spine_offset
 from owcrelay.links import evaluate_sinr
 from owcrelay.mobility import RwpDistribution
 from owcrelay.noma import ApAllocation, NoiseModel, noise_variance, order_users_and_allocate
@@ -412,3 +415,23 @@ def sample_positions_65536(dist, n: int, rng) -> np.ndarray:
         out[filled : filled + take, 1] = ys[keep][:take]
         filled += take
     return out
+
+
+def classify_full_floor(regions, width: float, length: float, size: float):
+    """(inside, undecided, decided) of the floor cells of side ``size``:
+    boolean (regions, cells) tables and a (cells,) mask, from the distance of
+    every cell centre to every region's spine."""
+    nx, ny = math.ceil(width / size), math.ceil(length / size)
+    cx = (np.tile(np.arange(nx), ny) + 0.5) * size
+    cy = (np.repeat(np.arange(ny), nx) + 0.5) * size
+    half = size * math.sqrt(0.5)
+    inside = np.zeros((len(regions), cx.size), dtype=bool)
+    undecided = np.zeros_like(inside)
+    for j, region in enumerate(regions):
+        if region.empty:
+            continue
+        p0x, p0y, wx, wy, r = _spine(region)
+        d = np.hypot(*_spine_offset(cx, cy, p0x, p0y, wx, wy))
+        inside[j] = d <= r - half - _CELL_MARGIN
+        undecided[j] = ~inside[j] & (d < r + half + _CELL_MARGIN)
+    return inside, undecided, ~undecided.any(axis=0)

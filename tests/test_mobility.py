@@ -231,13 +231,14 @@ class TestSampler:
             assert abs(float(np.mean(pts[:, axis])) - extent / 2) <= 3 * se_mean
             assert abs(float(np.var(pts[:, axis])) - var) <= 3 * se_var
 
-    @pytest.mark.parametrize("n", [1, 16_384, 200_000])
+    @pytest.mark.parametrize("n", [0, 1, 8_193, 16_384, 200_000])
     def test_equals_the_65536_row_draw(self, n):
         # the chunk size is not part of the output: the same candidate
         # stream gives the same positions, byte for byte
         for dist, seed in ((DIST, 0), (DIST, [2023, 5]), (RwpDistribution(6.0, 12.0), 9)):
             got = sample_human_positions(dist, n, np.random.default_rng(seed))
             want = sample_positions_65536(dist, n, np.random.default_rng(seed))
+            assert got.shape == want.shape == (n, 2)
             assert got.tobytes() == want.tobytes()
 
     def test_single_sample_helper(self):

@@ -38,7 +38,7 @@ from owcrelay.scenario import (
 )
 
 from conftest import make_single_link_scenario
-from reference import joint_state_outage
+from reference import classify_full_floor, joint_state_outage
 
 DENSE_TILE = Path(__file__).with_name("dense_tile.yaml")
 
@@ -442,6 +442,40 @@ class TestJointTable:
             # both kinds of cell, and both sides of the boundaries, were met
             assert cells.decided[cell].any() and not cells.decided[cell].all()
             assert exact.any() and not exact.all()
+
+    def test_classification_equals_the_full_floor_loop(self, joint_budget):
+        # each region is classified only near its bounding box; every cell
+        # must come out as a test of every cell against every region says
+        cells = self._table(joint_budget).cells
+        dist = walker_law(joint_budget.scenario)
+        inside, undecided, decided = classify_full_floor(
+            joint_budget.regions, dist.x_extent, dist.y_extent, cells.size
+        )
+        runs = np.diff(cells.start)
+        listed = np.zeros_like(cells.inside)
+        listed[np.repeat(np.arange(cells.count), runs), cells.near] = True
+        assert cells.start[0] == 0 and cells.start[-1] == cells.near.size == undecided.sum()
+        assert cells.inside.shape == (cells.count, len(joint_budget.regions))
+        assert np.array_equal(cells.inside, inside.T)
+        assert np.array_equal(listed, undecided.T)
+        assert np.array_equal(cells.decided, decided)
+
+    def test_outage_rows_are_the_cells_own_states(self, joint_budget):
+        table = self._table(joint_budget)
+        cells = table.cells
+        decided = np.flatnonzero(cells.decided)
+        states = cells.inside[decided]
+        users = len(joint_budget.user_terms)
+        want = outage._outage(joint_budget, ~states.T.copy()).reshape(2 * users, -1).T
+        assert table.outage.shape[1] == 2 * users
+        assert np.array_equal(table.outage[table.state[decided]], want)
+        # undecided cells read the last row, which counts nothing
+        assert (table.state[~cells.decided] == len(table.outage) - 1).all()
+        assert not table.outage[-1].any()
+        # one row per distinct link state of the decided cells
+        _, link_state = np.unique(states, axis=0, return_inverse=True)
+        pairs = np.unique(np.stack([table.state[decided], link_state.ravel()]), axis=1)
+        assert pairs.shape[1] == len(table.outage) - 1 == link_state.max() + 1
 
     def test_cell_size_follows_the_walker_radius(self, joint_budget):
         cells = self._table(joint_budget).cells
