@@ -11,7 +11,9 @@ The package is organised around six areas:
   probabilities, position sampling,
 - :mod:`owcrelay.noma`       power allocation and receiver noise,
 - :mod:`owcrelay.outage`     Monte Carlo and analytic outage estimators,
-- :mod:`owcrelay.scenario`   scenario files, defaults, result serialisation.
+- :mod:`owcrelay.scenario`   scenario files, defaults, result serialisation;
+  its room, walker and noise sections are the inputs the physics modules
+  take directly.
 
 :mod:`owcrelay.links` compiles a scenario into the static link budget the
 outage engines consume and evaluates SINR over batches of link states, and
@@ -23,11 +25,10 @@ benchmark use, plus the types they take or return; everything else is
 imported from its module.
 """
 
-from owcrelay.geometry import CylinderSpec, Point3, Rect, StadiumRegion, blocked_region
+from owcrelay.geometry import Point3, Rect, StadiumRegion, blocked_region
 from owcrelay.channel import (
     ChannelImpulseResponse,
     ReceiverSpec,
-    RoomModel,
     SurfaceGrid,
     TransmitterSpec,
     cir_rows,
@@ -46,6 +47,7 @@ from owcrelay.outage import (
     outage_monte_carlo,
 )
 from owcrelay.scenario import (
+    RoomConfig,
     Scenario,
     ScenarioError,
     default_scenario,

@@ -1,5 +1,6 @@
 """Optical channel model: steered narrow-beam line of sight plus up to two
-diffuse reflections off the room surfaces.
+diffuse reflections off the surfaces of the scenario's room section
+(:class:`owcrelay.scenario.RoomConfig`).
 
 The beam is a top-hat cone steered at the receiver's centre.  The receiver
 collects the share of the spot its centred aperture disk covers, projected
@@ -30,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from owcrelay.geometry import Point3
+from owcrelay.scenario import RoomConfig
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "RoomModel",
     "SurfaceGrid",
     "TransmitterSpec",
     "ReceiverSpec",
@@ -51,33 +52,6 @@ SPEED_OF_LIGHT = 2.99792458e8
 
 class UnservableLinkError(ValueError):
     """A steering target lies outside the transmitter's steering cone."""
-
-
-@dataclass(frozen=True)
-class RoomModel:
-    """Rectangular room, corner at the origin, z up.
-
-    ``lambertian_mode`` is the cosine exponent of surface re-emission; one
-    is ideal diffuse.
-    """
-
-    width: float = 4.0
-    length: float = 8.0
-    height: float = 3.0
-    wall_reflectivity: float = 0.8
-    ceiling_reflectivity: float = 0.8
-    floor_reflectivity: float = 0.3
-    lambertian_mode: float = 1.0
-
-    def __post_init__(self):
-        if min(self.width, self.length, self.height) <= 0:
-            raise ValueError("room extents must be positive")
-        for name in ("wall_reflectivity", "ceiling_reflectivity", "floor_reflectivity"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.lambertian_mode < 1.0:
-            raise ValueError("lambertian_mode must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -181,10 +155,10 @@ class SurfaceGrid:
         return float(np.sum(self.areas))
 
 
-def _face_layout(room: RoomModel):
+def _face_layout(room: RoomConfig):
     """(origin, u axis, u extent, v axis, v extent, normal, reflectivity)
     for each face, normals pointing into the room."""
-    w, l, h = room.width, room.length, room.height
+    w, l, h = room.width_m, room.length_m, room.height_m
     ex = np.array([1.0, 0.0, 0.0])
     ey = np.array([0.0, 1.0, 0.0])
     ez = np.array([0.0, 0.0, 1.0])
@@ -218,7 +192,7 @@ def _axis_cells(extent: float, resolution: float):
     return centers, widths
 
 
-def discretize_surfaces(room: RoomModel, resolution: float = 0.20) -> SurfaceGrid:
+def discretize_surfaces(room: RoomConfig, resolution: float = 0.20) -> SurfaceGrid:
     """Tile all six faces at the given resolution.
 
     Element areas sum to the exact interior surface area.
@@ -295,12 +269,12 @@ def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos
     return gain, dist
 
 
-def _beam_exit(room: RoomModel, origin: np.ndarray, direction: np.ndarray):
+def _beam_exit(room: RoomConfig, origin: np.ndarray, direction: np.ndarray):
     """First boundary face hit by a ray from inside the room.
 
     Returns (face index into the _face_layout order, hit point).
     """
-    w, l, h = room.width, room.length, room.height
+    w, l, h = room.width_m, room.length_m, room.height_m
     # plane constant and face index per (axis, side)
     planes = [
         (2, 0.0, 0), (2, h, 1),   # floor, ceiling
@@ -330,7 +304,7 @@ def _containing_cell(coord: float, widths: np.ndarray) -> int:
     return min(max(i, 0), widths.size - 1)
 
 
-def _snap_to_face(room: RoomModel, face: int, hit: np.ndarray, resolution: float):
+def _snap_to_face(room: RoomConfig, face: int, hit: np.ndarray, resolution: float):
     """Element centre, normal, reflectivity of the element of ``face``
     containing the hit point, at the given tiling resolution."""
     origin, u, ue, v, ve, normal, rho = _face_layout(room)[face]
@@ -373,7 +347,7 @@ def cir_rows(cir: ChannelImpulseResponse) -> tuple[tuple[int, float, float], ...
 def impulse_response(
     tx: TransmitterSpec,
     rx: ReceiverSpec,
-    room: RoomModel,
+    room: RoomConfig,
     max_bounces: int = 2,
     *,
     first_res: float = 0.05,

@@ -2,15 +2,18 @@
 which pedestrian positions cut which link.
 
 A standing person is modelled as a vertical solid cylinder resting on the
-floor.  For a fixed link the set of floor positions of the cylinder axis that
-break the link is a stadium shape (a segment inflated by the cylinder
-radius), obtained by clipping the link to the height band the cylinder can
-reach and projecting the surviving piece onto the floor.  The stadium is not
+floor, with the ``height_m`` and ``radius_m`` of the scenario's walker
+section (:class:`owcrelay.scenario.HumanConfig`).  For a fixed link the
+set of floor positions of the cylinder axis that break the link is a stadium
+shape (a segment inflated by the cylinder radius), obtained by clipping the
+link to the height band the cylinder can reach and projecting the surviving
+piece onto the floor.  The stadium is not
 cut at the walls: where the pedestrian can stand belongs to the mobility law
 (:mod:`owcrelay.mobility`), whose density is zero off the floor and whose
 sampler never leaves it.
 
-:func:`blocked_region` clips one link with the z-band clip;
+:func:`blocked_region` clips one link with the z-band clip, and returns the
+empty region when the room holds no pedestrian (``human.count == 0``);
 :meth:`StadiumRegion.contains`, :func:`regions_contain`,
 :meth:`StadiumRegion.signed_distance`, :class:`FloorCells` and the
 quadrature of :mod:`owcrelay.quadrature` all measure from the clipped spine
@@ -27,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from owcrelay.scenario import HumanConfig
+
 __all__ = [
     "Point3",
-    "CylinderSpec",
     "Rect",
     "StadiumRegion",
     "regions_contain",
@@ -57,21 +61,6 @@ class Point3:
 
     def distance_to(self, other: "Point3") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-
-@dataclass(frozen=True)
-class CylinderSpec:
-    """Solid vertical cylinder standing on the floor (axis footprint point,
-    occupied heights 0..height)."""
-
-    height: float = 1.8
-    radius: float = 0.3
-
-    def __post_init__(self):
-        if not (self.height > 0 and math.isfinite(self.height)):
-            raise ValueError(f"cylinder height must be positive, got {self.height}")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"cylinder radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -301,9 +290,11 @@ class FloorCells:
         return np.ascontiguousarray(out.T)
 
 
-def blocked_region(a: Point3, b: Point3, cyl: CylinderSpec) -> StadiumRegion:
+def blocked_region(a: Point3, b: Point3, human: HumanConfig) -> StadiumRegion:
     """Stadium region of blocker positions for the link from ``a`` to ``b``."""
-    spine = _clip_to_band(a.as_array(), b.as_array(), cyl.height)
+    if human.count == 0:  # no pedestrian: nothing blocks
+        return StadiumRegion.empty_region()
+    spine = _clip_to_band(a.as_array(), b.as_array(), human.height_m)
     if spine is None:
         return StadiumRegion.empty_region()
-    return StadiumRegion(*spine, cyl.radius)
+    return StadiumRegion(*spine, human.radius_m)

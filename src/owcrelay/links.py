@@ -17,15 +17,14 @@ import numpy as np
 
 from owcrelay.channel import (
     ReceiverSpec,
-    RoomModel,
     TransmitterSpec,
     UnservableLinkError,
     discretize_surfaces,
     impulse_response,
 )
-from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
-from owcrelay.noma import NoiseModel, noise_variance, order_users_and_allocate
-from owcrelay.scenario import Scenario
+from owcrelay.geometry import Point3, StadiumRegion, blocked_region
+from owcrelay.noma import noise_variance, order_users_and_allocate
+from owcrelay.scenario import RoomConfig, Scenario
 
 __all__ = [
     "RelaySpec",
@@ -47,7 +46,6 @@ class RelaySpec:
     between the signal and forwarded-noise terms of the second phase.
     """
 
-    relay_id: str
     transmitter: TransmitterSpec
     receiver: ReceiverSpec
 
@@ -90,7 +88,6 @@ class UserTerms:
 @dataclass
 class LinkBudget:
     scenario: Scenario
-    room: RoomModel
     links: tuple[Link, ...]
     regions: tuple[StadiumRegion, ...]
     user_terms: tuple[UserTerms, ...]
@@ -109,35 +106,22 @@ class LinkBudget:
         raise KeyError(f"no link {tx_id!r} -> {rx_id!r}")
 
 
-def _room_model(scenario: Scenario) -> RoomModel:
-    r = scenario.room
-    return RoomModel(
-        width=r.width_m,
-        length=r.length_m,
-        height=r.height_m,
-        wall_reflectivity=r.wall_reflectivity,
-        ceiling_reflectivity=r.ceiling_reflectivity,
-        floor_reflectivity=r.floor_reflectivity,
-        lambertian_mode=r.lambertian_mode,
-    )
-
-
 def _user_normal(elevation_deg: float, azimuth_deg: float) -> tuple[float, float, float]:
     el = math.radians(elevation_deg)
     az = math.radians(azimuth_deg)
     return (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
 
 
-def _inward_axis(position, room: RoomModel) -> tuple[float, float, float]:
+def _inward_axis(position, room: RoomConfig) -> tuple[float, float, float]:
     """Boresight for a wall node: away from the nearest room face."""
     x, y, z = position
     candidates = [
         (x - 0.0, (1.0, 0.0, 0.0)),
-        (room.width - x, (-1.0, 0.0, 0.0)),
+        (room.width_m - x, (-1.0, 0.0, 0.0)),
         (y - 0.0, (0.0, 1.0, 0.0)),
-        (room.length - y, (0.0, -1.0, 0.0)),
+        (room.length_m - y, (0.0, -1.0, 0.0)),
         (z - 0.0, (0.0, 0.0, 1.0)),
-        (room.height - z, (0.0, 0.0, -1.0)),
+        (room.height_m - z, (0.0, 0.0, -1.0)),
     ]
     return min(candidates, key=lambda c: c[0])[1]
 
@@ -152,7 +136,7 @@ def _ap_spec(cfg) -> TransmitterSpec:
     )
 
 
-def _relay_spec(cfg, room: RoomModel) -> RelaySpec:
+def _relay_spec(cfg, room: RoomConfig) -> RelaySpec:
     axis = cfg.axis if cfg.axis is not None else _inward_axis(cfg.position_m, room)
     pos = Point3(*cfg.position_m)
     tx = TransmitterSpec(
@@ -169,7 +153,7 @@ def _relay_spec(cfg, room: RoomModel) -> RelaySpec:
         fov_rad=math.radians(cfg.fov_deg),
         responsivity=cfg.responsivity_a_per_w,
     )
-    return RelaySpec(relay_id=cfg.id, transmitter=tx, receiver=rx)
+    return RelaySpec(transmitter=tx, receiver=rx)
 
 
 def _user_spec(cfg) -> ReceiverSpec:
@@ -182,22 +166,25 @@ def _user_spec(cfg) -> ReceiverSpec:
     )
 
 
-def _terminal_specs(scenario: Scenario, room: RoomModel):
+def _terminal_specs(scenario: Scenario):
     """Every AP, relay and user spec of the scenario, each keyed by id in
     scenario order."""
     return (
         {ap.id: _ap_spec(ap) for ap in scenario.aps},
-        {rl.id: _relay_spec(rl, room) for rl in scenario.relays},
+        {rl.id: _relay_spec(rl, scenario.room) for rl in scenario.relays},
         {u.id: _user_spec(u) for u in scenario.users},
     )
 
 
 def _association_map(scenario: Scenario, ap_specs, user_specs) -> dict[str, tuple[str, ...]]:
     """Users served by each source: the scenario's explicit map when present,
-    otherwise every user inside the source's steering cone, in scenario
-    order."""
+    each user once in its first place, otherwise every user inside the
+    source's steering cone, in scenario order."""
     if scenario.associations is not None:
-        return {ap.id: tuple(scenario.associations.get(ap.id, ())) for ap in scenario.aps}
+        return {
+            ap.id: tuple(dict.fromkeys(scenario.associations.get(ap.id, ())))
+            for ap in scenario.aps
+        }
     out: dict[str, tuple[str, ...]] = {}
     for ap_id, spec in ap_specs.items():
         served = []
@@ -254,10 +241,11 @@ def _relay_branch_map(
     return out
 
 
-def _channel(room: RoomModel, cc):
-    """Impulse response of a link under the scenario's channel settings,
-    as a function of (tx, rx).  The second-bounce grid is tiled once here
-    and shared by every call."""
+def _channel(scenario: Scenario):
+    """Impulse response of a link under the scenario's room and channel
+    settings, as a function of (tx, rx).  The second-bounce grid is tiled
+    once here and shared by every call."""
+    room, cc = scenario.room, scenario.channel
     grid = discretize_surfaces(room, cc.second_bounce_res_m) if cc.max_bounces >= 2 else None
 
     def cir(tx, rx):
@@ -274,23 +262,25 @@ def _channel(room: RoomModel, cc):
     return cir
 
 
-def _links(room: RoomModel, cc, specs) -> list[Link]:
-    """The link of each (kind, tx_id, rx_id, tx_spec, rx_spec), with its
-    unobstructed gains.  The responses are computed receiver by receiver,
-    so the second-bounce grid works out its gains to each receiver once;
-    an unservable link is reported first in link order."""
-    for _, tx_id, rx_id, tx, rx in specs:
+def _links(scenario: Scenario, specs) -> dict[tuple[str, str], Link]:
+    """The link of each entry (tx_id, rx_id) -> (kind, tx_spec, rx_spec) of
+    ``specs``, keyed and ordered the same way, with its unobstructed gains.
+    The responses are computed receiver by receiver, so the second-bounce
+    grid works out its gains to each receiver once; an unservable link is
+    reported first in link order."""
+    for (tx_id, rx_id), (_, tx, rx) in specs.items():
         try:
             tx.check_servable(rx.position)
         except UnservableLinkError as exc:
             raise UnservableLinkError(f"link {tx_id}->{rx_id}: {exc}") from None
-    channel = _channel(room, cc)
-    links: list = [None] * len(specs)
-    for i in sorted(range(len(specs)), key=lambda i: specs[i][2]):
-        kind, tx_id, rx_id, tx, rx = specs[i]
+    channel = _channel(scenario)
+    index = {key: i for i, key in enumerate(specs)}
+    links = {}
+    for tx_id, rx_id in sorted(specs, key=lambda key: key[1]):
+        kind, tx, rx = specs[tx_id, rx_id]
         cir = channel(tx, rx)
-        links[i] = Link(
-            index=i,
+        links[tx_id, rx_id] = Link(
+            index=index[tx_id, rx_id],
             link_id=f"{tx_id}->{rx_id}",
             kind=kind,
             tx_id=tx_id,
@@ -299,120 +289,85 @@ def _links(room: RoomModel, cc, specs) -> list[Link]:
             h_los=cir.los_gain,
             h_reflected=cir.first_order_gain + cir.second_order_gain,
         )
-    return links
+    return {key: links[key] for key in specs}
 
 
 def build_link_budget(scenario: Scenario) -> LinkBudget:
     """Evaluate every deterministic quantity the outage engines need."""
     scenario.validate()
-    room = _room_model(scenario)
-    cylinder = CylinderSpec(height=scenario.human.height_m, radius=scenario.human.radius_m)
-    noise_model = NoiseModel(
-        bandwidth_hz=scenario.noise.bandwidth_ghz * 1e9,
-        noise_density_a2_per_hz=scenario.noise.noise_density_a2hz,
-        background_current_a=scenario.noise.background_current_a,
-    )
-
-    ap_specs, relay_specs, user_specs = _terminal_specs(scenario, room)
+    ap_specs, relay_specs, user_specs = _terminal_specs(scenario)
     associations = _association_map(scenario, ap_specs, user_specs)
     pairings = _relay_pairing_map(scenario, ap_specs, relay_specs)
     branches = _relay_branch_map(associations, pairings, relay_specs, user_specs)
 
-    # (kind, tx_id, rx_id, tx_spec, rx_spec) of every link, in link order
-    specs: list[tuple] = []
-    index_of: dict[tuple[str, str], int] = {}
-
-    def add_link(kind, tx_id, rx_id, tx_spec, rx_spec):
-        if (tx_id, rx_id) not in index_of:
-            index_of[tx_id, rx_id] = len(specs)
-            specs.append((kind, tx_id, rx_id, tx_spec, rx_spec))
-
-    for ap in scenario.aps:
-        for uid in associations[ap.id]:
-            add_link("direct", ap.id, uid, ap_specs[ap.id], user_specs[uid])
+    # (tx_id, rx_id) -> (kind, tx_spec, rx_spec) of every link, in link order
+    specs: dict[tuple[str, str], tuple] = {}
+    for ap_id, served in associations.items():
+        for uid in served:
+            specs[ap_id, uid] = ("direct", ap_specs[ap_id], user_specs[uid])
     used = {r for brs in branches.values() for _, r in brs}
-    active_relays = [rid for rid in relay_specs if rid in used]
-    for rid in active_relays:
-        ap_id = pairings[rid]
-        add_link("feeder", ap_id, rid, ap_specs[ap_id], relay_specs[rid].receiver)
-    for user in scenario.users:
-        for ap_id, rid in branches[user.id]:
-            add_link("delivery", rid, user.id, relay_specs[rid].transmitter, user_specs[user.id])
+    for rid, relay in relay_specs.items():
+        if rid in used:
+            specs[pairings[rid], rid] = ("feeder", ap_specs[pairings[rid]], relay.receiver)
+    for uid, brs in branches.items():
+        for _, rid in brs:
+            specs[rid, uid] = ("delivery", relay_specs[rid].transmitter, user_specs[uid])
 
-    links = _links(room, scenario.channel, specs)
-    if scenario.human.count == 0:  # no pedestrian: nothing blocks
-        regions = [StadiumRegion.empty_region() for _ in specs]
-    else:
-        regions = [blocked_region(tx.position, rx.position, cylinder) for *_, tx, rx in specs]
-    direct_gains = {
-        ap.id: {uid: links[index_of[ap.id, uid]].h for uid in associations[ap.id]}
-        for ap in scenario.aps
-        if associations[ap.id]
-    }
-
-    ap_powers = {ap.id: ap.power_mw * 1e-3 for ap in scenario.aps}
+    links = _links(scenario, specs)
+    regions = [
+        blocked_region(tx.position, rx.position, scenario.human) for _, tx, rx in specs.values()
+    ]
     allocation = {
         ap_id: order_users_and_allocate(
             ap_id,
-            tuple(gains),
-            gains,
+            served,
+            {uid: links[ap_id, uid].h for uid in served},
             power_ratio=scenario.noma.power_ratio,
-            budget_w=ap_powers[ap_id],
+            budget_w=ap_specs[ap_id].power_w,
         )
-        for ap_id, gains in direct_gains.items()
+        for ap_id, served in associations.items()
+        if served
     }
 
-    # per-terminal noise from the unblocked first phase
-    user_noise: dict[str, float] = {}
-    for user in scenario.users:
-        p_rx = 0.0
-        for ap_id, gains in direct_gains.items():
-            if user.id in gains:
-                p_rx += ap_powers[ap_id] * gains[user.id]
-        user_noise[user.id] = noise_variance(noise_model, p_rx, user_specs[user.id].responsivity)
-    relay_noise: dict[str, float] = {}
-    for rid in active_relays:
-        ap_id = pairings[rid]
-        h = links[index_of[(ap_id, rid)]].h
-        relay_noise[rid] = noise_variance(
-            noise_model,
-            ap_powers[ap_id] * h,
-            relay_specs[rid].receiver.responsivity,
-        )
-
     terms: list[UserTerms] = []
-    for user in scenario.users:
-        uid = user.id
-        resp = user_specs[uid].responsivity
+    for uid, rx in user_specs.items():
+        resp = rx.responsivity
+        p_rx = 0.0  # unblocked first-phase power, which sets the shot noise
         d_idx, d_w, i_idx, i_w = [], [], [], []
-        for ap_id, gains in direct_gains.items():
-            if uid not in gains:
+        for ap_id, alloc in allocation.items():
+            if uid not in alloc.ordered_users:
                 continue
-            alloc = allocation[ap_id]
-            h = gains[uid]
+            h = links[ap_id, uid].h
+            p_rx += ap_specs[ap_id].power_w * h
             s = alloc.power_of(uid) * resp * h
-            d_idx.append(index_of[(ap_id, uid)])
+            d_idx.append(links[ap_id, uid].index)
             d_w.append(s * s)
             for k in alloc.interferers_of(uid):
                 t = alloc.power_of(k) * resp * h
-                i_idx.append(index_of[(ap_id, k)])
+                i_idx.append(links[ap_id, k].index)
                 i_w.append(t * t)
         bf_idx, bd_idx, b_sig, b_den = [], [], [], []
         for ap_id, rid in branches[uid]:
             alloc = allocation[ap_id]
-            h2 = links[index_of[(ap_id, rid)]].h * links[index_of[(rid, uid)]].h
+            feeder, delivery = links[ap_id, rid], links[rid, uid]
+            h2 = feeder.h * delivery.h
             s = alloc.power_of(uid) * resp * h2
             b_sig.append(s * s)
             interference = sum(
                 (alloc.power_of(k) * resp * h2) ** 2 for k in alloc.interferers_of(uid)
             )
-            b_den.append(interference + relay_noise[rid])
-            bf_idx.append(index_of[(ap_id, rid)])
-            bd_idx.append(index_of[(rid, uid)])
+            relay_noise = noise_variance(
+                scenario.noise,
+                ap_specs[ap_id].power_w * feeder.h,
+                relay_specs[rid].receiver.responsivity,
+            )
+            b_den.append(interference + relay_noise)
+            bf_idx.append(feeder.index)
+            bd_idx.append(delivery.index)
         terms.append(
             UserTerms(
                 user_id=uid,
-                noise_var=user_noise[uid],
+                noise_var=noise_variance(scenario.noise, p_rx, resp),
                 direct_idx=np.asarray(d_idx, dtype=np.intp),
                 direct_w=np.asarray(d_w, dtype=float),
                 int_idx=np.asarray(i_idx, dtype=np.intp),
@@ -426,8 +381,7 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
 
     return LinkBudget(
         scenario=scenario,
-        room=room,
-        links=tuple(links),
+        links=tuple(links.values()),
         regions=tuple(regions),
         user_terms=tuple(terms),
         threshold_db=scenario.noma.threshold_db,
@@ -469,7 +423,7 @@ def link_cir(budget: LinkBudget, tx_id: str, rx_id: str):
     binned response for inspection or dumping.
     """
     budget.link_index(tx_id, rx_id)  # raises KeyError when absent
-    ap_specs, relay_specs, user_specs = _terminal_specs(budget.scenario, budget.room)
+    ap_specs, relay_specs, user_specs = _terminal_specs(budget.scenario)
     tx = ap_specs[tx_id] if tx_id in ap_specs else relay_specs[tx_id].transmitter
     rx = user_specs[rx_id] if rx_id in user_specs else relay_specs[rx_id].receiver
-    return _channel(budget.room, budget.scenario.channel)(tx, rx)
+    return _channel(budget.scenario)(tx, rx)

@@ -4,8 +4,10 @@ Each access point splits its optical power over the users it serves with
 geometrically decaying weights, largest share to the weakest channel.
 Successive decoding at a receiver removes every weaker user's signal, so the
 residual interference comes only from users decoded later (the stronger
-channels).  :func:`owcrelay.links.evaluate_sinr` turns these allocations and
-noise variances into SINR values.
+channels).  :func:`noise_variance` reads the scenario's noise section
+(:class:`owcrelay.scenario.NoiseConfig`), and
+:func:`owcrelay.links.evaluate_sinr` turns these allocations and noise
+variances into SINR values.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from owcrelay.scenario import NoiseConfig
+
 __all__ = [
     "ELECTRON_CHARGE",
-    "NoiseModel",
     "noise_variance",
     "ApAllocation",
     "order_users_and_allocate",
@@ -24,32 +27,19 @@ __all__ = [
 ELECTRON_CHARGE = 1.602176634e-19
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Shot noise from the mean photocurrent plus a flat excess floor."""
-
-    bandwidth_hz: float = 1e10
-    noise_density_a2_per_hz: float = 1e-24
-    background_current_a: float = 0.0
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.noise_density_a2_per_hz < 0 or self.background_current_a < 0:
-            raise ValueError("noise parameters must be non-negative")
-
-
 def noise_variance(
-    model: NoiseModel,
+    noise: NoiseConfig,
     received_power_w: float,
     responsivity: float = 0.5,
 ) -> float:
-    """Electrical noise variance at a detector seeing the given optical power."""
+    """Electrical noise variance at a detector seeing the given optical power:
+    shot noise from the mean photocurrent plus a flat excess floor."""
     if received_power_w < 0:
         raise ValueError("received power must be non-negative")
+    bandwidth_hz = noise.bandwidth_ghz * 1e9
     photocurrent = responsivity * received_power_w
-    shot = 2.0 * ELECTRON_CHARGE * (photocurrent + model.background_current_a) * model.bandwidth_hz
-    return shot + model.noise_density_a2_per_hz * model.bandwidth_hz
+    shot = 2.0 * ELECTRON_CHARGE * (photocurrent + noise.background_current_a) * bandwidth_hz
+    return shot + noise.noise_density_a2hz * bandwidth_hz
 
 
 @dataclass(frozen=True)

@@ -45,13 +45,26 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class RoomConfig:
+    """Rectangular room, corner at the origin, z up."""
+
     width_m: float = 4.0
     length_m: float = 8.0
     height_m: float = 3.0
     wall_reflectivity: float = 0.8
     ceiling_reflectivity: float = 0.8
     floor_reflectivity: float = 0.3
+    # cosine exponent of surface re-emission; 1 is ideal diffuse
     lambertian_mode: float = 1.0
+
+    def __post_init__(self):
+        if not all(v > 0 for v in (self.width_m, self.length_m, self.height_m)):
+            raise ScenarioError("room: extents must be positive")
+        for name in ("wall_reflectivity", "ceiling_reflectivity", "floor_reflectivity"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ScenarioError(f"room.{name}: must lie in [0, 1], got {v}")
+        if not self.lambertian_mode >= 1:
+            raise ScenarioError("room.lambertian_mode: must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -94,12 +107,22 @@ class HumanConfig:
     radius_m: float = 0.3
     count: int = 1  # 0 disables blockage; only a single blocker is modelled
 
+    def __post_init__(self):
+        if not all(0 < v < math.inf for v in (self.height_m, self.radius_m)):
+            raise ScenarioError("human: height and radius must be positive")
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
     bandwidth_ghz: float = 10.0
     noise_density_a2hz: float = 1e-24
     background_current_a: float = 0.0
+
+    def __post_init__(self):
+        if not self.bandwidth_ghz > 0:
+            raise ScenarioError("noise.bandwidth_ghz: must be positive")
+        if not (self.noise_density_a2hz >= 0 and self.background_current_a >= 0):
+            raise ScenarioError("noise: densities and currents must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -129,7 +152,8 @@ _ANGLE = (lambda v: 0 < v <= 90, "must lie in (0, 90]")
 # range rules of the aps, relays and users entries, each applied where the field exists
 _ENTRY_RANGES = {
     "power_mw": _POSITIVE,
-    "divergence_mrad": _POSITIVE,
+    # the beam half-angle, divergence_mrad * 1e-3 rad, lies below pi/2
+    "divergence_mrad": (lambda v: 0 < v * 1e-3 < math.pi / 2, "must lie in (0, 500 pi)"),
     "area_cm2": _POSITIVE,
     "responsivity_a_per_w": _POSITIVE,
     "max_steering_deg": _ANGLE,
@@ -162,33 +186,16 @@ class Scenario:
     def validate(self) -> None:
         errors: list[str] = []
         r = self.room
-        if min(r.width_m, r.length_m, r.height_m) <= 0:
-            errors.append("room: extents must be positive")
-        for fname in ("wall_reflectivity", "ceiling_reflectivity", "floor_reflectivity"):
-            v = getattr(r, fname)
-            if not 0.0 <= v <= 1.0:
-                errors.append(f"room.{fname}: must lie in [0, 1], got {v}")
-        if r.lambertian_mode < 1:
-            errors.append("room.lambertian_mode: must be at least 1")
-
         if not self.aps:
             errors.append("aps: at least one access point is required")
         if not self.users:
             errors.append("users: at least one user is required")
 
-        def check_terminal(kind, label, cfg):
-            path = f"{kind}[{label}]"
-            p = cfg.position_m
-            if len(p) != 3:
-                errors.append(f"{path}.position_m: expected 3 coordinates")
-                return
-            if not (0 <= p[0] <= r.width_m and 0 <= p[1] <= r.length_m and 0 <= p[2] <= r.height_m):
-                errors.append(
-                    f"{path}.position_m: {list(p)} lies outside the room "
-                    f"[0, {r.width_m}] x [0, {r.length_m}] x [0, {r.height_m}]"
-                )
-
+        extents = (r.width_m, r.length_m, r.height_m)
         seen = set()  # ids are unique across all three kinds
+        # position -> path of the first terminal there; a link joins terminals
+        # of two kinds, and has no direction when both stand at one point
+        first_at: dict[tuple, tuple[str, str]] = {}
         for kind, items in (("aps", self.aps), ("relays", self.relays), ("users", self.users)):
             for i, cfg in enumerate(items):
                 if not cfg.id:
@@ -196,24 +203,29 @@ class Scenario:
                 if cfg.id in seen:
                     errors.append(f"{kind}[{i}].id: duplicate id {cfg.id!r}")
                 seen.add(cfg.id)
-                check_terminal(kind, cfg.id or i, cfg)
+                path = f"{kind}[{cfg.id or i}]"
+                p = cfg.position_m
+                if len(p) != 3:
+                    errors.append(f"{path}.position_m: expected 3 coordinates")
+                elif not all(0 <= v <= top for v, top in zip(p, extents)):
+                    errors.append(
+                        f"{path}.position_m: {list(p)} lies outside the room "
+                        f"[0, {r.width_m}] x [0, {r.length_m}] x [0, {r.height_m}]"
+                    )
+                other_kind, other = first_at.setdefault(tuple(p), (kind, path))
+                if other_kind != kind:
+                    errors.append(f"{path}.position_m: coincides with {other}")
                 for name, (in_range, rule) in _ENTRY_RANGES.items():
                     if hasattr(cfg, name) and not in_range(getattr(cfg, name)):
                         errors.append(f"{kind}[{i}].{name}: {rule}")
                 axis = getattr(cfg, "axis", None)
                 if axis is not None and sum(v * v for v in axis) == 0.0:
-                    errors.append(f"{kind}[{cfg.id or i}].axis: must be a non-zero vector")
+                    errors.append(f"{path}.axis: must be a non-zero vector")
 
-        if self.human.height_m <= 0 or self.human.radius_m <= 0:
-            errors.append("human: height and radius must be positive")
         if self.human.height_m > r.height_m:
             errors.append("human.height_m: taller than the room")
         if self.human.count not in (0, 1):
             errors.append("human.count: only 0 or 1 blocking humans are modelled")
-        if self.noise.bandwidth_ghz <= 0:
-            errors.append("noise.bandwidth_ghz: must be positive")
-        if self.noise.noise_density_a2hz < 0 or self.noise.background_current_a < 0:
-            errors.append("noise: densities and currents must be non-negative")
         if self.noma.power_ratio <= 1:
             errors.append("noma.power_ratio: must exceed 1")
         if self.noma.threshold_db <= 0:

@@ -34,7 +34,7 @@ import numpy as np
 from owcrelay.geometry import _CELL_MARGIN, Rect, StadiumRegion, _spine, _spine_offset
 from owcrelay.links import evaluate_sinr
 from owcrelay.mobility import RwpDistribution
-from owcrelay.noma import ApAllocation, NoiseModel, noise_variance, order_users_and_allocate
+from owcrelay.noma import ApAllocation, noise_variance, order_users_and_allocate
 from owcrelay.outage import ensure_marginals, is_outage
 from owcrelay.quadrature import MAX_CELLS, QuadratureError, integrate_region
 
@@ -167,22 +167,22 @@ def point_source_gain(src, src_normal, mode, dst, dst_normal, dst_area, cos_fov=
 
 def segment_meets_cylinder(a, b, center, cyl) -> bool:
     """Whether the closed segment a-b passes through the solid vertical
-    cylinder ``cyl`` (height, radius) standing on the floor at ``center``.
+    cylinder ``cyl`` (height_m, radius_m) standing on the floor at ``center``.
 
     The segment parameter t in [0, 1] is first limited to the heights the
-    cylinder occupies, 0 <= z <= height; the squared horizontal distance to
+    cylinder occupies, 0 <= z <= height_m; the squared horizontal distance to
     the cylinder axis, a quadratic in t, is then minimised over what is left.
     """
     ax, ay, az = (float(v) for v in a)
     bx, by, bz = (float(v) for v in b)
     dz = bz - az
     if dz == 0.0:
-        if not 0.0 <= az <= cyl.height:
+        if not 0.0 <= az <= cyl.height_m:
             return False
         lo, hi = 0.0, 1.0
     else:
         t_floor = -az / dz
-        t_top = (cyl.height - az) / dz
+        t_top = (cyl.height_m - az) / dz
         lo = max(0.0, min(t_floor, t_top))
         hi = min(1.0, max(t_floor, t_top))
         if lo > hi:
@@ -193,7 +193,7 @@ def segment_meets_cylinder(a, b, center, cyl) -> bool:
     uu = ux * ux + uy * uy
     t = lo if uu == 0.0 else min(hi, max(lo, -(fx * ux + fy * uy) / uu))
     gx, gy = fx + t * ux, fy + t * uy
-    return gx * gx + gy * gy <= cyl.radius * cyl.radius
+    return gx * gx + gy * gy <= cyl.radius_m * cyl.radius_m
 
 
 def region_area(region: StadiumRegion, floor: Rect, rel_tol: float = 1e-4) -> float:
@@ -322,11 +322,6 @@ def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sc = budget.scenario
     ap_power = {ap.id: ap.power_mw * 1e-3 for ap in sc.aps}
     relay_resp = {rl.id: rl.responsivity_a_per_w for rl in sc.relays}
-    noise = NoiseModel(
-        bandwidth_hz=sc.noise.bandwidth_ghz * 1e9,
-        noise_density_a2_per_hz=sc.noise.noise_density_a2hz,
-        background_current_a=sc.noise.background_current_a,
-    )
     key = {(ln.tx_id, ln.rx_id): ln.index for ln in budget.links}
     gains = {(ln.tx_id, ln.rx_id): ln.h for ln in budget.links}
     direct_links = [ln for ln in budget.links if ln.kind == "direct"]
@@ -345,7 +340,7 @@ def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         power_ratio=sc.noma.power_ratio,
     )
     relay_noise = {
-        rid: noise_variance(noise, ap_power[ap] * gains[(ap, rid)], relay_resp[rid])
+        rid: noise_variance(sc.noise, ap_power[ap] * gains[(ap, rid)], relay_resp[rid])
         for rid, ap in feeder_of.items()
     }
 
@@ -359,7 +354,7 @@ def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for ln in budget.links
             if ln.kind == "delivery" and ln.rx_id == uid
         ]
-        users.append((uid, resp, noise_variance(noise, p_rx, resp), branches))
+        users.append((uid, resp, noise_variance(sc.noise, p_rx, resp), branches))
 
     n = clear.shape[1]
     direct = np.empty((len(users), n))

@@ -12,16 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from owcrelay.channel import ReceiverSpec, RoomModel, TransmitterSpec, impulse_response
-from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
+from owcrelay.channel import ReceiverSpec, TransmitterSpec, impulse_response
+from owcrelay.geometry import Point3, StadiumRegion, blocked_region
 from owcrelay.links import evaluate_sinr
 from owcrelay.mobility import RwpDistribution, region_probabilities, sample_human_positions
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
+from owcrelay.scenario import HumanConfig, RoomConfig
 
 from reference import reference_sinr, segment_meets_cylinder, sinr_mrc
 
 DIST = RwpDistribution(4.0, 8.0)
-CYL = CylinderSpec()
+CYL = HumanConfig()
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -180,8 +181,8 @@ def test_criterion_7_byte_identical_across_workers(tmp_path):
 
 
 def test_criterion_8_channel_sanity():
-    room = RoomModel(width=4.0, length=8.0, height=3.0)
-    tall = RoomModel(width=4.0, length=8.0, height=5.0)
+    room = RoomConfig(width_m=4.0, length_m=8.0, height_m=3.0)
+    tall = RoomConfig(width_m=4.0, length_m=8.0, height_m=5.0)
 
     def tx(p, h=3.0, steer=40.0):
         return TransmitterSpec(

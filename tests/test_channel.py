@@ -8,7 +8,6 @@ from owcrelay.channel import (
     SPEED_OF_LIGHT,
     ChannelImpulseResponse,
     ReceiverSpec,
-    RoomModel,
     TransmitterSpec,
     UnservableLinkError,
     cir_rows,
@@ -19,11 +18,11 @@ from owcrelay.channel import (
 )
 from owcrelay.geometry import Point3
 from owcrelay.links import build_link_budget, link_cir
-from owcrelay.scenario import default_scenario, load_scenario
+from owcrelay.scenario import RoomConfig, default_scenario, load_scenario
 
 from reference import point_source_gain
 
-ROOM = RoomModel(width=4.0, length=8.0, height=3.0)
+ROOM = RoomConfig(width_m=4.0, length_m=8.0, height_m=3.0)
 
 
 def make_tx(position, power_w=1e-3, steer_deg=40.0, axis=(0, 0, -1)):
@@ -210,7 +209,7 @@ class TestDiscretization:
         assert np.min(fine.areas) < 0.3 * 0.3 - 1e-12
 
     def test_unit_wall_at_half_meter(self):
-        cube = RoomModel(width=1.0, length=1.0, height=1.0)
+        cube = RoomConfig(width_m=1.0, length_m=1.0, height_m=1.0)
         fine = discretize_surfaces(cube, 0.5)
         # 6 faces x 4 elements per 1x1 face
         assert fine.element_count == 24
@@ -267,7 +266,7 @@ class TestImpulseResponse:
         assert np.all(g0 <= g1) and np.all(g1 <= g2)
 
     def test_reflections_add_to_far_los(self):
-        tall_room = RoomModel(width=4.0, length=8.0, height=5.0)
+        tall_room = RoomConfig(width_m=4.0, length_m=8.0, height_m=5.0)
         tx = make_tx((1, 1, 5))
         rx = make_rx((1, 1, 1))
         cir = impulse_response(tx, rx, tall_room, max_bounces=2)

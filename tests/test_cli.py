@@ -279,6 +279,16 @@ class TestErrors:
         assert res.stdout == ""
         assert res.stderr == "error: users[0].id: duplicate id 'u1'\n"
 
+    def test_invalid_room_is_the_only_error(self, tmp_path):
+        # the room section fails while it loads, before any terminal is
+        # checked against its extents
+        path = tmp_path / "flat.yaml"
+        path.write_text("room: {width_m: 0.0}\n")
+        res = run_cli("simulate", "--samples", "4096", "--scenario", str(path))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "error: room: extents must be positive\n"
+
     def test_missing_scenario_file(self):
         res = run_cli("blockage", "--scenario", "/nonexistent/path.yaml")
         assert res.returncode == 1

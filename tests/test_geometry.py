@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from owcrelay.geometry import (
-    CylinderSpec,
     Point3,
     Rect,
     StadiumRegion,
@@ -12,10 +11,11 @@ from owcrelay.geometry import (
     regions_contain,
 )
 from owcrelay.mobility import RwpDistribution, region_probabilities, sample_human_positions
+from owcrelay.scenario import HumanConfig, ScenarioError
 
 from reference import region_area, segment_meets_cylinder
 
-CYL = CylinderSpec()
+CYL = HumanConfig()
 FLOOR = Rect(0.0, 0.0, 4.0, 8.0)
 
 
@@ -43,7 +43,7 @@ class TestIntersectionPredicate:
 
     def test_grazing_contact_counts_as_blocked(self):
         # distance exactly equals the radius (0.5 is binary-exact)
-        assert blocks((1, 1, 3), (1, 1, 1), (1.5, 1.0), CylinderSpec(radius=0.5))
+        assert blocks((1, 1, 3), (1, 1, 1), (1.5, 1.0), HumanConfig(radius_m=0.5))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -77,6 +77,11 @@ class TestBlockedRegion:
         assert region_area(region, FLOOR) == 0.0
         assert not region.contains((1.0, 1.0))
 
+    def test_no_walker_is_empty(self):
+        region = blocked_region(Point3(1, 1, 3), Point3(1, 1, 1), HumanConfig(count=0))
+        assert region.empty
+        assert not region.contains((1.0, 1.0))
+
     def test_corner_quarter_disk_area(self):
         region = StadiumRegion((0.0, 0.0), (0.0, 0.0), 0.3)
         assert math.isclose(region_area(region, FLOOR), math.pi * 0.09 / 4.0, rel_tol=1e-4)
@@ -87,7 +92,7 @@ class TestBlockedRegion:
             region = blocked_region(*random_link(rng), CYL)
             area = region_area(region, FLOOR)
             spine = 0.0 if region.empty else math.dist(region.p0, region.p1)
-            cap = spine * 2 * CYL.radius + math.pi * CYL.radius**2
+            cap = spine * 2 * CYL.radius_m + math.pi * CYL.radius_m**2
             assert area <= cap * (1 + 1e-4)
             assert area <= 4.0 * 8.0 * (1 + 1e-4)  # the floor
 
@@ -105,8 +110,8 @@ class TestBlockedRegion:
         pts = rng.uniform([0, 0], [4, 8], size=(200, 2))
         for _ in range(10):
             a, b = random_link(rng)
-            small = blocked_region(a, b, CylinderSpec(radius=0.2))
-            large = blocked_region(a, b, CylinderSpec(radius=0.35))
+            small = blocked_region(a, b, HumanConfig(radius_m=0.2))
+            large = blocked_region(a, b, HumanConfig(radius_m=0.35))
             inside_small = small.contains(pts)
             inside_large = large.contains(pts)
             assert np.all(inside_large[inside_small])
@@ -167,13 +172,13 @@ class TestRegionsContain:
         return batch
 
     def test_sampler_output(self, budget):
-        dist = RwpDistribution(budget.room.width, budget.room.length)
+        dist = RwpDistribution(budget.scenario.room.width_m, budget.scenario.room.length_m)
         pts = sample_human_positions(dist, 5000, np.random.default_rng(3))
         batch = self._assert_equals_stacked(self._regions(budget), pts)
         assert batch.any()
 
     def test_points_outside_the_floor(self, budget):
-        w, ln = budget.room.width, budget.room.length
+        w, ln = budget.scenario.room.width_m, budget.scenario.room.length_m
         rng = np.random.default_rng(4)
         pts = np.concatenate(
             [
@@ -207,8 +212,11 @@ class TestRegionsContain:
 
 class TestSpecsAndRects:
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            CylinderSpec(radius=-0.1)
+        message = "^human: height and radius must be positive$"
+        with pytest.raises(ScenarioError, match=message):
+            HumanConfig(radius_m=-0.1)
+        with pytest.raises(ScenarioError, match=message):
+            HumanConfig(height_m=math.inf)
         with pytest.raises(ValueError):
             StadiumRegion((0, 0), (1, 0), -1.0)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from owcrelay import quadrature
-from owcrelay.geometry import CylinderSpec, Point3, StadiumRegion, blocked_region
+from owcrelay.geometry import Point3, StadiumRegion, blocked_region
 from owcrelay.links import build_link_budget
 from owcrelay.mobility import (
     RwpDistribution,
@@ -16,12 +16,12 @@ from owcrelay.mobility import (
 )
 from owcrelay.outage import ensure_marginals
 from owcrelay.quadrature import QuadratureError
-from owcrelay.scenario import default_scenario, load_scenario
+from owcrelay.scenario import HumanConfig, default_scenario, load_scenario
 
 from reference import region_probabilities_one_by_one, sample_positions_65536
 
 DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
-CYL = CylinderSpec()
+CYL = HumanConfig()
 
 
 def link_probability(a: Point3, b: Point3) -> float:

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from owcrelay.links import evaluate_sinr
+from owcrelay.links import build_link_budget, evaluate_sinr
 from owcrelay.noma import (
     ELECTRON_CHARGE,
     ApAllocation,
-    NoiseModel,
     noise_variance,
     order_users_and_allocate,
 )
+from owcrelay.scenario import NoiseConfig, ScenarioError
 
 from reference import (
     NomaAllocation,
@@ -105,26 +105,28 @@ class TestAllocation:
 
 class TestNoise:
     def test_thermal_floor(self):
-        assert noise_variance(NoiseModel(), 0.0) == pytest.approx(1e-14, rel=1e-15)
+        assert noise_variance(NoiseConfig(), 0.0) == pytest.approx(1e-14, rel=1e-15)
 
     def test_shot_from_milliwatt(self):
-        v = noise_variance(NoiseModel(), 1e-3, responsivity=0.5)
+        v = noise_variance(NoiseConfig(), 1e-3, responsivity=0.5)
         shot = 2.0 * ELECTRON_CHARGE * 0.5e-3 * 1e10
         assert shot == pytest.approx(1.602176634e-12, rel=1e-12)
         assert v == shot + 1e-14
 
     def test_background_current_adds_shot(self):
-        base = noise_variance(NoiseModel(), 1e-3)
-        lit = noise_variance(NoiseModel(background_current_a=1e-3), 1e-3)
+        base = noise_variance(NoiseConfig(), 1e-3)
+        lit = noise_variance(NoiseConfig(background_current_a=1e-3), 1e-3)
         assert lit - base == pytest.approx(2.0 * ELECTRON_CHARGE * 1e-3 * 1e10, rel=1e-12)
 
     def test_validation(self):
+        with pytest.raises(ScenarioError, match=r"^noise\.bandwidth_ghz: must be positive$"):
+            NoiseConfig(bandwidth_ghz=0.0)
+        with pytest.raises(
+            ScenarioError, match="^noise: densities and currents must be non-negative$"
+        ):
+            NoiseConfig(noise_density_a2hz=-1e-24)
         with pytest.raises(ValueError):
-            NoiseModel(bandwidth_hz=0.0)
-        with pytest.raises(ValueError):
-            NoiseModel(noise_density_a2_per_hz=-1e-24)
-        with pytest.raises(ValueError):
-            noise_variance(NoiseModel(), -1e-3)
+            noise_variance(NoiseConfig(), -1e-3)
 
 
 class TestDirectSinr:
@@ -430,3 +432,19 @@ class TestEvaluateSinrMatchesReference:
         # boolean and float 0/1 link states give the same bits
         other = evaluate_sinr(b, clear.astype(float if dtype is bool else bool))
         assert np.array_equal(direct, other[0]) and np.array_equal(combined, other[1])
+
+
+class TestExplicitMap:
+    def test_user_listed_twice_is_served_once(self, default_sc):
+        # the repeat neither adds a link nor takes a second power share
+        once, twice = (
+            build_link_budget(dataclasses.replace(default_sc, associations=m))
+            for m in (
+                {"ap1": ("u1", "u4"), "ap5": ("u4",)},
+                {"ap1": ("u1", "u4", "u1"), "ap5": ("u4", "u4")},
+            )
+        )
+        assert twice.links == once.links
+        for a, b in zip(once.user_terms, twice.user_terms):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))

@@ -5,11 +5,14 @@ import typing
 import pytest
 import yaml
 
+from owcrelay.links import build_link_budget
 from owcrelay.outage import MAX_SAMPLES, OutageRow
 from owcrelay.scenario import (
     ApConfig,
     HumanConfig,
+    NoiseConfig,
     RelayConfig,
+    RoomConfig,
     Scenario,
     ScenarioError,
     UserConfig,
@@ -182,7 +185,8 @@ class TestRoundTrip:
         default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
         doc = {name: str(default)}  # e.g. "100000" or "0.05"
         if entry:
-            sc = scenario_from_dict({key: [{"id": "x1", "position_m": [2.0, 4.0, 1.0], **doc}]})
+            # no default terminal stands here; one of another kind at x1's point is rejected
+            sc = scenario_from_dict({key: [{"id": "x1", "position_m": [2.0, 4.0, 2.0], **doc}]})
             value = getattr(getattr(sc, key)[0], name)
         else:
             value = getattr(getattr(scenario_from_dict({key: doc}), key), name)
@@ -319,6 +323,34 @@ class TestRejection:
                 ),
                 r"^users\[1\]\.fov_deg: must lie in \(0, 90\]$",
             ),
+            (
+                # a half-angle of 2 rad is no beam: named by path, not by TransmitterSpec
+                lambda sc: dataclasses.replace(
+                    sc, aps=(dataclasses.replace(sc.aps[0], divergence_mrad=2000.0),) + sc.aps[1:]
+                ),
+                r"^aps\[0\]\.divergence_mrad: must lie in \(0, 500 pi\)$",
+            ),
+            (
+                lambda sc: dataclasses.replace(
+                    sc, users=(dataclasses.replace(sc.users[0], position_m=(1.0, 1.0, 3.0)),)
+                ),
+                r"^users\[u1\]\.position_m: coincides with aps\[ap1\]$",
+            ),
+            (
+                lambda sc: dataclasses.replace(
+                    sc, users=(dataclasses.replace(sc.users[0], position_m=(0.0, 1.0, 1.5)),)
+                ),
+                r"^users\[u1\]\.position_m: coincides with relays\[r1\]$",
+            ),
+            (
+                # with an explicit map too
+                lambda sc: dataclasses.replace(
+                    sc,
+                    relays=(RelayConfig("r1", (1.0, 3.0, 3.0)),),
+                    associations={"ap2": ("u1",)},
+                ),
+                r"^relays\[r1\]\.position_m: coincides with aps\[ap2\]$",
+            ),
         ],
     )
     def test_validation_failures(self, default_sc, mutate, fragment):
@@ -327,6 +359,42 @@ class TestRejection:
 
     def test_zero_humans_is_valid(self, default_sc):
         dataclasses.replace(default_sc, human=HumanConfig(count=0)).validate()
+
+    def test_terminals_of_one_kind_may_coincide(self, default_sc):
+        # two sources, or two users, at one point form no link between them
+        sc = dataclasses.replace(
+            default_sc,
+            aps=default_sc.aps + (ApConfig("ap9", default_sc.aps[0].position_m),),
+            users=default_sc.users + (UserConfig("u7", default_sc.users[0].position_m),),
+        )
+        budget = build_link_budget(sc)
+        twin = budget.links[budget.link_index("ap9", "u7")]
+        assert twin.h == budget.links[budget.link_index("ap1", "u1")].h > 0.0
+
+    @pytest.mark.parametrize(
+        "section, kwargs, message",
+        [
+            (RoomConfig, {"width_m": 0.0}, "room: extents must be positive"),
+            (
+                RoomConfig,
+                {"floor_reflectivity": 1.5},
+                "room.floor_reflectivity: must lie in [0, 1], got 1.5",
+            ),
+            (RoomConfig, {"lambertian_mode": 0.5}, "room.lambertian_mode: must be at least 1"),
+            (HumanConfig, {"radius_m": -0.1}, "human: height and radius must be positive"),
+            (NoiseConfig, {"bandwidth_ghz": 0.0}, "noise.bandwidth_ghz: must be positive"),
+        ],
+    )
+    def test_sections_check_themselves(self, section, kwargs, message):
+        # the same rule guards library calls and documents, which fail while
+        # loading with the section's message alone
+        with pytest.raises(ScenarioError) as direct:
+            section(**kwargs)
+        assert str(direct.value) == message
+        key = {RoomConfig: "room", HumanConfig: "human", NoiseConfig: "noise"}[section]
+        with pytest.raises(ScenarioError) as loaded:
+            scenario_from_dict({key: kwargs})
+        assert str(loaded.value) == message
 
 
 SAMPLE_ROWS = [
