@@ -12,8 +12,8 @@ The package is organised around six areas:
 - :mod:`owcrelay.noma`       power allocation and receiver noise,
 - :mod:`owcrelay.outage`     Monte Carlo and analytic outage estimators,
 - :mod:`owcrelay.scenario`   scenario files, defaults, result serialisation;
-  its room, walker and noise sections are the inputs the physics modules
-  take directly.
+  its room, walker and noise sections and its AP, relay and user entries
+  are the inputs the physics modules take directly.
 
 :mod:`owcrelay.links` compiles a scenario into the static link budget the
 outage engines consume and evaluates SINR over batches of link states, and
@@ -25,12 +25,10 @@ benchmark use, plus the types they take or return; everything else is
 imported from its module.
 """
 
-from owcrelay.geometry import Point3, Rect, StadiumRegion, blocked_region
+from owcrelay.geometry import Rect, StadiumRegion, blocked_region
 from owcrelay.channel import (
     ChannelImpulseResponse,
-    ReceiverSpec,
     SurfaceGrid,
-    TransmitterSpec,
     cir_rows,
     discretize_surfaces,
     impulse_response,
@@ -47,9 +45,12 @@ from owcrelay.outage import (
     outage_monte_carlo,
 )
 from owcrelay.scenario import (
+    ApConfig,
+    RelayConfig,
     RoomConfig,
     Scenario,
     ScenarioError,
+    UserConfig,
     default_scenario,
     load_scenario,
     result_lines,

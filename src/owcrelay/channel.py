@@ -2,6 +2,11 @@
 diffuse reflections off the surfaces of the scenario's room section
 (:class:`owcrelay.scenario.RoomConfig`).
 
+Terminals are the scenario's AP, relay and user entries
+(:mod:`owcrelay.scenario`), converted from the document's units where they
+are used; :func:`pointing` gives each one's boresight, which a relay's
+source and detector share.
+
 The beam is a top-hat cone steered at the receiver's centre.  The receiver
 collects the share of the spot its centred aperture disk covers, projected
 onto its face.  Power that misses the aperture continues along the beam axis
@@ -30,15 +35,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from owcrelay.geometry import Point3
-from owcrelay.scenario import RoomConfig
+from owcrelay.scenario import ApConfig, RelayConfig, RoomConfig, UserConfig
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "SurfaceGrid",
-    "TransmitterSpec",
-    "ReceiverSpec",
     "UnservableLinkError",
+    "pointing",
+    "steering_angle",
+    "can_serve",
+    "check_servable",
     "ChannelImpulseResponse",
     "discretize_surfaces",
     "narrow_beam_los_gain",
@@ -54,71 +60,57 @@ class UnservableLinkError(ValueError):
     """A steering target lies outside the transmitter's steering cone."""
 
 
-@dataclass(frozen=True)
-class TransmitterSpec:
-    """A beam-steered source.  ``axis`` is the boresight; a target may be
-    served only within ``max_steering_rad`` of it."""
-
-    position: Point3
-    power_w: float = 1e-3
-    divergence_rad: float = 2.1e-3
-    axis: tuple[float, float, float] = (0.0, 0.0, -1.0)
-    max_steering_rad: float = math.radians(30.0)
-
-    def __post_init__(self):
-        if self.power_w <= 0:
-            raise ValueError("transmit power must be positive")
-        if not 0.0 < self.divergence_rad < math.pi / 2:
-            raise ValueError("beam half-angle must lie in (0, pi/2)")
-        a = np.asarray(self.axis, dtype=float)
-        n = np.linalg.norm(a)
-        if n == 0.0 or not np.all(np.isfinite(a)):
-            raise ValueError("axis must be a non-zero finite vector")
-        object.__setattr__(self, "axis", tuple(a / n))
-
-    def steering_angle_to(self, target: Point3) -> float:
-        d = target.as_array() - self.position.as_array()
-        n = np.linalg.norm(d)
-        if n == 0.0:
-            raise ValueError("steering target coincides with the transmitter")
-        c = float(np.clip(np.dot(d / n, self.axis), -1.0, 1.0))
-        return math.acos(c)
-
-    def can_serve(self, target: Point3) -> bool:
-        """Whether ``target`` lies inside the steering cone."""
-        return self.steering_angle_to(target) <= self.max_steering_rad + 1e-12
-
-    def check_servable(self, target: Point3) -> None:
-        if not self.can_serve(target):
-            ang = self.steering_angle_to(target)
-            raise UnservableLinkError(
-                f"target needs {math.degrees(ang):.2f} deg of steering, "
-                f"limit is {math.degrees(self.max_steering_rad):.2f} deg"
-            )
+def _inward_axis(position, room: RoomConfig) -> tuple[float, float, float]:
+    """Boresight for a wall node: away from the nearest room face."""
+    x, y, z = position
+    candidates = [
+        (x - 0.0, (1.0, 0.0, 0.0)),
+        (room.width_m - x, (-1.0, 0.0, 0.0)),
+        (y - 0.0, (0.0, 1.0, 0.0)),
+        (room.length_m - y, (0.0, -1.0, 0.0)),
+        (z - 0.0, (0.0, 0.0, 1.0)),
+        (room.height_m - z, (0.0, 0.0, -1.0)),
+    ]
+    return min(candidates, key=lambda c: c[0])[1]
 
 
-@dataclass(frozen=True)
-class ReceiverSpec:
-    """A flat photodetector."""
+def pointing(entry: ApConfig | RelayConfig | UserConfig, room: RoomConfig) -> np.ndarray:
+    """Unit boresight of a terminal: an AP points straight down, a user
+    along its elevation and azimuth, and a relay's source and detector share
+    its ``axis``, or face away from the nearest room face."""
+    if isinstance(entry, ApConfig):
+        v = (0.0, 0.0, -1.0)
+    elif isinstance(entry, UserConfig):
+        el = math.radians(entry.elevation_deg)
+        az = math.radians(entry.azimuth_deg)
+        v = (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
+    else:
+        v = entry.axis if entry.axis is not None else _inward_axis(entry.position_m, room)
+    a = np.asarray(v, dtype=float)
+    return a / np.linalg.norm(a)
 
-    position: Point3
-    normal: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    area_m2: float = 1e-4
-    fov_rad: float = math.pi / 2
-    responsivity: float = 0.5
 
-    def __post_init__(self):
-        if self.area_m2 <= 0:
-            raise ValueError("detector area must be positive")
-        if not 0.0 < self.fov_rad <= math.pi / 2:
-            raise ValueError("field of view must lie in (0, pi/2]")
-        if self.responsivity <= 0:
-            raise ValueError("responsivity must be positive")
-        nv = np.asarray(self.normal, dtype=float)
-        n = np.linalg.norm(nv)
-        if n == 0.0 or not np.all(np.isfinite(nv)):
-            raise ValueError("normal must be a non-zero finite vector")
-        object.__setattr__(self, "normal", tuple(nv / n))
+def steering_angle(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> float:
+    """Angle between the boresight of ``tx`` and the direction to ``target``."""
+    d = np.asarray(target, dtype=float) - np.asarray(tx.position_m, dtype=float)
+    n = np.linalg.norm(d)
+    if n == 0.0:
+        raise ValueError("steering target coincides with the transmitter")
+    c = float(np.dot(d / n, pointing(tx, room)))
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def can_serve(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> bool:
+    """Whether the point ``target`` lies inside the steering cone of ``tx``."""
+    return steering_angle(tx, target, room) <= math.radians(tx.max_steering_deg) + 1e-12
+
+
+def check_servable(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> None:
+    if not can_serve(tx, target, room):
+        raise UnservableLinkError(
+            f"target needs {math.degrees(steering_angle(tx, target, room)):.2f} deg "
+            f"of steering, limit is {tx.max_steering_deg:.2f} deg"
+        )
 
 
 @dataclass(frozen=True)
@@ -129,20 +121,20 @@ class SurfaceGrid:
     normals: np.ndarray
     areas: np.ndarray
     reflectivities: np.ndarray
-    # (detector, mode) -> (gain, distance) of the last detector asked for
+    # (detector, room) -> (gain, distance) of the last detector asked for
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def gains_to(self, rx: "ReceiverSpec", mode: float):
-        """:func:`lambertian_gain` from every element, as a source of cosine
-        order ``mode``, to the detector ``rx``.  The last detector's gains
-        are kept, so responses into one receiver computed one after another
-        share them."""
-        key = (rx, mode)
+    def gains_to(self, rx: RelayConfig | UserConfig, room: RoomConfig):
+        """:func:`lambertian_gain` from every element, as a source of the
+        room's ``lambertian_mode``, to the detector of ``rx``.  The last
+        detector's gains are kept, so responses into one receiver computed
+        one after another share them."""
+        key = (rx, room)
         if key not in self._last:
             self._last.clear()
             self._last[key] = lambertian_gain(
-                self.centers, self.normals, mode, rx.position.as_array(),
-                np.asarray(rx.normal), rx.area_m2, math.cos(rx.fov_rad),
+                self.centers, self.normals, room.lambertian_mode, rx.position_m,
+                pointing(rx, room), rx.area_cm2 * 1e-4, math.cos(math.radians(rx.fov_deg)),
             )
         return self._last[key]
 
@@ -218,7 +210,9 @@ def discretize_surfaces(room: RoomConfig, resolution: float = 0.20) -> SurfaceGr
     )
 
 
-def narrow_beam_los_gain(tx: TransmitterSpec, rx: ReceiverSpec) -> float:
+def narrow_beam_los_gain(
+    tx: ApConfig | RelayConfig, rx: RelayConfig | UserConfig, room: RoomConfig
+) -> float:
     """Fraction of transmit power collected by the detector over the direct
     path.
 
@@ -228,15 +222,15 @@ def narrow_beam_los_gain(tx: TransmitterSpec, rx: ReceiverSpec) -> float:
     share of the spot, ``min(1, r_aperture^2 / r_spot^2)``, times the
     incidence cosine.
     """
-    tx.check_servable(rx.position)
-    rel = rx.position.as_array() - tx.position.as_array()
+    check_servable(tx, rx.position_m, room)
+    rel = np.asarray(rx.position_m, dtype=float) - np.asarray(tx.position_m, dtype=float)
     d = float(np.linalg.norm(rel))
     axial = float(np.dot(rel, rel / d))
-    spot_radius = axial * math.tan(tx.divergence_rad)
-    aperture_radius = math.sqrt(rx.area_m2 / math.pi)
+    spot_radius = axial * math.tan(tx.divergence_mrad * 1e-3)
+    aperture_radius = math.sqrt(rx.area_cm2 * 1e-4 / math.pi)
 
-    cos_in = float(np.dot(np.asarray(rx.normal), -rel / d))
-    if cos_in < math.cos(rx.fov_rad):
+    cos_in = float(np.dot(pointing(rx, room), -rel / d))
+    if cos_in < math.cos(math.radians(rx.fov_deg)):
         return 0.0
     aperture_area = math.pi * aperture_radius * aperture_radius
     capture = min(1.0, aperture_area / (math.pi * spot_radius * spot_radius))
@@ -345,8 +339,8 @@ def cir_rows(cir: ChannelImpulseResponse) -> tuple[tuple[int, float, float], ...
 
 
 def impulse_response(
-    tx: TransmitterSpec,
-    rx: ReceiverSpec,
+    tx: ApConfig | RelayConfig,
+    rx: RelayConfig | UserConfig,
     room: RoomConfig,
     max_bounces: int = 2,
     *,
@@ -365,12 +359,12 @@ def impulse_response(
     """
     if max_bounces not in (0, 1, 2):
         raise ValueError("max_bounces must be 0, 1 or 2")
-    los = narrow_beam_los_gain(tx, rx)
+    los = narrow_beam_los_gain(tx, rx, room)
 
-    tx_pos = tx.position.as_array()
-    rx_pos = rx.position.as_array()
-    rx_normal = np.asarray(rx.normal)
-    cos_fov = math.cos(rx.fov_rad)
+    tx_pos = np.asarray(tx.position_m, dtype=float)
+    rx_pos = np.asarray(rx.position_m, dtype=float)
+    rx_normal = pointing(rx, room)
+    cos_fov = math.cos(math.radians(rx.fov_deg))
     beam = rx_pos - tx_pos
     beam = beam / np.linalg.norm(beam)
 
@@ -392,7 +386,7 @@ def impulse_response(
             mode = room.lambertian_mode
 
             g1, d1 = lambertian_gain(
-                e_center, e_normal, mode, rx_pos, rx_normal, rx.area_m2, cos_fov
+                e_center, e_normal, mode, rx_pos, rx_normal, rx.area_cm2 * 1e-4, cos_fov
             )
             first = residue * e_rho * float(g1[0])
             if first > 0.0:
@@ -404,7 +398,7 @@ def impulse_response(
                 to_patch, d_ep = lambertian_gain(
                     e_center, e_normal, mode, grid.centers, grid.normals, grid.areas
                 )
-                to_rx, d_pr = grid.gains_to(rx, mode)
+                to_rx, d_pr = grid.gains_to(rx, room)
                 live = (to_patch > 0.0) & (to_rx > 0.0)
                 contrib = residue * e_rho * to_patch[live] * grid.reflectivities[live] * to_rx[live]
                 second = float(np.sum(contrib))

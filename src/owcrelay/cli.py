@@ -11,6 +11,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -161,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", help="YAML scenario file (defaults built in)")
     sim.add_argument("--samples", type=_count, default=None, help="Monte Carlo sample count")
     sim.add_argument("--seed", type=_count, default=None, help="master seed")
-    sim.add_argument("--workers", type=_count, default=1, help="worker processes")
+    sim.add_argument(
+        "--workers", type=_count, default=1, help="worker processes, at most one per sample block"
+    )
     sim.add_argument(
         "--mode",
         choices=["direct", "coop", "both"],
@@ -218,7 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``), which is no failure; the
+        # flush at shutdown goes to devnull, so it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ScenarioError, ValueError, KeyError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,9 @@ cut at the walls: where the pedestrian can stand belongs to the mobility law
 (:mod:`owcrelay.mobility`), whose density is zero off the floor and whose
 sampler never leaves it.
 
-:func:`blocked_region` clips one link with the z-band clip, and returns the
-empty region when the room holds no pedestrian (``human.count == 0``);
+:func:`blocked_region` clips one link, given by its two ``(x, y, z)`` ends,
+with the z-band clip, and returns the empty region when the room holds no
+pedestrian (``human.count == 0``);
 :meth:`StadiumRegion.contains`, :func:`regions_contain`,
 :meth:`StadiumRegion.signed_distance`, :class:`FloorCells` and the
 quadrature of :mod:`owcrelay.quadrature` all measure from the clipped spine
@@ -33,34 +34,12 @@ import numpy as np
 from owcrelay.scenario import HumanConfig
 
 __all__ = [
-    "Point3",
     "Rect",
     "StadiumRegion",
     "regions_contain",
     "FloorCells",
     "blocked_region",
 ]
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A point in the corner-origin room frame, coordinates in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coordinate {name}={v!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def distance_to(self, other: "Point3") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
 
 @dataclass(frozen=True)
@@ -290,11 +269,13 @@ class FloorCells:
         return np.ascontiguousarray(out.T)
 
 
-def blocked_region(a: Point3, b: Point3, human: HumanConfig) -> StadiumRegion:
-    """Stadium region of blocker positions for the link from ``a`` to ``b``."""
+def blocked_region(a, b, human: HumanConfig) -> StadiumRegion:
+    """Stadium region of blocker positions for the link between the
+    ``(x, y, z)`` points ``a`` and ``b``, in meters in the room frame."""
     if human.count == 0:  # no pedestrian: nothing blocks
         return StadiumRegion.empty_region()
-    spine = _clip_to_band(a.as_array(), b.as_array(), human.height_m)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    spine = _clip_to_band(a, b, human.height_m)
     if spine is None:
         return StadiumRegion.empty_region()
     return StadiumRegion(*spine, human.radius_m)

@@ -5,7 +5,13 @@ Everything random happens elsewhere; given a scenario this module produces
 the deterministic quantities the outage engines consume, including compiled
 per-user weight arrays so that :func:`evaluate_sinr` turns a batch of
 blocked/clear states into SINR values with a handful of matrix products.
-Every terminal spec is built once, by :func:`_terminal_specs`.
+Terminals are the scenario's AP, relay and user entries, keyed by id; the
+channel (:mod:`owcrelay.channel`) takes them as they are.
+
+A relay forwards and retransmits from one point on a wall.  Its electrical
+gain keeps the retransmitted power at its cap whatever the received level,
+so the gain cancels between the signal and forwarded-noise terms of the
+second phase.
 """
 
 from __future__ import annotations
@@ -16,38 +22,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from owcrelay.channel import (
-    ReceiverSpec,
-    TransmitterSpec,
     UnservableLinkError,
+    can_serve,
+    check_servable,
     discretize_surfaces,
     impulse_response,
 )
-from owcrelay.geometry import Point3, StadiumRegion, blocked_region
+from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.noma import noise_variance, order_users_and_allocate
-from owcrelay.scenario import RoomConfig, Scenario
+from owcrelay.scenario import Scenario
 
 __all__ = [
-    "RelaySpec",
     "Link",
     "LinkBudget",
     "build_link_budget",
     "evaluate_sinr",
     "link_cir",
 ]
-
-
-@dataclass(frozen=True)
-class RelaySpec:
-    """A wall-mounted forward-and-retransmit node: detector and steered
-    source share one position and boresight.
-
-    The electrical gain retunes itself so the retransmitted power sits at
-    the transmitter's cap whatever the received level; it therefore cancels
-    between the signal and forwarded-noise terms of the second phase.
-    """
-
-    transmitter: TransmitterSpec
-    receiver: ReceiverSpec
 
 
 @dataclass(frozen=True)
@@ -106,77 +97,13 @@ class LinkBudget:
         raise KeyError(f"no link {tx_id!r} -> {rx_id!r}")
 
 
-def _user_normal(elevation_deg: float, azimuth_deg: float) -> tuple[float, float, float]:
-    el = math.radians(elevation_deg)
-    az = math.radians(azimuth_deg)
-    return (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
+def _terminals(scenario: Scenario) -> dict:
+    """Every AP, relay and user entry of the scenario by id, in scenario
+    order; ids are unique across the three kinds."""
+    return {t.id: t for t in (*scenario.aps, *scenario.relays, *scenario.users)}
 
 
-def _inward_axis(position, room: RoomConfig) -> tuple[float, float, float]:
-    """Boresight for a wall node: away from the nearest room face."""
-    x, y, z = position
-    candidates = [
-        (x - 0.0, (1.0, 0.0, 0.0)),
-        (room.width_m - x, (-1.0, 0.0, 0.0)),
-        (y - 0.0, (0.0, 1.0, 0.0)),
-        (room.length_m - y, (0.0, -1.0, 0.0)),
-        (z - 0.0, (0.0, 0.0, 1.0)),
-        (room.height_m - z, (0.0, 0.0, -1.0)),
-    ]
-    return min(candidates, key=lambda c: c[0])[1]
-
-
-def _ap_spec(cfg) -> TransmitterSpec:
-    return TransmitterSpec(
-        position=Point3(*cfg.position_m),
-        power_w=cfg.power_mw * 1e-3,
-        divergence_rad=cfg.divergence_mrad * 1e-3,
-        axis=(0.0, 0.0, -1.0),
-        max_steering_rad=math.radians(cfg.max_steering_deg),
-    )
-
-
-def _relay_spec(cfg, room: RoomConfig) -> RelaySpec:
-    axis = cfg.axis if cfg.axis is not None else _inward_axis(cfg.position_m, room)
-    pos = Point3(*cfg.position_m)
-    tx = TransmitterSpec(
-        position=pos,
-        power_w=cfg.power_mw * 1e-3,  # retransmit cap; cancels in the two-phase ratio
-        divergence_rad=cfg.divergence_mrad * 1e-3,
-        axis=axis,
-        max_steering_rad=math.radians(cfg.max_steering_deg),
-    )
-    rx = ReceiverSpec(
-        position=pos,
-        normal=axis,
-        area_m2=cfg.area_cm2 * 1e-4,
-        fov_rad=math.radians(cfg.fov_deg),
-        responsivity=cfg.responsivity_a_per_w,
-    )
-    return RelaySpec(transmitter=tx, receiver=rx)
-
-
-def _user_spec(cfg) -> ReceiverSpec:
-    return ReceiverSpec(
-        position=Point3(*cfg.position_m),
-        normal=_user_normal(cfg.elevation_deg, cfg.azimuth_deg),
-        area_m2=cfg.area_cm2 * 1e-4,
-        fov_rad=math.radians(cfg.fov_deg),
-        responsivity=cfg.responsivity_a_per_w,
-    )
-
-
-def _terminal_specs(scenario: Scenario):
-    """Every AP, relay and user spec of the scenario, each keyed by id in
-    scenario order."""
-    return (
-        {ap.id: _ap_spec(ap) for ap in scenario.aps},
-        {rl.id: _relay_spec(rl, scenario.room) for rl in scenario.relays},
-        {u.id: _user_spec(u) for u in scenario.users},
-    )
-
-
-def _association_map(scenario: Scenario, ap_specs, user_specs) -> dict[str, tuple[str, ...]]:
+def _association_map(scenario: Scenario) -> dict[str, tuple[str, ...]]:
     """Users served by each source: the scenario's explicit map when present,
     each user once in its first place, otherwise every user inside the
     source's steering cone, in scenario order."""
@@ -185,60 +112,45 @@ def _association_map(scenario: Scenario, ap_specs, user_specs) -> dict[str, tupl
             ap.id: tuple(dict.fromkeys(scenario.associations.get(ap.id, ())))
             for ap in scenario.aps
         }
-    out: dict[str, tuple[str, ...]] = {}
-    for ap_id, spec in ap_specs.items():
-        served = []
-        for uid, rx in user_specs.items():
-            if spec.can_serve(rx.position):
-                served.append(uid)
-        out[ap_id] = tuple(served)
-    return out
+    return {
+        ap.id: tuple(u.id for u in scenario.users if can_serve(ap, u.position_m, scenario.room))
+        for ap in scenario.aps
+    }
 
 
-def _relay_pairing_map(scenario: Scenario, ap_specs, relay_specs) -> dict[str, str]:
+def _relay_pairing_map(scenario: Scenario) -> dict[str, str]:
     """Feeder source of each relay: the scenario's explicit map when present,
-    otherwise the nearest source able to steer onto the relay."""
+    otherwise the nearest source able to steer onto the relay, the first
+    in scenario order on a tie."""
     if scenario.relay_pairings is not None:
         return dict(scenario.relay_pairings)
     out: dict[str, str] = {}
-    for rid, relay in relay_specs.items():
-        rp = relay.receiver.position
-        best = None
-        best_d = math.inf
-        for ap_id, spec in ap_specs.items():
-            if not spec.can_serve(rp):
-                continue
-            d = spec.position.distance_to(rp)
-            if d < best_d:
-                best_d = d
-                best = ap_id
-        if best is not None:
-            out[rid] = best
+    for relay in scenario.relays:
+        rp = relay.position_m
+        feeders = [ap for ap in scenario.aps if can_serve(ap, rp, scenario.room)]
+        if feeders:
+            out[relay.id] = min(feeders, key=lambda ap: math.dist(ap.position_m, rp)).id
     return out
 
 
 def _relay_branch_map(
-    associations: dict[str, tuple[str, ...]],
-    pairings: dict[str, str],
-    relay_specs,
-    user_specs,
+    scenario: Scenario, associations: dict[str, tuple[str, ...]], pairings: dict[str, str]
 ) -> dict[str, tuple[tuple[str, str], ...]]:
     """Second-phase branches per user as (feeder source, relay) pairs.
 
     A relay forwards to a user when the user sits inside its steering cone
-    and its feeder source serves that user in the first phase.
+    and its feeder source serves that user in the first phase; a relay
+    without a feeder serves nobody.
     """
-    out: dict[str, tuple[tuple[str, str], ...]] = {}
-    for uid, rx in user_specs.items():
-        branches = []
-        for rid, relay in relay_specs.items():
-            ap_id = pairings.get(rid)
-            if ap_id is None or uid not in associations.get(ap_id, ()):
-                continue
-            if relay.transmitter.can_serve(rx.position):
-                branches.append((ap_id, rid))
-        out[uid] = tuple(branches)
-    return out
+    return {
+        u.id: tuple(
+            (pairings[r.id], r.id)
+            for r in scenario.relays
+            if u.id in associations.get(pairings.get(r.id), ())
+            and can_serve(r, u.position_m, scenario.room)
+        )
+        for u in scenario.users
+    }
 
 
 def _channel(scenario: Scenario):
@@ -262,22 +174,22 @@ def _channel(scenario: Scenario):
     return cir
 
 
-def _links(scenario: Scenario, specs) -> dict[tuple[str, str], Link]:
-    """The link of each entry (tx_id, rx_id) -> (kind, tx_spec, rx_spec) of
-    ``specs``, keyed and ordered the same way, with its unobstructed gains.
+def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
+    """The link of each entry (tx_id, rx_id) -> (kind, tx, rx) of ``ends``,
+    keyed and ordered the same way, with its unobstructed gains.
     The responses are computed receiver by receiver, so the second-bounce
     grid works out its gains to each receiver once; an unservable link is
     reported first in link order."""
-    for (tx_id, rx_id), (_, tx, rx) in specs.items():
+    for (tx_id, rx_id), (_, tx, rx) in ends.items():
         try:
-            tx.check_servable(rx.position)
+            check_servable(tx, rx.position_m, scenario.room)
         except UnservableLinkError as exc:
             raise UnservableLinkError(f"link {tx_id}->{rx_id}: {exc}") from None
     channel = _channel(scenario)
-    index = {key: i for i, key in enumerate(specs)}
+    index = {key: i for i, key in enumerate(ends)}
     links = {}
-    for tx_id, rx_id in sorted(specs, key=lambda key: key[1]):
-        kind, tx, rx = specs[tx_id, rx_id]
+    for tx_id, rx_id in sorted(ends, key=lambda key: key[1]):
+        kind, tx, rx = ends[tx_id, rx_id]
         cir = channel(tx, rx)
         links[tx_id, rx_id] = Link(
             index=index[tx_id, rx_id],
@@ -289,33 +201,33 @@ def _links(scenario: Scenario, specs) -> dict[tuple[str, str], Link]:
             h_los=cir.los_gain,
             h_reflected=cir.first_order_gain + cir.second_order_gain,
         )
-    return {key: links[key] for key in specs}
+    return {key: links[key] for key in ends}
 
 
 def build_link_budget(scenario: Scenario) -> LinkBudget:
     """Evaluate every deterministic quantity the outage engines need."""
     scenario.validate()
-    ap_specs, relay_specs, user_specs = _terminal_specs(scenario)
-    associations = _association_map(scenario, ap_specs, user_specs)
-    pairings = _relay_pairing_map(scenario, ap_specs, relay_specs)
-    branches = _relay_branch_map(associations, pairings, relay_specs, user_specs)
+    terminal = _terminals(scenario)
+    associations = _association_map(scenario)
+    pairings = _relay_pairing_map(scenario)
+    branches = _relay_branch_map(scenario, associations, pairings)
 
-    # (tx_id, rx_id) -> (kind, tx_spec, rx_spec) of every link, in link order
-    specs: dict[tuple[str, str], tuple] = {}
+    # (tx_id, rx_id) -> (kind, tx entry, rx entry) of every link, in link order
+    ends: dict[tuple[str, str], tuple] = {}
     for ap_id, served in associations.items():
         for uid in served:
-            specs[ap_id, uid] = ("direct", ap_specs[ap_id], user_specs[uid])
+            ends[ap_id, uid] = ("direct", terminal[ap_id], terminal[uid])
     used = {r for brs in branches.values() for _, r in brs}
-    for rid, relay in relay_specs.items():
-        if rid in used:
-            specs[pairings[rid], rid] = ("feeder", ap_specs[pairings[rid]], relay.receiver)
+    for relay in scenario.relays:
+        if relay.id in used:
+            ends[pairings[relay.id], relay.id] = ("feeder", terminal[pairings[relay.id]], relay)
     for uid, brs in branches.items():
         for _, rid in brs:
-            specs[rid, uid] = ("delivery", relay_specs[rid].transmitter, user_specs[uid])
+            ends[rid, uid] = ("delivery", terminal[rid], terminal[uid])
 
-    links = _links(scenario, specs)
+    links = _links(scenario, ends)
     regions = [
-        blocked_region(tx.position, rx.position, scenario.human) for _, tx, rx in specs.values()
+        blocked_region(tx.position_m, rx.position_m, scenario.human) for _, tx, rx in ends.values()
     ]
     allocation = {
         ap_id: order_users_and_allocate(
@@ -323,22 +235,22 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
             served,
             {uid: links[ap_id, uid].h for uid in served},
             power_ratio=scenario.noma.power_ratio,
-            budget_w=ap_specs[ap_id].power_w,
+            budget_w=terminal[ap_id].power_mw * 1e-3,
         )
         for ap_id, served in associations.items()
         if served
     }
 
     terms: list[UserTerms] = []
-    for uid, rx in user_specs.items():
-        resp = rx.responsivity
+    for user in scenario.users:
+        uid, resp = user.id, user.responsivity_a_per_w
         p_rx = 0.0  # unblocked first-phase power, which sets the shot noise
         d_idx, d_w, i_idx, i_w = [], [], [], []
         for ap_id, alloc in allocation.items():
             if uid not in alloc.ordered_users:
                 continue
             h = links[ap_id, uid].h
-            p_rx += ap_specs[ap_id].power_w * h
+            p_rx += terminal[ap_id].power_mw * 1e-3 * h
             s = alloc.power_of(uid) * resp * h
             d_idx.append(links[ap_id, uid].index)
             d_w.append(s * s)
@@ -358,8 +270,8 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
             )
             relay_noise = noise_variance(
                 scenario.noise,
-                ap_specs[ap_id].power_w * feeder.h,
-                relay_specs[rid].receiver.responsivity,
+                terminal[ap_id].power_mw * 1e-3 * feeder.h,
+                terminal[rid].responsivity_a_per_w,
             )
             b_den.append(interference + relay_noise)
             bf_idx.append(feeder.index)
@@ -423,7 +335,5 @@ def link_cir(budget: LinkBudget, tx_id: str, rx_id: str):
     binned response for inspection or dumping.
     """
     budget.link_index(tx_id, rx_id)  # raises KeyError when absent
-    ap_specs, relay_specs, user_specs = _terminal_specs(budget.scenario)
-    tx = ap_specs[tx_id] if tx_id in ap_specs else relay_specs[tx_id].transmitter
-    rx = user_specs[rx_id] if rx_id in user_specs else relay_specs[rx_id].receiver
-    return _channel(budget.scenario)(tx, rx)
+    terminal = _terminals(budget.scenario)
+    return _channel(budget.scenario)(terminal[tx_id], terminal[rx_id])

@@ -233,6 +233,7 @@ def outage_monte_carlo(
     dist = walker_law(budget.scenario)
     table = _joint_table(budget, dist) if model == "joint" else None
     run = functools.partial(_run_block, budget, dist, seed, model, n_total, table)
+    workers = min(workers, len(blocks))  # a worker without a block would only start up
     if workers <= 1:
         counts = sum(map(run, blocks))
     else:

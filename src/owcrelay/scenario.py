@@ -67,6 +67,33 @@ class RoomConfig:
             raise ScenarioError("room.lambertian_mode: must be at least 1")
 
 
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_ANGLE = (lambda v: 0 < v <= 90, "must lie in (0, 90]")
+# range rules of the aps, relays and users entries, each applied where the field exists
+_ENTRY_RANGES = {
+    "power_mw": _POSITIVE,
+    # the beam half-angle, divergence_mrad * 1e-3 rad, lies below pi/2
+    "divergence_mrad": (lambda v: 0 < v * 1e-3 < math.pi / 2, "must lie in (0, 500 pi)"),
+    "area_cm2": _POSITIVE,
+    "responsivity_a_per_w": _POSITIVE,
+    "max_steering_deg": _ANGLE,
+    "fov_deg": _ANGLE,
+    "elevation_deg": (lambda v: 0 <= v <= 90, "must lie in [0, 90]"),
+}
+
+
+def _check_entry(entry) -> None:
+    """The range rules of an aps, relays or users entry, and a relay's axis
+    rule.  An entry does not know its place in the document, so the message
+    names the field alone; loading a document prefixes the entry's path."""
+    for name, (in_range, rule) in _ENTRY_RANGES.items():
+        if hasattr(entry, name) and not in_range(getattr(entry, name)):
+            raise ScenarioError(f"{name}: {rule}")
+    axis = getattr(entry, "axis", None)
+    if axis is not None and not (all(map(math.isfinite, axis)) and any(axis)):
+        raise ScenarioError("axis: must be a non-zero finite vector")
+
+
 @dataclass(frozen=True)
 class ApConfig:
     id: str
@@ -74,6 +101,8 @@ class ApConfig:
     power_mw: float = 1.0
     divergence_mrad: float = 2.1
     max_steering_deg: float = 40.0
+
+    __post_init__ = _check_entry
 
 
 @dataclass(frozen=True)
@@ -89,6 +118,8 @@ class RelayConfig:
     # boresight; None means "face away from the nearest wall"
     axis: tuple[float, float, float] | None = None
 
+    __post_init__ = _check_entry
+
 
 @dataclass(frozen=True)
 class UserConfig:
@@ -99,6 +130,8 @@ class UserConfig:
     responsivity_a_per_w: float = 0.5
     elevation_deg: float = 90.0
     azimuth_deg: float = 0.0
+
+    __post_init__ = _check_entry
 
 
 @dataclass(frozen=True)
@@ -145,21 +178,6 @@ class ChannelConfig:
     first_bounce_res_m: float = 0.05
     second_bounce_res_m: float = 0.20
     bin_ns: float = 0.01
-
-
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_ANGLE = (lambda v: 0 < v <= 90, "must lie in (0, 90]")
-# range rules of the aps, relays and users entries, each applied where the field exists
-_ENTRY_RANGES = {
-    "power_mw": _POSITIVE,
-    # the beam half-angle, divergence_mrad * 1e-3 rad, lies below pi/2
-    "divergence_mrad": (lambda v: 0 < v * 1e-3 < math.pi / 2, "must lie in (0, 500 pi)"),
-    "area_cm2": _POSITIVE,
-    "responsivity_a_per_w": _POSITIVE,
-    "max_steering_deg": _ANGLE,
-    "fov_deg": _ANGLE,
-    "elevation_deg": (lambda v: 0 <= v <= 90, "must lie in [0, 90]"),
-}
 
 
 @dataclass(frozen=True)
@@ -215,12 +233,6 @@ class Scenario:
                 other_kind, other = first_at.setdefault(tuple(p), (kind, path))
                 if other_kind != kind:
                     errors.append(f"{path}.position_m: coincides with {other}")
-                for name, (in_range, rule) in _ENTRY_RANGES.items():
-                    if hasattr(cfg, name) and not in_range(getattr(cfg, name)):
-                        errors.append(f"{kind}[{i}].{name}: {rule}")
-                axis = getattr(cfg, "axis", None)
-                if axis is not None and sum(v * v for v in axis) == 0.0:
-                    errors.append(f"{path}.axis: must be a non-zero vector")
 
         if self.human.height_m > r.height_m:
             errors.append("human.height_m: taller than the room")
@@ -351,7 +363,12 @@ def _merge(cls, base, doc: Any, path: str):
         if key not in hints:
             raise ScenarioError(f"unknown key: {key_path}")
         updates[key] = _coerce(value, hints[key], key_path, getattr(base, key, None))
-    return cls(**updates) if base is None else replace(base, **updates)
+    if base is not None:
+        return replace(base, **updates)
+    try:
+        return cls(**updates)
+    except ScenarioError as exc:  # a list entry's own check names only the field
+        raise ScenarioError(f"{path}.{exc}") from None
 
 
 def _coerce(value, annotation, path: str, base=None):

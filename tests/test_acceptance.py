@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from owcrelay.channel import ReceiverSpec, TransmitterSpec, impulse_response
-from owcrelay.geometry import Point3, StadiumRegion, blocked_region
+from owcrelay.channel import impulse_response
+from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.links import evaluate_sinr
 from owcrelay.mobility import RwpDistribution, region_probabilities, sample_human_positions
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
-from owcrelay.scenario import HumanConfig, RoomConfig
+from owcrelay.scenario import ApConfig, HumanConfig, RoomConfig, UserConfig
 
 from reference import reference_sinr, segment_meets_cylinder, sinr_mrc
 
@@ -48,7 +48,7 @@ def test_criterion_2_membership_matches_predicate():
         if np.allclose(a, b):
             continue
         center = rng.uniform([0, 0], [4, 8])
-        region = blocked_region(Point3(*a), Point3(*b), CYL)
+        region = blocked_region(a, b, CYL)
         in_region = bool(region.contains(center[None, :])[0])
         hits = segment_meets_cylinder(a, b, center, CYL)
         mismatches += in_region != hits
@@ -63,7 +63,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
     labels = []
     for ap in default_sc.aps:
         for user in default_sc.users:
-            regions.append(blocked_region(Point3(*ap.position_m), Point3(*user.position_m), CYL))
+            regions.append(blocked_region(ap.position_m, user.position_m, CYL))
             labels.append(f"{ap.id}:{user.id}")
     assert len(regions) == 48  # every source-user pair, served or not
     for link, region in zip(budget.links, budget.regions):
@@ -184,17 +184,13 @@ def test_criterion_8_channel_sanity():
     room = RoomConfig(width_m=4.0, length_m=8.0, height_m=3.0)
     tall = RoomConfig(width_m=4.0, length_m=8.0, height_m=5.0)
 
-    def tx(p, h=3.0, steer=40.0):
-        return TransmitterSpec(
-            position=Point3(*p), power_w=1e-3, divergence_rad=2.1e-3,
-            axis=(0, 0, -1), max_steering_rad=math.radians(steer),
-        )
+    def tx(p):
+        # 1 mW, 2.1 mrad, pointing straight down, steered up to 40 deg
+        return ApConfig("ap", p)
 
     def rx(p):
-        return ReceiverSpec(
-            position=Point3(*p), normal=(0, 0, 1), area_m2=1e-4,
-            fov_rad=math.radians(90.0), responsivity=0.5,
-        )
+        # 1 cm^2, 90 deg field of view, facing straight up
+        return UserConfig("u", p)
 
     cir2 = impulse_response(tx((1, 1, 3)), rx((1, 1, 1)), room, max_bounces=0)
     cir4 = impulse_response(tx((1, 1, 5)), rx((1, 1, 1)), tall, max_bounces=0)

@@ -7,49 +7,51 @@ import pytest
 from owcrelay.channel import (
     SPEED_OF_LIGHT,
     ChannelImpulseResponse,
-    ReceiverSpec,
-    TransmitterSpec,
     UnservableLinkError,
     cir_rows,
     discretize_surfaces,
     impulse_response,
     lambertian_gain,
     narrow_beam_los_gain,
+    pointing,
 )
-from owcrelay.geometry import Point3
 from owcrelay.links import build_link_budget, link_cir
-from owcrelay.scenario import RoomConfig, default_scenario, load_scenario
+from owcrelay.scenario import (
+    ApConfig,
+    RelayConfig,
+    RoomConfig,
+    UserConfig,
+    default_scenario,
+    load_scenario,
+)
 
 from reference import point_source_gain
 
 ROOM = RoomConfig(width_m=4.0, length_m=8.0, height_m=3.0)
 
 
-def make_tx(position, power_w=1e-3, steer_deg=40.0, axis=(0, 0, -1)):
-    return TransmitterSpec(
-        position=Point3(*position),
-        power_w=power_w,
-        divergence_rad=2.1e-3,
-        axis=axis,
-        max_steering_rad=math.radians(steer_deg),
-    )
+def make_tx(position, steer_deg=40.0, axis=None):
+    """A 2.1 mrad source: an AP pointing straight down, or a relay pointing
+    along ``axis``."""
+    if axis is None:
+        return ApConfig("tx", tuple(position), max_steering_deg=steer_deg)
+    return RelayConfig("tx", tuple(position), max_steering_deg=steer_deg, axis=tuple(axis))
 
 
-def make_rx(position, normal=(0, 0, 1), area_m2=1e-4, fov_deg=90.0):
-    return ReceiverSpec(
-        position=Point3(*position),
-        normal=normal,
-        area_m2=area_m2,
-        fov_rad=math.radians(fov_deg),
-        responsivity=0.5,
+def make_rx(position, normal=None, area_cm2=1.0, fov_deg=90.0):
+    """A detector: a user facing straight up, or a relay facing ``normal``."""
+    if normal is None:
+        return UserConfig("rx", tuple(position), area_cm2=area_cm2, fov_deg=fov_deg)
+    return RelayConfig(
+        "rx", tuple(position), area_cm2=area_cm2, fov_deg=fov_deg, axis=tuple(normal)
     )
 
 
 def point_to_rx(src_pos, src_normal, mode, rx):
     """One Lambertian point source to a detector, through the channel kernel."""
     gain, _ = lambertian_gain(
-        src_pos, src_normal, mode, rx.position.as_array(), rx.normal, rx.area_m2,
-        math.cos(rx.fov_rad),
+        src_pos, src_normal, mode, rx.position_m, pointing(rx, ROOM), rx.area_cm2 * 1e-4,
+        math.cos(math.radians(rx.fov_deg)),
     )
     return float(gain[0])
 
@@ -64,12 +66,12 @@ class TestNarrowBeam:
     def test_full_capture_at_two_meters(self):
         tx = make_tx((1, 1, 3))
         rx = make_rx((1, 1, 1))
-        assert narrow_beam_los_gain(tx, rx) == 1.0
+        assert narrow_beam_los_gain(tx, rx, ROOM) == 1.0
 
     def test_partial_capture_at_four_meters(self):
         tall = make_tx((1, 1, 4))
         rx = make_rx((1, 1, 0))
-        g = narrow_beam_los_gain(tall, rx)
+        g = narrow_beam_los_gain(tall, rx, ROOM)
         assert abs(g - 0.45112) < 1e-4
         # frozen regression value for the exact overlap expression
         assert g == pytest.approx(0.45111812691771264, rel=1e-12)
@@ -79,7 +81,7 @@ class TestNarrowBeam:
         tx = make_tx((1, 1, 3))
         assert 2.0 * math.tan(2.1e-3) < math.sqrt(1e-4 / math.pi)
         assert 4.0 * math.tan(2.1e-3) > math.sqrt(1e-4 / math.pi)
-        assert narrow_beam_los_gain(tx, make_rx((1, 1, 1))) == 1.0
+        assert narrow_beam_los_gain(tx, make_rx((1, 1, 1)), ROOM) == 1.0
 
     @pytest.mark.parametrize("drop", [1.0, 2.0, 2.6, 2.8, 3.2, 4.0])
     def test_capture_is_the_aperture_share_of_the_spot(self, drop):
@@ -90,7 +92,7 @@ class TestNarrowBeam:
         rx = make_rx((1, 1, 4 - drop))
         spot_radius = drop * math.tan(2.1e-3)
         share = (1e-4 / math.pi) / (spot_radius * spot_radius)
-        g = narrow_beam_los_gain(tx, rx)
+        g = narrow_beam_los_gain(tx, rx, ROOM)
         assert (g == 1.0) == (drop < 2.69)
         assert g == pytest.approx(min(1.0, share), rel=1e-12)
 
@@ -98,21 +100,21 @@ class TestNarrowBeam:
         tx = make_tx((1, 1, 3), steer_deg=30.0)
         rx = make_rx((3.5, 1, 1))  # 51 degrees off the downward axis
         with pytest.raises(UnservableLinkError):
-            narrow_beam_los_gain(tx, rx)
+            narrow_beam_los_gain(tx, rx, ROOM)
 
     def test_receiver_behind_transmitter(self):
         # a beam can only be steered at a receiver inside the steering cone
-        tx = make_tx((1, 1, 3), axis=(0, 0, -1))
+        tx = make_tx((1, 1, 3))
         behind = make_rx((1, 1, 3.5), normal=(0, 0, -1))
         with pytest.raises(UnservableLinkError):
-            narrow_beam_los_gain(tx, behind)
+            narrow_beam_los_gain(tx, behind, ROOM)
         with pytest.raises(UnservableLinkError):
             impulse_response(tx, behind, ROOM)
 
     def test_incidence_cosine_applied(self):
         tx = make_tx((1, 1, 3), steer_deg=80.0)
         slanted = make_rx((2.0, 1, 1))
-        g = narrow_beam_los_gain(tx, slanted)
+        g = narrow_beam_los_gain(tx, slanted, ROOM)
         d = math.sqrt(1 + 4)
         assert g == pytest.approx(2.0 / d, rel=1e-12)  # full capture times cos
 
@@ -150,10 +152,12 @@ class TestLambertian:
             assert fwd == pytest.approx(bwd, rel=1e-12)
 
     def test_inverse_square_exact(self):
-        rx1 = make_rx((0, 0, 1))
-        rx2 = make_rx((0, 0, 2))
+        # the detectors face the source below them, so both gains are live
+        rx1 = make_rx((0, 0, 1), normal=(0, 0, -1))
+        rx2 = make_rx((0, 0, 2), normal=(0, 0, -1))
         g1 = point_to_rx((0, 0, 0), (0, 0, 1), 1.0, rx1)
         g2 = point_to_rx((0, 0, 0), (0, 0, 1), 1.0, rx2)
+        assert g2 > 0.0
         assert g1 == pytest.approx(4.0 * g2, rel=1e-12)
 
     @pytest.mark.parametrize("mode", [1.0, 2.5])
@@ -361,8 +365,9 @@ class TestEnergyBound:
                     math.sin(theta) * math.cos(phi),
                     math.sin(theta) * math.sin(phi),
                 ])
-                rx = make_rx(spot + 0.4 * u, normal=tuple(-u), area_m2=0.16 * solid_angle)
-                tx = make_tx(spot + 1.0 * u, axis=tuple(-u))
+                # aperture r^2 dOmega at r = 0.4 m, in cm^2
+                rx = make_rx(spot + 0.4 * u, normal=-u, area_cm2=0.16e4 * solid_angle)
+                tx = make_tx(spot + 1.0 * u, axis=-u)
                 cir = impulse_response(tx, rx, ROOM, max_bounces=1)
                 assert cir.los_gain == 0.0
                 total += cir.dc_gain()

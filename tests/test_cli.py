@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +194,26 @@ class TestChannel:
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == self.DEFAULT_ROOM_STDOUT_SHA256[key]
 
+    # the same for tests/tilted.yaml, whose users and relay r1 point along
+    # other boresights than the defaults; recorded before the terminals
+    # became the scenario entries themselves
+    TILTED_ROOM_STDOUT_SHA256 = {
+        "matrix": "89cc7e01e01f7c87a8c94537e5c6df7a4d5d9ea2bfdbb7d2964719ef20d28dda",
+        "cir-r1-u1": "d7b213bcd30871f248a054598977f510015b958e3465d9ab9f2a9b6b03cfa7ba",
+    }
+
+    @pytest.mark.parametrize(
+        "key,argv",
+        [("matrix", ()), ("cir-r1-u1", ("--tx", "r1", "--rx", "u1", "--cir"))],
+        ids=["matrix", "cir-r1-u1"],
+    )
+    def test_tilted_room_stdout_digest(self, key, argv):
+        tilted = Path(__file__).with_name("tilted.yaml")
+        res = run_cli("channel", "--scenario", str(tilted), *argv)
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == self.TILTED_ROOM_STDOUT_SHA256[key]
+
 
 class TestPdf:
     def test_summary(self):
@@ -288,6 +309,31 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr == "error: room: extents must be positive\n"
+
+    def test_closed_stdout_is_not_an_error(self):
+        # a reader that stops after one line, as ``| head -n 1`` does: the
+        # 40,000 density rows overflow the pipe, so the writer meets the
+        # closed end, and stops quietly
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "owcrelay.cli", "pdf", "--grid", "200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"x,y,density\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=600) == 0
+        assert err == b""
+
+    def test_unwritable_out_path_is_an_error(self, single_link_file, tmp_path):
+        out = tmp_path / "missing" / "rows.csv"
+        res = run_cli(
+            "simulate", "--scenario", single_link_file, "--samples", "4096", "--out", str(out)
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
 
     def test_missing_scenario_file(self):
         res = run_cli("blockage", "--scenario", "/nonexistent/path.yaml")

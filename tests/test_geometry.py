@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from owcrelay.geometry import (
-    Point3,
     Rect,
     StadiumRegion,
     blocked_region,
@@ -19,14 +18,14 @@ CYL = HumanConfig()
 FLOOR = Rect(0.0, 0.0, 4.0, 8.0)
 
 
-def random_link(rng) -> tuple[Point3, Point3]:
+def random_link(rng) -> tuple[np.ndarray, np.ndarray]:
     a = rng.uniform([0, 0, 0], [4, 8, 3])
     b = rng.uniform([0, 0, 0], [4, 8, 3])
-    return Point3(*a), Point3(*b)
+    return a, b
 
 
 def blocks(a, b, center, cyl=CYL) -> bool:
-    return blocked_region(Point3(*a), Point3(*b), cyl).contains(center)
+    return blocked_region(a, b, cyl).contains(center)
 
 
 class TestIntersectionPredicate:
@@ -50,7 +49,7 @@ class TestIntersectionPredicate:
         a = rng.uniform([0, 0, 0], [4, 8, 3], size=(64, 3))
         b = rng.uniform([0, 0, 0], [4, 8, 3], size=(64, 3))
         center = (2.0, 4.0)
-        regions = [blocked_region(Point3(*p), Point3(*q), CYL) for p, q in zip(a, b)]
+        regions = [blocked_region(p, q, CYL) for p, q in zip(a, b)]
         batch = regions_contain(regions, center)[:, 0]
         for i in range(64):
             assert batch[i] == segment_meets_cylinder(a[i], b[i], center, CYL)
@@ -58,13 +57,13 @@ class TestIntersectionPredicate:
 
 class TestBlockedRegion:
     def test_vertical_link_gives_disk(self):
-        region = blocked_region(Point3(1, 1, 3), Point3(1, 1, 1), CYL)
+        region = blocked_region((1, 1, 3), (1, 1, 1), CYL)
         assert np.array_equal(region.p0, region.p1)
         assert np.allclose(region.p0, [1.0, 1.0])
         assert math.isclose(region_area(region, FLOOR), math.pi * 0.09, rel_tol=1e-4)
 
     def test_slanted_link_spine_and_area(self):
-        region = blocked_region(Point3(1, 1, 3), Point3(2, 4, 1), CYL)
+        region = blocked_region((1, 1, 3), (2, 4, 1), CYL)
         # spine starts where the link crosses z = 1.8 (t = 0.6)
         assert np.allclose(region.p0, [1.6, 2.8], atol=1e-12)
         assert np.allclose(region.p1, [2.0, 4.0], atol=1e-12)
@@ -72,13 +71,13 @@ class TestBlockedRegion:
         assert math.isclose(region_area(region, FLOOR), 1.041689, rel_tol=1e-4)
 
     def test_link_above_height_is_empty(self):
-        region = blocked_region(Point3(1, 1, 3), Point3(3, 1, 2.9), CYL)
+        region = blocked_region((1, 1, 3), (3, 1, 2.9), CYL)
         assert region.empty
         assert region_area(region, FLOOR) == 0.0
         assert not region.contains((1.0, 1.0))
 
     def test_no_walker_is_empty(self):
-        region = blocked_region(Point3(1, 1, 3), Point3(1, 1, 1), HumanConfig(count=0))
+        region = blocked_region((1, 1, 3), (1, 1, 1), HumanConfig(count=0))
         assert region.empty
         assert not region.contains((1.0, 1.0))
 
@@ -102,7 +101,7 @@ class TestBlockedRegion:
             a, b = random_link(rng)
             center = rng.uniform([0, 0], [4, 8])
             region = blocked_region(a, b, CYL)
-            hits = segment_meets_cylinder(a.as_array(), b.as_array(), center, CYL)
+            hits = segment_meets_cylinder(a, b, center, CYL)
             assert region.contains(center) == hits
 
     def test_radius_monotonicity(self):
@@ -121,13 +120,13 @@ class TestBlockedRegion:
         for _ in range(10):
             a, b = random_link(rng)
             region = blocked_region(a, b, CYL)
-            region_m = blocked_region(Point3(4 - a.x, a.y, a.z), Point3(4 - b.x, b.y, b.z), CYL)
+            region_m = blocked_region((4 - a[0], a[1], a[2]), (4 - b[0], b[1], b[2]), CYL)
             pts = rng.uniform([0, 0], [4, 8], size=(200, 2))
             flipped = np.column_stack([4 - pts[:, 0], pts[:, 1]])
             assert np.array_equal(region.contains(pts), region_m.contains(flipped))
 
     def test_degenerate_spine_is_disk(self):
-        region = blocked_region(Point3(2.5, 3.0, 2.6), Point3(2.5, 3.0, 0.4), CYL)
+        region = blocked_region((2.5, 3.0, 2.6), (2.5, 3.0, 0.4), CYL)
         rng = np.random.default_rng(17)
         pts = rng.uniform([1.5, 2.0], [3.5, 4.0], size=(500, 2))
         d = np.hypot(pts[:, 0] - 2.5, pts[:, 1] - 3.0)
@@ -135,7 +134,7 @@ class TestBlockedRegion:
 
     def test_part_outside_the_room_carries_no_probability_or_area(self):
         # spine near the wall: part of the stadium falls outside the room
-        region = blocked_region(Point3(0.1, 1.0, 1.7), Point3(0.1, 2.0, 1.7), CYL)
+        region = blocked_region((0.1, 1.0, 1.7), (0.1, 2.0, 1.7), CYL)
         assert region.contains((-0.05, 1.5))  # the stadium itself is not cut
         assert region.bbox().x0 < 0.0
         # in-floor area: the whole stadium less the 0.2 m strip and two half
@@ -225,7 +224,7 @@ class TestSpecsAndRects:
         assert (r.x0, r.y0, r.x1, r.y1) == (1, 1, 4, 8)
 
     def test_signed_distance_sign_convention(self):
-        region = blocked_region(Point3(2, 4, 1.5), Point3(2, 5, 1.5), CYL)
+        region = blocked_region((2, 4, 1.5), (2, 5, 1.5), CYL)
         sd_in, _ = region.signed_distance([(2.0, 4.5)])
         sd_out, grad = region.signed_distance([(2.0, 6.0)])
         assert sd_in[0] < 0 < sd_out[0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from owcrelay import quadrature
-from owcrelay.geometry import Point3, StadiumRegion, blocked_region
+from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.links import build_link_budget
 from owcrelay.mobility import (
     RwpDistribution,
@@ -24,7 +24,7 @@ DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
 CYL = HumanConfig()
 
 
-def link_probability(a: Point3, b: Point3) -> float:
+def link_probability(a, b) -> float:
     return region_probabilities([blocked_region(a, b, CYL)], DIST)[0]
 
 
@@ -87,20 +87,20 @@ class TestDensity:
 
 class TestRegionProbability:
     def test_vertical_link_disk(self):
-        p = link_probability(Point3(1, 1, 3), Point3(1, 1, 1))
+        p = link_probability((1, 1, 3), (1, 1, 1))
         center_approx = 756 / 32768 * math.pi * 0.09
         assert abs(p - center_approx) / center_approx < 0.03
         assert p == pytest.approx(0.0064535, rel=1e-3)
 
     def test_empty_region_is_zero(self):
-        assert link_probability(Point3(1, 1, 3), Point3(3, 1, 2.9)) == 0.0
+        assert link_probability((1, 1, 3), (3, 1, 2.9)) == 0.0
 
     def test_entire_floor_is_one(self):
         region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0)
         assert region_probabilities([region], DIST)[0] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "a, b", [(Point3(1, 1, 3), Point3(1, 1, 1)), (Point3(1, 1, 3), Point3(2, 4, 1))]
+        "a, b", [((1, 1, 3), (1, 1, 1)), ((1, 1, 3), (2, 4, 1))]
     )
     def test_sliced_levels_match_whole_levels(self, monkeypatch, a, b):
         # a level evaluated a few cells at a time sums the same cells
@@ -109,7 +109,7 @@ class TestRegionProbability:
         assert link_probability(a, b) == pytest.approx(whole, rel=1e-12, abs=0.0)
 
     def test_quadrature_matches_monte_carlo(self):
-        a, b = Point3(1, 1, 3), Point3(2, 4, 1)
+        a, b = (1, 1, 3), (2, 4, 1)
         p = link_probability(a, b)
         region = blocked_region(a, b, CYL)
         n = 200_000

@@ -223,6 +223,37 @@ class TestDeterminism:
                 blocks.append(args[0])
         assert sorted(blocks) == [0, 1, 2]
 
+    @pytest.mark.parametrize("n_samples, pool", [(100_000, [7]), (BLOCK_SIZE, [])])
+    def test_pool_has_at_most_one_worker_per_block(
+        self, single_link_budget, monkeypatch, n_samples, pool
+    ):
+        # however many workers are asked for, the pool gets one per block,
+        # and a one-block run none; the fake pool records its size and runs
+        # the blocks here, so no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(outage, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(outage, "_pool_run", None)
+        kw = dict(budget=single_link_budget, n_samples=n_samples, master_seed=5,
+                  blockage_model="joint")
+        many = outage_monte_carlo(workers=5000, **kw)
+        assert sizes == pool
+        assert many.rows == outage_monte_carlo(workers=1, **kw).rows
+
     def test_sample_count_not_block_aligned(self, single_link_budget):
         # totals that end mid-block still reproduce across worker counts
         kw = dict(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import typing
 
@@ -35,6 +36,14 @@ def _lookup(scenario, path):
         else:
             obj = getattr(obj, part)
     return obj
+
+
+def _document_with(sc, kind, index, **changes):
+    """Load a document listing the ``kind`` entries of ``sc``, with entry
+    ``index`` changed."""
+    entries = [dataclasses.asdict(entry) for entry in getattr(sc, kind)]
+    entries[index].update(changes)
+    return scenario_from_dict({kind: entries})
 
 
 # every deployment number of the shipped default, each at one canonical field
@@ -305,29 +314,23 @@ class TestRejection:
                 r"^users\[0\]\.id: duplicate id 'u1'$",
             ),
             (lambda sc: dataclasses.replace(sc, users=()), "at least one user"),
+            # an entry checks its own numbers while the document loads, and
+            # the message names the entry by its place in the list
             (
-                lambda sc: dataclasses.replace(
-                    sc, relays=(RelayConfig("r1", (0.0, 1.0, 1.5), axis=(0.0, 0.0, 0.0)),)
-                ),
-                r"^relays\[r1\]\.axis: must be a non-zero vector$",
+                lambda sc: _document_with(sc, "relays", 0, axis=(0.0, 0.0, 0.0)),
+                r"^relays\[0\]\.axis: must be a non-zero finite vector$",
             ),
             (
-                lambda sc: dataclasses.replace(
-                    sc, aps=(dataclasses.replace(sc.aps[0], power_mw=0.0),) + sc.aps[1:]
-                ),
+                lambda sc: _document_with(sc, "aps", 0, power_mw=0.0),
                 r"^aps\[0\]\.power_mw: must be positive$",
             ),
             (
-                lambda sc: dataclasses.replace(
-                    sc, users=sc.users[:1] + (dataclasses.replace(sc.users[1], fov_deg=120.0),)
-                ),
+                lambda sc: _document_with(sc, "users", 1, fov_deg=120.0),
                 r"^users\[1\]\.fov_deg: must lie in \(0, 90\]$",
             ),
             (
-                # a half-angle of 2 rad is no beam: named by path, not by TransmitterSpec
-                lambda sc: dataclasses.replace(
-                    sc, aps=(dataclasses.replace(sc.aps[0], divergence_mrad=2000.0),) + sc.aps[1:]
-                ),
+                # a half-angle of 2 rad is no beam
+                lambda sc: _document_with(sc, "aps", 0, divergence_mrad=2000.0),
                 r"^aps\[0\]\.divergence_mrad: must lie in \(0, 500 pi\)$",
             ),
             (
@@ -356,6 +359,49 @@ class TestRejection:
     def test_validation_failures(self, default_sc, mutate, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             mutate(default_sc).validate()
+
+    @pytest.mark.parametrize(
+        "entry, changes, message",
+        [
+            (ApConfig, {"power_mw": 0.0}, "power_mw: must be positive"),
+            (UserConfig, {"fov_deg": 120.0}, "fov_deg: must lie in (0, 90]"),
+            (ApConfig, {"divergence_mrad": 2000.0}, "divergence_mrad: must lie in (0, 500 pi)"),
+            (RelayConfig, {"axis": (0.0, 0.0, 0.0)}, "axis: must be a non-zero finite vector"),
+            (RelayConfig, {"axis": (1.0, math.nan, 0.0)}, "axis: must be a non-zero finite vector"),
+        ],
+        ids=["power", "fov", "divergence", "zero-axis", "nan-axis"],
+    )
+    def test_entries_check_themselves(self, entry, changes, message):
+        # the rule that guards documents guards library calls too; an entry
+        # does not know its place in a list, so it names the field alone
+        with pytest.raises(ScenarioError) as direct:
+            entry("t1", (0.0, 2.0, 1.5), **changes)
+        assert str(direct.value) == message
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                "relays: [{id: r1, position_m: [0.0, 1.0, 1.5], axis: [1, .nan, 0]}]\n",
+                "relays[0].axis[1]: expected a number, got nan",
+            ),
+            (
+                # several bad entries: the load stops at the first
+                "aps:\n"
+                "- {id: a1, position_m: [1.0, 1.0, 3.0]}\n"
+                "- {id: a2, position_m: [1.0, 3.0, 3.0], divergence_mrad: 2000}\n"
+                "- {id: a3, position_m: [1.0, 5.0, 3.0], power_mw: 0}\n",
+                "aps[1].divergence_mrad: must lie in (0, 500 pi)",
+            ),
+        ],
+        ids=["nan-axis", "first-of-two"],
+    )
+    def test_document_names_the_bad_entry_by_path(self, tmp_path, document, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(document)
+        with pytest.raises(ScenarioError) as loaded:
+            load_scenario(path)
+        assert str(loaded.value) == message
 
     def test_zero_humans_is_valid(self, default_sc):
         dataclasses.replace(default_sc, human=HumanConfig(count=0)).validate()
