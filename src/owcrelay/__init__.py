@@ -7,13 +7,14 @@ The package is organised around six areas:
   each link, the one place blockage is decided,
 - :mod:`owcrelay.channel`    narrow-beam and Lambertian propagation, surface
   discretisation, unobstructed impulse responses,
-- :mod:`owcrelay.mobility`   waypoint-mobility position density, region
-  probabilities, position sampling,
+- :mod:`owcrelay.mobility`   waypoint-mobility position density on the
+  room's floor, region probabilities, position sampling,
 - :mod:`owcrelay.noma`       power allocation and receiver noise,
 - :mod:`owcrelay.outage`     Monte Carlo and analytic outage estimators,
 - :mod:`owcrelay.scenario`   scenario files, defaults, result serialisation;
-  its room, walker and noise sections and its AP, relay and user entries
-  are the inputs the physics modules take directly.
+  its sections and its AP, relay and user entries are the inputs the
+  physics modules take directly, each the only copy of its settings and
+  each checked when it is built.
 
 :mod:`owcrelay.links` compiles a scenario into the static link budget the
 outage engines consume and evaluates SINR over batches of link states, and
@@ -34,7 +35,7 @@ from owcrelay.channel import (
     impulse_response,
 )
 from owcrelay.quadrature import QuadratureError, integrate_region
-from owcrelay.mobility import RwpDistribution, sample_human_positions
+from owcrelay.mobility import sample_human_positions
 from owcrelay.links import LinkBudget, build_link_budget, evaluate_sinr, link_cir
 from owcrelay.outage import (
     BLOCK_SIZE,
@@ -46,6 +47,7 @@ from owcrelay.outage import (
 )
 from owcrelay.scenario import (
     ApConfig,
+    ChannelConfig,
     RelayConfig,
     RoomConfig,
     Scenario,

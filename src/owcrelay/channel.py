@@ -1,6 +1,8 @@
 """Optical channel model: steered narrow-beam line of sight plus up to two
 diffuse reflections off the surfaces of the scenario's room section
-(:class:`owcrelay.scenario.RoomConfig`).
+(:class:`owcrelay.scenario.RoomConfig`), with the bounce count, tile sizes
+and delay bins of its channel section
+(:class:`owcrelay.scenario.ChannelConfig`).
 
 Terminals are the scenario's AP, relay and user entries
 (:mod:`owcrelay.scenario`), converted from the document's units where they
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from owcrelay.scenario import ApConfig, RelayConfig, RoomConfig, UserConfig
+from owcrelay.scenario import ApConfig, ChannelConfig, RelayConfig, RoomConfig, UserConfig
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -184,7 +186,7 @@ def _axis_cells(extent: float, resolution: float):
     return centers, widths
 
 
-def discretize_surfaces(room: RoomConfig, resolution: float = 0.20) -> SurfaceGrid:
+def discretize_surfaces(room: RoomConfig, resolution: float) -> SurfaceGrid:
     """Tile all six faces at the given resolution.
 
     Element areas sum to the exact interior surface area.
@@ -342,23 +344,20 @@ def impulse_response(
     tx: ApConfig | RelayConfig,
     rx: RelayConfig | UserConfig,
     room: RoomConfig,
-    max_bounces: int = 2,
-    *,
-    first_res: float = 0.05,
-    bin_duration: float = 1e-11,
+    channel: ChannelConfig,
     second_grid: SurfaceGrid | None = None,
 ) -> ChannelImpulseResponse:
-    """Unobstructed impulse response of one steered link.
+    """Unobstructed impulse response of one steered link under the
+    scenario's channel section, binned at ``channel.bin_ns``.
 
-    The first bounce lands on the ``first_res`` tile containing the beam's
-    exit point; second-order paths go through ``second_grid``, tiled at
-    0.20 m by :func:`discretize_surfaces` when not given.
+    The first bounce lands on the ``channel.first_bounce_res_m`` tile
+    containing the beam's exit point; second-order paths go through
+    ``second_grid``, tiled at ``channel.second_bounce_res_m`` by
+    :func:`discretize_surfaces` when not given.
 
     Raises :class:`UnservableLinkError` when the receiver is outside the
     transmitter's steering cone.
     """
-    if max_bounces not in (0, 1, 2):
-        raise ValueError("max_bounces must be 0, 1 or 2")
     los = narrow_beam_los_gain(tx, rx, room)
 
     tx_pos = np.asarray(tx.position_m, dtype=float)
@@ -377,11 +376,11 @@ def impulse_response(
 
     first = 0.0
     second = 0.0
-    if max_bounces >= 1:
+    if channel.max_bounces >= 1:
         face, hit = _beam_exit(room, tx_pos, beam)
         residue = 1.0 - los
         if residue > 0.0:
-            e_center, e_normal, e_rho = _snap_to_face(room, face, hit, first_res)
+            e_center, e_normal, e_rho = _snap_to_face(room, face, hit, channel.first_bounce_res_m)
             d0 = float(np.linalg.norm(e_center - tx_pos))
             mode = room.lambertian_mode
 
@@ -393,8 +392,10 @@ def impulse_response(
                 path_gains.append(first)
                 path_lengths.append(d0 + d1)
 
-            if max_bounces >= 2:
-                grid = second_grid if second_grid is not None else discretize_surfaces(room)
+            if channel.max_bounces >= 2:
+                grid = second_grid
+                if grid is None:
+                    grid = discretize_surfaces(room, channel.second_bounce_res_m)
                 to_patch, d_ep = lambertian_gain(
                     e_center, e_normal, mode, grid.centers, grid.normals, grid.areas
                 )
@@ -405,6 +406,7 @@ def impulse_response(
                 path_gains.append(contrib)
                 path_lengths.append(d0 + d_ep[live] + d_pr[live])
 
+    bin_duration = channel.bin_ns * 1e-9
     gains = np.zeros(0)
     if path_gains:
         delays = np.hstack(path_lengths) / SPEED_OF_LIGHT

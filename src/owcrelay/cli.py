@@ -19,7 +19,7 @@ import numpy as np
 from owcrelay.channel import cir_rows
 from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, link_cir
-from owcrelay.mobility import sample_human_positions, walker_law
+from owcrelay.mobility import pdf_xy, peak_density, sample_human_positions
 from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
 from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import (
@@ -86,7 +86,7 @@ def _cmd_blockage(args) -> int:
         print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(p)},quadrature")
     if args.mc:
         rng = np.random.default_rng(args.seed)
-        pts = sample_human_positions(walker_law(scenario), args.mc, rng)
+        pts = sample_human_positions(scenario.room, args.mc, rng)
         for link, inside in zip(budget.links, regions_contain(budget.regions, pts)):
             print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(np.mean(inside))},mc")
     return 0
@@ -120,26 +120,24 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_pdf(args) -> int:
-    scenario = _load(args)
-    dist = walker_law(scenario)
+    room = _load(args).room
+    w, l = room.width_m, room.length_m
     if args.grid:
         n = args.grid
-        xs = (np.arange(n) + 0.5) * dist.x_extent / n
-        ys = (np.arange(n) + 0.5) * dist.y_extent / n
+        xs = (np.arange(n) + 0.5) * w / n
+        ys = (np.arange(n) + 0.5) * l / n
         print("x,y,density")
         for y in ys:
-            pts = np.column_stack([xs, np.full(n, y)])
-            dens = dist.pdf(pts)
-            for x, d in zip(xs, dens):
+            for x, d in zip(xs, pdf_xy(room, xs, np.full(n, y))):
                 print(f"{_g(x)},{_g(y)},{_g(d)}")
         return 0
     print("quantity,value")
-    print(f"peak_density,{_g(dist.peak_density)}")
-    vx, vy = dist.variances
-    print(f"variance_x,{_g(vx)}")
-    print(f"variance_y,{_g(vy)}")
+    print(f"peak_density,{_g(peak_density(room))}")
+    # per-axis variance of the stationary position, L^2/20
+    print(f"variance_x,{_g(w**2 / 20.0)}")
+    print(f"variance_y,{_g(l**2 / 20.0)}")
     if args.samples:
-        pts = sample_human_positions(dist, args.samples, np.random.default_rng(args.seed))
+        pts = sample_human_positions(room, args.samples, np.random.default_rng(args.seed))
         print(f"sample_var_x,{_g(np.var(pts[:, 0]))}")
         print(f"sample_var_y,{_g(np.var(pts[:, 1]))}")
     return 0

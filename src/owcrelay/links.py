@@ -6,7 +6,10 @@ the deterministic quantities the outage engines consume, including compiled
 per-user weight arrays so that :func:`evaluate_sinr` turns a batch of
 blocked/clear states into SINR values with a handful of matrix products.
 Terminals are the scenario's AP, relay and user entries, keyed by id; the
-channel (:mod:`owcrelay.channel`) takes them as they are.
+channel (:mod:`owcrelay.channel`) takes them as they are, with the room and
+channel sections, and the power split (:mod:`owcrelay.noma`) takes each
+source's entry with the multiplexing section.  The budget keeps its
+scenario, whose sections hold the threshold and the combining rule.
 
 A relay forwards and retransmits from one point on a wall.  Its electrical
 gain keeps the retransmitted power at its cap whatever the received level,
@@ -82,8 +85,6 @@ class LinkBudget:
     links: tuple[Link, ...]
     regions: tuple[StadiumRegion, ...]
     user_terms: tuple[UserTerms, ...]
-    threshold_db: float
-    combining: str
     marginals: np.ndarray | None = field(default=None)
 
     @property
@@ -153,44 +154,26 @@ def _relay_branch_map(
     }
 
 
-def _channel(scenario: Scenario):
-    """Impulse response of a link under the scenario's room and channel
-    settings, as a function of (tx, rx).  The second-bounce grid is tiled
-    once here and shared by every call."""
-    room, cc = scenario.room, scenario.channel
-    grid = discretize_surfaces(room, cc.second_bounce_res_m) if cc.max_bounces >= 2 else None
-
-    def cir(tx, rx):
-        return impulse_response(
-            tx,
-            rx,
-            room,
-            max_bounces=cc.max_bounces,
-            first_res=cc.first_bounce_res_m,
-            bin_duration=cc.bin_ns * 1e-9,
-            second_grid=grid,
-        )
-
-    return cir
-
-
 def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
     """The link of each entry (tx_id, rx_id) -> (kind, tx, rx) of ``ends``,
     keyed and ordered the same way, with its unobstructed gains.
-    The responses are computed receiver by receiver, so the second-bounce
-    grid works out its gains to each receiver once; an unservable link is
-    reported first in link order."""
+    The second-bounce grid is tiled once, and the responses are computed
+    receiver by receiver, so the grid works out its gains to each receiver
+    once; an unservable link is reported first in link order."""
+    room, channel = scenario.room, scenario.channel
     for (tx_id, rx_id), (_, tx, rx) in ends.items():
         try:
-            check_servable(tx, rx.position_m, scenario.room)
+            check_servable(tx, rx.position_m, room)
         except UnservableLinkError as exc:
             raise UnservableLinkError(f"link {tx_id}->{rx_id}: {exc}") from None
-    channel = _channel(scenario)
+    grid = None
+    if channel.max_bounces >= 2:
+        grid = discretize_surfaces(room, channel.second_bounce_res_m)
     index = {key: i for i, key in enumerate(ends)}
     links = {}
     for tx_id, rx_id in sorted(ends, key=lambda key: key[1]):
         kind, tx, rx = ends[tx_id, rx_id]
-        cir = channel(tx, rx)
+        cir = impulse_response(tx, rx, room, channel, grid)
         links[tx_id, rx_id] = Link(
             index=index[tx_id, rx_id],
             link_id=f"{tx_id}->{rx_id}",
@@ -206,7 +189,6 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
 
 def build_link_budget(scenario: Scenario) -> LinkBudget:
     """Evaluate every deterministic quantity the outage engines need."""
-    scenario.validate()
     terminal = _terminals(scenario)
     associations = _association_map(scenario)
     pairings = _relay_pairing_map(scenario)
@@ -231,11 +213,7 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
     ]
     allocation = {
         ap_id: order_users_and_allocate(
-            ap_id,
-            served,
-            {uid: links[ap_id, uid].h for uid in served},
-            power_ratio=scenario.noma.power_ratio,
-            budget_w=terminal[ap_id].power_mw * 1e-3,
+            terminal[ap_id], served, {uid: links[ap_id, uid].h for uid in served}, scenario.noma
         )
         for ap_id, served in associations.items()
         if served
@@ -296,8 +274,6 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         links=tuple(links.values()),
         regions=tuple(regions),
         user_terms=tuple(terms),
-        threshold_db=scenario.noma.threshold_db,
-        combining=scenario.noma.combining,
     )
 
 
@@ -318,7 +294,7 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     for i, t in enumerate(budget.user_terms):
         d = (t.direct_w @ clear[t.direct_idx]) / (t.noise_var + t.int_w @ clear[t.int_idx])
         gamma = clear[t.branch_feeder_idx] * clear[t.branch_delivery_idx]
-        if budget.combining == "per_branch":
+        if budget.scenario.noma.combining == "per_branch":
             # a live branch adds sig / (noise + den), a dead one adds 0
             r = (t.branch_sig_w / (t.noise_var + t.branch_den_w)) @ gamma
         else:
@@ -335,5 +311,6 @@ def link_cir(budget: LinkBudget, tx_id: str, rx_id: str):
     binned response for inspection or dumping.
     """
     budget.link_index(tx_id, rx_id)  # raises KeyError when absent
-    terminal = _terminals(budget.scenario)
-    return _channel(budget.scenario)(terminal[tx_id], terminal[rx_id])
+    sc = budget.scenario
+    terminal = _terminals(sc)
+    return impulse_response(terminal[tx_id], terminal[rx_id], sc.room, sc.channel)

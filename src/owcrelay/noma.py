@@ -4,7 +4,10 @@ Each access point splits its optical power over the users it serves with
 geometrically decaying weights, largest share to the weakest channel.
 Successive decoding at a receiver removes every weaker user's signal, so the
 residual interference comes only from users decoded later (the stronger
-channels).  :func:`noise_variance` reads the scenario's noise section
+channels).  :func:`order_users_and_allocate` reads the source's entry
+(:class:`owcrelay.scenario.ApConfig`) for the budget and the scenario's
+multiplexing section (:class:`owcrelay.scenario.NomaConfig`) for the ratio,
+:func:`noise_variance` reads its noise section
 (:class:`owcrelay.scenario.NoiseConfig`), and
 :func:`owcrelay.links.evaluate_sinr` turns these allocations and noise
 variances into SINR values.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from owcrelay.scenario import NoiseConfig
+from owcrelay.scenario import ApConfig, NoiseConfig, NomaConfig
 
 __all__ = [
     "ELECTRON_CHARGE",
@@ -27,11 +30,7 @@ __all__ = [
 ELECTRON_CHARGE = 1.602176634e-19
 
 
-def noise_variance(
-    noise: NoiseConfig,
-    received_power_w: float,
-    responsivity: float = 0.5,
-) -> float:
+def noise_variance(noise: NoiseConfig, received_power_w: float, responsivity: float) -> float:
     """Electrical noise variance at a detector seeing the given optical power:
     shot noise from the mean photocurrent plus a flat excess floor."""
     if received_power_w < 0:
@@ -67,31 +66,23 @@ class ApAllocation:
 
 
 def order_users_and_allocate(
-    ap_id: str,
-    served_users: Sequence[str],
-    gains: Mapping[str, float],
-    power_ratio: float = 4.0,
-    budget_w: float = 1e-3,
+    ap: ApConfig, served_users: Sequence[str], gains: Mapping[str, float], noma: NomaConfig
 ) -> ApAllocation:
-    """Split one access point's power budget over the users it serves.
+    """Split the power of the source ``ap`` over the users it serves.
 
     Users sort by ascending channel gain (ties by user id), and with n users
-    the shares are proportional to r^(n-1), ..., r, 1 in that order, so the
-    weakest channel receives the largest share.
+    the shares are proportional to r^(n-1), ..., r, 1 in that order, where r
+    is ``noma.power_ratio``, so the weakest channel receives the largest
+    share.
     """
     if not served_users:
-        raise ValueError(f"access point {ap_id!r} serves no users")
-    if power_ratio <= 1.0:
-        raise ValueError("power ratio must exceed 1")
-    if budget_w <= 0.0:
-        raise ValueError("power budget must be positive")
+        raise ValueError(f"access point {ap.id!r} serves no users")
     for u in served_users:
         if gains[u] < 0.0:
             raise ValueError(f"negative channel gain for user {u!r}")
     ordered = tuple(sorted(served_users, key=lambda u: (gains[u], u)))
     n = len(ordered)
-    weights = [power_ratio ** (n - 1 - j) for j in range(n)]
+    weights = [noma.power_ratio ** (n - 1 - j) for j in range(n)]
     total = sum(weights)
-    powers = tuple(budget_w * w / total for w in weights)
-    return ApAllocation(ap_id, ordered, powers)
-
+    powers = tuple(ap.power_mw * 1e-3 * w / total for w in weights)
+    return ApAllocation(ap.id, ordered, powers)

@@ -25,12 +25,7 @@ import numpy as np
 
 from owcrelay.geometry import FloorCells
 from owcrelay.links import LinkBudget, evaluate_sinr
-from owcrelay.mobility import (
-    RwpDistribution,
-    region_probabilities,
-    sample_human_positions,
-    walker_law,
-)
+from owcrelay.mobility import region_probabilities, sample_human_positions
 
 __all__ = [
     "BLOCK_SIZE",
@@ -108,7 +103,7 @@ def _report(budget, p_out, method, model, n_samples=0, seed=0) -> OutageReport:
                     p_out=float(p),
                     stderr=float(se),
                     n_samples=n_samples,
-                    threshold_db=budget.threshold_db,
+                    threshold_db=budget.scenario.noma.threshold_db,
                     seed=seed,
                 )
             )
@@ -120,8 +115,7 @@ def ensure_marginals(budget: LinkBudget) -> np.ndarray:
     computed once per budget at the default relative tolerance (1e-4) of
     :func:`~owcrelay.mobility.region_probabilities` and cached on it."""
     if budget.marginals is None:
-        dist = walker_law(budget.scenario)
-        budget.marginals = region_probabilities(budget.regions, dist)
+        budget.marginals = region_probabilities(budget.regions, budget.scenario.room)
     return budget.marginals
 
 
@@ -129,7 +123,7 @@ def _outage(budget: LinkBudget, clear) -> np.ndarray:
     """Direct and coop outage of every user in each link state of
     ``clear``, boolean (users, 2, n)."""
     sinr = evaluate_sinr(budget, clear)
-    return np.stack([is_outage(s, budget.threshold_db) for s in sinr], axis=1)
+    return np.stack([is_outage(s, budget.scenario.noma.threshold_db) for s in sinr], axis=1)
 
 
 @dataclass(frozen=True)
@@ -144,13 +138,14 @@ class _JointTable:
     outage: np.ndarray
 
 
-def _joint_table(budget: LinkBudget, dist: RwpDistribution) -> _JointTable:
-    """The cell table of a joint run over the floor of ``dist``."""
+def _joint_table(budget: LinkBudget) -> _JointTable:
+    """The cell table of a joint run over the floor of the budget's room."""
+    room = budget.scenario.room
     size = max(
         budget.scenario.human.radius_m / _CELLS_PER_RADIUS,
-        math.sqrt(dist.x_extent * dist.y_extent / _MAX_CELLS),
+        math.sqrt(room.width_m * room.length_m / _MAX_CELLS),
     )
-    cells = FloorCells(budget.regions, dist.x_extent, dist.y_extent, size)
+    cells = FloorCells(budget.regions, room.width_m, room.length_m, size)
     decided = np.flatnonzero(cells.decided)
     # decided cells sorted by their packed link states; equal states run together
     keys = np.packbits(cells.inside[decided], axis=1)
@@ -170,7 +165,7 @@ def _joint_table(budget: LinkBudget, dist: RwpDistribution) -> _JointTable:
     return _JointTable(cells, state, outage)
 
 
-def _run_block(budget, dist, master_seed, model, n_total, table, block_index):
+def _run_block(budget, master_seed, model, n_total, table, block_index):
     """Direct and coop outage counts of every user, shape (users, 2), over
     block ``block_index`` of a ``n_total``-sample run; ``table`` is the
     joint run's :class:`_JointTable`.  A joint sample in a decided cell
@@ -178,7 +173,7 @@ def _run_block(budget, dist, master_seed, model, n_total, table, block_index):
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     if model == "joint":
-        pts = sample_human_positions(dist, n, rng)
+        pts = sample_human_positions(budget.scenario.room, n, rng)
         x, y = pts[:, 0], pts[:, 1]
         cell = table.cells.cell_of(x, y)
         state = table.state[cell]
@@ -230,9 +225,8 @@ def outage_monte_carlo(
         ensure_marginals(budget)
 
     blocks = range(-(-n_total // BLOCK_SIZE))
-    dist = walker_law(budget.scenario)
-    table = _joint_table(budget, dist) if model == "joint" else None
-    run = functools.partial(_run_block, budget, dist, seed, model, n_total, table)
+    table = _joint_table(budget) if model == "joint" else None
+    run = functools.partial(_run_block, budget, seed, model, n_total, table)
     workers = min(workers, len(blocks))  # a worker without a block would only start up
     if workers <= 1:
         counts = sum(map(run, blocks))
@@ -291,6 +285,7 @@ def outage_independent_approx(budget: LinkBudget) -> OutageReport:
     there instead.
     """
     p = ensure_marginals(budget)
+    threshold_db = budget.scenario.noma.threshold_db
     p_out = np.empty((len(budget.user_terms), 2))
     for i, t in enumerate(budget.user_terms):
         direct_half = np.unique(np.concatenate([t.direct_idx, t.int_idx]))
@@ -312,6 +307,6 @@ def outage_independent_approx(budget: LinkBudget) -> OutageReport:
         r = evaluate_sinr(budget, clear)[1][i]
         order = np.argsort(r, kind="stable")
         below = np.concatenate([[0.0], np.cumsum(p_r[order])])
-        p_out[i, 0] = np.sum(p_d[is_outage(d, budget.threshold_db)])
-        p_out[i, 1] = np.sum(p_d * below[_outage_cut(d, r[order], budget.threshold_db)])
+        p_out[i, 0] = np.sum(p_d[is_outage(d, threshold_db)])
+        p_out[i, 1] = np.sum(p_d * below[_outage_cut(d, r[order], threshold_db)])
     return _report(budget, p_out, "exact", "independent")

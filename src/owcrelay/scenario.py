@@ -5,6 +5,9 @@ A scenario document is a plain mapping with the same shape as
 rejects unknown keys by path, and coerces every value to its field's
 annotated type, so the dataclasses below are the only schema.  Numbers go
 through float so scientific-notation strings survive YAML's parsing quirks.
+Every section and entry checks its own fields when it is built, and a
+:class:`Scenario` checks the rules across them, so a config that exists is
+valid, whether a document or a library call built it.
 """
 
 from __future__ import annotations
@@ -57,17 +60,17 @@ class RoomConfig:
     lambertian_mode: float = 1.0
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.width_m, self.length_m, self.height_m)):
+        if not all(0 < v < math.inf for v in (self.width_m, self.length_m, self.height_m)):
             raise ScenarioError("room: extents must be positive")
         for name in ("wall_reflectivity", "ceiling_reflectivity", "floor_reflectivity"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ScenarioError(f"room.{name}: must lie in [0, 1], got {v}")
-        if not self.lambertian_mode >= 1:
+        if not 1 <= self.lambertian_mode < math.inf:
             raise ScenarioError("room.lambertian_mode: must be at least 1")
 
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive")
 _ANGLE = (lambda v: 0 < v <= 90, "must lie in (0, 90]")
 # range rules of the aps, relays and users entries, each applied where the field exists
 _ENTRY_RANGES = {
@@ -79,6 +82,7 @@ _ENTRY_RANGES = {
     "max_steering_deg": _ANGLE,
     "fov_deg": _ANGLE,
     "elevation_deg": (lambda v: 0 <= v <= 90, "must lie in [0, 90]"),
+    "azimuth_deg": (math.isfinite, "must be finite"),
 }
 
 
@@ -143,6 +147,8 @@ class HumanConfig:
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.height_m, self.radius_m)):
             raise ScenarioError("human: height and radius must be positive")
+        if self.count not in (0, 1):
+            raise ScenarioError("human.count: only 0 or 1 blocking humans are modelled")
 
 
 @dataclass(frozen=True)
@@ -152,9 +158,9 @@ class NoiseConfig:
     background_current_a: float = 0.0
 
     def __post_init__(self):
-        if not self.bandwidth_ghz > 0:
+        if not 0 < self.bandwidth_ghz < math.inf:
             raise ScenarioError("noise.bandwidth_ghz: must be positive")
-        if not (self.noise_density_a2hz >= 0 and self.background_current_a >= 0):
+        if not all(0 <= v < math.inf for v in (self.noise_density_a2hz, self.background_current_a)):
             raise ScenarioError("noise: densities and currents must be non-negative")
 
 
@@ -164,12 +170,30 @@ class NomaConfig:
     threshold_db: float = 15.6
     combining: str = "summed"
 
+    def __post_init__(self):
+        if not 1 < self.power_ratio < math.inf:
+            raise ScenarioError("noma.power_ratio: must exceed 1")
+        if not 0 < self.threshold_db < math.inf:
+            raise ScenarioError("noma.threshold_db: must be positive")
+        if self.combining not in ("summed", "per_branch"):
+            raise ScenarioError(f"noma.combining: unknown mode {self.combining!r}")
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
     samples: int = 100000
     seed: int = 1
     blockage_model: str = "joint"
+
+    def __post_init__(self):
+        from owcrelay.outage import MAX_SAMPLES  # outage imports this module
+
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ScenarioError(f"sampler.samples: must lie in [1, {MAX_SAMPLES}]")
+        if not 0 <= self.seed < math.inf:
+            raise ScenarioError("sampler.seed: must be non-negative")
+        if self.blockage_model not in ("joint", "independent"):
+            raise ScenarioError(f"sampler.blockage_model: unknown model {self.blockage_model!r}")
 
 
 @dataclass(frozen=True)
@@ -178,6 +202,14 @@ class ChannelConfig:
     first_bounce_res_m: float = 0.05
     second_bounce_res_m: float = 0.20
     bin_ns: float = 0.01
+
+    def __post_init__(self):
+        if self.max_bounces not in (0, 1, 2):
+            raise ScenarioError("channel.max_bounces: must be 0, 1 or 2")
+        if not all(0 < v < math.inf for v in (self.first_bounce_res_m, self.second_bounce_res_m)):
+            raise ScenarioError("channel: grid resolutions must be positive")
+        if not 0 < self.bin_ns < math.inf:
+            raise ScenarioError("channel.bin_ns: must be positive")
 
 
 @dataclass(frozen=True)
@@ -201,7 +233,8 @@ class Scenario:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # the rules across sections and entries, each of which checks itself
         errors: list[str] = []
         r = self.room
         if not self.aps:
@@ -236,30 +269,6 @@ class Scenario:
 
         if self.human.height_m > r.height_m:
             errors.append("human.height_m: taller than the room")
-        if self.human.count not in (0, 1):
-            errors.append("human.count: only 0 or 1 blocking humans are modelled")
-        if self.noma.power_ratio <= 1:
-            errors.append("noma.power_ratio: must exceed 1")
-        if self.noma.threshold_db <= 0:
-            errors.append("noma.threshold_db: must be positive")
-        if self.noma.combining not in ("summed", "per_branch"):
-            errors.append(f"noma.combining: unknown mode {self.noma.combining!r}")
-        from owcrelay.outage import MAX_SAMPLES  # outage imports this module
-
-        if not 1 <= self.sampler.samples <= MAX_SAMPLES:
-            errors.append(f"sampler.samples: must lie in [1, {MAX_SAMPLES}]")
-        if self.sampler.seed < 0:
-            errors.append("sampler.seed: must be non-negative")
-        if self.sampler.blockage_model not in ("joint", "independent"):
-            errors.append(
-                f"sampler.blockage_model: unknown model {self.sampler.blockage_model!r}"
-            )
-        if self.channel.max_bounces not in (0, 1, 2):
-            errors.append("channel.max_bounces: must be 0, 1 or 2")
-        if self.channel.first_bounce_res_m <= 0 or self.channel.second_bounce_res_m <= 0:
-            errors.append("channel: grid resolutions must be positive")
-        if self.channel.bin_ns <= 0:
-            errors.append("channel.bin_ns: must be positive")
 
         ap_ids = {ap.id for ap in self.aps}
         user_ids = {u.id for u in self.users}
@@ -415,9 +424,7 @@ def _coerce(value, annotation, path: str, base=None):
 
 def scenario_from_dict(doc: Any) -> Scenario:
     """Build a scenario by merging a plain mapping into the defaults."""
-    scenario = _merge(Scenario, default_scenario(), {} if doc is None else doc, "")
-    scenario.validate()
-    return scenario
+    return _merge(Scenario, default_scenario(), {} if doc is None else doc, "")
 
 
 def load_scenario(path) -> Scenario:

@@ -33,10 +33,11 @@ import numpy as np
 
 from owcrelay.geometry import _CELL_MARGIN, Rect, StadiumRegion, _spine, _spine_offset
 from owcrelay.links import evaluate_sinr
-from owcrelay.mobility import RwpDistribution
+from owcrelay.mobility import pdf_xy, peak_density
 from owcrelay.noma import ApAllocation, noise_variance, order_users_and_allocate
 from owcrelay.outage import ensure_marginals, is_outage
 from owcrelay.quadrature import MAX_CELLS, QuadratureError, integrate_region
+from owcrelay.scenario import RoomConfig
 
 _GAUSS = 1.0 / math.sqrt(3.0)
 
@@ -289,21 +290,25 @@ def integrate_one_region(sdf, density, bbox, cut_scale: float, rel_tol: float = 
     raise QuadratureError("refinement depth exhausted", est)
 
 
-def region_probabilities_one_by_one(regions, dist: RwpDistribution, rel_tol: float = 1e-4):
-    """Probability mass of each stadium region's part on the floor under
-    ``dist``, from :func:`integrate_one_region` on its bounding box cut to
-    the floor; 0 for an empty region or one off the floor."""
+def region_probabilities_one_by_one(regions, room: RoomConfig, rel_tol: float = 1e-4):
+    """Probability mass of each stadium region's part on the floor of
+    ``room`` under the walker law, from :func:`integrate_one_region` on its
+    bounding box cut to the floor; 0 for an empty region or one off the
+    floor."""
+    floor = Rect(0.0, 0.0, room.width_m, room.length_m)
+
+    def density(pts):
+        return pdf_xy(room, pts[:, 0], pts[:, 1])
+
     out = []
     for region in regions:
-        box = None if region.empty or region.radius == 0.0 else region.bbox().intersect(
-            dist.floor_rect
-        )
+        box = None if region.empty or region.radius == 0.0 else region.bbox().intersect(floor)
         if box is None:
             out.append(0.0)
             continue
         out.append(
             integrate_one_region(
-                region.signed_distance, dist.pdf, (box.x0, box.y0, box.x1, box.y1),
+                region.signed_distance, density, (box.x0, box.y0, box.x1, box.y1),
                 cut_scale=region.radius / 4.0, rel_tol=rel_tol,
             )
         )
@@ -320,6 +325,7 @@ def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     budget's links and scenario.
     """
     sc = budget.scenario
+    ap_entry = {ap.id: ap for ap in sc.aps}
     ap_power = {ap.id: ap.power_mw * 1e-3 for ap in sc.aps}
     relay_resp = {rl.id: rl.responsivity_a_per_w for rl in sc.relays}
     key = {(ln.tx_id, ln.rx_id): ln.index for ln in budget.links}
@@ -332,9 +338,7 @@ def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         served.setdefault(ln.tx_id, {})[ln.rx_id] = ln.h
     allocation = NomaAllocation(
         by_ap={
-            ap: order_users_and_allocate(
-                ap, tuple(g), g, power_ratio=sc.noma.power_ratio, budget_w=ap_power[ap]
-            )
+            ap: order_users_and_allocate(ap_entry[ap], tuple(g), g, sc.noma)
             for ap, g in served.items()
         },
         power_ratio=sc.noma.power_ratio,
@@ -366,7 +370,7 @@ def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             direct[i, j] = sinr_direct(uid, allocation, gains, state, resp, noise_var)
             relayed[i, j] = relay_second_phase_sinr(
                 uid, branches, factors, allocation, gains, gains, resp, noise_var,
-                relay_noise, combining=budget.combining,
+                relay_noise, combining=sc.noma.combining,
             )
     return direct, relayed
 
@@ -390,21 +394,22 @@ def joint_state_outage(budget) -> np.ndarray:
             clear[link_idx] = bit
             prob *= np.where(bit == 1, 1.0 - p[link_idx], p[link_idx])
         for k, sinr in enumerate(evaluate_sinr(budget, clear)):
-            p_out[i, k] = np.sum(prob[is_outage(sinr[i], budget.threshold_db)])
+            p_out[i, k] = np.sum(prob[is_outage(sinr[i], budget.scenario.noma.threshold_db)])
     return p_out
 
 
-def sample_positions_65536(dist, n: int, rng) -> np.ndarray:
-    """``n`` stationary positions of ``dist`` by rejection against a uniform
-    envelope at the peak density, drawing candidates 65,536 rows at a time."""
+def sample_positions_65536(room: RoomConfig, n: int, rng) -> np.ndarray:
+    """``n`` stationary positions on the floor of ``room`` by rejection
+    against a uniform envelope at the peak density, drawing candidates
+    65,536 rows at a time."""
     gen = np.random.default_rng(rng)
     out = np.empty((n, 2))
     filled = 0
     while filled < n:
         draw = gen.random((65536, 3))
-        xs = dist.x_extent * draw[:, 0]
-        ys = dist.y_extent * draw[:, 1]
-        keep = draw[:, 2] * dist.peak_density <= dist.pdf_xy(xs, ys)
+        xs = room.width_m * draw[:, 0]
+        ys = room.length_m * draw[:, 1]
+        keep = draw[:, 2] * peak_density(room) <= pdf_xy(room, xs, ys)
         take = min(int(np.count_nonzero(keep)), n - filled)
         out[filled : filled + take, 0] = xs[keep][:take]
         out[filled : filled + take, 1] = ys[keep][:take]

@@ -15,13 +15,13 @@ import pytest
 from owcrelay.channel import impulse_response
 from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.links import evaluate_sinr
-from owcrelay.mobility import RwpDistribution, region_probabilities, sample_human_positions
+from owcrelay.mobility import pdf_xy, region_probabilities, sample_human_positions
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
-from owcrelay.scenario import ApConfig, HumanConfig, RoomConfig, UserConfig
+from owcrelay.scenario import ApConfig, ChannelConfig, HumanConfig, RoomConfig, UserConfig
 
 from reference import reference_sinr, segment_meets_cylinder, sinr_mrc
 
-DIST = RwpDistribution(4.0, 8.0)
+FLOOR = RoomConfig(width_m=4.0, length_m=8.0)  # the walker law reads the floor alone
 CYL = HumanConfig()
 
 
@@ -32,8 +32,8 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_density_normalization():
     whole_floor = StadiumRegion(spine_p0=(-10.0, 4.0), spine_p1=(14.0, 4.0), radius=20.0)
-    total = region_probabilities([whole_floor], DIST, rel_tol=1e-6)[0]
-    center = DIST.pdf((2.0, 4.0))[0]
+    total = region_probabilities([whole_floor], FLOOR, rel_tol=1e-6)[0]
+    center = float(pdf_xy(FLOOR, 2.0, 4.0))
     ok = abs(total - 1.0) <= 1e-9 and abs(center - 0.0703125) <= 1e-12
     _report(1, ok, f"floor integral {total:.12f}, center density {center:.10f}")
 
@@ -71,8 +71,8 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
             regions.append(region)
             labels.append(link.link_id)
 
-    probs = region_probabilities(regions, DIST, rel_tol=1e-4)
-    pts = sample_human_positions(DIST, 1_000_000, np.random.default_rng(123))
+    probs = region_probabilities(regions, FLOOR, rel_tol=1e-4)
+    pts = sample_human_positions(FLOOR, 1_000_000, np.random.default_rng(123))
     worst = 0.0
     ok = True
     for label, region, p in zip(labels, regions, probs):
@@ -92,7 +92,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
 
 
 def test_criterion_4_single_link_equivalence(single_link_budget):
-    p_quad = region_probabilities(single_link_budget.regions, DIST, rel_tol=1e-6)[0]
+    p_quad = region_probabilities(single_link_budget.regions, FLOOR, rel_tol=1e-6)[0]
     report = outage_monte_carlo(
         budget=single_link_budget, n_samples=1_000_000, master_seed=17,
         blockage_model="joint",
@@ -192,14 +192,15 @@ def test_criterion_8_channel_sanity():
         # 1 cm^2, 90 deg field of view, facing straight up
         return UserConfig("u", p)
 
-    cir2 = impulse_response(tx((1, 1, 3)), rx((1, 1, 1)), room, max_bounces=0)
-    cir4 = impulse_response(tx((1, 1, 5)), rx((1, 1, 1)), tall, max_bounces=0)
+    cir2 = impulse_response(tx((1, 1, 3)), rx((1, 1, 1)), room, ChannelConfig(max_bounces=0))
+    cir4 = impulse_response(tx((1, 1, 5)), rx((1, 1, 1)), tall, ChannelConfig(max_bounces=0))
     ok = cir2.los_gain == 1.0
     ok = ok and abs(cir4.los_gain - 0.45112) <= 1e-4
     ok = ok and int(np.flatnonzero(cir2.gains)[0]) == 667
 
     dcs = [
-        impulse_response(tx((1, 1, 3)), rx((2, 1, 1)), room, max_bounces=k).dc_gain()
+        impulse_response(tx((1, 1, 3)), rx((2, 1, 1)), room, ChannelConfig(max_bounces=k))
+        .dc_gain()
         for k in (0, 1, 2)
     ]
     ok = ok and dcs[0] <= dcs[1] <= dcs[2]
@@ -212,7 +213,7 @@ def test_criterion_8_channel_sanity():
 
 
 def test_criterion_9_sampler_variances():
-    pts = sample_human_positions(DIST, 1_000_000, np.random.default_rng(31))
+    pts = sample_human_positions(FLOOR, 1_000_000, np.random.default_rng(31))
     ok = True
     details = []
     for axis, extent, var in (("x", 4.0, 0.8), ("y", 8.0, 3.2)):

@@ -18,6 +18,7 @@ from owcrelay.channel import (
 from owcrelay.links import build_link_budget, link_cir
 from owcrelay.scenario import (
     ApConfig,
+    ChannelConfig,
     RelayConfig,
     RoomConfig,
     UserConfig,
@@ -109,7 +110,7 @@ class TestNarrowBeam:
         with pytest.raises(UnservableLinkError):
             narrow_beam_los_gain(tx, behind, ROOM)
         with pytest.raises(UnservableLinkError):
-            impulse_response(tx, behind, ROOM)
+            impulse_response(tx, behind, ROOM, ChannelConfig())
 
     def test_incidence_cosine_applied(self):
         tx = make_tx((1, 1, 3), steer_deg=80.0)
@@ -240,7 +241,7 @@ class TestImpulseResponse:
     def test_los_bin_index(self):
         tx = make_tx((1, 1, 3))
         rx = make_rx((1, 1, 1))
-        cir = impulse_response(tx, rx, ROOM, max_bounces=0)
+        cir = impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=0))
         nz = np.flatnonzero(cir.gains)
         assert list(nz) == [667]
         assert cir.gains[667] == 1.0
@@ -249,7 +250,7 @@ class TestImpulseResponse:
     def test_bounce_order_monotone(self):
         tx = make_tx((1, 1, 3))
         rx = make_rx((2, 1, 1))  # partial capture leaves residue to reflect
-        cirs = [impulse_response(tx, rx, ROOM, max_bounces=k) for k in (0, 1, 2)]
+        cirs = [impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=k)) for k in (0, 1, 2)]
         d0, d1, d2 = (c.dc_gain() for c in cirs)
         assert d0 <= d1 <= d2
         # residue lands on the floor: an upward detector only sees it after
@@ -261,7 +262,7 @@ class TestImpulseResponse:
 
     def test_bounce_order_strict_from_wall_spot(self):
         tx, rx = lit_from_below()
-        cirs = [impulse_response(tx, rx, ROOM, max_bounces=k) for k in (0, 1, 2)]
+        cirs = [impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=k)) for k in (0, 1, 2)]
         d0, d1, d2 = (c.dc_gain() for c in cirs)
         assert d0 == 0.0
         assert d1 > d0 and d2 > d1
@@ -273,20 +274,20 @@ class TestImpulseResponse:
         tall_room = RoomConfig(width_m=4.0, length_m=8.0, height_m=5.0)
         tx = make_tx((1, 1, 5))
         rx = make_rx((1, 1, 1))
-        cir = impulse_response(tx, rx, tall_room, max_bounces=2)
+        cir = impulse_response(tx, rx, tall_room, ChannelConfig(max_bounces=2))
         assert cir.los_gain == pytest.approx(0.45111812691771264, rel=1e-12)
         assert cir.dc_gain() >= cir.los_gain
 
     def test_dc_gain_trivials(self):
         single = ChannelImpulseResponse(
-            bin_duration=1e-11,
+            bin_duration=ChannelConfig().bin_ns * 1e-9,
             gains=np.array([0.0, 1.0]),
             los_gain=1.0,
             first_order_gain=0.0,
             second_order_gain=0.0,
         )
         empty = ChannelImpulseResponse(
-            bin_duration=1e-11,
+            bin_duration=ChannelConfig().bin_ns * 1e-9,
             gains=np.zeros(0),
             los_gain=0.0,
             first_order_gain=0.0,
@@ -298,7 +299,7 @@ class TestImpulseResponse:
     def test_cir_rows_match_bins(self):
         tx = make_tx((1, 1, 3))
         rx = make_rx((2, 1, 1))
-        cir = impulse_response(tx, rx, ROOM, max_bounces=1)
+        cir = impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=1))
         rows = cir_rows(cir)
         assert rows
         for idx, t, g in rows:
@@ -313,7 +314,7 @@ class TestImpulseResponse:
             rxp = rng.uniform([0.5, 0.5, 0.5], [3.5, 7.5, 1.5])
             tx = make_tx(txp, steer_deg=80.0)
             rx = make_rx(rxp)
-            cir = impulse_response(tx, rx, ROOM, max_bounces=2)
+            cir = impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=2))
             assert np.all(cir.gains >= 0.0)
             assert cir.dc_gain() <= 1.0
 
@@ -324,7 +325,8 @@ class TestImpulseResponse:
         analytic = 0.8 * point_to_rx(WALL_SPOT, (1, 0, 0), 1.0, rx)
         errs = []
         for res in (0.05, 0.0125):
-            cir = impulse_response(tx, rx, ROOM, max_bounces=1, first_res=res)
+            channel = ChannelConfig(max_bounces=1, first_bounce_res_m=res)
+            cir = impulse_response(tx, rx, ROOM, channel)
             assert cir.los_gain == 0.0 and cir.first_order_gain > 0
             errs.append(abs(cir.first_order_gain - analytic) / analytic)
         assert errs[1] < errs[0]
@@ -338,7 +340,7 @@ class TestBlockageConsistency:
         # it until a second bounce
         tx = make_tx((1, 2, 2.6), steer_deg=80.0)
         rx = make_rx((3, 2, 1.4))
-        cir = impulse_response(tx, rx, ROOM, max_bounces=2)
+        cir = impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=2))
         assert cir.los_gain > 0.0
         assert cir.first_order_gain == 0.0
         assert cir.second_order_gain > 0.0
@@ -368,7 +370,7 @@ class TestEnergyBound:
                 # aperture r^2 dOmega at r = 0.4 m, in cm^2
                 rx = make_rx(spot + 0.4 * u, normal=-u, area_cm2=0.16e4 * solid_angle)
                 tx = make_tx(spot + 1.0 * u, axis=-u)
-                cir = impulse_response(tx, rx, ROOM, max_bounces=1)
+                cir = impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=1))
                 assert cir.los_gain == 0.0
                 total += cir.dc_gain()
         # everything that arrives anywhere is at most the emitted power
@@ -394,6 +396,17 @@ class TestLinkBudgetResponses:
             assert (link.h, link.h_los, link.h_reflected) == (
                 cir.dc_gain(), cir.los_gain, cir.first_order_gain + cir.second_order_gain,
             )
+
+    def test_one_bin_grid_for_budget_and_direct_calls(self):
+        # a budget link and a direct call under the same channel section
+        # bin their paths on the same grid, bin_ns * 1e-9 seconds wide
+        scenario = default_scenario()
+        budget = build_link_budget(scenario)
+        ap1, u1 = scenario.aps[0], scenario.users[0]
+        direct = impulse_response(ap1, u1, scenario.room, scenario.channel)
+        via_budget = link_cir(budget, "ap1", "u1")
+        assert via_budget.gains.tobytes() == direct.gains.tobytes()
+        assert via_budget.bin_duration == direct.bin_duration == scenario.channel.bin_ns * 1e-9
 
     def test_dc_gain_is_the_exact_sum_of_all_bins(self):
         gains = np.zeros(4000)

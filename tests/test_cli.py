@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from owcrelay import cli
-from owcrelay.mobility import RwpDistribution
+from owcrelay.mobility import pdf_xy
 from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import default_scenario, load_scenario, save_scenario
 
@@ -237,10 +237,10 @@ class TestPdf:
         lines = res.stdout.splitlines()
         assert lines[0] == "x,y,density"
         assert len(lines) == 5
-        dist = RwpDistribution(4.0, 8.0)
+        room = default_scenario().room
         for line in lines[1:]:
             x, y, d = (float(v) for v in line.split(","))
-            assert d == pytest.approx(dist.pdf((x, y))[0], rel=1e-9)
+            assert d == pytest.approx(pdf_xy(room, x, y), rel=1e-9)
         xs = sorted({float(line.split(",")[0]) for line in lines[1:]})
         assert xs == [1.0, 3.0]
 

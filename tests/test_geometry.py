@@ -9,8 +9,8 @@ from owcrelay.geometry import (
     blocked_region,
     regions_contain,
 )
-from owcrelay.mobility import RwpDistribution, region_probabilities, sample_human_positions
-from owcrelay.scenario import HumanConfig, ScenarioError
+from owcrelay.mobility import region_probabilities, sample_human_positions
+from owcrelay.scenario import HumanConfig, RoomConfig, ScenarioError
 
 from reference import region_area, segment_meets_cylinder
 
@@ -144,10 +144,10 @@ class TestBlockedRegion:
         assert math.isclose(region_area(region, FLOOR), inside, rel_tol=1e-4)
         # the walker never stands off the floor, so sampling agrees with the
         # quadrature over the floor part
-        dist = RwpDistribution(4.0, 8.0)
-        p = region_probabilities([region], dist)[0]
+        room = RoomConfig(width_m=4.0, length_m=8.0)
+        p = region_probabilities([region], room)[0]
         n = 200_000
-        pts = sample_human_positions(dist, n, np.random.default_rng(6))
+        pts = sample_human_positions(room, n, np.random.default_rng(6))
         hat = float(np.mean(region.contains(pts)))
         assert abs(hat - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -171,8 +171,7 @@ class TestRegionsContain:
         return batch
 
     def test_sampler_output(self, budget):
-        dist = RwpDistribution(budget.scenario.room.width_m, budget.scenario.room.length_m)
-        pts = sample_human_positions(dist, 5000, np.random.default_rng(3))
+        pts = sample_human_positions(budget.scenario.room, 5000, np.random.default_rng(3))
         batch = self._assert_equals_stacked(self._regions(budget), pts)
         assert batch.any()
 

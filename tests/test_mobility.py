@@ -6,64 +6,67 @@ import numpy as np
 import pytest
 
 from owcrelay import quadrature
+from owcrelay.cli import main
 from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.links import build_link_budget
 from owcrelay.mobility import (
-    RwpDistribution,
+    cell_mass,
+    pdf_xy,
+    peak_density,
     region_probabilities,
     sample_human_positions,
-    walker_law,
 )
 from owcrelay.outage import ensure_marginals
 from owcrelay.quadrature import QuadratureError
-from owcrelay.scenario import HumanConfig, default_scenario, load_scenario
+from owcrelay.scenario import HumanConfig, RoomConfig, default_scenario, load_scenario
 
 from reference import region_probabilities_one_by_one, sample_positions_65536
 
-DIST = RwpDistribution(x_extent=4.0, y_extent=8.0)
+ROOM = RoomConfig(width_m=4.0, length_m=8.0)
 CYL = HumanConfig()
 
 
 def link_probability(a, b) -> float:
-    return region_probabilities([blocked_region(a, b, CYL)], DIST)[0]
+    return region_probabilities([blocked_region(a, b, CYL)], ROOM)[0]
 
 
-def gauss_integral(dist, n=24):
-    """Independent tensor-product Gauss-Legendre oracle for the plane density."""
+def gauss_integral(room, n=24, weight=lambda x, y: 1.0):
+    """Independent tensor-product Gauss-Legendre oracle for the plane
+    density, times ``weight``."""
     x, wx = np.polynomial.legendre.leggauss(n)
-    xs = (x + 1) * dist.x_extent / 2
-    ys = (x + 1) * dist.y_extent / 2
+    xs = (x + 1) * room.width_m / 2
+    ys = (x + 1) * room.length_m / 2
     grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = dist.pdf(grid).reshape(n, n)
-    w2 = np.outer(wx, wx) * (dist.x_extent / 2) * (dist.y_extent / 2)
+    vals = (pdf_xy(room, grid[:, 0], grid[:, 1]) * weight(grid[:, 0], grid[:, 1])).reshape(n, n)
+    w2 = np.outer(wx, wx) * (room.width_m / 2) * (room.length_m / 2)
     return float(np.sum(vals * w2))
 
 
 class TestDensity:
     def test_center_peak_value(self):
-        assert DIST.pdf((2.0, 4.0))[0] == pytest.approx(9 / 128, abs=1e-15)
-        assert DIST.peak_density == pytest.approx(9 / 128, abs=1e-15)
+        assert pdf_xy(ROOM, 2.0, 4.0) == pytest.approx(9 / 128, abs=1e-15)
+        assert peak_density(ROOM) == pytest.approx(9 / 128, abs=1e-15)
 
     def test_point_value(self):
         # 36/(4^3 8^3) * (1-4)(9-16) = 756/32768
-        assert DIST.pdf((1.0, 1.0))[0] == pytest.approx(756 / 32768, rel=1e-12)
-        assert DIST.pdf((1.0, 1.0))[0] == pytest.approx(0.0230713, abs=1e-7)
+        assert pdf_xy(ROOM, 1.0, 1.0) == pytest.approx(756 / 32768, rel=1e-12)
+        assert pdf_xy(ROOM, 1.0, 1.0) == pytest.approx(0.0230713, abs=1e-7)
 
     def test_boundary_zeros(self):
         for p in [(0.0, 4.0), (4.0, 4.0), (2.0, 0.0), (2.0, 8.0), (0.0, 0.0)]:
-            assert DIST.pdf(p)[0] == 0.0
+            assert pdf_xy(ROOM, *p) == 0.0
 
     def test_outside_floor_is_zero_not_error(self):
-        assert DIST.pdf((-0.1, 3.0))[0] == 0.0
-        assert DIST.pdf((2.0, 8.4))[0] == 0.0
+        assert pdf_xy(ROOM, -0.1, 3.0) == 0.0
+        assert pdf_xy(ROOM, 2.0, 8.4) == 0.0
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform([-1, -1], [5, 9], size=(5000, 2))
-        assert np.all(DIST.pdf(pts) >= 0.0)
+        assert np.all(pdf_xy(ROOM, pts[:, 0], pts[:, 1]) >= 0.0)
 
     def test_normalization(self):
-        assert gauss_integral(DIST) == pytest.approx(1.0, abs=1e-12)
+        assert gauss_integral(ROOM) == pytest.approx(1.0, abs=1e-12)
 
     def test_cell_mass_is_the_gauss_rule(self):
         # the closed form equals the 2x2 Gauss rule, exact for this density
@@ -72,17 +75,23 @@ class TestDensity:
         x = rng.uniform(hx, 4.0 - hx)
         y = rng.uniform(hy, 8.0 - hy)
         g = 1.0 / math.sqrt(3.0)
-        gauss = hx * hy * sum(DIST.pdf_xy(x + sx * g * hx, y + sy * g * hy)
+        gauss = hx * hy * sum(pdf_xy(ROOM, x + sx * g * hx, y + sy * g * hy)
                               for sx in (-1, 1) for sy in (-1, 1))
-        np.testing.assert_allclose(DIST.cell_mass(x, y, hx, hy), gauss, rtol=1e-12, atol=0.0)
-        assert DIST.cell_mass(2.0, 4.0, 2.0, 4.0) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(cell_mass(ROOM, x, y, hx, hy), gauss, rtol=1e-12, atol=0.0)
+        assert cell_mass(ROOM, 2.0, 4.0, 2.0, 4.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_variances_property(self):
-        assert DIST.variances == (0.8, 3.2)
+    def test_variances_property(self, capsys):
+        # the pdf command prints L^2/20 per axis, the variance of the law
+        assert main(["pdf"]) == 0
+        rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert (float(rows["variance_x"]), float(rows["variance_y"])) == (0.8, 3.2)
+        var_x = gauss_integral(ROOM, weight=lambda x, y: (x - 2.0) ** 2)
+        var_y = gauss_integral(ROOM, weight=lambda x, y: (y - 4.0) ** 2)
+        assert (var_x, var_y) == pytest.approx((0.8, 3.2), rel=1e-12)
 
     def test_bad_extents_rejected(self):
         with pytest.raises(ValueError):
-            RwpDistribution(x_extent=0.0, y_extent=8.0)
+            RoomConfig(width_m=0.0, length_m=8.0)
 
 
 class TestRegionProbability:
@@ -97,7 +106,7 @@ class TestRegionProbability:
 
     def test_entire_floor_is_one(self):
         region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0)
-        assert region_probabilities([region], DIST)[0] == pytest.approx(1.0, abs=1e-9)
+        assert region_probabilities([region], ROOM)[0] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "a, b", [((1, 1, 3), (1, 1, 1)), ((1, 1, 3), (2, 4, 1))]
@@ -113,7 +122,7 @@ class TestRegionProbability:
         p = link_probability(a, b)
         region = blocked_region(a, b, CYL)
         n = 200_000
-        pts = sample_human_positions(DIST, n, np.random.default_rng(4))
+        pts = sample_human_positions(ROOM, n, np.random.default_rng(4))
         hat = float(np.mean(region.contains(pts)))
         se = math.sqrt(p * (1 - p) / n)
         assert abs(hat - p) <= 3 * se
@@ -130,10 +139,10 @@ def _room(name):
     return base
 
 
-def assert_matches_one_by_one(probs, regions, dist, rel_tol=1e-4):
+def assert_matches_one_by_one(probs, regions, room, rel_tol=1e-4):
     """Marginals of the one-pass quadrature against the per-region loop:
     rel 1e-12, and zero exactly where the loop gives zero."""
-    ref = region_probabilities_one_by_one(regions, dist, rel_tol=rel_tol)
+    ref = region_probabilities_one_by_one(regions, room, rel_tol=rel_tol)
     assert np.array_equal(probs == 0.0, ref == 0.0)
     np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0.0)
 
@@ -160,15 +169,15 @@ class TestOnePass:
     def test_marginals_match_per_region_loop(self, room):
         budget = build_link_budget(_room(room))
         probs = ensure_marginals(budget)
-        assert_matches_one_by_one(probs, budget.regions, walker_law(budget.scenario))
+        assert_matches_one_by_one(probs, budget.regions, budget.scenario.room)
         assert (probs == 0.0).all() == (room == "no-walker")
 
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-2])
     def test_regions_past_the_walls(self, rel_tol):
         # at a loose tolerance the estimates settle before the cells are
         # within a quarter of the radius, so the cut-scale rule decides
-        probs = region_probabilities(EDGE_REGIONS, DIST, rel_tol=rel_tol)
-        assert_matches_one_by_one(probs, EDGE_REGIONS, DIST, rel_tol=rel_tol)
+        probs = region_probabilities(EDGE_REGIONS, ROOM, rel_tol=rel_tol)
+        assert_matches_one_by_one(probs, EDGE_REGIONS, ROOM, rel_tol=rel_tol)
         assert probs[4:7].tolist() == [0.0, 0.0, 0.0]
         assert 0.0 < probs[0] < probs[1]
 
@@ -186,15 +195,15 @@ class TestOnePass:
 
         monkeypatch.setattr(quadrature, "_refine", counted)
         monkeypatch.setattr(quadrature, "SLICE_CELLS", 64)
-        probs = region_probabilities(budget.regions, walker_law(budget.scenario))
+        probs = region_probabilities(budget.regions, budget.scenario.room)
         assert max(parts) > 1
-        assert_matches_one_by_one(probs, budget.regions, walker_law(budget.scenario))
+        assert_matches_one_by_one(probs, budget.regions, budget.scenario.room)
 
     def test_split_slices_of_edge_regions(self, monkeypatch):
         # one parent cell a slice, and every batch split down to one region
         monkeypatch.setattr(quadrature, "SLICE_CELLS", 7)
         regions = [EDGE_REGIONS[j] for j in (0, 3, 4, 5, 6)]
-        assert_matches_one_by_one(region_probabilities(regions, DIST), regions, DIST)
+        assert_matches_one_by_one(region_probabilities(regions, ROOM), regions, ROOM)
 
     def test_thin_walker_exhausts_the_cell_budget(self):
         # every region of a 0.1 mm walker grows toward the budget at once;
@@ -210,18 +219,18 @@ class TestOnePass:
 
 class TestSampler:
     def test_determinism(self):
-        a = sample_human_positions(DIST, 5000, np.random.default_rng(42))
-        b = sample_human_positions(DIST, 5000, np.random.default_rng(42))
+        a = sample_human_positions(ROOM, 5000, np.random.default_rng(42))
+        b = sample_human_positions(ROOM, 5000, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_samples_inside_floor(self):
-        pts = sample_human_positions(DIST, 20_000, np.random.default_rng(1))
+        pts = sample_human_positions(ROOM, 20_000, np.random.default_rng(1))
         assert pts.shape == (20_000, 2)
         assert np.all((pts >= [0, 0]) & (pts <= [4, 8]))
 
     def test_mean_and_variance(self):
         n = 200_000
-        pts = sample_human_positions(DIST, n, np.random.default_rng(8))
+        pts = sample_human_positions(ROOM, n, np.random.default_rng(8))
         # SE of the mean: sqrt(var/n); SE of the variance: sqrt((mu4 - var^2)/n)
         for axis, extent in ((0, 4.0), (1, 8.0)):
             var = extent**2 / 20.0
@@ -235,13 +244,14 @@ class TestSampler:
     def test_equals_the_65536_row_draw(self, n):
         # the chunk size is not part of the output: the same candidate
         # stream gives the same positions, byte for byte
-        for dist, seed in ((DIST, 0), (DIST, [2023, 5]), (RwpDistribution(6.0, 12.0), 9)):
-            got = sample_human_positions(dist, n, np.random.default_rng(seed))
-            want = sample_positions_65536(dist, n, np.random.default_rng(seed))
+        wide = RoomConfig(width_m=6.0, length_m=12.0)
+        for room, seed in ((ROOM, 0), (ROOM, [2023, 5]), (wide, 9)):
+            got = sample_human_positions(room, n, np.random.default_rng(seed))
+            want = sample_positions_65536(room, n, np.random.default_rng(seed))
             assert got.shape == want.shape == (n, 2)
             assert got.tobytes() == want.tobytes()
 
     def test_single_sample_helper(self):
-        (x, y), = sample_human_positions(DIST, 1, np.random.default_rng(3))
+        (x, y), = sample_human_positions(ROOM, 1, np.random.default_rng(3))
         assert 0 <= x <= 4 and 0 <= y <= 8
 

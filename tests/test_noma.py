@@ -11,7 +11,7 @@ from owcrelay.noma import (
     noise_variance,
     order_users_and_allocate,
 )
-from owcrelay.scenario import NoiseConfig, ScenarioError
+from owcrelay.scenario import ApConfig, NoiseConfig, NomaConfig, ScenarioError
 
 from reference import (
     NomaAllocation,
@@ -25,6 +25,11 @@ from reference import (
 SIGMA_EX = 1.60218e-12  # noise variance used by the worked ratio examples
 
 
+def allocate(ap_id, users, gains):
+    """The split of a default 1 mW source under the default ratio of 4."""
+    return order_users_and_allocate(ApConfig(ap_id, (1.0, 1.0, 3.0)), users, gains, NomaConfig())
+
+
 def one_user_alloc(power_w=1e-3, ap_id="ap1", user_id="u1"):
     return NomaAllocation(
         by_ap={ap_id: ApAllocation(ap_id, (user_id,), (power_w,))}, power_ratio=4.0
@@ -33,27 +38,25 @@ def one_user_alloc(power_w=1e-3, ap_id="ap1", user_id="u1"):
 
 class TestAllocation:
     def test_single_user_gets_budget(self):
-        alloc = order_users_and_allocate("ap1", ["u1"], {"u1": 1.0})
+        alloc = allocate("ap1", ["u1"], {"u1": 1.0})
         assert alloc.powers_w == (1e-3,)
         assert alloc.ordered_users == ("u1",)
 
     def test_two_user_split_at_ratio_four(self):
-        alloc = order_users_and_allocate("ap1", ["a", "b"], {"a": 0.9, "b": 0.1})
+        alloc = allocate("ap1", ["a", "b"], {"a": 0.9, "b": 0.1})
         assert alloc.ordered_users == ("b", "a")  # weakest first
         assert alloc.powers_w[0] == pytest.approx(0.8e-3, rel=1e-15)
         assert alloc.powers_w[1] == pytest.approx(0.2e-3, rel=1e-15)
 
     def test_three_user_geometric_weights(self):
-        alloc = order_users_and_allocate(
-            "ap1", ["a", "b", "c"], {"a": 3.0, "b": 1.0, "c": 2.0}
-        )
+        alloc = allocate("ap1", ["a", "b", "c"], {"a": 3.0, "b": 1.0, "c": 2.0})
         assert alloc.ordered_users == ("b", "c", "a")
         expect = [16 / 21, 4 / 21, 1 / 21]
         for p, e in zip(alloc.powers_w, expect):
             assert p == pytest.approx(1e-3 * e, rel=1e-14)
 
     def test_gain_tie_breaks_by_user_id(self):
-        alloc = order_users_and_allocate("ap1", ["u9", "u2"], {"u9": 0.5, "u2": 0.5})
+        alloc = allocate("ap1", ["u9", "u2"], {"u9": 0.5, "u2": 0.5})
         assert alloc.ordered_users == ("u2", "u9")
 
     def test_power_conservation(self):
@@ -62,7 +65,7 @@ class TestAllocation:
             n = int(rng.integers(1, 7))
             users = [f"u{i}" for i in range(n)]
             gains = {u: float(rng.uniform(0, 1)) for u in users}
-            alloc = order_users_and_allocate("ap1", users, gains, power_ratio=4.0)
+            alloc = allocate("ap1", users, gains)
             assert math.fsum(alloc.powers_w) == pytest.approx(1e-3, rel=1e-12)
             # weakest-first means shares never increase along the order
             assert all(
@@ -71,13 +74,14 @@ class TestAllocation:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            order_users_and_allocate("ap1", [], {})
+            allocate("ap1", [], {})
+        # the ratio and the budget are checked where their sections are built
+        with pytest.raises(ValueError, match=r"^noma\.power_ratio: must exceed 1$"):
+            NomaConfig(power_ratio=1.0)
+        with pytest.raises(ValueError, match="^power_mw: must be positive$"):
+            ApConfig("ap1", (1.0, 1.0, 3.0), power_mw=0.0)
         with pytest.raises(ValueError):
-            order_users_and_allocate("ap1", ["u1"], {"u1": 1.0}, power_ratio=1.0)
-        with pytest.raises(ValueError):
-            order_users_and_allocate("ap1", ["u1"], {"u1": 1.0}, budget_w=0.0)
-        with pytest.raises(ValueError):
-            order_users_and_allocate("ap1", ["u1"], {"u1": -0.1})
+            allocate("ap1", ["u1"], {"u1": -0.1})
 
     def test_power_of_unknown_user(self):
         alloc = ApAllocation("ap1", ("u1",), (1e-3,))
@@ -105,7 +109,7 @@ class TestAllocation:
 
 class TestNoise:
     def test_thermal_floor(self):
-        assert noise_variance(NoiseConfig(), 0.0) == pytest.approx(1e-14, rel=1e-15)
+        assert noise_variance(NoiseConfig(), 0.0, 0.5) == pytest.approx(1e-14, rel=1e-15)
 
     def test_shot_from_milliwatt(self):
         v = noise_variance(NoiseConfig(), 1e-3, responsivity=0.5)
@@ -114,8 +118,8 @@ class TestNoise:
         assert v == shot + 1e-14
 
     def test_background_current_adds_shot(self):
-        base = noise_variance(NoiseConfig(), 1e-3)
-        lit = noise_variance(NoiseConfig(background_current_a=1e-3), 1e-3)
+        base = noise_variance(NoiseConfig(), 1e-3, 0.5)
+        lit = noise_variance(NoiseConfig(background_current_a=1e-3), 1e-3, 0.5)
         assert lit - base == pytest.approx(2.0 * ELECTRON_CHARGE * 1e-3 * 1e10, rel=1e-12)
 
     def test_validation(self):
@@ -126,7 +130,7 @@ class TestNoise:
         ):
             NoiseConfig(noise_density_a2hz=-1e-24)
         with pytest.raises(ValueError):
-            noise_variance(NoiseConfig(), -1e-3)
+            noise_variance(NoiseConfig(), -1e-3, 0.5)
 
 
 class TestDirectSinr:
@@ -308,7 +312,7 @@ class TestMonotonicity:
         for a in range(n_aps):
             ap = f"ap{a}"
             g = {u: float(rng.uniform(0.1, 1.0)) for u in users}
-            by_ap[ap] = order_users_and_allocate(ap, users, g)
+            by_ap[ap] = allocate(ap, users, g)
             for u in users:
                 gains[(ap, u)] = g[u]
                 clear[(ap, u)] = float(rng.integers(0, 2))
@@ -420,7 +424,9 @@ class TestEvaluateSinrMatchesReference:
         ],
     )
     def test_random_link_states(self, budget, combining, dtype):
-        b = dataclasses.replace(budget, combining=combining)
+        sc = budget.scenario
+        noma = dataclasses.replace(sc.noma, combining=combining)
+        b = dataclasses.replace(budget, scenario=dataclasses.replace(sc, noma=noma))
         rng = np.random.default_rng(2000)
         # each column clears its links with its own probability, so states
         # range from nearly all blocked to nearly all clear

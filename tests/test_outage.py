@@ -10,12 +10,7 @@ import pytest
 from owcrelay import outage
 from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, evaluate_sinr
-from owcrelay.mobility import (
-    RwpDistribution,
-    region_probabilities,
-    sample_human_positions,
-    walker_law,
-)
+from owcrelay.mobility import region_probabilities, sample_human_positions
 from owcrelay.outage import (
     BLOCK_SIZE,
     MAX_LINKS,
@@ -65,7 +60,8 @@ class TestIsOutage:
 class TestSingleLink:
     def test_exact_matches_quadrature(self, single_link_budget):
         report = outage_independent_approx(budget=single_link_budget)
-        p_region = region_probabilities(single_link_budget.regions, RwpDistribution(4.0, 8.0))[0]
+        room = single_link_budget.scenario.room
+        p_region = region_probabilities(single_link_budget.regions, room)[0]
         row = report.by_user("u1", "direct")
         assert row.p_out == pytest.approx(p_region, rel=1e-12)
         # no relays: the combined link is the direct link
@@ -77,7 +73,8 @@ class TestSingleLink:
             budget=single_link_budget, n_samples=200_000, master_seed=3,
             blockage_model="joint",
         )
-        p_region = region_probabilities(single_link_budget.regions, RwpDistribution(4.0, 8.0))[0]
+        room = single_link_budget.scenario.room
+        p_region = region_probabilities(single_link_budget.regions, room)[0]
         row = report.by_user("u1", "direct")
         assert abs(row.p_out - p_region) <= 3.0 * row.stderr
         assert report.blockage_model == "joint"
@@ -88,7 +85,8 @@ class TestSingleLink:
             budget=single_link_budget, n_samples=200_000, master_seed=3,
             blockage_model="independent",
         )
-        p_region = region_probabilities(single_link_budget.regions, RwpDistribution(4.0, 8.0))[0]
+        room = single_link_budget.scenario.room
+        p_region = region_probabilities(single_link_budget.regions, room)[0]
         row = report.by_user("u1", "direct")
         assert abs(row.p_out - p_region) <= 3.0 * row.stderr
 
@@ -457,12 +455,12 @@ class TestJointTable:
     # boundary comes near the cell; that must change no membership and no count
 
     def _table(self, budget):
-        return outage._joint_table(budget, walker_law(budget.scenario))
+        return outage._joint_table(budget)
 
     def test_cells_agree_with_exact_membership(self, joint_budget):
         cells = self._table(joint_budget).cells
-        dist = walker_law(joint_budget.scenario)
-        pts = _adversarial_points(cells, joint_budget.regions, dist.x_extent, dist.y_extent)
+        room = joint_budget.scenario.room
+        pts = _adversarial_points(cells, joint_budget.regions, room.width_m, room.length_m)
         x, y = pts[:, 0], pts[:, 1]
         cell = cells.cell_of(x, y)
         exact = regions_contain(joint_budget.regions, pts)
@@ -478,9 +476,9 @@ class TestJointTable:
         # each region is classified only near its bounding box; every cell
         # must come out as a test of every cell against every region says
         cells = self._table(joint_budget).cells
-        dist = walker_law(joint_budget.scenario)
+        room = joint_budget.scenario.room
         inside, undecided, decided = classify_full_floor(
-            joint_budget.regions, dist.x_extent, dist.y_extent, cells.size
+            joint_budget.regions, room.width_m, room.length_m, cells.size
         )
         runs = np.diff(cells.start)
         listed = np.zeros_like(cells.inside)
@@ -518,14 +516,12 @@ class TestJointTable:
 
     @pytest.mark.parametrize("n_total, block", [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2)])
     def test_block_counts_equal_exact_membership(self, joint_budget, n_total, block):
-        dist = walker_law(joint_budget.scenario)
-        got = outage._run_block(
-            joint_budget, dist, 5, "joint", n_total, self._table(joint_budget), block
-        )
+        got = outage._run_block(joint_budget, 5, "joint", n_total, self._table(joint_budget), block)
         n = min(BLOCK_SIZE, n_total - block * BLOCK_SIZE)
-        pts = sample_human_positions(dist, n, np.random.default_rng([5, block]))
+        room = joint_budget.scenario.room
+        pts = sample_human_positions(room, n, np.random.default_rng([5, block]))
         clear = ~regions_contain(joint_budget.regions, pts)
-        want = [is_outage(s, joint_budget.threshold_db).sum(axis=1)
+        want = [is_outage(s, joint_budget.scenario.noma.threshold_db).sum(axis=1)
                 for s in evaluate_sinr(joint_budget, clear)]
         assert got.dtype == np.int64
         assert np.array_equal(got, np.stack(want, axis=1))
@@ -546,11 +542,12 @@ class TestIndependentBlock:
     def test_block_counts_equal_float_link_states(self, independent_budget, n_total, block):
         b = independent_budget
         p = ensure_marginals(b)
-        got = outage._run_block(b, walker_law(b.scenario), 5, "independent", n_total, None, block)
+        got = outage._run_block(b, 5, "independent", n_total, None, block)
         n = min(BLOCK_SIZE, n_total - block * BLOCK_SIZE)
         u = np.random.default_rng([5, block]).random((n, b.link_count))
         clear = (u >= p[None, :]).T.astype(float)
-        want = [is_outage(s, b.threshold_db).sum(axis=1) for s in evaluate_sinr(b, clear)]
+        threshold_db = b.scenario.noma.threshold_db
+        want = [is_outage(s, threshold_db).sum(axis=1) for s in evaluate_sinr(b, clear)]
         assert got.dtype == np.int64
         assert np.array_equal(got, np.stack(want, axis=1))
 

@@ -10,10 +10,13 @@ from owcrelay.links import build_link_budget
 from owcrelay.outage import MAX_SAMPLES, OutageRow
 from owcrelay.scenario import (
     ApConfig,
+    ChannelConfig,
     HumanConfig,
     NoiseConfig,
+    NomaConfig,
     RelayConfig,
     RoomConfig,
+    SamplerConfig,
     Scenario,
     ScenarioError,
     UserConfig,
@@ -112,7 +115,8 @@ class TestDefaults:
         assert len(default_sc.users) == 6
         assert default_sc.aps[0].position_m == (1.0, 1.0, 3.0)
         assert default_sc.noma.threshold_db == 15.6
-        default_sc.validate()
+        # built again, the scenario passes every cross-section rule again
+        assert dataclasses.replace(default_sc) == default_sc
 
     def test_numeric_audit(self, default_sc):
         paths = [p for p, _ in DEFAULT_AUDIT]
@@ -249,18 +253,15 @@ class TestRejection:
         assert load_scenario(doc).sampler.samples == MAX_SAMPLES
 
     def test_referential_integrity(self, default_sc):
-        bad_ap = dataclasses.replace(default_sc, associations={"zz": ("u1",)})
+        # a scenario checks its maps when it is built
         with pytest.raises(ScenarioError, match=r"associations\[zz\]: unknown access point"):
-            bad_ap.validate()
-        bad_user = dataclasses.replace(default_sc, associations={"ap1": ("nobody",)})
+            dataclasses.replace(default_sc, associations={"zz": ("u1",)})
         with pytest.raises(ScenarioError, match="unknown user"):
-            bad_user.validate()
-        bad_relay = dataclasses.replace(default_sc, relay_pairings={"zz": "ap1"})
+            dataclasses.replace(default_sc, associations={"ap1": ("nobody",)})
         with pytest.raises(ScenarioError, match=r"relay_pairings\[zz\]: unknown relay"):
-            bad_relay.validate()
-        bad_pair_ap = dataclasses.replace(default_sc, relay_pairings={"r1": "zz"})
+            dataclasses.replace(default_sc, relay_pairings={"zz": "ap1"})
         with pytest.raises(ScenarioError, match="unknown access point"):
-            bad_pair_ap.validate()
+            dataclasses.replace(default_sc, relay_pairings={"r1": "zz"})
 
     @pytest.mark.parametrize(
         "mutate, fragment",
@@ -357,8 +358,9 @@ class TestRejection:
         ],
     )
     def test_validation_failures(self, default_sc, mutate, fragment):
+        # the bad section, entry or scenario raises where it is built
         with pytest.raises(ScenarioError, match=fragment):
-            mutate(default_sc).validate()
+            mutate(default_sc)
 
     @pytest.mark.parametrize(
         "entry, changes, message",
@@ -368,8 +370,10 @@ class TestRejection:
             (ApConfig, {"divergence_mrad": 2000.0}, "divergence_mrad: must lie in (0, 500 pi)"),
             (RelayConfig, {"axis": (0.0, 0.0, 0.0)}, "axis: must be a non-zero finite vector"),
             (RelayConfig, {"axis": (1.0, math.nan, 0.0)}, "axis: must be a non-zero finite vector"),
+            (UserConfig, {"azimuth_deg": math.nan}, "azimuth_deg: must be finite"),
+            (ApConfig, {"power_mw": math.inf}, "power_mw: must be positive"),
         ],
-        ids=["power", "fov", "divergence", "zero-axis", "nan-axis"],
+        ids=["power", "fov", "divergence", "zero-axis", "nan-axis", "nan-azimuth", "inf-power"],
     )
     def test_entries_check_themselves(self, entry, changes, message):
         # the rule that guards documents guards library calls too; an entry
@@ -404,7 +408,7 @@ class TestRejection:
         assert str(loaded.value) == message
 
     def test_zero_humans_is_valid(self, default_sc):
-        dataclasses.replace(default_sc, human=HumanConfig(count=0)).validate()
+        assert dataclasses.replace(default_sc, human=HumanConfig(count=0)).human.count == 0
 
     def test_terminals_of_one_kind_may_coincide(self, default_sc):
         # two sources, or two users, at one point form no link between them
@@ -429,6 +433,41 @@ class TestRejection:
             (RoomConfig, {"lambertian_mode": 0.5}, "room.lambertian_mode: must be at least 1"),
             (HumanConfig, {"radius_m": -0.1}, "human: height and radius must be positive"),
             (NoiseConfig, {"bandwidth_ghz": 0.0}, "noise.bandwidth_ghz: must be positive"),
+            (HumanConfig, {"count": 2}, "human.count: only 0 or 1 blocking humans are modelled"),
+            (RoomConfig, {"width_m": math.inf}, "room: extents must be positive"),
+            (
+                NoiseConfig,
+                {"noise_density_a2hz": math.inf},
+                "noise: densities and currents must be non-negative",
+            ),
+            (NomaConfig, {"threshold_db": 0.0}, "noma.threshold_db: must be positive"),
+            (NomaConfig, {"threshold_db": math.nan}, "noma.threshold_db: must be positive"),
+            (NomaConfig, {"threshold_db": math.inf}, "noma.threshold_db: must be positive"),
+            (NomaConfig, {"power_ratio": 1.0}, "noma.power_ratio: must exceed 1"),
+            (NomaConfig, {"power_ratio": math.nan}, "noma.power_ratio: must exceed 1"),
+            (NomaConfig, {"combining": "coherent"}, "noma.combining: unknown mode 'coherent'"),
+            (SamplerConfig, {"samples": 0}, f"sampler.samples: must lie in [1, {MAX_SAMPLES}]"),
+            (SamplerConfig, {"seed": -1}, "sampler.seed: must be non-negative"),
+            (SamplerConfig, {"seed": math.nan}, "sampler.seed: must be non-negative"),
+            (
+                SamplerConfig,
+                {"blockage_model": "markov"},
+                "sampler.blockage_model: unknown model 'markov'",
+            ),
+            (ChannelConfig, {"max_bounces": 3}, "channel.max_bounces: must be 0, 1 or 2"),
+            (
+                ChannelConfig,
+                {"second_bounce_res_m": 0.0},
+                "channel: grid resolutions must be positive",
+            ),
+            (
+                ChannelConfig,
+                {"first_bounce_res_m": math.nan},
+                "channel: grid resolutions must be positive",
+            ),
+            (ChannelConfig, {"bin_ns": 0.0}, "channel.bin_ns: must be positive"),
+            (ChannelConfig, {"bin_ns": math.nan}, "channel.bin_ns: must be positive"),
+            (ChannelConfig, {"bin_ns": math.inf}, "channel.bin_ns: must be positive"),
         ],
     )
     def test_sections_check_themselves(self, section, kwargs, message):
@@ -437,10 +476,18 @@ class TestRejection:
         with pytest.raises(ScenarioError) as direct:
             section(**kwargs)
         assert str(direct.value) == message
-        key = {RoomConfig: "room", HumanConfig: "human", NoiseConfig: "noise"}[section]
+        key = {
+            RoomConfig: "room", HumanConfig: "human", NoiseConfig: "noise",
+            NomaConfig: "noma", SamplerConfig: "sampler", ChannelConfig: "channel",
+        }[section]
         with pytest.raises(ScenarioError) as loaded:
             scenario_from_dict({key: kwargs})
-        assert str(loaded.value) == message
+        (name, value), = kwargs.items()
+        if isinstance(value, float) and not math.isfinite(value):
+            # a document's number is refused as it is read, before the section is built
+            assert str(loaded.value).startswith(f"{key}.{name}: expected ")
+        else:
+            assert str(loaded.value) == message
 
 
 SAMPLE_ROWS = [
