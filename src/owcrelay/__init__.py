@@ -9,15 +9,16 @@ The package is organised around six areas:
   discretisation, unobstructed impulse responses,
 - :mod:`owcrelay.mobility`   waypoint-mobility position density on the
   room's floor, region probabilities, position sampling,
-- :mod:`owcrelay.noma`       power allocation and receiver noise,
+- :mod:`owcrelay.links`      the static link budget the outage engines
+  consume: gains, power allocation, receiver noise and blocking regions,
+  compiled in one pass over the links, and SINR over batches of link
+  states,
 - :mod:`owcrelay.outage`     Monte Carlo and analytic outage estimators,
 - :mod:`owcrelay.scenario`   scenario files, defaults, result serialisation;
   its sections and its AP, relay and user entries are the inputs the
   physics modules take directly, each the only copy of its settings and
   each checked when it is built.
 
-:mod:`owcrelay.links` compiles a scenario into the static link budget the
-outage engines consume and evaluates SINR over batches of link states, and
 :mod:`owcrelay.quadrature` supplies the adaptive region integrator behind
 the blockage probabilities.
 

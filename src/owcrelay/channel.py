@@ -7,7 +7,10 @@ and delay bins of its channel section
 Terminals are the scenario's AP, relay and user entries
 (:mod:`owcrelay.scenario`), converted from the document's units where they
 are used; :func:`pointing` gives each one's boresight, which a relay's
-source and detector share.
+source and detector share.  :func:`can_serve` says whether a target lies
+inside a transmitter's steering cone, and a response into a receiver
+outside it raises :class:`UnservableLinkError`, so every response checks
+its own link's steering.
 
 The beam is a top-hat cone steered at the receiver's centre.  The receiver
 collects the share of the spot its centred aperture disk covers, projected
@@ -46,7 +49,6 @@ __all__ = [
     "pointing",
     "steering_angle",
     "can_serve",
-    "check_servable",
     "ChannelImpulseResponse",
     "discretize_surfaces",
     "narrow_beam_los_gain",
@@ -105,14 +107,6 @@ def steering_angle(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> floa
 def can_serve(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> bool:
     """Whether the point ``target`` lies inside the steering cone of ``tx``."""
     return steering_angle(tx, target, room) <= math.radians(tx.max_steering_deg) + 1e-12
-
-
-def check_servable(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> None:
-    if not can_serve(tx, target, room):
-        raise UnservableLinkError(
-            f"target needs {math.degrees(steering_angle(tx, target, room)):.2f} deg "
-            f"of steering, limit is {tx.max_steering_deg:.2f} deg"
-        )
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,11 @@ def narrow_beam_los_gain(
     share of the spot, ``min(1, r_aperture^2 / r_spot^2)``, times the
     incidence cosine.
     """
-    check_servable(tx, rx.position_m, room)
+    if not can_serve(tx, rx.position_m, room):
+        raise UnservableLinkError(
+            f"target needs {math.degrees(steering_angle(tx, rx.position_m, room)):.2f} deg "
+            f"of steering, limit is {tx.max_steering_deg:.2f} deg"
+        )
     rel = np.asarray(rx.position_m, dtype=float) - np.asarray(tx.position_m, dtype=float)
     d = float(np.linalg.norm(rel))
     axial = float(np.dot(rel, rel / d))

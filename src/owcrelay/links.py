@@ -7,9 +7,15 @@ per-user weight arrays so that :func:`evaluate_sinr` turns a batch of
 blocked/clear states into SINR values with a handful of matrix products.
 Terminals are the scenario's AP, relay and user entries, keyed by id; the
 channel (:mod:`owcrelay.channel`) takes them as they are, with the room and
-channel sections, and the power split (:mod:`owcrelay.noma`) takes each
-source's entry with the multiplexing section.  The budget keeps its
-scenario, whose sections hold the threshold and the combining rule.
+channel sections, and each link's response, which checks its steering, is
+computed once.  The budget keeps its scenario, whose sections hold the
+threshold and the combining rule.
+
+Each access point splits its power over the users it serves with
+geometrically decaying weights, largest share to the weakest channel
+(:func:`order_users_and_allocate`).  Successive decoding removes every
+weaker user's signal, so only users decoded later interfere.
+:func:`noise_variance` is a detector's shot and excess noise.
 
 A relay forwards and retransmits from one point on a wall.  Its electrical
 gain keeps the retransmitted power at its cap whatever the received level,
@@ -21,27 +27,65 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from owcrelay.channel import (
-    UnservableLinkError,
-    can_serve,
-    check_servable,
-    discretize_surfaces,
-    impulse_response,
-)
+from owcrelay.channel import UnservableLinkError, can_serve, discretize_surfaces, impulse_response
 from owcrelay.geometry import StadiumRegion, blocked_region
-from owcrelay.noma import noise_variance, order_users_and_allocate
-from owcrelay.scenario import Scenario
+from owcrelay.scenario import ApConfig, NoiseConfig, NomaConfig, Scenario
 
 __all__ = [
+    "ELECTRON_CHARGE",
     "Link",
     "LinkBudget",
     "build_link_budget",
     "evaluate_sinr",
     "link_cir",
+    "noise_variance",
+    "order_users_and_allocate",
 ]
+
+ELECTRON_CHARGE = 1.602176634e-19
+
+
+def noise_variance(noise: NoiseConfig, received_power_w: float, responsivity: float) -> float:
+    """Electrical noise variance at a detector seeing the given optical power:
+    shot noise from the mean photocurrent plus a flat excess floor."""
+    if received_power_w < 0:
+        raise ValueError("received power must be non-negative")
+    bandwidth_hz = noise.bandwidth_ghz * 1e9
+    photocurrent = responsivity * received_power_w
+    shot = 2.0 * ELECTRON_CHARGE * (photocurrent + noise.background_current_a) * bandwidth_hz
+    return shot + noise.noise_density_a2hz * bandwidth_hz
+
+
+def order_users_and_allocate(
+    ap: ApConfig, served_users: Sequence[str], gains: Mapping[str, float], noma: NomaConfig
+) -> dict[str, float]:
+    """Split the power of the source ``ap`` over the users it serves.
+
+    Returns each user's watts in decoding order: ascending channel gain,
+    ties by user id, so the first user is the weakest, and a user's
+    residual interferers are the users after it.  With n users the shares
+    are proportional to r^(n-1), ..., r, 1 in that order, where r is
+    ``noma.power_ratio``, so the weakest channel receives the largest share.
+    """
+    if not served_users:
+        raise ValueError(f"access point {ap.id!r} serves no users")
+    for u in served_users:
+        if gains[u] < 0.0:
+            raise ValueError(f"negative channel gain for user {u!r}")
+    ordered = sorted(served_users, key=lambda u: (gains[u], u))
+    n = len(ordered)
+    weights = [noma.power_ratio ** (n - 1 - j) for j in range(n)]
+    total = sum(weights)
+    return {u: ap.power_mw * 1e-3 * w / total for u, w in zip(ordered, weights)}
+
+
+def _decoded_after(alloc: dict[str, float], user_id: str) -> list[str]:
+    """Users of a power split decoded after ``user_id``: its residual interferers."""
+    return list(alloc)[list(alloc).index(user_id) + 1 :]
 
 
 @dataclass(frozen=True)
@@ -159,13 +203,8 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
     keyed and ordered the same way, with its unobstructed gains.
     The second-bounce grid is tiled once, and the responses are computed
     receiver by receiver, so the grid works out its gains to each receiver
-    once; an unservable link is reported first in link order."""
+    once; an unservable link is named by the first response that meets it."""
     room, channel = scenario.room, scenario.channel
-    for (tx_id, rx_id), (_, tx, rx) in ends.items():
-        try:
-            check_servable(tx, rx.position_m, room)
-        except UnservableLinkError as exc:
-            raise UnservableLinkError(f"link {tx_id}->{rx_id}: {exc}") from None
     grid = None
     if channel.max_bounces >= 2:
         grid = discretize_surfaces(room, channel.second_bounce_res_m)
@@ -173,7 +212,10 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
     links = {}
     for tx_id, rx_id in sorted(ends, key=lambda key: key[1]):
         kind, tx, rx = ends[tx_id, rx_id]
-        cir = impulse_response(tx, rx, room, channel, grid)
+        try:
+            cir = impulse_response(tx, rx, room, channel, grid)
+        except UnservableLinkError as exc:
+            raise UnservableLinkError(f"link {tx_id}->{rx_id}: {exc}") from None
         links[tx_id, rx_id] = Link(
             index=index[tx_id, rx_id],
             link_id=f"{tx_id}->{rx_id}",
@@ -225,15 +267,15 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
         p_rx = 0.0  # unblocked first-phase power, which sets the shot noise
         d_idx, d_w, i_idx, i_w = [], [], [], []
         for ap_id, alloc in allocation.items():
-            if uid not in alloc.ordered_users:
+            if uid not in alloc:
                 continue
             h = links[ap_id, uid].h
             p_rx += terminal[ap_id].power_mw * 1e-3 * h
-            s = alloc.power_of(uid) * resp * h
+            s = alloc[uid] * resp * h
             d_idx.append(links[ap_id, uid].index)
             d_w.append(s * s)
-            for k in alloc.interferers_of(uid):
-                t = alloc.power_of(k) * resp * h
+            for k in _decoded_after(alloc, uid):
+                t = alloc[k] * resp * h
                 i_idx.append(links[ap_id, k].index)
                 i_w.append(t * t)
         bf_idx, bd_idx, b_sig, b_den = [], [], [], []
@@ -241,11 +283,9 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
             alloc = allocation[ap_id]
             feeder, delivery = links[ap_id, rid], links[rid, uid]
             h2 = feeder.h * delivery.h
-            s = alloc.power_of(uid) * resp * h2
+            s = alloc[uid] * resp * h2
             b_sig.append(s * s)
-            interference = sum(
-                (alloc.power_of(k) * resp * h2) ** 2 for k in alloc.interferers_of(uid)
-            )
+            interference = sum((alloc[k] * resp * h2) ** 2 for k in _decoded_after(alloc, uid))
             relay_noise = noise_variance(
                 scenario.noise,
                 terminal[ap_id].power_mw * 1e-3 * feeder.h,
@@ -277,6 +317,10 @@ def build_link_budget(scenario: Scenario) -> LinkBudget:
     )
 
 
+def _zero_over_zero_is_zero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(den.shape), where=num != 0.0)
+
+
 def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SINR of every user for a batch of link states.
 
@@ -285,6 +329,9 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     the float weights, inside the matrix products.  Returns (direct,
     combined), each (user_count, n).  The factors are binary, so squaring
     commutes with the gating; an empty index array sums to 0.
+
+    A 0/0 term is 0: nothing reaches the user.  Every denominator holds the
+    user's noise floor, so only a noise-free user's ratios are guarded.
     """
     clear = np.asarray(clear)
     n = clear.shape[1]
@@ -292,13 +339,14 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     direct = np.empty((users, n))
     combined = np.empty((users, n))
     for i, t in enumerate(budget.user_terms):
-        d = (t.direct_w @ clear[t.direct_idx]) / (t.noise_var + t.int_w @ clear[t.int_idx])
+        div = _zero_over_zero_is_zero if t.noise_var == 0.0 else np.true_divide
+        d = div(t.direct_w @ clear[t.direct_idx], t.noise_var + t.int_w @ clear[t.int_idx])
         gamma = clear[t.branch_feeder_idx] * clear[t.branch_delivery_idx]
         if budget.scenario.noma.combining == "per_branch":
             # a live branch adds sig / (noise + den), a dead one adds 0
-            r = (t.branch_sig_w / (t.noise_var + t.branch_den_w)) @ gamma
+            r = div(t.branch_sig_w, t.noise_var + t.branch_den_w) @ gamma
         else:
-            r = (t.branch_sig_w @ gamma) / (t.noise_var + t.branch_den_w @ gamma)
+            r = div(t.branch_sig_w @ gamma, t.noise_var + t.branch_den_w @ gamma)
         direct[i] = d
         combined[i] = d + r
     return direct, combined

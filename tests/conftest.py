@@ -2,7 +2,7 @@ import pytest
 
 from owcrelay.links import build_link_budget
 from owcrelay.outage import ensure_marginals
-from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario
+from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario, scenario_from_dict
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +37,11 @@ def make_single_link_scenario() -> Scenario:
 @pytest.fixture(scope="session")
 def single_link_budget():
     return build_link_budget(make_single_link_scenario())
+
+
+def make_noise_free_scenario() -> Scenario:
+    """The default room with noise-free receivers and only u1 served: no
+    source reaches u2 to u6, so their noise floor is 0."""
+    return scenario_from_dict(
+        {"noise": {"noise_density_a2hz": 0.0}, "associations": {"ap1": ["u1"]}}
+    )

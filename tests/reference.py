@@ -32,9 +32,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from owcrelay.geometry import _CELL_MARGIN, Rect, StadiumRegion, _spine, _spine_offset
-from owcrelay.links import evaluate_sinr
+from owcrelay.links import evaluate_sinr, noise_variance, order_users_and_allocate
 from owcrelay.mobility import pdf_xy, peak_density
-from owcrelay.noma import ApAllocation, noise_variance, order_users_and_allocate
 from owcrelay.outage import ensure_marginals, is_outage
 from owcrelay.quadrature import MAX_CELLS, QuadratureError, integrate_region
 from owcrelay.scenario import RoomConfig
@@ -44,13 +43,26 @@ _GAUSS = 1.0 / math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class NomaAllocation:
-    by_ap: Mapping[str, ApAllocation]
+    """Each source's power split, user -> watts in decoding order (weakest
+    first), as :func:`owcrelay.links.order_users_and_allocate` returns it."""
+
+    by_ap: Mapping[str, Mapping[str, float]]
     power_ratio: float
 
     def serving_aps(self, user_id: str) -> tuple[str, ...]:
-        return tuple(
-            ap_id for ap_id, alloc in self.by_ap.items() if user_id in alloc.ordered_users
-        )
+        return tuple(ap_id for ap_id, alloc in self.by_ap.items() if user_id in alloc)
+
+
+def users_after(alloc: Mapping[str, float], user_id: str) -> tuple[str, ...]:
+    """Users of one source's split decoded after ``user_id``: its residual
+    interferers."""
+    order = tuple(alloc)
+    return order[order.index(user_id) + 1 :]
+
+
+def _ratio(num: float, den: float) -> float:
+    """An SINR term; 0/0 is 0, because nothing reaches the user."""
+    return num / den if num else 0.0
 
 
 def sinr_direct(
@@ -73,12 +85,12 @@ def sinr_direct(
     for ap_id in allocation.serving_aps(user_id):
         alloc = allocation.by_ap[ap_id]
         h = gains[(ap_id, user_id)]
-        s = blockage[(ap_id, user_id)] * alloc.power_of(user_id) * responsivity * h
+        s = blockage[(ap_id, user_id)] * alloc[user_id] * responsivity * h
         num += s * s
-        for k in alloc.interferers_of(user_id):
-            t = blockage[(ap_id, k)] * alloc.power_of(k) * responsivity * h
+        for k in users_after(alloc, user_id):
+            t = blockage[(ap_id, k)] * alloc[k] * responsivity * h
             den += t * t
-    return num / den
+    return _ratio(num, den)
 
 
 def relay_second_phase_sinr(
@@ -113,21 +125,21 @@ def relay_second_phase_sinr(
         g = branch_factors[(ap_id, relay_id)]
         alloc = allocation.by_ap[ap_id]
         h2 = feeder_gains[(ap_id, relay_id)] * delivery_gains[(relay_id, user_id)]
-        s = g * alloc.power_of(user_id) * responsivity * h2
+        s = g * alloc[user_id] * responsivity * h2
         b_num = s * s
         b_int = 0.0
-        for k in alloc.interferers_of(user_id):
-            t = g * alloc.power_of(k) * responsivity * h2
+        for k in users_after(alloc, user_id):
+            t = g * alloc[k] * responsivity * h2
             b_int += t * t
         b_noise = g * relay_noise[relay_id]
         if combining == "per_branch":
-            total += b_num / (noise_var + b_int + b_noise)
+            total += _ratio(b_num, noise_var + b_int + b_noise)
         else:
             num += b_num
             den += b_int + b_noise
     if combining == "per_branch":
         return total
-    return num / den
+    return _ratio(num, den)
 
 
 def sinr_mrc(direct: float, relayed: float) -> float:

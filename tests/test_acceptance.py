@@ -14,11 +14,12 @@ import pytest
 
 from owcrelay.channel import impulse_response
 from owcrelay.geometry import StadiumRegion, blocked_region
-from owcrelay.links import evaluate_sinr
+from owcrelay.links import build_link_budget, evaluate_sinr
 from owcrelay.mobility import pdf_xy, region_probabilities, sample_human_positions
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
 from owcrelay.scenario import ApConfig, ChannelConfig, HumanConfig, RoomConfig, UserConfig
 
+from conftest import make_noise_free_scenario
 from reference import reference_sinr, segment_meets_cylinder, sinr_mrc
 
 FLOOR = RoomConfig(width_m=4.0, length_m=8.0)  # the walker law reads the floor alone
@@ -143,18 +144,22 @@ def test_criterion_5_relay_improvement_ratios(budget):
 
 
 def test_criterion_6_mrc_exact(budget):
-    rng = np.random.default_rng(41)
-    clear = (rng.random((budget.link_count, 1000)) < rng.random(1000)).astype(float)
-    direct, combined = evaluate_sinr(budget, clear)
-    ref_direct, ref_relayed = reference_sinr(budget, clear)
-    reference = sinr_mrc(ref_direct, ref_relayed)
-    dominates = bool(np.all(combined >= direct))
-    matches = bool(np.all(np.abs(combined - reference) <= 1e-12 * reference))
+    # the default room, and a noise-free one where no source reaches u2 to
+    # u6, whose every SINR term is 0/0 and reads 0
+    dominates = matches = True
+    for b in (budget, build_link_budget(make_noise_free_scenario())):
+        rng = np.random.default_rng(41)
+        clear = (rng.random((b.link_count, 1000)) < rng.random(1000)).astype(float)
+        direct, combined = evaluate_sinr(b, clear)
+        ref_direct, ref_relayed = reference_sinr(b, clear)
+        reference = sinr_mrc(ref_direct, ref_relayed)
+        dominates &= bool(np.all(combined >= direct))
+        matches &= bool(np.all(np.abs(combined - reference) <= 1e-12 * reference))
     _report(
         6,
         dominates and matches,
-        f"1,000 random link states: combined >= direct everywhere: {dominates}; "
-        f"combined = reference direct + relayed within rel 1e-12: {matches}",
+        f"1,000 random link states in each of two rooms: combined >= direct everywhere: "
+        f"{dominates}; combined = reference direct + relayed within rel 1e-12: {matches}",
     )
 
 

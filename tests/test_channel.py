@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from owcrelay import channel
 from owcrelay.channel import (
     SPEED_OF_LIGHT,
     ChannelImpulseResponse,
@@ -396,6 +398,27 @@ class TestLinkBudgetResponses:
             assert (link.h, link.h_los, link.h_reflected) == (
                 cir.dc_gain(), cir.los_gain, cir.first_order_gain + cir.second_order_gain,
             )
+
+    @pytest.mark.parametrize("room", ["default", "tilted"])
+    def test_steering_checked_at_most_twice_per_pair(self, room, monkeypatch):
+        # a link's steering is checked once by the map that chose it and
+        # once by its response, which names an unservable link itself
+        scenario = (
+            default_scenario() if room == "default"
+            else load_scenario(Path(__file__).with_name("tilted.yaml"))
+        )
+        calls = Counter()
+        steering_angle = channel.steering_angle
+
+        def counted(tx, target, room):
+            calls[tx.id, tuple(target)] += 1
+            return steering_angle(tx, target, room)
+
+        monkeypatch.setattr(channel, "steering_angle", counted)
+        budget = build_link_budget(scenario)
+        position = {t.id: t.position_m for t in (*scenario.relays, *scenario.users)}
+        assert all(calls[ln.tx_id, position[ln.rx_id]] >= 1 for ln in budget.links)
+        assert max(calls.values()) <= 2
 
     def test_one_bin_grid_for_budget_and_direct_calls(self):
         # a budget link and a direct call under the same channel section

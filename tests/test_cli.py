@@ -276,11 +276,12 @@ class TestErrors:
         [
             ("associations: {ap1: [u3]}\n", "ap1->u3"),
             ("relay_pairings: {r1: ap8}\n", "ap8->r1"),
-            # responses are computed receiver by receiver (u1's two links
-            # first), but the first unservable link in link order is named
-            ("associations: {ap1: [u1, u2], ap2: [u1]}\n", "ap1->u2"),
+            # responses are computed receiver by receiver, u1's two links
+            # first, and the first response that meets an unservable link
+            # names it, though ap1->u2 comes earlier in link order
+            ("associations: {ap1: [u1, u2], ap2: [u1]}\n", "ap2->u1"),
         ],
-        ids=["association", "relay-pairing", "first-in-link-order"],
+        ids=["association", "relay-pairing", "first-in-response-order"],
     )
     def test_unservable_explicit_map_names_the_link(self, tmp_path, doc, link_id):
         path = tmp_path / "map.yaml"

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from owcrelay.links import build_link_budget, evaluate_sinr
-from owcrelay.noma import (
+from owcrelay.links import (
     ELECTRON_CHARGE,
-    ApAllocation,
+    build_link_budget,
+    evaluate_sinr,
     noise_variance,
     order_users_and_allocate,
 )
@@ -20,6 +20,7 @@ from reference import (
     relay_second_phase_sinr,
     sinr_direct,
     sinr_mrc,
+    users_after,
 )
 
 SIGMA_EX = 1.60218e-12  # noise variance used by the worked ratio examples
@@ -32,32 +33,32 @@ def allocate(ap_id, users, gains):
 
 def one_user_alloc(power_w=1e-3, ap_id="ap1", user_id="u1"):
     return NomaAllocation(
-        by_ap={ap_id: ApAllocation(ap_id, (user_id,), (power_w,))}, power_ratio=4.0
+        by_ap={ap_id: {user_id: power_w}}, power_ratio=4.0
     )
 
 
 class TestAllocation:
     def test_single_user_gets_budget(self):
         alloc = allocate("ap1", ["u1"], {"u1": 1.0})
-        assert alloc.powers_w == (1e-3,)
-        assert alloc.ordered_users == ("u1",)
+        assert tuple(alloc.values()) == (1e-3,)
+        assert tuple(alloc) == ("u1",)
 
     def test_two_user_split_at_ratio_four(self):
         alloc = allocate("ap1", ["a", "b"], {"a": 0.9, "b": 0.1})
-        assert alloc.ordered_users == ("b", "a")  # weakest first
-        assert alloc.powers_w[0] == pytest.approx(0.8e-3, rel=1e-15)
-        assert alloc.powers_w[1] == pytest.approx(0.2e-3, rel=1e-15)
+        assert tuple(alloc) == ("b", "a")  # weakest first
+        assert tuple(alloc.values())[0] == pytest.approx(0.8e-3, rel=1e-15)
+        assert tuple(alloc.values())[1] == pytest.approx(0.2e-3, rel=1e-15)
 
     def test_three_user_geometric_weights(self):
         alloc = allocate("ap1", ["a", "b", "c"], {"a": 3.0, "b": 1.0, "c": 2.0})
-        assert alloc.ordered_users == ("b", "c", "a")
+        assert tuple(alloc) == ("b", "c", "a")
         expect = [16 / 21, 4 / 21, 1 / 21]
-        for p, e in zip(alloc.powers_w, expect):
+        for p, e in zip(alloc.values(), expect):
             assert p == pytest.approx(1e-3 * e, rel=1e-14)
 
     def test_gain_tie_breaks_by_user_id(self):
         alloc = allocate("ap1", ["u9", "u2"], {"u9": 0.5, "u2": 0.5})
-        assert alloc.ordered_users == ("u2", "u9")
+        assert tuple(alloc) == ("u2", "u9")
 
     def test_power_conservation(self):
         rng = np.random.default_rng(5)
@@ -66,11 +67,10 @@ class TestAllocation:
             users = [f"u{i}" for i in range(n)]
             gains = {u: float(rng.uniform(0, 1)) for u in users}
             alloc = allocate("ap1", users, gains)
-            assert math.fsum(alloc.powers_w) == pytest.approx(1e-3, rel=1e-12)
+            powers = tuple(alloc.values())
+            assert math.fsum(powers) == pytest.approx(1e-3, rel=1e-12)
             # weakest-first means shares never increase along the order
-            assert all(
-                p1 >= p2 for p1, p2 in zip(alloc.powers_w, alloc.powers_w[1:])
-            )
+            assert all(p1 >= p2 for p1, p2 in zip(powers, powers[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -84,21 +84,22 @@ class TestAllocation:
             allocate("ap1", ["u1"], {"u1": -0.1})
 
     def test_power_of_unknown_user(self):
-        alloc = ApAllocation("ap1", ("u1",), (1e-3,))
+        # a user the source does not serve has no share
+        alloc = allocate("ap1", ["u1"], {"u1": 1.0})
         with pytest.raises(KeyError):
-            alloc.power_of("u9")
+            alloc["u9"]
 
     def test_interferers_follow_decode_order(self):
-        alloc = ApAllocation("ap1", ("w", "m", "s"), (1e-3, 2.5e-4, 6.25e-5))
-        assert alloc.interferers_of("w") == ("m", "s")
-        assert alloc.interferers_of("m") == ("s",)
-        assert alloc.interferers_of("s") == ()  # strongest decodes last, clean
+        alloc = allocate("ap1", ["m", "s", "w"], {"w": 0.1, "m": 0.5, "s": 0.9})
+        assert users_after(alloc, "w") == ("m", "s")
+        assert users_after(alloc, "m") == ("s",)
+        assert users_after(alloc, "s") == ()  # strongest decodes last, clean
 
     def test_serving_aps(self):
         alloc = NomaAllocation(
             by_ap={
-                "ap1": ApAllocation("ap1", ("u1", "u4"), (0.8e-3, 0.2e-3)),
-                "ap5": ApAllocation("ap5", ("u4",), (1e-3,)),
+                "ap1": {"u1": 0.8e-3, "u4": 0.2e-3},
+                "ap5": {"u4": 1e-3},
             },
             power_ratio=4.0,
         )
@@ -142,7 +143,7 @@ class TestDirectSinr:
 
     def test_one_interferer(self):
         alloc = NomaAllocation(
-            by_ap={"ap1": ApAllocation("ap1", ("u1", "k"), (1e-3, 1e-4))},
+            by_ap={"ap1": {"u1": 1e-3, "k": 1e-4}},
             power_ratio=4.0,
         )
         gains = {("ap1", "u1"): 1.0, ("ap1", "k"): 1.0}
@@ -153,7 +154,7 @@ class TestDirectSinr:
 
     def test_blocked_interferer_cancels_its_term(self):
         alloc = NomaAllocation(
-            by_ap={"ap1": ApAllocation("ap1", ("u1", "k"), (1e-3, 1e-4))},
+            by_ap={"ap1": {"u1": 1e-3, "k": 1e-4}},
             power_ratio=4.0,
         )
         gains = {("ap1", "u1"): 1.0, ("ap1", "k"): 1.0}
@@ -163,14 +164,16 @@ class TestDirectSinr:
 
     def test_all_blocked_is_zero(self):
         alloc = one_user_alloc()
-        s = sinr_direct("u1", alloc, {("ap1", "u1"): 1.0}, {("ap1", "u1"): 0.0}, 0.5, SIGMA_EX)
-        assert s == 0.0
+        # also at a noise-free receiver, where the ratio is 0/0
+        gains, blocked = {("ap1", "u1"): 1.0}, {("ap1", "u1"): 0.0}
+        for noise_var in (SIGMA_EX, 0.0):
+            assert sinr_direct("u1", alloc, gains, blocked, 0.5, noise_var) == 0.0
 
     def test_two_aps_accumulate(self):
         alloc = NomaAllocation(
             by_ap={
-                "ap1": ApAllocation("ap1", ("u1",), (1e-3,)),
-                "ap2": ApAllocation("ap2", ("u1",), (1e-3,)),
+                "ap1": {"u1": 1e-3},
+                "ap2": {"u1": 1e-3},
             },
             power_ratio=4.0,
         )
@@ -196,11 +199,15 @@ class TestRelaySinr:
         return one_user_alloc()
 
     def test_blocked_branch_is_zero(self):
-        s = relay_second_phase_sinr(
-            "u1", [("ap1", "r1")], {("ap1", "r1"): 0.0}, self._alloc(),
-            {("ap1", "r1"): 1.0}, {("r1", "u1"): 1.0}, 0.5, 1e-14, {"r1": 1e-12},
-        )
-        assert s == 0.0
+        # also at a noise-free receiver, where the ratio is 0/0
+        for noise_var in (1e-14, 0.0):
+            for combining in ("summed", "per_branch"):
+                s = relay_second_phase_sinr(
+                    "u1", [("ap1", "r1")], {("ap1", "r1"): 0.0}, self._alloc(),
+                    {("ap1", "r1"): 1.0}, {("r1", "u1"): 1.0}, 0.5, noise_var, {"r1": 1e-12},
+                    combining=combining,
+                )
+                assert s == 0.0
 
     def test_single_branch_formula(self):
         s = relay_second_phase_sinr(
@@ -214,8 +221,8 @@ class TestRelaySinr:
         factors = {b: 1.0 for b in branches}
         alloc = NomaAllocation(
             by_ap={
-                "ap1": ApAllocation("ap1", ("u1",), (1e-3,)),
-                "ap2": ApAllocation("ap2", ("u1",), (1e-3,)),
+                "ap1": {"u1": 1e-3},
+                "ap2": {"u1": 1e-3},
             },
             power_ratio=4.0,
         )
@@ -234,7 +241,7 @@ class TestRelaySinr:
 
     def test_branch_interference_gated_with_branch(self):
         alloc = NomaAllocation(
-            by_ap={"ap1": ApAllocation("ap1", ("u1", "k"), (8e-4, 2e-4))},
+            by_ap={"ap1": {"u1": 8e-4, "k": 2e-4}},
             power_ratio=4.0,
         )
         s = relay_second_phase_sinr(
@@ -250,8 +257,8 @@ class TestRelaySinr:
         branches = [("ap1", "r1"), ("ap2", "r2")]
         alloc = NomaAllocation(
             by_ap={
-                "ap1": ApAllocation("ap1", ("u1",), (1e-3,)),
-                "ap2": ApAllocation("ap2", ("u1",), (1e-3,)),
+                "ap1": {"u1": 1e-3},
+                "ap2": {"u1": 1e-3},
             },
             power_ratio=4.0,
         )
@@ -336,7 +343,7 @@ class TestMonotonicity:
         # unblocking an interferer's beam helps that user and hurts (or at
         # least never helps) the one decoding earlier
         alloc = NomaAllocation(
-            by_ap={"ap1": ApAllocation("ap1", ("u1", "k"), (8e-4, 2e-4))},
+            by_ap={"ap1": {"u1": 8e-4, "k": 2e-4}},
             power_ratio=4.0,
         )
         gains = {("ap1", "u1"): 1.0, ("ap1", "k"): 0.9}
@@ -355,7 +362,7 @@ class TestMonotonicity:
             n_b = int(rng.integers(1, 5))
             branches = [(f"ap{i}", f"r{i}") for i in range(n_b)]
             alloc = NomaAllocation(
-                by_ap={f"ap{i}": ApAllocation(f"ap{i}", ("u1",), (1e-3,)) for i in range(n_b)},
+                by_ap={f"ap{i}": {"u1": 1e-3} for i in range(n_b)},
                 power_ratio=4.0,
             )
             feeders = {b: float(rng.uniform(0, 1)) for b in branches}
@@ -384,8 +391,8 @@ class TestMonotonicity:
         branches = [("ap1", "r1"), ("ap2", "r2")]
         alloc = NomaAllocation(
             by_ap={
-                "ap1": ApAllocation("ap1", ("u1",), (1e-3,)),
-                "ap2": ApAllocation("ap2", ("u1",), (1e-3,)),
+                "ap1": {"u1": 1e-3},
+                "ap2": {"u1": 1e-3},
             },
             power_ratio=4.0,
         )

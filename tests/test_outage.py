@@ -32,7 +32,7 @@ from owcrelay.scenario import (
     result_lines,
 )
 
-from conftest import make_single_link_scenario
+from conftest import make_noise_free_scenario, make_single_link_scenario
 from reference import classify_full_floor, joint_state_outage
 
 DENSE_TILE = Path(__file__).with_name("dense_tile.yaml")
@@ -140,6 +140,34 @@ class TestZeroHumans:
     def test_marginals_cached(self, single_link_budget):
         first = ensure_marginals(single_link_budget)
         assert ensure_marginals(single_link_budget) is first
+
+
+class TestUnreachedUser:
+    # nothing reaches u2 and its receiver is noise-free, so each of its SINR
+    # terms is 0/0: it reads 0, and u2 is in outage whatever the walker does
+    @pytest.fixture(scope="class")
+    def quiet_budget(self):
+        return build_link_budget(make_noise_free_scenario())
+
+    def test_sinr_is_zero_not_nan(self, quiet_budget, recwarn):
+        u2 = [t.user_id for t in quiet_budget.user_terms].index("u2")
+        assert quiet_budget.user_terms[u2].noise_var == 0.0
+        rng = np.random.default_rng(3)
+        clear = rng.random((quiet_budget.link_count, 500)) < 0.7
+        for sinr in evaluate_sinr(quiet_budget, clear):
+            assert np.all(sinr[u2] == 0.0)
+            assert not np.isnan(sinr).any()
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("method", ["exact", "joint", "independent"])
+    def test_u2_always_in_outage(self, quiet_budget, method, recwarn):
+        if method == "exact":
+            report = outage_independent_approx(quiet_budget)
+        else:
+            report = outage_monte_carlo(quiet_budget, 4096, 1, blockage_model=method)
+        for mode in ("direct", "coop"):
+            assert report.by_user("u2", mode).p_out == 1.0
+        assert not recwarn.list
 
 
 class TestThresholdEffect:
