@@ -7,16 +7,20 @@ and delay bins of its channel section
 Terminals are the scenario's AP, relay and user entries
 (:mod:`owcrelay.scenario`), converted from the document's units where they
 are used; :func:`pointing` gives each one's boresight, which a relay's
-source and detector share.  :func:`can_serve` says whether a target lies
-inside a transmitter's steering cone, and a response into a receiver
+source and detector share.  One table of the room's six faces -- their
+order, origin, axes, extents, inward normal and reflectivity -- drives the
+tile grids, the first-bounce tile and a wall relay's default boresight, the
+inward normal of its nearest face.  :func:`can_serve` says whether a target
+lies inside a transmitter's steering cone, and a response into a receiver
 outside it raises :class:`UnservableLinkError`, so every response checks
 its own link's steering.
 
 The beam is a top-hat cone steered at the receiver's centre.  The receiver
 collects the share of the spot its centred aperture disk covers, projected
 onto its face.  Power that misses the aperture continues along the beam axis
-to the first surface it hits, is deposited on the first-bounce tile
-containing the hit point, and re-radiates as a Lambertian source.
+to the first face it meets, is deposited on the first-bounce tile
+containing the hit point, and re-radiates as a Lambertian source; a beam
+the aperture catches whole has no first bounce.
 Second-order paths go through a coarser grid covering every room surface;
 the grid keeps its gains to the last receiver it served, which responses
 into the same receiver reuse.
@@ -35,6 +39,7 @@ Whether a walker cuts a link is decided by the link's blocking region in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,18 +69,14 @@ class UnservableLinkError(ValueError):
     """A steering target lies outside the transmitter's steering cone."""
 
 
-def _inward_axis(position, room: RoomConfig) -> tuple[float, float, float]:
-    """Boresight for a wall node: away from the nearest room face."""
-    x, y, z = position
-    candidates = [
-        (x - 0.0, (1.0, 0.0, 0.0)),
-        (room.width_m - x, (-1.0, 0.0, 0.0)),
-        (y - 0.0, (0.0, 1.0, 0.0)),
-        (room.length_m - y, (0.0, -1.0, 0.0)),
-        (z - 0.0, (0.0, 0.0, 1.0)),
-        (room.height_m - z, (0.0, 0.0, -1.0)),
-    ]
-    return min(candidates, key=lambda c: c[0])[1]
+@functools.lru_cache
+def _inward_axis(position, room: RoomConfig) -> np.ndarray:
+    """Boresight of a wall node: the inward normal of its nearest face, walls
+    first on a tie; cached, as every response of a relay asks for it again."""
+    p = np.asarray(position, dtype=float)
+    faces = _face_layout(room)
+    nearest = min(faces[2:] + faces[:2], key=lambda f: float(np.dot(f[5], p - f[0])))
+    return nearest[5]
 
 
 def pointing(entry: ApConfig | RelayConfig | UserConfig, room: RoomConfig) -> np.ndarray:
@@ -89,7 +90,7 @@ def pointing(entry: ApConfig | RelayConfig | UserConfig, room: RoomConfig) -> np
         az = math.radians(entry.azimuth_deg)
         v = (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
     else:
-        v = entry.axis if entry.axis is not None else _inward_axis(entry.position_m, room)
+        v = entry.axis if entry.axis is not None else _inward_axis(tuple(entry.position_m), room)
     a = np.asarray(v, dtype=float)
     return a / np.linalg.norm(a)
 
@@ -134,18 +135,11 @@ class SurfaceGrid:
             )
         return self._last[key]
 
-    @property
-    def element_count(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
-
 
 def _face_layout(room: RoomConfig):
     """(origin, u axis, u extent, v axis, v extent, normal, reflectivity)
-    for each face, normals pointing into the room."""
+    for each face, normals pointing into the room: floor, ceiling, the x
+    walls, the y walls."""
     w, l, h = room.width_m, room.length_m, room.height_m
     ex = np.array([1.0, 0.0, 0.0])
     ey = np.array([0.0, 1.0, 0.0])
@@ -263,53 +257,28 @@ def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos
     return gain, dist
 
 
-def _beam_exit(room: RoomConfig, origin: np.ndarray, direction: np.ndarray):
-    """First boundary face hit by a ray from inside the room.
-
-    Returns (face index into the _face_layout order, hit point).
-    """
-    w, l, h = room.width_m, room.length_m, room.height_m
-    # plane constant and face index per (axis, side)
-    planes = [
-        (2, 0.0, 0), (2, h, 1),   # floor, ceiling
-        (0, 0.0, 2), (0, w, 3),   # x walls
-        (1, 0.0, 4), (1, l, 5),   # y walls
-    ]
-    best_t = math.inf
-    best = None
-    for axis, value, face in planes:
-        dv = direction[axis]
-        if abs(dv) < 1e-300:
+def _first_bounce_tile(room: RoomConfig, origin, direction, resolution: float):
+    """Centre, normal and reflectivity of the tile, at the given tiling
+    resolution, holding the first point where a ray from inside the room
+    meets a face; the earlier face in :func:`_face_layout` wins a tie."""
+    best_t, best = math.inf, None
+    for face in _face_layout(room):
+        along = float(np.dot(face[5], direction))
+        if abs(along) < 1e-300:
             continue
-        t = (value - origin[axis]) / dv
-        if t <= 1e-9:
-            continue
-        if t < best_t:
-            best_t = t
-            best = face
+        t = float(np.dot(face[5], face[0] - origin)) / along
+        if 1e-9 < t < best_t:
+            best_t, best = t, face
     if best is None:
         raise ValueError("beam direction never leaves the room")
-    return best, origin + best_t * direction
-
-
-def _containing_cell(coord: float, widths: np.ndarray) -> int:
-    edges = np.cumsum(widths)
-    i = int(np.searchsorted(edges, coord, side="left"))
-    return min(max(i, 0), widths.size - 1)
-
-
-def _snap_to_face(room: RoomConfig, face: int, hit: np.ndarray, resolution: float):
-    """Element centre, normal, reflectivity of the element of ``face``
-    containing the hit point, at the given tiling resolution."""
-    origin, u, ue, v, ve, normal, rho = _face_layout(room)[face]
-    cu_all, wu = _axis_cells(ue, resolution)
-    cv_all, wv = _axis_cells(ve, resolution)
-    cu = float(np.dot(hit - origin, u))
-    cv = float(np.dot(hit - origin, v))
-    iu = _containing_cell(cu, wu)
-    iv = _containing_cell(cv, wv)
-    center = origin + cu_all[iu] * u + cv_all[iv] * v
-    return center, normal, rho
+    face_origin, u, ue, v, ve, normal, rho = best
+    hit = origin + best_t * direction
+    cells = []
+    for axis, extent in ((u, ue), (v, ve)):
+        centres, widths = _axis_cells(extent, resolution)
+        i = int(np.searchsorted(np.cumsum(widths), float(np.dot(hit - face_origin, axis))))
+        cells.append(centres[min(i, widths.size - 1)])
+    return face_origin + cells[0] * u + cells[1] * v, normal, rho
 
 
 @dataclass(frozen=True)
@@ -374,35 +343,34 @@ def impulse_response(
 
     first = 0.0
     second = 0.0
-    if channel.max_bounces >= 1:
-        face, hit = _beam_exit(room, tx_pos, beam)
-        residue = 1.0 - los
-        if residue > 0.0:
-            e_center, e_normal, e_rho = _snap_to_face(room, face, hit, channel.first_bounce_res_m)
-            d0 = float(np.linalg.norm(e_center - tx_pos))
-            mode = room.lambertian_mode
+    residue = 1.0 - los
+    if channel.max_bounces >= 1 and residue > 0.0:
+        res = channel.first_bounce_res_m
+        e_center, e_normal, e_rho = _first_bounce_tile(room, tx_pos, beam, res)
+        d0 = float(np.linalg.norm(e_center - tx_pos))
+        mode = room.lambertian_mode
 
-            g1, d1 = lambertian_gain(
-                e_center, e_normal, mode, rx_pos, rx_normal, rx.area_cm2 * 1e-4, cos_fov
+        g1, d1 = lambertian_gain(
+            e_center, e_normal, mode, rx_pos, rx_normal, rx.area_cm2 * 1e-4, cos_fov
+        )
+        first = residue * e_rho * float(g1[0])
+        if first > 0.0:
+            path_gains.append(first)
+            path_lengths.append(d0 + d1)
+
+        if channel.max_bounces >= 2:
+            grid = second_grid
+            if grid is None:
+                grid = discretize_surfaces(room, channel.second_bounce_res_m)
+            to_patch, d_ep = lambertian_gain(
+                e_center, e_normal, mode, grid.centers, grid.normals, grid.areas
             )
-            first = residue * e_rho * float(g1[0])
-            if first > 0.0:
-                path_gains.append(first)
-                path_lengths.append(d0 + d1)
-
-            if channel.max_bounces >= 2:
-                grid = second_grid
-                if grid is None:
-                    grid = discretize_surfaces(room, channel.second_bounce_res_m)
-                to_patch, d_ep = lambertian_gain(
-                    e_center, e_normal, mode, grid.centers, grid.normals, grid.areas
-                )
-                to_rx, d_pr = grid.gains_to(rx, room)
-                live = (to_patch > 0.0) & (to_rx > 0.0)
-                contrib = residue * e_rho * to_patch[live] * grid.reflectivities[live] * to_rx[live]
-                second = float(np.sum(contrib))
-                path_gains.append(contrib)
-                path_lengths.append(d0 + d_ep[live] + d_pr[live])
+            to_rx, d_pr = grid.gains_to(rx, room)
+            live = (to_patch > 0.0) & (to_rx > 0.0)
+            contrib = residue * e_rho * to_patch[live] * grid.reflectivities[live] * to_rx[live]
+            second = float(np.sum(contrib))
+            path_gains.append(contrib)
+            path_lengths.append(d0 + d_ep[live] + d_pr[live])
 
     bin_duration = channel.bin_ns * 1e-9
     gains = np.zeros(0)

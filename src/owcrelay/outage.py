@@ -26,6 +26,7 @@ import numpy as np
 from owcrelay.geometry import FloorCells
 from owcrelay.links import LinkBudget, evaluate_sinr
 from owcrelay.mobility import region_probabilities, sample_human_positions
+from owcrelay.scenario import MAX_SAMPLES
 
 __all__ = [
     "BLOCK_SIZE",
@@ -46,9 +47,6 @@ BLOCK_SIZE = 16384
 # depends on a links and whose relayed SINR depends on b links; the cap
 # applies to each half.
 MAX_LINKS = 16
-
-# Largest Monte Carlo sample count: 262,144 blocks.
-MAX_SAMPLES = 2**32
 
 # Joint Monte Carlo floor cells: a sixth of the walker's radius on a side,
 # larger where that would make more than 2^16 cells.

@@ -179,6 +179,10 @@ class NomaConfig:
             raise ScenarioError(f"noma.combining: unknown mode {self.combining!r}")
 
 
+# Largest Monte Carlo sample count: 262,144 blocks of 16,384 samples.
+MAX_SAMPLES = 2**32
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     samples: int = 100000
@@ -186,8 +190,6 @@ class SamplerConfig:
     blockage_model: str = "joint"
 
     def __post_init__(self):
-        from owcrelay.outage import MAX_SAMPLES  # outage imports this module
-
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ScenarioError(f"sampler.samples: must lie in [1, {MAX_SAMPLES}]")
         if not 0 <= self.seed < math.inf:

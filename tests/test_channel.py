@@ -198,33 +198,69 @@ class TestLambertian:
         assert off_axis3 < off_axis
 
 
+def total_area(grid):
+    return float(np.sum(grid.areas))
+
+
 class TestDiscretization:
     def test_default_room_element_counts(self):
         fine, coarse = discretize_surfaces(ROOM, 0.05), discretize_surfaces(ROOM, 0.20)
-        assert fine.element_count == 54_400
-        assert coarse.element_count == 3_400
+        assert fine.areas.size == 54_400
+        assert coarse.areas.size == 3_400
 
     def test_total_area_preserved(self):
         fine, coarse = discretize_surfaces(ROOM, 0.05), discretize_surfaces(ROOM, 0.20)
-        assert fine.total_area == pytest.approx(136.0, rel=1e-12)
-        assert coarse.total_area == pytest.approx(136.0, rel=1e-12)
+        assert total_area(fine) == pytest.approx(136.0, rel=1e-12)
+        assert total_area(coarse) == pytest.approx(136.0, rel=1e-12)
 
     def test_partial_edge_tiles_keep_true_area(self):
         # 0.3 m cells do not divide the extents; remainder tiles make up the area
         fine = discretize_surfaces(ROOM, 0.3)
-        assert fine.total_area == pytest.approx(136.0, rel=1e-12)
+        assert total_area(fine) == pytest.approx(136.0, rel=1e-12)
         assert np.min(fine.areas) < 0.3 * 0.3 - 1e-12
 
     def test_unit_wall_at_half_meter(self):
         cube = RoomConfig(width_m=1.0, length_m=1.0, height_m=1.0)
         fine = discretize_surfaces(cube, 0.5)
         # 6 faces x 4 elements per 1x1 face
-        assert fine.element_count == 24
-        assert fine.total_area == pytest.approx(6.0, rel=1e-12)
+        assert fine.areas.size == 24
+        assert total_area(fine) == pytest.approx(6.0, rel=1e-12)
 
     def test_bad_resolution_rejected(self):
         with pytest.raises(ValueError):
             discretize_surfaces(ROOM, -0.05)
+
+
+class TestFaceTable:
+    def test_first_bounce_in_a_narrow_edge_tile(self):
+        # 4.03 x 8.07 m at 0.05 m: the floor's last cells are 0.03 m wide
+        # along x and 0.02 m along y, and the ray lands at (4.02, 8.065, 0)
+        uneven = RoomConfig(width_m=4.03, length_m=8.07, height_m=3.0)
+        origin = np.array([3.02, 7.065, 3.0])
+        direction = np.array([0.5, 0.5, -1.5]) / math.sqrt(2.75)
+        centre, normal, rho = channel._first_bounce_tile(uneven, origin, direction, 0.05)
+        assert centre == pytest.approx([4.015, 8.06, 0.0], abs=1e-12)
+        np.testing.assert_array_equal(normal, [0.0, 0.0, 1.0])
+        assert rho == 0.3
+
+    @pytest.mark.parametrize(
+        "position, axis",
+        [
+            ((0.0, 0.0, 1.5), (1.0, 0.0, 0.0)),
+            ((4.0, 8.0, 1.5), (-1.0, 0.0, 0.0)),
+            ((2.0, 0.0, 0.0), (0.0, 1.0, 0.0)),  # walls before the floor
+            ((0.0, 4.0, 3.0), (1.0, 0.0, 0.0)),  # walls before the ceiling
+            ((4.0, 0.0, 3.0), (-1.0, 0.0, 0.0)),
+            ((1.0, 8.0, 0.0), (0.0, -1.0, 0.0)),
+        ],
+        ids=["x0-y0", "xW-yL", "y0-floor", "x0-ceiling", "xW-y0-ceiling", "yL-floor"],
+    )
+    def test_relay_boresight_on_a_tie(self, position, axis):
+        # a relay on an edge or in a corner is equally near two or three
+        # faces: x = 0, x = W, y = 0, y = L, floor and ceiling, in that order;
+        # a library call may give the position as a list
+        for pos in (position, list(position)):
+            np.testing.assert_array_equal(pointing(RelayConfig("r", pos), ROOM), axis)
 
 
 # A low source lights an upward detector from below: the beam steered at the
