@@ -19,19 +19,17 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from owcrelay.geometry import FloorCells
 from owcrelay.links import LinkBudget, evaluate_sinr
 from owcrelay.mobility import region_probabilities, sample_human_positions
-from owcrelay.scenario import MAX_SAMPLES
 
 __all__ = [
     "BLOCK_SIZE",
     "MAX_LINKS",
-    "MAX_SAMPLES",
     "OutageRow",
     "OutageReport",
     "is_outage",
@@ -209,16 +207,13 @@ def outage_monte_carlo(
     ``blockage_model`` is "joint" (one pedestrian position drives all links
     of a sample, the physical model) or "independent" (each link flips its
     own coin with the quadrature marginal).  Sample count, seed, and model
-    default to the scenario's sampler block.
+    default to the scenario's sampler section, whose rules judge the values
+    given: a bad one raises a ``ScenarioError`` naming the field
+    (``samples: must lie in [1, 4294967296]``) before any block runs.
     """
-    sampler = budget.scenario.sampler
-    n_total = int(n_samples if n_samples is not None else sampler.samples)
-    seed = int(master_seed if master_seed is not None else sampler.seed)
-    model = blockage_model if blockage_model is not None else sampler.blockage_model
-    if model not in ("joint", "independent"):
-        raise ValueError(f"unknown blockage model {model!r}")
-    if not 1 <= n_total <= MAX_SAMPLES:
-        raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {n_total}")
+    given = {"samples": n_samples, "seed": master_seed, "blockage_model": blockage_model}
+    sampler = replace(budget.scenario.sampler, **{k: v for k, v in given.items() if v is not None})
+    n_total, seed, model = sampler.samples, sampler.seed, sampler.blockage_model
     if model == "independent":
         ensure_marginals(budget)
 

@@ -5,9 +5,12 @@ A scenario document is a plain mapping with the same shape as
 rejects unknown keys by path, and coerces every value to its field's
 annotated type, so the dataclasses below are the only schema.  Numbers go
 through float so scientific-notation strings survive YAML's parsing quirks.
-Every section and entry checks its own fields when it is built, and a
-:class:`Scenario` checks the rules across them, so a config that exists is
-valid, whether a document or a library call built it.
+Each field states its default and its range rule together, and one check
+runs them all whenever a section or entry is built: a library call names
+the field (``width_m: must be positive``), a document its path
+(``room.width_m: ...``).  A :class:`Scenario` checks the rules across them,
+so a config that exists is valid, whether a document or a library call
+built it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -46,137 +50,128 @@ class ScenarioError(ValueError):
     """A scenario document is malformed or inconsistent."""
 
 
+def _rule(default, rule):
+    """A field with its default and its range rule: a test that every value
+    must pass, and the text of the rule that a failing value breaks."""
+    return field(default=default, metadata={"rule": rule})
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be non-negative")
+_FRACTION = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_ANGLE = (lambda v: 0 < v <= 90, "must lie in (0, 90]")
+_ID = (bool, "must be non-empty")
+_POSITION = (lambda p: len(p) == 3, "must have 3 coordinates")
+# the beam half-angle, divergence_mrad * 1e-3 rad, lies below pi/2
+_DIVERGENCE = (lambda v: 0 < v * 1e-3 < math.pi / 2, "must lie in (0, 500 pi)")
+_AXIS = (
+    lambda a: a is None or (all(map(math.isfinite, a)) and any(a)),
+    "must be a non-zero finite vector",
+)
+
+
+def _integer(lo, hi, text):
+    """The rule of an integer in [lo, hi]; a float, even a whole one, breaks it."""
+    return lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi, text
+
+
+def _one_of(*options):
+    return options.__contains__, "must be " + " or ".join(map(repr, options))
+
+
+def _check(config) -> None:
+    """The ``__post_init__`` of every section and entry: each field with a
+    rule must pass it.  A config does not know its place in a document, so
+    the message names the field alone; loading a document prefixes the path."""
+    for f in fields(config):
+        if "rule" in f.metadata:
+            test, text = f.metadata["rule"]
+            if not test(getattr(config, f.name)):
+                raise ScenarioError(f"{f.name}: {text}")
+
+
 @dataclass(frozen=True)
 class RoomConfig:
     """Rectangular room, corner at the origin, z up."""
 
-    width_m: float = 4.0
-    length_m: float = 8.0
-    height_m: float = 3.0
-    wall_reflectivity: float = 0.8
-    ceiling_reflectivity: float = 0.8
-    floor_reflectivity: float = 0.3
+    width_m: float = _rule(4.0, _POSITIVE)
+    length_m: float = _rule(8.0, _POSITIVE)
+    height_m: float = _rule(3.0, _POSITIVE)
+    wall_reflectivity: float = _rule(0.8, _FRACTION)
+    ceiling_reflectivity: float = _rule(0.8, _FRACTION)
+    floor_reflectivity: float = _rule(0.3, _FRACTION)
     # cosine exponent of surface re-emission; 1 is ideal diffuse
-    lambertian_mode: float = 1.0
+    lambertian_mode: float = _rule(1.0, (lambda v: 1 <= v < math.inf, "must be at least 1"))
 
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.width_m, self.length_m, self.height_m)):
-            raise ScenarioError("room: extents must be positive")
-        for name in ("wall_reflectivity", "ceiling_reflectivity", "floor_reflectivity"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ScenarioError(f"room.{name}: must lie in [0, 1], got {v}")
-        if not 1 <= self.lambertian_mode < math.inf:
-            raise ScenarioError("room.lambertian_mode: must be at least 1")
-
-
-_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive")
-_ANGLE = (lambda v: 0 < v <= 90, "must lie in (0, 90]")
-# range rules of the aps, relays and users entries, each applied where the field exists
-_ENTRY_RANGES = {
-    "power_mw": _POSITIVE,
-    # the beam half-angle, divergence_mrad * 1e-3 rad, lies below pi/2
-    "divergence_mrad": (lambda v: 0 < v * 1e-3 < math.pi / 2, "must lie in (0, 500 pi)"),
-    "area_cm2": _POSITIVE,
-    "responsivity_a_per_w": _POSITIVE,
-    "max_steering_deg": _ANGLE,
-    "fov_deg": _ANGLE,
-    "elevation_deg": (lambda v: 0 <= v <= 90, "must lie in [0, 90]"),
-    "azimuth_deg": (math.isfinite, "must be finite"),
-}
-
-
-def _check_entry(entry) -> None:
-    """The range rules of an aps, relays or users entry, and a relay's axis
-    rule.  An entry does not know its place in the document, so the message
-    names the field alone; loading a document prefixes the entry's path."""
-    for name, (in_range, rule) in _ENTRY_RANGES.items():
-        if hasattr(entry, name) and not in_range(getattr(entry, name)):
-            raise ScenarioError(f"{name}: {rule}")
-    axis = getattr(entry, "axis", None)
-    if axis is not None and not (all(map(math.isfinite, axis)) and any(axis)):
-        raise ScenarioError("axis: must be a non-zero finite vector")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class ApConfig:
-    id: str
-    position_m: tuple[float, float, float]
-    power_mw: float = 1.0
-    divergence_mrad: float = 2.1
-    max_steering_deg: float = 40.0
+    id: str = _rule(MISSING, _ID)
+    position_m: tuple[float, float, float] = _rule(MISSING, _POSITION)
+    power_mw: float = _rule(1.0, _POSITIVE)
+    divergence_mrad: float = _rule(2.1, _DIVERGENCE)
+    max_steering_deg: float = _rule(40.0, _ANGLE)
 
-    __post_init__ = _check_entry
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class RelayConfig:
-    id: str
-    position_m: tuple[float, float, float]
-    power_mw: float = 1.0
-    divergence_mrad: float = 2.1
-    max_steering_deg: float = 90.0
-    area_cm2: float = 1.0
-    fov_deg: float = 90.0
-    responsivity_a_per_w: float = 0.5
+    id: str = _rule(MISSING, _ID)
+    position_m: tuple[float, float, float] = _rule(MISSING, _POSITION)
+    power_mw: float = _rule(1.0, _POSITIVE)
+    divergence_mrad: float = _rule(2.1, _DIVERGENCE)
+    max_steering_deg: float = _rule(90.0, _ANGLE)
+    area_cm2: float = _rule(1.0, _POSITIVE)
+    fov_deg: float = _rule(90.0, _ANGLE)
+    responsivity_a_per_w: float = _rule(0.5, _POSITIVE)
     # boresight; None means "face away from the nearest wall"
-    axis: tuple[float, float, float] | None = None
+    axis: tuple[float, float, float] | None = _rule(None, _AXIS)
 
-    __post_init__ = _check_entry
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class UserConfig:
-    id: str
-    position_m: tuple[float, float, float]
-    area_cm2: float = 1.0
-    fov_deg: float = 90.0
-    responsivity_a_per_w: float = 0.5
-    elevation_deg: float = 90.0
-    azimuth_deg: float = 0.0
+    id: str = _rule(MISSING, _ID)
+    position_m: tuple[float, float, float] = _rule(MISSING, _POSITION)
+    area_cm2: float = _rule(1.0, _POSITIVE)
+    fov_deg: float = _rule(90.0, _ANGLE)
+    responsivity_a_per_w: float = _rule(0.5, _POSITIVE)
+    elevation_deg: float = _rule(90.0, (lambda v: 0 <= v <= 90, "must lie in [0, 90]"))
+    azimuth_deg: float = _rule(0.0, (math.isfinite, "must be finite"))
 
-    __post_init__ = _check_entry
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class HumanConfig:
-    height_m: float = 1.8
-    radius_m: float = 0.3
-    count: int = 1  # 0 disables blockage; only a single blocker is modelled
+    height_m: float = _rule(1.8, _POSITIVE)
+    radius_m: float = _rule(0.3, _POSITIVE)
+    # 0 disables blockage
+    count: int = _rule(1, _integer(0, 1, "only 0 or 1 blocking humans are modelled"))
 
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.height_m, self.radius_m)):
-            raise ScenarioError("human: height and radius must be positive")
-        if self.count not in (0, 1):
-            raise ScenarioError("human.count: only 0 or 1 blocking humans are modelled")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    bandwidth_ghz: float = 10.0
-    noise_density_a2hz: float = 1e-24
-    background_current_a: float = 0.0
+    bandwidth_ghz: float = _rule(10.0, _POSITIVE)
+    noise_density_a2hz: float = _rule(1e-24, _NON_NEGATIVE)
+    background_current_a: float = _rule(0.0, _NON_NEGATIVE)
 
-    def __post_init__(self):
-        if not 0 < self.bandwidth_ghz < math.inf:
-            raise ScenarioError("noise.bandwidth_ghz: must be positive")
-        if not all(0 <= v < math.inf for v in (self.noise_density_a2hz, self.background_current_a)):
-            raise ScenarioError("noise: densities and currents must be non-negative")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class NomaConfig:
-    power_ratio: float = 4.0
-    threshold_db: float = 15.6
-    combining: str = "summed"
+    power_ratio: float = _rule(4.0, (lambda v: 1 < v < math.inf, "must exceed 1"))
+    threshold_db: float = _rule(15.6, _POSITIVE)
+    combining: str = _rule("summed", _one_of("summed", "per_branch"))
 
-    def __post_init__(self):
-        if not 1 < self.power_ratio < math.inf:
-            raise ScenarioError("noma.power_ratio: must exceed 1")
-        if not 0 < self.threshold_db < math.inf:
-            raise ScenarioError("noma.threshold_db: must be positive")
-        if self.combining not in ("summed", "per_branch"):
-            raise ScenarioError(f"noma.combining: unknown mode {self.combining!r}")
+    __post_init__ = _check
 
 
 # Largest Monte Carlo sample count: 262,144 blocks of 16,384 samples.
@@ -185,33 +180,21 @@ MAX_SAMPLES = 2**32
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    samples: int = 100000
-    seed: int = 1
-    blockage_model: str = "joint"
+    samples: int = _rule(100000, _integer(1, MAX_SAMPLES, f"must lie in [1, {MAX_SAMPLES}]"))
+    seed: int = _rule(1, _integer(0, math.inf, "must be a non-negative integer"))
+    blockage_model: str = _rule("joint", _one_of("joint", "independent"))
 
-    def __post_init__(self):
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ScenarioError(f"sampler.samples: must lie in [1, {MAX_SAMPLES}]")
-        if not 0 <= self.seed < math.inf:
-            raise ScenarioError("sampler.seed: must be non-negative")
-        if self.blockage_model not in ("joint", "independent"):
-            raise ScenarioError(f"sampler.blockage_model: unknown model {self.blockage_model!r}")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    max_bounces: int = 2
-    first_bounce_res_m: float = 0.05
-    second_bounce_res_m: float = 0.20
-    bin_ns: float = 0.01
+    max_bounces: int = _rule(2, _integer(0, 2, "must be 0, 1 or 2"))
+    first_bounce_res_m: float = _rule(0.05, _POSITIVE)
+    second_bounce_res_m: float = _rule(0.20, _POSITIVE)
+    bin_ns: float = _rule(0.01, _POSITIVE)
 
-    def __post_init__(self):
-        if self.max_bounces not in (0, 1, 2):
-            raise ScenarioError("channel.max_bounces: must be 0, 1 or 2")
-        if not all(0 < v < math.inf for v in (self.first_bounce_res_m, self.second_bounce_res_m)):
-            raise ScenarioError("channel: grid resolutions must be positive")
-        if not 0 < self.bin_ns < math.inf:
-            raise ScenarioError("channel.bin_ns: must be positive")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -236,7 +219,7 @@ class Scenario:
         return asdict(self)
 
     def __post_init__(self):
-        # the rules across sections and entries, each of which checks itself
+        # the rules across sections and entries, whose fields check themselves
         errors: list[str] = []
         r = self.room
         if not self.aps:
@@ -251,16 +234,12 @@ class Scenario:
         first_at: dict[tuple, tuple[str, str]] = {}
         for kind, items in (("aps", self.aps), ("relays", self.relays), ("users", self.users)):
             for i, cfg in enumerate(items):
-                if not cfg.id:
-                    errors.append(f"{kind}[{i}].id: must be non-empty")
                 if cfg.id in seen:
                     errors.append(f"{kind}[{i}].id: duplicate id {cfg.id!r}")
                 seen.add(cfg.id)
-                path = f"{kind}[{cfg.id or i}]"
+                path = f"{kind}[{cfg.id}]"
                 p = cfg.position_m
-                if len(p) != 3:
-                    errors.append(f"{path}.position_m: expected 3 coordinates")
-                elif not all(0 <= v <= top for v, top in zip(p, extents)):
+                if not all(0 <= v <= top for v, top in zip(p, extents)):
                     errors.append(
                         f"{path}.position_m: {list(p)} lies outside the room "
                         f"[0, {r.width_m}] x [0, {r.length_m}] x [0, {r.height_m}]"
@@ -362,7 +341,8 @@ def _schema(cls) -> tuple[dict[str, Any], tuple[str, ...]]:
 
 def _merge(cls, base, doc: Any, path: str):
     """Merge the mapping ``doc`` into ``base``, an instance of the dataclass
-    ``cls``, or build a new ``cls`` from ``doc`` alone when ``base`` is None."""
+    ``cls``, or build a new ``cls`` from ``doc`` alone when ``base`` is None.
+    A section's or entry's own error gains its path in the document."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path or 'scenario document'}: expected a mapping")
     hints, required = _schema(cls)
@@ -374,12 +354,10 @@ def _merge(cls, base, doc: Any, path: str):
         if key not in hints:
             raise ScenarioError(f"unknown key: {key_path}")
         updates[key] = _coerce(value, hints[key], key_path, getattr(base, key, None))
-    if base is not None:
-        return replace(base, **updates)
     try:
-        return cls(**updates)
-    except ScenarioError as exc:  # a list entry's own check names only the field
-        raise ScenarioError(f"{path}.{exc}") from None
+        return cls(**updates) if base is None else replace(base, **updates)
+    except ScenarioError as exc:  # the scenario's own rules name their paths
+        raise ScenarioError(f"{path}.{exc}" if path else str(exc)) from None
 
 
 def _coerce(value, annotation, path: str, base=None):
@@ -388,18 +366,21 @@ def _coerce(value, annotation, path: str, base=None):
     if annotation is int and type(value) is int:
         return value  # exact, where float() would round past 2**53
     if annotation is float or annotation is int:
-        what = "a number" if annotation is float else "an integer"
-        f = math.nan
+        f = None
         # YAML reads on/off/yes/no/true/false as booleans, which float() takes as 1 or 0
         if not isinstance(value, bool):
             try:
                 f = float(value)
             except (TypeError, ValueError, OverflowError):
                 pass
-        if not math.isfinite(f) or (annotation is int and not f.is_integer()):
-            raise ScenarioError(f"{path}: expected {what}, got {value!r}")
-        return f if annotation is float else int(f)
+        if f is not None and (annotation is float or f.is_integer()):
+            return f if annotation is float else int(f)  # a float's rule judges NaN and inf
+        what = "a number" if annotation is float else "an integer"
+        raise ScenarioError(f"{path}: expected {what}, got {value!r}")
     if annotation is str:
+        # a number is its text (id: 5 is "5"); null, a boolean or a list is no string
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ScenarioError(f"{path}: expected a string, got {value!r}")
         return str(value)
     if annotation == _VECTOR:
         if not isinstance(value, (list, tuple)) or len(value) != 3:

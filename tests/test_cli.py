@@ -309,7 +309,7 @@ class TestErrors:
         res = run_cli("simulate", "--samples", "4096", "--scenario", str(path))
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr == "error: room: extents must be positive\n"
+        assert res.stderr == "error: room.width_m: must be positive\n"
 
     def test_closed_stdout_is_not_an_error(self):
         # a reader that stops after one line, as ``| head -n 1`` does: the
@@ -380,7 +380,7 @@ class TestErrors:
         res = run_cli("simulate", "--samples", "4294967297")
         assert res.returncode == 1
         assert res.stdout == ""
-        assert res.stderr.startswith("error: sample count must lie in [1, 4294967296]")
+        assert res.stderr == "error: samples: must lie in [1, 4294967296]\n"
 
     def test_exact_method_refuses_joint_model(self):
         # enumeration is the independent-link model; it must not print those

@@ -210,10 +210,9 @@ class TestRegionsContain:
 
 class TestSpecsAndRects:
     def test_negative_radius_rejected(self):
-        message = "^human: height and radius must be positive$"
-        with pytest.raises(ScenarioError, match=message):
+        with pytest.raises(ScenarioError, match="^radius_m: must be positive$"):
             HumanConfig(radius_m=-0.1)
-        with pytest.raises(ScenarioError, match=message):
+        with pytest.raises(ScenarioError, match="^height_m: must be positive$"):
             HumanConfig(height_m=math.inf)
         with pytest.raises(ValueError):
             StadiumRegion((0, 0), (1, 0), -1.0)

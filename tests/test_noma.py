@@ -76,7 +76,7 @@ class TestAllocation:
         with pytest.raises(ValueError):
             allocate("ap1", [], {})
         # the ratio and the budget are checked where their sections are built
-        with pytest.raises(ValueError, match=r"^noma\.power_ratio: must exceed 1$"):
+        with pytest.raises(ValueError, match=r"^power_ratio: must exceed 1$"):
             NomaConfig(power_ratio=1.0)
         with pytest.raises(ValueError, match="^power_mw: must be positive$"):
             ApConfig("ap1", (1.0, 1.0, 3.0), power_mw=0.0)
@@ -124,11 +124,9 @@ class TestNoise:
         assert lit - base == pytest.approx(2.0 * ELECTRON_CHARGE * 1e-3 * 1e10, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ScenarioError, match=r"^noise\.bandwidth_ghz: must be positive$"):
+        with pytest.raises(ScenarioError, match=r"^bandwidth_ghz: must be positive$"):
             NoiseConfig(bandwidth_ghz=0.0)
-        with pytest.raises(
-            ScenarioError, match="^noise: densities and currents must be non-negative$"
-        ):
+        with pytest.raises(ScenarioError, match="^noise_density_a2hz: must be non-negative$"):
             NoiseConfig(noise_density_a2hz=-1e-24)
         with pytest.raises(ValueError):
             noise_variance(NoiseConfig(), -1e-3, 0.5)

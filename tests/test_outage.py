@@ -14,7 +14,6 @@ from owcrelay.mobility import region_probabilities, sample_human_positions
 from owcrelay.outage import (
     BLOCK_SIZE,
     MAX_LINKS,
-    MAX_SAMPLES,
     _outage_cut,
     ensure_marginals,
     is_outage,
@@ -23,9 +22,11 @@ from owcrelay.outage import (
     threshold_linear,
 )
 from owcrelay.scenario import (
+    MAX_SAMPLES,
     ApConfig,
     RelayConfig,
     Scenario,
+    ScenarioError,
     UserConfig,
     default_scenario,
     load_scenario,
@@ -594,8 +595,31 @@ class TestValidation:
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(outage, "_run_block", no_work)
-        with pytest.raises(ValueError, match=f"sample count must lie in \\[1, {MAX_SAMPLES}\\]"):
+        with pytest.raises(ScenarioError, match=rf"^samples: must lie in \[1, {MAX_SAMPLES}\]$"):
             outage_monte_carlo(budget=single_link_budget, n_samples=MAX_SAMPLES + 1)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"master_seed": 1.5}, "seed: must be a non-negative integer"),
+            ({"master_seed": -1}, "seed: must be a non-negative integer"),
+            ({"n_samples": 2.5}, f"samples: must lie in [1, {MAX_SAMPLES}]"),
+            ({"blockage_model": "markov"}, "blockage_model: must be 'joint' or 'independent'"),
+        ],
+        ids=["float-seed", "negative-seed", "float-samples", "unknown-model"],
+    )
+    def test_overrides_go_through_the_sampler_rules(
+        self, single_link_budget, monkeypatch, given, message
+    ):
+        # an override is judged as the sampler section judges a document, so
+        # a float seed or count is refused, never truncated
+        def no_work(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(outage, "_run_block", no_work)
+        with pytest.raises(ScenarioError) as err:
+            outage_monte_carlo(single_link_budget, **given)
+        assert str(err.value) == message
 
     def test_by_user_unknown_row(self, single_link_budget):
         report = outage_independent_approx(budget=single_link_budget)

@@ -7,8 +7,9 @@ import pytest
 import yaml
 
 from owcrelay.links import build_link_budget
-from owcrelay.outage import MAX_SAMPLES, OutageRow
+from owcrelay.outage import OutageRow
 from owcrelay.scenario import (
+    MAX_SAMPLES,
     ApConfig,
     ChannelConfig,
     HumanConfig,
@@ -96,16 +97,35 @@ DEFAULT_AUDIT = [
 ]
 
 
-def _numeric_fields():
-    """(top-level key, is an entry list, config class, field name) for every
-    numeric field of every section and entry dataclass of a scenario."""
+def _config_fields():
+    """(top-level key, is an entry list, config class, field name, annotation,
+    range rule) for every field of the nine section and entry dataclasses."""
     for key, hint in typing.get_type_hints(Scenario).items():
         entry = typing.get_origin(hint) is tuple
         cls = typing.get_args(hint)[0] if entry else hint
         if dataclasses.is_dataclass(cls):
-            for name, annotation in typing.get_type_hints(cls).items():
-                if annotation in (float, int):
-                    yield key, entry, cls, name
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                yield key, entry, cls, f.name, hints[f.name], f.metadata.get("rule")
+
+
+def _numeric_fields():
+    """(top-level key, is an entry list, config class, field name) for every
+    numeric field of every section and entry dataclass of a scenario."""
+    for key, entry, cls, name, annotation, _ in _config_fields():
+        if annotation in (float, int):
+            yield key, entry, cls, name
+
+
+# a value that breaks each rule that is not about a number; every number
+# breaks its rule as NaN
+BREAKS = {
+    "id": "",
+    "position_m": (1.0, 2.0),
+    "axis": (0.0, 0.0, 0.0),
+    "combining": "",
+    "blockage_model": "",
+}
 
 
 class TestDefaults:
@@ -228,21 +248,54 @@ class TestRejection:
         assert "[0, 4.0]" in msg
 
     def test_bad_number(self):
-        # non-finite values are rejected by path too, never run or crash later
-        for section, key, value in [
-            ("noma", "threshold_db", "lots"),
-            ("sampler", "samples", 1.5),
-            ("noma", "threshold_db", float("nan")),
-            ("noma", "power_ratio", float("nan")),
-            ("noise", "bandwidth_ghz", float("inf")),
-            ("room", "width_m", "-inf"),
-            ("sampler", "samples", float("inf")),
-            ("sampler", "seed", float("nan")),
-            ("human", "count", False),
-            ("room", "width_m", True),
+        # a value that is no number of the field's type is refused by path as
+        # it is read; a float's NaN or infinity is refused by the field's rule
+        for section, key, value, message in [
+            ("noma", "threshold_db", "lots", "expected a number, got 'lots'"),
+            ("sampler", "samples", 1.5, "expected an integer, got 1.5"),
+            ("noma", "threshold_db", float("nan"), "must be positive"),
+            ("noma", "power_ratio", float("nan"), "must exceed 1"),
+            ("noise", "bandwidth_ghz", float("inf"), "must be positive"),
+            ("room", "width_m", "-inf", "must be positive"),
+            ("sampler", "samples", float("inf"), "expected an integer, got inf"),
+            ("sampler", "seed", float("nan"), "expected an integer, got nan"),
+            ("human", "count", False, "expected an integer, got False"),
+            ("room", "width_m", True, "expected a number, got True"),
         ]:
-            with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: expected"):
+            with pytest.raises(ScenarioError) as err:
                 scenario_from_dict({section: {key: value}})
+            assert str(err.value) == f"{section}.{key}: {message}"
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                "users: [{id: , position_m: [1.0, 1.0, 1.0]}]\n",
+                "users[0].id: expected a string, got None",
+            ),
+            (
+                "users: [{id: [u1], position_m: [1.0, 1.0, 1.0]}]\n",
+                "users[0].id: expected a string, got ['u1']",
+            ),
+            (
+                "users: [{id: yes, position_m: [1.0, 1.0, 1.0]}]\n",
+                "users[0].id: expected a string, got True",
+            ),
+            ("name:\n", "name: expected a string, got None"),
+        ],
+        ids=["null-id", "list-id", "boolean-id", "null-name"],
+    )
+    def test_null_or_list_is_no_string(self, tmp_path, document, message):
+        # a value that YAML reads as null, a list or a boolean names nothing
+        path = tmp_path / "strings.yaml"
+        path.write_text(document)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert str(err.value) == message
+
+    def test_number_is_its_text(self):
+        sc = scenario_from_dict({"users": [{"id": 5, "position_m": [1.0, 1.0, 1.0]}]})
+        assert sc.users[0].id == "5"
 
     def test_sample_count_cap(self, tmp_path):
         doc = tmp_path / "big.yaml"
@@ -266,7 +319,7 @@ class TestRejection:
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
-            (lambda sc: dataclasses.replace(sc, human=HumanConfig(count=2)), "human.count"),
+            (lambda sc: scenario_from_dict({"human": {"count": 2}}), "human.count"),
             (
                 lambda sc: dataclasses.replace(
                     sc, noma=dataclasses.replace(sc.noma, threshold_db=0.0)
@@ -387,7 +440,8 @@ class TestRejection:
         [
             (
                 "relays: [{id: r1, position_m: [0.0, 1.0, 1.5], axis: [1, .nan, 0]}]\n",
-                "relays[0].axis[1]: expected a number, got nan",
+                # NaN is a number, which the relay's axis rule refuses
+                "relays[0].axis: must be a non-zero finite vector",
             ),
             (
                 # several bad entries: the load stops at the first
@@ -424,46 +478,50 @@ class TestRejection:
     @pytest.mark.parametrize(
         "section, kwargs, message",
         [
-            (RoomConfig, {"width_m": 0.0}, "room: extents must be positive"),
+            (RoomConfig, {"width_m": 0.0}, "room.width_m: must be positive"),
             (
                 RoomConfig,
                 {"floor_reflectivity": 1.5},
-                "room.floor_reflectivity: must lie in [0, 1], got 1.5",
+                "room.floor_reflectivity: must lie in [0, 1]",
             ),
             (RoomConfig, {"lambertian_mode": 0.5}, "room.lambertian_mode: must be at least 1"),
-            (HumanConfig, {"radius_m": -0.1}, "human: height and radius must be positive"),
+            (HumanConfig, {"radius_m": -0.1}, "human.radius_m: must be positive"),
             (NoiseConfig, {"bandwidth_ghz": 0.0}, "noise.bandwidth_ghz: must be positive"),
             (HumanConfig, {"count": 2}, "human.count: only 0 or 1 blocking humans are modelled"),
-            (RoomConfig, {"width_m": math.inf}, "room: extents must be positive"),
+            (RoomConfig, {"width_m": math.inf}, "room.width_m: must be positive"),
             (
                 NoiseConfig,
                 {"noise_density_a2hz": math.inf},
-                "noise: densities and currents must be non-negative",
+                "noise.noise_density_a2hz: must be non-negative",
             ),
             (NomaConfig, {"threshold_db": 0.0}, "noma.threshold_db: must be positive"),
             (NomaConfig, {"threshold_db": math.nan}, "noma.threshold_db: must be positive"),
             (NomaConfig, {"threshold_db": math.inf}, "noma.threshold_db: must be positive"),
             (NomaConfig, {"power_ratio": 1.0}, "noma.power_ratio: must exceed 1"),
             (NomaConfig, {"power_ratio": math.nan}, "noma.power_ratio: must exceed 1"),
-            (NomaConfig, {"combining": "coherent"}, "noma.combining: unknown mode 'coherent'"),
+            (
+                NomaConfig,
+                {"combining": "coherent"},
+                "noma.combining: must be 'summed' or 'per_branch'",
+            ),
             (SamplerConfig, {"samples": 0}, f"sampler.samples: must lie in [1, {MAX_SAMPLES}]"),
-            (SamplerConfig, {"seed": -1}, "sampler.seed: must be non-negative"),
-            (SamplerConfig, {"seed": math.nan}, "sampler.seed: must be non-negative"),
+            (SamplerConfig, {"seed": -1}, "sampler.seed: must be a non-negative integer"),
+            (SamplerConfig, {"seed": math.nan}, "sampler.seed: must be a non-negative integer"),
             (
                 SamplerConfig,
                 {"blockage_model": "markov"},
-                "sampler.blockage_model: unknown model 'markov'",
+                "sampler.blockage_model: must be 'joint' or 'independent'",
             ),
             (ChannelConfig, {"max_bounces": 3}, "channel.max_bounces: must be 0, 1 or 2"),
             (
                 ChannelConfig,
                 {"second_bounce_res_m": 0.0},
-                "channel: grid resolutions must be positive",
+                "channel.second_bounce_res_m: must be positive",
             ),
             (
                 ChannelConfig,
                 {"first_bounce_res_m": math.nan},
-                "channel: grid resolutions must be positive",
+                "channel.first_bounce_res_m: must be positive",
             ),
             (ChannelConfig, {"bin_ns": 0.0}, "channel.bin_ns: must be positive"),
             (ChannelConfig, {"bin_ns": math.nan}, "channel.bin_ns: must be positive"),
@@ -471,23 +529,46 @@ class TestRejection:
         ],
     )
     def test_sections_check_themselves(self, section, kwargs, message):
-        # the same rule guards library calls and documents, which fail while
-        # loading with the section's message alone
-        with pytest.raises(ScenarioError) as direct:
-            section(**kwargs)
-        assert str(direct.value) == message
+        # the same rule guards library calls, which name the field, and
+        # documents, which name its path
         key = {
             RoomConfig: "room", HumanConfig: "human", NoiseConfig: "noise",
             NomaConfig: "noma", SamplerConfig: "sampler", ChannelConfig: "channel",
         }[section]
+        with pytest.raises(ScenarioError) as direct:
+            section(**kwargs)
+        assert f"{key}.{direct.value}" == message
         with pytest.raises(ScenarioError) as loaded:
             scenario_from_dict({key: kwargs})
         (name, value), = kwargs.items()
-        if isinstance(value, float) and not math.isfinite(value):
-            # a document's number is refused as it is read, before the section is built
-            assert str(loaded.value).startswith(f"{key}.{name}: expected ")
+        if isinstance(value, float) and typing.get_type_hints(section)[name] is int:
+            # a float is no integer: a document refuses it as it is read
+            assert str(loaded.value) == f"{key}.{name}: expected an integer, got {value!r}"
         else:
             assert str(loaded.value) == message
+
+    @pytest.mark.parametrize(
+        "key, entry, cls, name, annotation, rule",
+        [pytest.param(*f, id=f"{f[0]}.{f[3]}") for f in _config_fields()],
+    )
+    def test_every_field_states_its_rule(self, key, entry, cls, name, annotation, rule):
+        # a document hands NaN to a float field as it is, so every field,
+        # numbers first, needs its own rule
+        assert rule is not None
+        message = f"{name}: {rule[1]}"
+        bad = BREAKS.get(name, math.nan)
+        terminal = {"id": "t1", "position_m": (2.0, 4.0, 2.0)} if entry else {}
+        with pytest.raises(ScenarioError) as direct:
+            cls(**{**terminal, name: bad})
+        assert str(direct.value) == message
+        if name == "position_m":
+            return  # a document refuses all but 3 coordinates as it reads them
+        if annotation is int:
+            bad = -1  # NaN is no integer, which a document refuses as it reads it
+        doc, path = ([{**terminal, name: bad}], f"{key}[0]") if entry else ({name: bad}, key)
+        with pytest.raises(ScenarioError) as loaded:
+            scenario_from_dict({key: doc})
+        assert str(loaded.value) == f"{path}.{message}"
 
 
 SAMPLE_ROWS = [
