@@ -15,7 +15,11 @@ exactly as if it were integrated alone, and drops out once it settles.
 Memory stays bounded: a level's cells are built ``SLICE_CELLS`` at a time
 from their parent boundary cells, and a batch of regions holding more than
 ``SLICE_CELLS`` boundary cells is split into groups of consecutive regions
-that are finished one after another.
+that are finished one after another.  The slice size sets only how the
+per-slice partial sums are grouped, never which cells are evaluated or at
+which level a region settles, so every size gives the same integrals
+within a unit in the last place.  Its value trades the per-slice Python
+work against the process peak; the sweep behind it is at the constant.
 """
 
 from __future__ import annotations
@@ -41,8 +45,26 @@ _MAX_LEVELS = 48
 
 # Most cells of one level evaluated at once, and most boundary cells a batch
 # of regions carries into its next level before it is split; together they
-# bound the memory of a large level.
-SLICE_CELLS = 3 * 2**10
+# bound the memory of a large level.  Chosen as the largest size of a sweep
+# whose peak RSS of a bare ``owcrelay simulate --method exact`` run on the
+# 93-link dense room (perfbench seed 3) stays within 2% of 3,072 cells'.
+# Medians of 15 alternating runs on a 2-core Xeon, Python 3.11, numpy 2.4:
+# CPU ms of region_probabilities on that room and on the default one, its
+# tracemalloc peak on that room, and the CLI run's peak RSS:
+#
+#     cells    dense ms  default ms  tracemalloc MB  CLI peak MiB
+#     3,072     155.9      43.6         0.81          35.0
+#     4,096     137.8      37.0         1.04          35.0  (-0.1%)
+#     6,144     108.1      32.0         1.47          35.4  (+1.0%)
+#     7,168     101.5      31.1         1.67          34.9  (-0.4%)
+#     8,192     103.9      28.0         1.87          35.8  (+2.1%)
+#    12,288      95.5      26.9         2.77          36.2  (+3.4%)
+#    16,384      93.5      25.5         3.42          36.5  (+4.3%)
+#    32,768      96.5      27.3         6.35          40.4  (+15%)
+#
+# The CLI peak follows the allocator's layout as much as the size: on dense
+# seeds 11 and 27, 8,192 cells stay within 0.5% of 3,072.
+SLICE_CELLS = 7 * 2**10
 
 # Child offsets of a cell, in half-sizes of the child: the four quadrants.
 _CHILD_X = np.array([-1.0, 1.0, -1.0, 1.0])

@@ -411,9 +411,17 @@ def scenario_from_dict(doc: Any) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read a YAML scenario document and merge it into the defaults."""
+    """Read a YAML scenario document and merge it into the defaults.  A
+    document YAML cannot read raises :class:`ScenarioError` naming the file,
+    the parser's problem and its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            line = f": line {mark.line + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+            raise ScenarioError(f"{path}{line}: {problem}") from None
     return scenario_from_dict(doc)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from pathlib import Path
@@ -18,6 +19,7 @@ from owcrelay.channel import (
     pointing,
 )
 from owcrelay.links import build_link_budget, link_cir
+from owcrelay.outage import outage_independent_approx, outage_monte_carlo
 from owcrelay.scenario import (
     ApConfig,
     ChannelConfig,
@@ -26,6 +28,7 @@ from owcrelay.scenario import (
     UserConfig,
     default_scenario,
     load_scenario,
+    result_lines,
 )
 
 from reference import point_source_gain
@@ -473,3 +476,35 @@ class TestLinkBudgetResponses:
         cir = ChannelImpulseResponse(1e-11, gains, 0.5, 1e-3, 1e-20)
         assert cir.dc_gain() == math.fsum(gains.tolist())
         assert cir.dc_gain() == 0.5 + 1e-3 + 1e-20
+
+
+class TestReflections:
+    @pytest.mark.parametrize("room", ["default", "dense_tile", "tilted"])
+    def test_reflections_move_no_outage_row(self, room):
+        # a cut link loses its whole gain, reflections included, and a clear
+        # link's reflections add about 2e-6 of its gain at most, a 2e-5 dB
+        # change of SINR: every outage row is the same without them
+        scenario = (
+            default_scenario() if room == "default"
+            else load_scenario(Path(__file__).with_name(f"{room}.yaml"))
+        )
+        assert scenario.channel.max_bounces == 2
+        los_only = dataclasses.replace(
+            scenario, channel=dataclasses.replace(scenario.channel, max_bounces=0)
+        )
+        budgets = [build_link_budget(s) for s in (los_only, scenario)]
+        assert all(link.h_reflected == 0.0 for link in budgets[0].links)
+        assert any(link.h_reflected > 0.0 for link in budgets[1].links)
+        assert all(link.h_reflected <= 1e-5 * link.h for link in budgets[1].links)
+
+        def rows(budget):
+            return [
+                result_lines(report.rows)
+                for report in (
+                    outage_independent_approx(budget),
+                    outage_monte_carlo(budget, 65_536, 7, blockage_model="joint"),
+                    outage_monte_carlo(budget, 65_536, 7, blockage_model="independent"),
+                )
+            ]
+
+        assert rows(budgets[0]) == rows(budgets[1])

@@ -272,6 +272,26 @@ class TestErrors:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
+        "doc,line,command",
+        [
+            ("room: {width_m: [1\n", 2, "simulate"),
+            ("room:\n\twidth_m: 4.0\n", 2, "channel"),
+            ("room: !!python/object:os.system {}\n", 1, "pdf"),
+        ],
+        ids=["unclosed-flow", "tab-indent", "python-tag"],
+    )
+    def test_malformed_yaml_names_file_and_line(self, tmp_path, doc, line, command):
+        # every subcommand reads its scenario through load_scenario; each
+        # document goes through a different one
+        path = tmp_path / "broken.yaml"
+        path.write_text(doc)
+        res = run_cli(command, "--scenario", str(path))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {path}: line {line}: ")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
         "doc,link_id",
         [
             ("associations: {ap1: [u3]}\n", "ap1->u3"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,18 @@ class TestOnePass:
         monkeypatch.setattr(quadrature, "SLICE_CELLS", 7)
         regions = [EDGE_REGIONS[j] for j in (0, 3, 4, 5, 6)]
         assert_matches_one_by_one(region_probabilities(regions, ROOM), regions, ROOM)
+
+    def test_slices_bound_the_memory(self):
+        # a level is evaluated SLICE_CELLS cells at a time: the dense tile's
+        # regions peak near 1.5 MB, where a whole level at once takes 17 MB
+        budget = build_link_budget(_room("dense-tile"))
+        tracemalloc.start()
+        try:
+            region_probabilities(budget.regions, budget.scenario.room)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_thin_walker_exhausts_the_cell_budget(self):
         # every region of a 0.1 mm walker grows toward the budget at once;
