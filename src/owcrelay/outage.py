@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,6 +180,11 @@ def _run_block(budget, master_seed, model, n_total, table, block_index):
     return _outage(budget, (u >= budget.marginals).T).sum(axis=2)
 
 
+# The pool class of a run with more than one worker.  None takes
+# concurrent.futures', imported only then, so a serial run never loads the
+# process pool or multiprocessing; perfbench sets a counting pool here.
+ProcessPoolExecutor = None
+
 # A pool worker's run, ``_run_block`` with all but the block index bound, set
 # once per worker by its initializer; the parent process never sets it.
 _pool_run = None
@@ -224,9 +228,10 @@ def outage_monte_carlo(
     if workers <= 1:
         counts = sum(map(run, blocks))
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_keep_pool_run, initargs=(run,)
-        ) as pool:
+        pool_class = ProcessPoolExecutor
+        if pool_class is None:
+            from concurrent.futures import ProcessPoolExecutor as pool_class
+        with pool_class(max_workers=workers, initializer=_keep_pool_run, initargs=(run,)) as pool:
             counts = sum(pool.map(_run_pool_block, blocks))
     return _report(budget, counts / n_total, "mc", model, n_samples=n_total, seed=seed)
 

@@ -264,6 +264,8 @@ def _refine(b: _Batch, out, density, cell_mass, rel_tol: float) -> list:
 
         b.x = np.concatenate(bx)
         b.y = np.concatenate(by)
+        # the slices' boundary cells now live in b.x and b.y alone
+        del bx, by
         b.counts = counts
         b.level += 1
         b.inside = b.inside + inside

@@ -24,8 +24,6 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
-import yaml
-
 __all__ = [
     "ScenarioError",
     "RoomConfig",
@@ -413,10 +411,15 @@ def scenario_from_dict(doc: Any) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read a YAML scenario document and merge it into the defaults.  A
     document YAML cannot read raises :class:`ScenarioError` naming the file,
-    the parser's problem and its line."""
+    the parser's problem and its line.  Parsing goes through libyaml when
+    the installed PyYAML has it; construction is PyYAML's safe loader either
+    way, so both read a document to the same values."""
+    import yaml  # only scenario files need it; a run on the defaults never loads it
+
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             line = f": line {mark.line + 1}" if mark else ""
@@ -426,6 +429,8 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    import yaml
+
     doc = scenario.to_dict()
     # tuples serialise as lists for a clean YAML document
     doc = json.loads(json.dumps(doc))

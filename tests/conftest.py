@@ -4,6 +4,18 @@ from owcrelay.links import build_link_budget
 from owcrelay.outage import ensure_marginals
 from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario, scenario_from_dict
 
+# Documents YAML cannot read, each with the line its error names and a
+# subcommand that reads it.
+MALFORMED_YAML = pytest.mark.parametrize(
+    "doc,line,command",
+    [
+        ("room: {width_m: [1\n", 2, "simulate"),
+        ("room:\n\twidth_m: 4.0\n", 2, "channel"),
+        ("room: !!python/object:os.system {}\n", 1, "pdf"),
+    ],
+    ids=["unclosed-flow", "tab-indent", "python-tag"],
+)
+
 
 @pytest.fixture(scope="session")
 def default_sc():

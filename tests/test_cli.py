@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from owcrelay.mobility import pdf_xy
 from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import default_scenario, load_scenario, save_scenario
 
-from conftest import make_single_link_scenario
+from conftest import MALFORMED_YAML, make_single_link_scenario
 
 
 def run_cli(*argv):
@@ -271,15 +272,7 @@ class TestErrors:
         assert res.stderr.startswith("error: sampler.samples: expected an integer")
         assert "Traceback" not in res.stderr
 
-    @pytest.mark.parametrize(
-        "doc,line,command",
-        [
-            ("room: {width_m: [1\n", 2, "simulate"),
-            ("room:\n\twidth_m: 4.0\n", 2, "channel"),
-            ("room: !!python/object:os.system {}\n", 1, "pdf"),
-        ],
-        ids=["unclosed-flow", "tab-indent", "python-tag"],
-    )
+    @MALFORMED_YAML
     def test_malformed_yaml_names_file_and_line(self, tmp_path, doc, line, command):
         # every subcommand reads its scenario through load_scenario; each
         # document goes through a different one
@@ -417,3 +410,50 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "argument --mode: invalid choice" in res.stderr
+
+
+# Runs owcrelay.cli.main on the arguments given, prints its rows, and names on
+# stderr which of the modules a run may leave unloaded it loaded.
+_IMPORTS_CHILD = """
+import sys
+from owcrelay.cli import main
+code = main(sys.argv[1:])
+loaded = [m for m in ("yaml", "concurrent.futures.process") if m in sys.modules]
+print(" ".join(loaded), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_main_fresh(*argv):
+    """stdout and the modules loaded of one ``main`` call in a new process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_CHILD, *argv],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout, set(res.stderr.split())
+
+
+class TestImports:
+    # a run loads yaml only for a scenario file, and the process pool only
+    # when it has more than one worker
+
+    def test_default_run_loads_neither(self):
+        _, loaded = run_main_fresh("simulate", "--samples", "4096")
+        assert loaded == set()
+
+    def test_scenario_file_loads_yaml(self):
+        tilted = str(Path(__file__).with_name("tilted.yaml"))
+        _, loaded = run_main_fresh("simulate", "--samples", "4096", "--scenario", tilted)
+        assert loaded == {"yaml"}
+
+    def test_workers_load_the_pool(self):
+        two, loaded = run_main_fresh("simulate", "--samples", "100000", "--workers", "2")
+        assert loaded == {"concurrent.futures.process"}
+        one, loaded = run_main_fresh("simulate", "--samples", "100000", "--workers", "1")
+        assert loaded == set()
+        assert two == one and len(two.splitlines()) == 13

@@ -187,6 +187,48 @@ class TestThresholdEffect:
         assert 0.0 < lo.p_out < 0.05
 
 
+def _gain(report, users):
+    """Geometric mean over ``users`` of p_out(direct) / p_out(coop), and its
+    standard error propagated from the rows' (0 for exact rows)."""
+    log_ratio = var = 0.0
+    for u in users:
+        d, c = report.by_user(u, "direct"), report.by_user(u, "coop")
+        log_ratio += math.log(d.p_out / c.p_out)
+        var += (d.stderr / d.p_out) ** 2 + (c.stderr / c.p_out) ** 2
+    gain = math.exp(log_ratio / len(users))
+    return gain, gain * math.sqrt(var) / len(users)
+
+
+class TestThresholdTable:
+    # The README's table of the coop-over-direct gain on the default room
+    # against the threshold: exact enumeration for the independent model,
+    # 2M-sample joint Monte Carlo at seed 5 for the joint model.
+    TABLE = [(10.0, 747.0, 1.00), (12.5, 624.0, 1.23), (15.6, 187.0, 1.48),
+             (18.0, 65.0, 5.26), (20.0, 6.9, 1.02)]
+    # each user's direct and combined SINR in dB with every link clear
+    CLEAR_SINR_DB = {"u1": (37.93, 38.09), "u2": (37.45, 37.57), "u3": (37.93, 38.09),
+                     "u4": (16.13, 19.08), "u5": (16.13, 19.07), "u6": (16.13, 19.08)}
+
+    def test_clear_link_sinr(self, budget):
+        direct, combined = evaluate_sinr(budget, np.ones((budget.link_count, 1), dtype=bool))
+        for t, d, c in zip(budget.user_terms, direct[:, 0], combined[:, 0]):
+            want = self.CLEAR_SINR_DB[t.user_id]
+            assert 10.0 * math.log10(d) == pytest.approx(want[0], abs=0.005)
+            assert 10.0 * math.log10(c) == pytest.approx(want[1], abs=0.005)
+
+    @pytest.mark.parametrize("threshold_db, independent, joint", TABLE)
+    def test_gain_at_threshold(self, default_sc, budget, threshold_db, independent, joint):
+        noma = dataclasses.replace(default_sc.noma, threshold_db=threshold_db)
+        b = dataclasses.replace(budget, scenario=dataclasses.replace(default_sc, noma=noma))
+        users = [t.user_id for t in b.user_terms]
+        gain, _ = _gain(outage_independent_approx(b), users)
+        assert gain == pytest.approx(independent, rel=0.01)
+        report = outage_monte_carlo(b, n_samples=2_000_000, master_seed=5, blockage_model="joint")
+        gain, se = _gain(report, users)
+        assert 0.0 < se < 0.02
+        assert abs(gain - joint) <= 4.0 * se
+
+
 class TestDeterminism:
     def test_worker_count_invariance(self, single_link_budget):
         kw = dict(

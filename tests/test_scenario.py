@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import typing
+from pathlib import Path
 
 import pytest
 import yaml
@@ -28,6 +29,10 @@ from owcrelay.scenario import (
     write_results,
 )
 from owcrelay.scenario import scenario_from_dict
+
+from conftest import MALFORMED_YAML
+
+TESTS = Path(__file__).resolve().parent
 
 
 def _lookup(scenario, path):
@@ -225,6 +230,64 @@ class TestRoundTrip:
             value = getattr(getattr(scenario_from_dict({key: doc}), key), name)
         assert value == default
         assert type(value) is typing.get_type_hints(cls)[name]
+
+
+def _saved_documents(tmp_path):
+    """The scenario files of the tests, and documents written by save_scenario."""
+    custom = dataclasses.replace(
+        default_scenario(), associations={"ap1": ("u1", "u4")}, relay_pairings={"r1": "ap1"}
+    )
+    saved = []
+    for name, sc in (("default", default_scenario()), ("custom", custom)):
+        saved.append(tmp_path / f"{name}.yaml")
+        save_scenario(sc, saved[-1])
+    return sorted(TESTS.glob("*.yaml")) + saved
+
+
+# comparing the two parsers needs a PyYAML built with libyaml
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml"
+)
+
+
+class TestParsers:
+    # load_scenario parses through libyaml when PyYAML has it, and through
+    # PyYAML's own parser when it has not; both must read every document alike
+
+    def test_libyaml_parses_when_installed(self, monkeypatch):
+        loaders = []
+
+        class Recording(yaml.SafeLoader):
+            def __init__(self, stream):
+                loaders.append(type(self))
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Recording, raising=False)
+        load_scenario(TESTS / "tilted.yaml")
+        assert loaders == [Recording]
+
+    @needs_libyaml
+    def test_documents_load_alike(self, tmp_path, monkeypatch):
+        paths = _saved_documents(tmp_path)
+        assert len(paths) >= 4
+        fast = [load_scenario(p) for p in paths]
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert [load_scenario(p) for p in paths] == fast
+
+    @needs_libyaml
+    @MALFORMED_YAML
+    def test_malformed_documents_name_the_same_line(
+        self, tmp_path, monkeypatch, doc, line, command
+    ):
+        path = tmp_path / "broken.yaml"
+        path.write_text(doc)
+        with pytest.raises(ScenarioError) as fast:
+            load_scenario(path)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        with pytest.raises(ScenarioError) as pure:
+            load_scenario(path)
+        for err in (fast, pure):
+            assert str(err.value).startswith(f"{path}: line {line}: ")
 
 
 class TestRejection:
