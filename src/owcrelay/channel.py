@@ -21,13 +21,16 @@ onto its face.  Power that misses the aperture continues along the beam axis
 to the first face it meets, is deposited on the first-bounce tile
 containing the hit point, and re-radiates as a Lambertian source; a beam
 the aperture catches whole has no first bounce.
-Second-order paths go through a coarser grid covering every room surface;
-the grid keeps its gains to the last receiver it served, which responses
-into the same receiver reuse.
+Second-order paths go through a coarser grid covering every room surface.
+A patch the receiver cannot see carries no path, so the grid keeps the
+patches that the last receiver it served can see, with their gains to it,
+and responses into that receiver run their tile-to-patch leg over those
+alone.
 
 Every diffuse leg -- tile to detector, tile to grid patch, grid patch to
 detector -- is the same transfer from a Lambertian point source to a small
-flat patch, computed by one vectorised kernel, :func:`lambertian_gain`.
+flat patch, computed by one vectorised kernel, :func:`lambertian_gain`, on
+positions and normals held as columns, x, y and z along the first axis.
 Every path, direct or reflected, becomes a (gain, length) pair, and one
 ``np.bincount`` over the propagation delays bins them all into a
 fixed-width impulse response.
@@ -111,27 +114,52 @@ def can_serve(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> bool:
 
 
 @dataclass(frozen=True)
-class SurfaceGrid:
-    """Flattened element arrays for the six room faces."""
+class VisibleTiles:
+    """The tiles of a grid a detector sees: their centre and normal columns,
+    ``(3, tiles)``, areas and reflectivities, and each one's gain to the
+    detector and distance from it, in grid order."""
 
     centers: np.ndarray
     normals: np.ndarray
     areas: np.ndarray
     reflectivities: np.ndarray
-    # (detector, room) -> (gain, distance) of the last detector asked for
+    gains: np.ndarray
+    distances: np.ndarray
+
+
+@dataclass(frozen=True)
+class SurfaceGrid:
+    """Element arrays for the six room faces: centre and normal columns,
+    ``(3, elements)``, and one area and reflectivity per element."""
+
+    centers: np.ndarray
+    normals: np.ndarray
+    areas: np.ndarray
+    reflectivities: np.ndarray
+    # (detector, room) -> VisibleTiles of the last detector asked for
     _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def gains_to(self, rx: RelayConfig | UserConfig, room: RoomConfig):
-        """:func:`lambertian_gain` from every element, as a source of the
-        room's ``lambertian_mode``, to the detector of ``rx``.  The last
-        detector's gains are kept, so responses into one receiver computed
-        one after another share them."""
+    def visible_to(self, rx: RelayConfig | UserConfig, room: RoomConfig) -> VisibleTiles:
+        """The elements with a non-zero :func:`lambertian_gain`, as sources
+        of the room's ``lambertian_mode``, to the detector of ``rx``; every
+        other element adds nothing to a path ending there.  The last
+        detector's set is kept, so responses into one receiver computed one
+        after another share it."""
         key = (rx, room)
         if key not in self._last:
-            self._last.clear()
-            self._last[key] = lambertian_gain(
+            gain, dist = lambertian_gain(
                 self.centers, self.normals, room.lambertian_mode, rx.position_m,
                 pointing(rx, room), rx.area_cm2 * 1e-4, math.cos(math.radians(rx.fov_deg)),
+            )
+            seen = np.flatnonzero(gain)
+            self._last.clear()
+            self._last[key] = VisibleTiles(
+                centers=self.centers.take(seen, axis=1),
+                normals=self.normals.take(seen, axis=1),
+                areas=self.areas[seen],
+                reflectivities=self.reflectivities[seen],
+                gains=gain[seen],
+                distances=dist[seen],
             )
         return self._last[key]
 
@@ -187,14 +215,14 @@ def discretize_surfaces(room: RoomConfig, resolution: float) -> SurfaceGrid:
         cv, wv = _axis_cells(ve, resolution)
         uu, vv = np.meshgrid(cu, cv, indexing="ij")
         ww = np.outer(wu, wv)
-        pts = origin[None, :] + uu.reshape(-1, 1) * u[None, :] + vv.reshape(-1, 1) * v[None, :]
+        pts = origin[:, None] + u[:, None] * uu.reshape(-1) + v[:, None] * vv.reshape(-1)
         centers.append(pts)
-        normals.append(np.tile(normal, (pts.shape[0], 1)))
+        normals.append(np.repeat(normal[:, None], pts.shape[1], axis=1))
         areas.append(ww.reshape(-1))
-        rhos.append(np.full(pts.shape[0], rho))
+        rhos.append(np.full(pts.shape[1], rho))
     return SurfaceGrid(
-        centers=np.concatenate(centers),
-        normals=np.concatenate(normals),
+        centers=np.concatenate(centers, axis=1),
+        normals=np.concatenate(normals, axis=1),
         areas=np.concatenate(areas),
         reflectivities=np.concatenate(rhos),
     )
@@ -231,23 +259,36 @@ def narrow_beam_los_gain(
     return capture * cos_in
 
 
+def _columns(a) -> np.ndarray:
+    """``a`` as ``(3, N)`` float columns; a ``(3,)`` point is one column."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[0] != 3:
+        raise ValueError(f"expected x, y, z along the first axis, got shape {a.shape}")
+    return a.reshape(3, -1)
+
+
 def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos_fov: float = 0.0):
     """Transfer from Lambertian point sources of cosine order ``mode`` to
     small flat patches: ``(mode + 1) / (2 pi d^2) cos_e^mode cos_i area``.
 
-    Positions and normals are ``(N, 3)`` rows that broadcast against each
-    other, so either end may be a single row.  A pair gets exactly zero
-    unless both ends face each other and the incidence cosine reaches
-    ``cos_fov`` (0 for room surfaces, ``cos(fov)`` for a detector).
-    Returns ``(gain, distance)``, one entry per pair.
+    Positions and normals are columns, x, y and z along the first axis:
+    shape ``(3,)`` for one point or ``(3, N)`` for N, and either end may be
+    a single point.  A pair gets exactly zero unless both ends face each
+    other and the incidence cosine reaches ``cos_fov`` (0 for room surfaces,
+    ``cos(fov)`` for a detector).  Returns ``(gain, distance)``, one entry
+    per pair, 1-D even for a single pair.
     """
-    d = np.atleast_2d(np.asarray(dst, dtype=float) - np.asarray(src, dtype=float))
-    dist2 = np.einsum("ij,ij->i", d, d)
+    src, src_normal, dst, dst_normal = map(_columns, (src, src_normal, dst, dst_normal))
+    dx, dy, dz = dst - src
+    # each 3-term dot product adds x and z first, then y: the order numpy's
+    # einsum takes over C-ordered (N, 3) rows, which gave the recorded gains;
+    # summed in x, y, z order, some distances differ in their last bit
+    dist2 = (dx * dx + dz * dz) + dy * dy
     ok = dist2 > 0.0
     dist = np.sqrt(np.where(ok, dist2, 1.0))
-    dhat = d / dist[:, None]
-    cos_e = np.einsum("ij,ij->i", dhat, np.broadcast_to(src_normal, d.shape))
-    cos_i = -np.einsum("ij,ij->i", dhat, np.broadcast_to(dst_normal, d.shape))
+    ux, uy, uz = dx / dist, dy / dist, dz / dist
+    cos_e = (ux * src_normal[0] + uz * src_normal[2]) + uy * src_normal[1]
+    cos_i = -((ux * dst_normal[0] + uz * dst_normal[2]) + uy * dst_normal[1])
     vis = ok & (cos_e > 0.0) & (cos_i > 0.0) & (cos_i >= cos_fov)
     area = np.broadcast_to(dst_area, dist.shape)
     gain = np.zeros(dist.shape)
@@ -362,15 +403,16 @@ def impulse_response(
             grid = second_grid
             if grid is None:
                 grid = discretize_surfaces(room, channel.second_bounce_res_m)
+            seen = grid.visible_to(rx, room)
             to_patch, d_ep = lambertian_gain(
-                e_center, e_normal, mode, grid.centers, grid.normals, grid.areas
+                e_center, e_normal, mode, seen.centers, seen.normals, seen.areas
             )
-            to_rx, d_pr = grid.gains_to(rx, room)
-            live = (to_patch > 0.0) & (to_rx > 0.0)
-            contrib = residue * e_rho * to_patch[live] * grid.reflectivities[live] * to_rx[live]
+            live = to_patch > 0.0
+            rho, to_rx = seen.reflectivities[live], seen.gains[live]
+            contrib = residue * e_rho * to_patch[live] * rho * to_rx
             second = float(np.sum(contrib))
             path_gains.append(contrib)
-            path_lengths.append(d0 + d_ep[live] + d_pr[live])
+            path_lengths.append(d0 + d_ep[live] + seen.distances[live])
 
     bin_duration = channel.bin_ns * 1e-9
     gains = np.zeros(0)

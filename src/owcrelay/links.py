@@ -202,8 +202,9 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
     """The link of each entry (tx_id, rx_id) -> (kind, tx, rx) of ``ends``,
     keyed and ordered the same way, with its unobstructed gains.
     The second-bounce grid is tiled once, and the responses are computed
-    receiver by receiver, so the grid works out its gains to each receiver
-    once; an unservable link is named by the first response that meets it."""
+    receiver by receiver, so the grid works out once which of its tiles
+    each receiver sees, and the responses into it go through those alone;
+    an unservable link is named by the first response that meets it."""
     room, channel = scenario.room, scenario.channel
     grid = None
     if channel.max_bounces >= 2:

@@ -179,8 +179,8 @@ class TestLambertian:
         src, src_n = np.array([2.0, 4.0, 1.5]), np.array([0.6, 0.0, 0.8])
         cos_fov = math.cos(math.radians(60.0))
 
-        out, dist = lambertian_gain(src, src_n, mode, pts, normals, areas)
-        back, _ = lambertian_gain(pts, normals, mode, src, src_n, 1e-4, cos_fov)
+        out, dist = lambertian_gain(src, src_n, mode, pts.T, normals.T, areas)
+        back, _ = lambertian_gain(pts.T, normals.T, mode, src, src_n, 1e-4, cos_fov)
         ref_out = [
             point_source_gain(src, src_n, mode, p, nv, a) for p, nv, a in zip(pts, normals, areas)
         ]
@@ -192,6 +192,30 @@ class TestLambertian:
             assert 0 < np.count_nonzero(got) < n
             assert np.allclose(got, ref, rtol=1e-13, atol=0.0)
         assert np.allclose(dist, np.linalg.norm(pts - src, axis=1), rtol=1e-15, atol=0.0)
+
+    def test_one_pair_matches_scalar_reference(self):
+        # a (3,) point to a (3,) point, the shape of the first-order leg
+        rng = np.random.default_rng(8)
+        live = 0
+        for _ in range(40):
+            src, dst = rng.uniform([0, 0, 0], [4, 8, 3], size=(2, 3))
+            src_n, dst_n = rng.normal(size=(2, 3))
+            src_n /= np.linalg.norm(src_n)
+            dst_n /= np.linalg.norm(dst_n)
+            gain, dist = lambertian_gain(src, src_n, 1.0, dst, dst_n, 1e-4, 0.5)
+            ref = point_source_gain(src, src_n, 1.0, dst, dst_n, 1e-4, 0.5)
+            assert gain.shape == dist.shape == (1,)
+            assert (gain[0] > 0.0) == (ref > 0.0)
+            assert gain[0] == pytest.approx(ref, rel=1e-13, abs=0.0)
+            assert dist[0] == pytest.approx(math.dist(src, dst), rel=1e-15)
+            live += ref > 0.0
+        assert 0 < live < 40
+
+    def test_rows_are_rejected(self):
+        # x, y, z run along the first axis: (N, 3) rows are no columns
+        rows = np.ones((5, 3))
+        with pytest.raises(ValueError, match="first axis"):
+            lambertian_gain((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 1.0, rows, rows, 1e-4)
 
     def test_higher_mode_narrows(self):
         rx = make_rx((1, 0, 0), normal=(-1, 0, 0))
@@ -372,6 +396,108 @@ class TestImpulseResponse:
             errs.append(abs(cir.first_order_gain - analytic) / analytic)
         assert errs[1] < errs[0]
         assert errs[1] < 0.02
+
+
+def first_bounce(tx, rx, room, cfg):
+    """Centre, normal and reflectivity of the first-bounce tile of a link."""
+    tx_pos = np.asarray(tx.position_m, dtype=float)
+    beam = (np.asarray(rx.position_m, dtype=float) - tx_pos) / math.dist(tx_pos, rx.position_m)
+    return channel._first_bounce_tile(room, tx_pos, beam, cfg.first_bounce_res_m)
+
+
+def second_order_reference(tx, rx, room, cfg):
+    """Second-order gain of a link summed with the scalar kernel over every
+    tile of the grid, and the centres of the tiles with a non-zero path."""
+    residue = 1.0 - narrow_beam_los_gain(tx, rx, room)
+    e, e_normal, e_rho = first_bounce(tx, rx, room, cfg)
+    grid = discretize_surfaces(room, cfg.second_bounce_res_m)
+    mode, rx_normal = room.lambertian_mode, pointing(rx, room)
+    cos_fov = math.cos(math.radians(rx.fov_deg))
+    total, live = 0.0, []
+    tiles = zip(grid.centers.T, grid.normals.T, grid.areas, grid.reflectivities)
+    for p, normal, area, rho in tiles:
+        to_patch = point_source_gain(e, e_normal, mode, p, normal, area)
+        to_rx = point_source_gain(
+            p, normal, mode, rx.position_m, rx_normal, rx.area_cm2 * 1e-4, cos_fov
+        )
+        if to_patch > 0.0 and to_rx > 0.0:
+            total += residue * e_rho * to_patch * rho * to_rx
+            live.append(p)
+    return total, np.array(live).T
+
+
+def scenario_named(room):
+    if room == "default":
+        return default_scenario()
+    return load_scenario(Path(__file__).with_name(f"{room}.yaml"))
+
+
+class TestVisibleTiles:
+    @pytest.mark.parametrize(
+        "room, rx_id, tx_ids",
+        [
+            ("default", "u5", ("ap2", "ap3", "ap6", "ap7", "r2", "r3", "r6", "r7")),
+            ("tilted", "u1", ("ap1", "ap2", "r1")),
+        ],
+        ids=["default-u5", "tilted-u1"],
+    )
+    def test_no_second_order_path_dropped(self, room, rx_id, tx_ids):
+        # a grid gives each receiver only the tiles it sees; the paths through
+        # them must be the paths through the whole grid, for every budget link
+        # into the receiver (on tilted, r1 is a relay on an explicit axis)
+        scenario = scenario_named(room)
+        sc_room, cfg = scenario.room, scenario.channel
+        terminal = {t.id: t for t in (*scenario.aps, *scenario.relays, *scenario.users)}
+        grid = discretize_surfaces(sc_room, cfg.second_bounce_res_m)
+        for tx_id in tx_ids:
+            tx, rx = terminal[tx_id], terminal[rx_id]
+            cir = impulse_response(tx, rx, sc_room, cfg, grid)
+            ref, live = second_order_reference(tx, rx, sc_room, cfg)
+            assert live.shape[1] > 0
+            assert cir.second_order_gain == pytest.approx(ref, rel=1e-12, abs=0.0)
+            e, e_normal, _ = first_bounce(tx, rx, sc_room, cfg)
+            seen = grid.visible_to(rx, sc_room)
+            to_patch, _ = lambertian_gain(
+                e, e_normal, sc_room.lambertian_mode, seen.centers, seen.normals, seen.areas
+            )
+            assert np.array_equal(seen.centers[:, to_patch > 0.0], live)
+
+    def test_shared_grid_matches_fresh_grids(self):
+        # receivers u1 (tilted user), r1 (relay on an explicit axis) and u2
+        # in the order A, B, A, C, B through one grid: no receiver's tiles
+        # may serve another's response
+        scenario = scenario_named("tilted")
+        room, cfg = scenario.room, scenario.channel
+        terminal = {t.id: t for t in (*scenario.aps, *scenario.relays, *scenario.users)}
+        grid = discretize_surfaces(room, cfg.second_bounce_res_m)
+        order = [("ap1", "u1"), ("ap2", "r1"), ("ap2", "u1"), ("ap7", "u2"), ("ap2", "r1")]
+        for tx_id, rx_id in order:
+            tx, rx = terminal[tx_id], terminal[rx_id]
+            shared = impulse_response(tx, rx, room, cfg, grid)
+            fresh = impulse_response(tx, rx, room, cfg)
+            assert shared.second_order_gain > 0.0
+            assert np.array_equal(shared.gains, fresh.gains)
+            for order_gain in ("los_gain", "first_order_gain", "second_order_gain"):
+                assert getattr(shared, order_gain) == getattr(fresh, order_gain)
+
+    def test_detector_seeing_no_tile(self):
+        # an upward detector with a 0.5 degree field of view between the
+        # ceiling tile centres sees neither the source nor any tile, so it
+        # has no second order; the grid served a wide detector there first
+        tx = make_tx((1, 1, 3))
+        wide = make_rx((1.4, 1.2, 1.0))
+        narrow = make_rx((1.4, 1.2, 1.0), fov_deg=0.5)
+        grid = discretize_surfaces(ROOM, 0.20)
+        assert impulse_response(tx, wide, ROOM, ChannelConfig(), grid).second_order_gain > 0.0
+        assert grid.visible_to(narrow, ROOM).centers.shape == (3, 0)
+        cir = impulse_response(tx, narrow, ROOM, ChannelConfig(), grid)
+        one_bounce = impulse_response(tx, narrow, ROOM, ChannelConfig(max_bounces=1))
+        assert cir.los_gain == 0.0
+        assert cir.second_order_gain == 0.0
+        assert np.array_equal(cir.gains, one_bounce.gains)
+        assert (cir.los_gain, cir.first_order_gain) == (
+            one_bounce.los_gain, one_bounce.first_order_gain,
+        )
 
 
 class TestBlockageConsistency:

@@ -215,6 +215,20 @@ class TestChannel:
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == self.TILTED_ROOM_STDOUT_SHA256[key]
 
+    # the same for tests/dense_tile.yaml, whose four users and three relays
+    # each see their own share of the grid's tiles; recorded before the
+    # channel took its legs in column form
+    DENSE_TILE_STDOUT_SHA256 = (
+        "3eccd8875287df76bb00cc0d1d6f021c6f10074bda9b0d64edca50b360080635"
+    )
+
+    def test_dense_tile_room_stdout_digest(self):
+        dense = Path(__file__).with_name("dense_tile.yaml")
+        res = run_cli("channel", "--scenario", str(dense))
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout.encode()).hexdigest()
+        assert digest == self.DENSE_TILE_STDOUT_SHA256
+
 
 class TestPdf:
     def test_summary(self):
