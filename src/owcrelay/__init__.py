@@ -8,7 +8,8 @@ The package is organised around six areas:
 - :mod:`owcrelay.channel`    narrow-beam and Lambertian propagation, surface
   discretisation, unobstructed impulse responses,
 - :mod:`owcrelay.mobility`   waypoint-mobility position density on the
-  room's floor, region probabilities, position sampling,
+  room's floor, its adaptive integral over the blocking regions, position
+  sampling,
 - :mod:`owcrelay.links`      the static link budget the outage engines
   consume: gains, power allocation, receiver noise and blocking regions,
   compiled in one pass over the links, and SINR over batches of link
@@ -18,9 +19,6 @@ The package is organised around six areas:
   its sections and its AP, relay and user entries are the inputs the
   physics modules take directly, each the only copy of its settings and
   each checked when it is built.
-
-:mod:`owcrelay.quadrature` supplies the adaptive region integrator behind
-the blockage probabilities.
 
 The names below are the ones the README, the command line and the
 benchmark use, plus the types they take or return; everything else is
@@ -35,8 +33,7 @@ from owcrelay.channel import (
     discretize_surfaces,
     impulse_response,
 )
-from owcrelay.quadrature import QuadratureError, integrate_region
-from owcrelay.mobility import sample_human_positions
+from owcrelay.mobility import QuadratureError, sample_human_positions
 from owcrelay.links import LinkBudget, build_link_budget, evaluate_sinr, link_cir
 from owcrelay.outage import (
     BLOCK_SIZE,

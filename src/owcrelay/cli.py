@@ -19,9 +19,8 @@ import numpy as np
 from owcrelay.channel import cir_rows
 from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, link_cir
-from owcrelay.mobility import pdf_xy, peak_density, sample_human_positions
+from owcrelay.mobility import QuadratureError, pdf_xy, peak_density, sample_human_positions
 from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
-from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import (
     ScenarioError,
     default_scenario,

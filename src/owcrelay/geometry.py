@@ -17,7 +17,7 @@ with the z-band clip, and returns the empty region when the room holds no
 pedestrian (``human.count == 0``);
 :meth:`StadiumRegion.contains`, :func:`regions_contain`,
 :meth:`StadiumRegion.signed_distance`, :class:`FloorCells` and the
-quadrature of :mod:`owcrelay.quadrature` all measure from the clipped spine
+region integral of :mod:`owcrelay.mobility` all measure from the clipped spine
 through one point-to-spine offset kernel, and every exact membership answer
 comes from one comparison, :func:`_covers`.
 :class:`FloorCells` decides whole floor cells at once where no region
@@ -54,15 +54,6 @@ class Rect:
     def __post_init__(self):
         if not (self.x0 <= self.x1 and self.y0 <= self.y1):
             raise ValueError(f"empty rectangle bounds {self!r}")
-
-    def intersect(self, other: "Rect") -> "Rect | None":
-        x0 = max(self.x0, other.x0)
-        y0 = max(self.y0, other.y0)
-        x1 = min(self.x1, other.x1)
-        y1 = min(self.y1, other.y1)
-        if x0 > x1 or y0 > y1:
-            return None
-        return Rect(x0, y0, x1, y1)
 
 
 def _clip_to_band(a: np.ndarray, b: np.ndarray, height: float):

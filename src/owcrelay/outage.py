@@ -9,9 +9,10 @@ the outage of each distinct link state of the cells that no region boundary
 crosses; a sample there is counted by its cell's state, and only samples of
 the other cells are tested exactly and go through the SINR.  The
 enumeration engine works under the independent-link model, weighting by
-quadrature marginals: a user's direct SINR and relayed SINR hang off disjoint
-links, so it walks the clear/blocked combinations of each half separately and
-merges the two through one sorted cumulative sum.
+the link marginals that :mod:`owcrelay.mobility` integrates: a user's
+direct SINR and relayed SINR hang off disjoint links, so it walks the
+clear/blocked combinations of each half separately, for that user alone,
+and merges the two through one sorted cumulative sum.
 """
 
 from __future__ import annotations
@@ -297,12 +298,14 @@ def outage_independent_approx(budget: LinkBudget) -> OutageReport:
                     f"(limit {MAX_LINKS} per half); "
                     "use outage_monte_carlo with blockage_model='independent'"
                 )
+        # the budget seen by this user alone: its SINR rows, no one else's
+        own = replace(budget, user_terms=(t,))
         clear, p_d = _half_states(budget.link_count, direct_half, p)
-        d = evaluate_sinr(budget, clear)[0][i]
+        d = evaluate_sinr(own, clear)[0][0]
         # every direct-half link blocked: the direct SINR is exactly 0.0, so
         # the combined SINR is exactly the relayed one
         clear, p_r = _half_states(budget.link_count, relay_half, p)
-        r = evaluate_sinr(budget, clear)[1][i]
+        r = evaluate_sinr(own, clear)[1][0]
         order = np.argsort(r, kind="stable")
         below = np.concatenate([[0.0], np.cumsum(p_r[order])])
         p_out[i, 0] = np.sum(p_d[is_outage(d, threshold_db)])

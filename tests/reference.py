@@ -9,15 +9,15 @@ one-pair scalar form of the channel's vectorised Lambertian kernel.
 :func:`segment_meets_cylinder` is the blocker predicate, written with
 scalar arithmetic and no geometry internals, that the stadium regions of
 :mod:`owcrelay.geometry` must reproduce.
-:func:`region_area` integrates a region's indicator over a floor rectangle
-with the package quadrature.  :func:`integrate_one_region` is the adaptive
-quadrature one region at a time, the oracle for the package's batched
-level loop, and :func:`region_probabilities_one_by_one` applies it to the
-walker law.  :func:`joint_state_outage` is the
-independent-link enumeration over joint link states that the split
-enumeration must reproduce.  :func:`sample_positions_65536` is the position
-sampler as it drew 65,536 candidate rows at a time; the package draws
-smaller chunks of the same stream and must return the same positions.
+:func:`integrate_one_region` is the adaptive quadrature one region at a
+time, the oracle for the package's batched level loop;
+:func:`region_area` applies it to a region's indicator over a floor
+rectangle and :func:`region_probabilities_one_by_one` to the walker law.
+:func:`joint_state_outage` is the independent-link enumeration over joint
+link states that the split enumeration must reproduce.
+:func:`sample_positions_65536` is the position sampler as it drew 65,536
+candidate rows at a time; the package draws smaller chunks of the same
+stream and must return the same positions.
 :func:`classify_full_floor` classifies every floor cell against every
 region, the loop :class:`owcrelay.geometry.FloorCells` runs only near each
 region.
@@ -33,9 +33,8 @@ import numpy as np
 
 from owcrelay.geometry import _CELL_MARGIN, Rect, StadiumRegion, _spine, _spine_offset
 from owcrelay.links import evaluate_sinr, noise_variance, order_users_and_allocate
-from owcrelay.mobility import pdf_xy, peak_density
+from owcrelay.mobility import MAX_CELLS, QuadratureError, pdf_xy, peak_density
 from owcrelay.outage import ensure_marginals, is_outage
-from owcrelay.quadrature import MAX_CELLS, QuadratureError, integrate_region
 from owcrelay.scenario import RoomConfig
 
 _GAUSS = 1.0 / math.sqrt(3.0)
@@ -209,14 +208,26 @@ def segment_meets_cylinder(a, b, center, cyl) -> bool:
     return gx * gx + gy * gy <= cyl.radius_m * cyl.radius_m
 
 
+def _one_region(region: StadiumRegion, density, floor, rel_tol: float) -> float:
+    """:func:`integrate_one_region` of ``density`` over the part of a region
+    on the floor rectangle ``(x0, y0, x1, y1)``, its bounding box cut with
+    min and max; 0 for an empty region or one of radius 0."""
+    if region.empty or region.radius == 0.0:
+        return 0.0
+    box = region.bbox()
+    x0, y0, x1, y1 = floor
+    return integrate_one_region(
+        region.signed_distance, density,
+        (max(box.x0, x0), max(box.y0, y0), min(box.x1, x1), min(box.y1, y1)),
+        cut_scale=region.radius / 4.0, rel_tol=rel_tol,
+    )
+
+
 def region_area(region: StadiumRegion, floor: Rect, rel_tol: float = 1e-4) -> float:
-    """Area of the part of a stadium region on ``floor``, by the package
+    """Area of the part of a stadium region on ``floor``, by the adaptive
     quadrature of its indicator."""
-    return float(
-        integrate_region(
-            [region], floor, lambda x, y: np.ones_like(x), lambda x, y, hx, hy: 4.0 * hx * hy,
-            rel_tol=rel_tol,
-        )[0]
+    return _one_region(
+        region, lambda pts: np.ones(len(pts)), (floor.x0, floor.y0, floor.x1, floor.y1), rel_tol
     )
 
 
@@ -255,7 +266,7 @@ def _cut_fraction(sd, grad, hx, hy):
 def integrate_one_region(sdf, density, bbox, cut_scale: float, rel_tol: float = 1e-4) -> float:
     """Integral of ``density`` over ``{p : sdf(p) <= 0}`` within ``bbox =
     (x0, y0, x1, y1)``, one region at a time: the per-region level loop the
-    batched :func:`owcrelay.quadrature.integrate_region` must reproduce.
+    batched :func:`owcrelay.mobility.integrate_region` must reproduce.
 
     Each level's cells are classified by the signed distance of their
     centres against the half-diagonal; inside cells take the 2x2 Gauss rule,
@@ -307,24 +318,12 @@ def region_probabilities_one_by_one(regions, room: RoomConfig, rel_tol: float = 
     ``room`` under the walker law, from :func:`integrate_one_region` on its
     bounding box cut to the floor; 0 for an empty region or one off the
     floor."""
-    floor = Rect(0.0, 0.0, room.width_m, room.length_m)
 
     def density(pts):
         return pdf_xy(room, pts[:, 0], pts[:, 1])
 
-    out = []
-    for region in regions:
-        box = None if region.empty or region.radius == 0.0 else region.bbox().intersect(floor)
-        if box is None:
-            out.append(0.0)
-            continue
-        out.append(
-            integrate_one_region(
-                region.signed_distance, density, (box.x0, box.y0, box.x1, box.y1),
-                cut_scale=region.radius / 4.0, rel_tol=rel_tol,
-            )
-        )
-    return np.array(out)
+    floor = (0.0, 0.0, room.width_m, room.length_m)
+    return np.array([_one_region(region, density, floor, rel_tol) for region in regions])
 
 
 def reference_sinr(budget, clear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from owcrelay import cli
-from owcrelay.mobility import pdf_xy
-from owcrelay.quadrature import QuadratureError
+from owcrelay.mobility import QuadratureError, pdf_xy
 from owcrelay.scenario import default_scenario, load_scenario, save_scenario
 
 from conftest import MALFORMED_YAML, make_single_link_scenario
@@ -136,6 +135,20 @@ class TestBlockage:
         assert res.returncode == 0
         digest = hashlib.sha256(res.stdout.encode()).hexdigest()
         assert digest == "06a54d24301b490ed0a94f5c2ecb8fee42e2fc3b02dc48028c1d3054a2b56636"
+
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("dense_tile.yaml", "5a85deadf1db6c7f7dafb13b7b4963ffdaa0393117566630127ff7e4c6abdb06"),
+            ("tilted.yaml", "e40e4cb2209bebb373e051e7f0ff8900a5831c9192bb4e9d06b36b8d2dbe7a3b"),
+        ],
+    )
+    def test_scenario_stdout_digest(self, name, want):
+        # the marginals of rooms past the default one: many regions at once,
+        # and links from tilted terminals
+        res = run_cli("blockage", "--scenario", str(Path(__file__).with_name(name)))
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == want
 
 
 class TestChannel:

@@ -217,10 +217,6 @@ class TestSpecsAndRects:
         with pytest.raises(ValueError):
             StadiumRegion((0, 0), (1, 0), -1.0)
 
-    def test_rect_intersect(self):
-        r = Rect(1, 1, 5, 9).intersect(FLOOR)
-        assert (r.x0, r.y0, r.x1, r.y1) == (1, 1, 4, 8)
-
     def test_signed_distance_sign_convention(self):
         region = blocked_region((2, 4, 1.5), (2, 5, 1.5), CYL)
         sd_in, _ = region.signed_distance([(2.0, 4.5)])

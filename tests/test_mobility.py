@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from owcrelay import quadrature
+from owcrelay import mobility
 from owcrelay.cli import main
 from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.links import build_link_budget
 from owcrelay.mobility import (
+    QuadratureError,
     cell_mass,
     pdf_xy,
     peak_density,
@@ -18,7 +19,6 @@ from owcrelay.mobility import (
     sample_human_positions,
 )
 from owcrelay.outage import ensure_marginals
-from owcrelay.quadrature import QuadratureError
 from owcrelay.scenario import HumanConfig, RoomConfig, default_scenario, load_scenario
 
 from reference import region_probabilities_one_by_one, sample_positions_65536
@@ -115,7 +115,7 @@ class TestRegionProbability:
     def test_sliced_levels_match_whole_levels(self, monkeypatch, a, b):
         # a level evaluated a few cells at a time sums the same cells
         whole = link_probability(a, b)
-        monkeypatch.setattr(quadrature, "SLICE_CELLS", 7)
+        monkeypatch.setattr(mobility, "SLICE_CELLS", 7)
         assert link_probability(a, b) == pytest.approx(whole, rel=1e-12, abs=0.0)
 
     def test_quadrature_matches_monte_carlo(self):
@@ -187,22 +187,22 @@ class TestOnePass:
         # parts of a few regions, then of one, at the deeper levels
         budget = build_link_budget(default_scenario())
         parts = []
-        refine = quadrature._refine
+        refine = mobility._refine
 
         def counted(*args):
             out = refine(*args)
             parts.append(len(out))
             return out
 
-        monkeypatch.setattr(quadrature, "_refine", counted)
-        monkeypatch.setattr(quadrature, "SLICE_CELLS", 64)
+        monkeypatch.setattr(mobility, "_refine", counted)
+        monkeypatch.setattr(mobility, "SLICE_CELLS", 64)
         probs = region_probabilities(budget.regions, budget.scenario.room)
         assert max(parts) > 1
         assert_matches_one_by_one(probs, budget.regions, budget.scenario.room)
 
     def test_split_slices_of_edge_regions(self, monkeypatch):
         # one parent cell a slice, and every batch split down to one region
-        monkeypatch.setattr(quadrature, "SLICE_CELLS", 7)
+        monkeypatch.setattr(mobility, "SLICE_CELLS", 7)
         regions = [EDGE_REGIONS[j] for j in (0, 3, 4, 5, 6)]
         assert_matches_one_by_one(region_probabilities(regions, ROOM), regions, ROOM)
 

@@ -469,6 +469,21 @@ class TestSplitEnumeration:
         split = np.array([r.p_out for r in rows]).reshape(-1, 2)
         np.testing.assert_allclose(split, joint_state_outage(budget), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("combining", ["summed", "per_branch"])
+    @pytest.mark.parametrize("room", ["default", "dense-tile"])
+    def test_one_user_view_gives_that_users_rows(self, room, combining):
+        # the enumeration evaluates each user on a budget holding its terms
+        # alone: the rows must be the whole budget's, bit for bit
+        sc = load_scenario(DENSE_TILE) if room == "dense-tile" else default_scenario()
+        sc = dataclasses.replace(sc, noma=dataclasses.replace(sc.noma, combining=combining))
+        budget = build_link_budget(sc)
+        clear = np.random.default_rng(7).random((budget.link_count, 512)) < 0.5
+        direct, combined = evaluate_sinr(budget, clear)
+        for i, t in enumerate(budget.user_terms):
+            own = evaluate_sinr(dataclasses.replace(budget, user_terms=(t,)), clear)
+            assert own[0].tobytes() == direct[i].tobytes()
+            assert own[1].tobytes() == combined[i].tobytes()
+
 
 def _joint_room(name):
     base = default_scenario()
