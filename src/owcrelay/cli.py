@@ -36,7 +36,10 @@ def _g(x: float) -> str:
 
 
 def _count(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value

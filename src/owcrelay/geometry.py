@@ -20,8 +20,9 @@ pedestrian (``human.count == 0``);
 region integral of :mod:`owcrelay.mobility` all measure from the clipped spine
 through one point-to-spine offset kernel, and every exact membership answer
 comes from one comparison, :func:`_covers`.
-:class:`FloorCells` decides whole floor cells at once where no region
-boundary comes near them.
+:class:`FloorCells` tiles the floor of a room at a cell size it takes from
+the walker's radius, decides whole cells at once where no region boundary
+comes near them, and numbers the distinct link states of those cells.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from owcrelay.scenario import HumanConfig
+from owcrelay.scenario import HumanConfig, RoomConfig
 
 __all__ = [
     "Rect",
@@ -188,11 +189,15 @@ def regions_contain(regions, points) -> np.ndarray:
 # decided cell is never near enough a boundary for its exact test to differ.
 _CELL_MARGIN = 1e-9
 
+_CELLS_PER_RADIUS = 6
+_MAX_CELLS = 2**16
+
 
 class FloorCells:
-    """The floor ``[0, width] x [0, length]`` tiled by square cells of side
-    ``size``, each classified against every region by the distance d from
-    its centre to the region's spine.
+    """The floor of ``room`` tiled by square cells of side ``size``, a sixth
+    of the walker's radius or larger where that would make more than 2^16
+    cells, each classified against every region by the distance d from its
+    centre to the region's spine.
 
     With half-diagonal hd, a cell lies inside a region where
     d <= radius - hd - 1e-9 m and outside it where d >= radius + hd + 1e-9 m;
@@ -200,12 +205,16 @@ class FloorCells:
     region's bounding box are measured; every other cell is farther than
     radius + hd from the spine.  ``inside`` is boolean (cells, regions); the
     undecided regions of cell c are ``near[start[c]:start[c + 1]]``, and
-    ``decided`` marks the cells with none.  Cell c covers column ``c % nx``
-    and row ``c // nx``.
+    ``decided`` marks the cells with none.  ``states`` holds the distinct
+    rows of ``inside`` among the decided cells, ordered by their packed
+    bits, and ``state`` gives each cell its row there, ``len(states)`` for
+    an undecided cell.  Cell c covers column ``c % nx`` and row ``c // nx``.
     """
 
-    def __init__(self, regions, width: float, length: float, size: float):
-        self.size = float(size)
+    def __init__(self, regions, room: RoomConfig, human: HumanConfig):
+        width, length = room.width_m, room.length_m
+        size = max(human.radius_m / _CELLS_PER_RADIUS, math.sqrt(width * length / _MAX_CELLS))
+        self.size = size
         self.nx = math.ceil(width / size)
         self.ny = math.ceil(length / size)
         half = size * math.sqrt(0.5)
@@ -233,6 +242,16 @@ class FloorCells:
         pair_cell, self.near = np.nonzero(undecided)
         self.start = np.searchsorted(pair_cell, np.arange(self.count + 1))
         self.decided = self.start[1:] == self.start[:-1]
+        decided = np.flatnonzero(self.decided)
+        # decided cells sorted by their packed link states; equal states run together
+        keys = np.packbits(self.inside[decided], axis=1)
+        order = np.lexsort(keys.T)
+        decided, keys = decided[order], keys[order]
+        new = np.ones(decided.size, dtype=bool)
+        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        self.states = self.inside[decided[new]]
+        self.state = np.full(self.count, len(self.states), dtype=np.int32)
+        self.state[decided] = np.cumsum(new) - 1
 
     @property
     def count(self) -> int:

@@ -20,7 +20,9 @@ weaker user's signal, so only users decoded later interfere.
 A relay forwards and retransmits from one point on a wall.  Its electrical
 gain keeps the retransmitted power at its cap whatever the received level,
 so the gain cancels between the signal and forwarded-noise terms of the
-second phase.
+second phase.  A relay's transmit level is therefore not a parameter of the
+model: the relayed terms come from the AP's power split and the feeder and
+delivery gains.
 """
 
 from __future__ import annotations

@@ -4,15 +4,15 @@ Two engines share the compiled link budget.  The Monte Carlo engine draws
 blocker positions (or, optionally, independent per-link states) in fixed
 blocks with per-block seeds derived from the master seed, so the result is
 identical no matter how many worker processes execute the blocks.  Under
-the joint model a run first tiles the floor into cells and decides, once,
-the outage of each distinct link state of the cells that no region boundary
-crosses; a sample there is counted by its cell's state, and only samples of
-the other cells are tested exactly and go through the SINR.  The
-enumeration engine works under the independent-link model, weighting by
-the link marginals that :mod:`owcrelay.mobility` integrates: a user's
-direct SINR and relayed SINR hang off disjoint links, so it walks the
-clear/blocked combinations of each half separately, for that user alone,
-and merges the two through one sorted cumulative sum.
+the joint model :class:`~owcrelay.geometry.FloorCells` numbers the distinct
+link states of the floor cells that no region boundary crosses, and a run
+decides, once, the outage of each; a sample there is counted by its cell's
+state, and only samples of the other cells are tested exactly and go
+through the SINR.  The enumeration engine works under the independent-link
+model, weighting by the link marginals that :mod:`owcrelay.mobility`
+integrates: a user's direct SINR and relayed SINR hang off disjoint links,
+so it walks the clear/blocked combinations of each half separately, for
+that user alone, and merges the two through one sorted cumulative sum.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ BLOCK_SIZE = 16384
 # depends on a links and whose relayed SINR depends on b links; the cap
 # applies to each half.
 MAX_LINKS = 16
-
-# Joint Monte Carlo floor cells: a sixth of the walker's radius on a side,
-# larger where that would make more than 2^16 cells.
-_CELLS_PER_RADIUS = 6
-_MAX_CELLS = 2**16
 
 
 def threshold_linear(threshold_db: float) -> float:
@@ -122,60 +117,38 @@ def _outage(budget: LinkBudget, clear) -> np.ndarray:
     return np.stack([is_outage(s, budget.scenario.noma.threshold_db) for s in sinr], axis=1)
 
 
-@dataclass(frozen=True)
-class _JointTable:
-    """Floor cells of a joint run.  ``outage`` is boolean (states + 1,
-    users * 2): the direct and coop outage of every user in each distinct
-    link state of the decided cells, and a last row of zeros.  ``state``
-    gives each cell its row, the last one for the undecided cells."""
-
-    cells: FloorCells
-    state: np.ndarray
-    outage: np.ndarray
-
-
-def _joint_table(budget: LinkBudget) -> _JointTable:
-    """The cell table of a joint run over the floor of the budget's room."""
-    room = budget.scenario.room
-    size = max(
-        budget.scenario.human.radius_m / _CELLS_PER_RADIUS,
-        math.sqrt(room.width_m * room.length_m / _MAX_CELLS),
-    )
-    cells = FloorCells(budget.regions, room.width_m, room.length_m, size)
-    decided = np.flatnonzero(cells.decided)
-    # decided cells sorted by their packed link states; equal states run together
-    keys = np.packbits(cells.inside[decided], axis=1)
-    order = np.lexsort(keys.T)
-    decided, keys = decided[order], keys[order]
-    new = np.ones(decided.size, dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    first = decided[new]
-    state = np.full(cells.count, first.size, dtype=np.int32)
-    state[decided] = np.cumsum(new) - 1
-    outage = np.zeros((first.size + 1, 2 * len(budget.user_terms)), dtype=bool)
+def _joint_table(budget: LinkBudget) -> tuple[FloorCells, np.ndarray]:
+    """The floor cells of a joint run over the budget's room, and the
+    outage of each of their states: boolean (states + 1, users * 2), the
+    direct and coop outage of every user in each row of ``cells.states``,
+    and a last row of zeros, which the undecided cells read."""
+    cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
+    outage = np.zeros((len(cells.states) + 1, 2 * len(budget.user_terms)), dtype=bool)
     # at most a block's worth of columns per evaluate_sinr
-    for start in range(0, first.size, BLOCK_SIZE):
-        part = first[start : start + BLOCK_SIZE]
-        clear = ~np.ascontiguousarray(cells.inside[part].T)
-        outage[start : start + part.size] = _outage(budget, clear).reshape(outage.shape[1], -1).T
-    return _JointTable(cells, state, outage)
+    for start in range(0, len(cells.states), BLOCK_SIZE):
+        part = cells.states[start : start + BLOCK_SIZE]
+        clear = ~np.ascontiguousarray(part.T)
+        outage[start : start + len(part)] = _outage(budget, clear).reshape(outage.shape[1], -1).T
+    return cells, outage
 
 
 def _run_block(budget, master_seed, model, n_total, table, block_index):
     """Direct and coop outage counts of every user, shape (users, 2), over
     block ``block_index`` of a ``n_total``-sample run; ``table`` is the
-    joint run's :class:`_JointTable`.  A joint sample in a decided cell
-    counts by its cell's state; the others are tested exactly."""
+    joint run's ``(cells, outage)`` from :func:`_joint_table`.  A joint
+    sample in a decided cell counts by its cell's state; the others are
+    tested exactly."""
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     if model == "joint":
         pts = sample_human_positions(budget.scenario.room, n, rng)
         x, y = pts[:, 0], pts[:, 1]
-        cell = table.cells.cell_of(x, y)
-        state = table.state[cell]
-        counts = np.bincount(state, minlength=len(table.outage)) @ table.outage
-        near = np.flatnonzero(state == len(table.outage) - 1)
-        clear = ~table.cells.contain(x[near], y[near], cell[near])
+        cells, outage = table
+        cell = cells.cell_of(x, y)
+        state = cells.state[cell]
+        counts = np.bincount(state, minlength=len(outage)) @ outage
+        near = np.flatnonzero(state == len(cells.states))
+        clear = ~cells.contain(x[near], y[near], cell[near])
         return counts.reshape(-1, 2) + _outage(budget, clear).sum(axis=2)
     u = rng.random((n, budget.link_count))
     return _outage(budget, (u >= budget.marginals).T).sum(axis=2)

@@ -119,7 +119,6 @@ class ApConfig:
 class RelayConfig:
     id: str = _rule(MISSING, _ID)
     position_m: tuple[float, float, float] = _rule(MISSING, _POSITION)
-    power_mw: float = _rule(1.0, _POSITIVE)
     divergence_mrad: float = _rule(2.1, _DIVERGENCE)
     max_steering_deg: float = _rule(90.0, _ANGLE)
     area_cm2: float = _rule(1.0, _POSITIVE)

@@ -416,6 +416,26 @@ class TestErrors:
         assert res.stdout == ""
         assert "must be non-negative, got -1" in res.stderr
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("simulate", "--samples", "1e3"), "1e3"),
+            (("pdf", "--grid", "2.5"), "2.5"),
+            (("blockage", "--mc", "many"), "many"),
+            (("simulate", "--workers", ""), ""),
+        ],
+        ids=[
+            "simulate-samples-exp", "pdf-grid-fraction", "blockage-mc-word",
+            "simulate-workers-empty",
+        ],
+    )
+    def test_non_integer_counts_rejected_at_parse_time(self, argv, text):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"expected a non-negative integer, got {text!r}" in res.stderr
+        assert "_count" not in res.stderr
+
     def test_sample_count_above_cap(self):
         res = run_cli("simulate", "--samples", "4294967297")
         assert res.returncode == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from owcrelay import outage
-from owcrelay.geometry import regions_contain
+from owcrelay.geometry import FloorCells, regions_contain
 from owcrelay.links import build_link_budget, evaluate_sinr
 from owcrelay.mobility import region_probabilities, sample_human_positions
 from owcrelay.outage import (
@@ -540,11 +540,8 @@ class TestJointTable:
     # joint Monte Carlo counts a sample by its floor cell wherever no region
     # boundary comes near the cell; that must change no membership and no count
 
-    def _table(self, budget):
-        return outage._joint_table(budget)
-
     def test_cells_agree_with_exact_membership(self, joint_budget):
-        cells = self._table(joint_budget).cells
+        cells, _ = outage._joint_table(joint_budget)
         room = joint_budget.scenario.room
         pts = _adversarial_points(cells, joint_budget.regions, room.width_m, room.length_m)
         x, y = pts[:, 0], pts[:, 1]
@@ -561,7 +558,7 @@ class TestJointTable:
     def test_classification_equals_the_full_floor_loop(self, joint_budget):
         # each region is classified only near its bounding box; every cell
         # must come out as a test of every cell against every region says
-        cells = self._table(joint_budget).cells
+        cells, _ = outage._joint_table(joint_budget)
         room = joint_budget.scenario.room
         inside, undecided, decided = classify_full_floor(
             joint_budget.regions, room.width_m, room.length_m, cells.size
@@ -576,33 +573,42 @@ class TestJointTable:
         assert np.array_equal(cells.decided, decided)
 
     def test_outage_rows_are_the_cells_own_states(self, joint_budget):
-        table = self._table(joint_budget)
-        cells = table.cells
+        cells, rows = outage._joint_table(joint_budget)
         decided = np.flatnonzero(cells.decided)
         states = cells.inside[decided]
         users = len(joint_budget.user_terms)
         want = outage._outage(joint_budget, ~states.T.copy()).reshape(2 * users, -1).T
-        assert table.outage.shape[1] == 2 * users
-        assert np.array_equal(table.outage[table.state[decided]], want)
+        assert rows.shape[1] == 2 * users
+        assert np.array_equal(rows[cells.state[decided]], want)
+        assert np.array_equal(cells.states[cells.state[decided]], states)
         # undecided cells read the last row, which counts nothing
-        assert (table.state[~cells.decided] == len(table.outage) - 1).all()
-        assert not table.outage[-1].any()
+        assert len(rows) - 1 == len(cells.states)
+        assert (cells.state[~cells.decided] == len(cells.states)).all()
+        assert not rows[-1].any()
         # one row per distinct link state of the decided cells
         _, link_state = np.unique(states, axis=0, return_inverse=True)
-        pairs = np.unique(np.stack([table.state[decided], link_state.ravel()]), axis=1)
-        assert pairs.shape[1] == len(table.outage) - 1 == link_state.max() + 1
+        pairs = np.unique(np.stack([cells.state[decided], link_state.ravel()]), axis=1)
+        assert pairs.shape[1] == len(rows) - 1 == link_state.max() + 1
 
     def test_cell_size_follows_the_walker_radius(self, joint_budget):
-        cells = self._table(joint_budget).cells
+        cells, _ = outage._joint_table(joint_budget)
         radius = joint_budget.scenario.human.radius_m
         assert cells.size >= radius / 6
         assert cells.count <= 2**16 + cells.nx + cells.ny + 1
         if cells.size > radius / 6:  # capped by the cell count
             assert cells.count > 2**16 / 2
 
+    def test_default_room_table_is_the_readmes(self, budget):
+        # the README quotes these figures for the default room
+        cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
+        assert (cells.nx, cells.ny) == (80, 160)
+        assert np.count_nonzero(cells.decided) == 10_826
+        assert cells.states.shape == (59, len(budget.regions))
+
     @pytest.mark.parametrize("n_total, block", [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2)])
     def test_block_counts_equal_exact_membership(self, joint_budget, n_total, block):
-        got = outage._run_block(joint_budget, 5, "joint", n_total, self._table(joint_budget), block)
+        table = outage._joint_table(joint_budget)
+        got = outage._run_block(joint_budget, 5, "joint", n_total, table, block)
         n = min(BLOCK_SIZE, n_total - block * BLOCK_SIZE)
         room = joint_budget.scenario.room
         pts = sample_human_positions(room, n, np.random.default_rng([5, block]))

@@ -442,6 +442,11 @@ class TestRejection:
                 r"^aps\[0\]\.power_mw: must be positive$",
             ),
             (
+                # a relay's transmit level is no parameter of the model
+                lambda sc: _document_with(sc, "relays", 0, power_mw=5.0),
+                r"^unknown key: relays\[0\]\.power_mw$",
+            ),
+            (
                 lambda sc: _document_with(sc, "users", 1, fov_deg=120.0),
                 r"^users\[1\]\.fov_deg: must lie in \(0, 90\]$",
             ),
