@@ -202,6 +202,16 @@ def _axis_cells(extent: float, resolution: float):
     return centers, widths
 
 
+@functools.lru_cache
+def _axis_bounds(extent: float, resolution: float):
+    """Cell centre offsets along one face axis and the upper bound of each
+    cell, read-only; cached, as the first bounce of every link reads them."""
+    centres, widths = _axis_cells(extent, resolution)
+    bounds = np.cumsum(widths)
+    centres.flags.writeable = bounds.flags.writeable = False
+    return centres, bounds
+
+
 def discretize_surfaces(room: RoomConfig, resolution: float) -> SurfaceGrid:
     """Tile all six faces at the given resolution.
 
@@ -316,9 +326,9 @@ def _first_bounce_tile(room: RoomConfig, origin, direction, resolution: float):
     hit = origin + best_t * direction
     cells = []
     for axis, extent in ((u, ue), (v, ve)):
-        centres, widths = _axis_cells(extent, resolution)
-        i = int(np.searchsorted(np.cumsum(widths), float(np.dot(hit - face_origin, axis))))
-        cells.append(centres[min(i, widths.size - 1)])
+        centres, bounds = _axis_bounds(extent, resolution)
+        i = int(np.searchsorted(bounds, float(np.dot(hit - face_origin, axis))))
+        cells.append(centres[min(i, bounds.size - 1)])
     return face_origin + cells[0] * u + cells[1] * v, normal, rho
 
 

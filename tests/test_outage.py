@@ -268,7 +268,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("model", ["joint", "independent"])
     def test_pool_tasks_are_block_indices(self, budget, model, monkeypatch):
         # a pool worker gets the whole run once, through its initializer, so
-        # a task carries nothing but its block index
+        # a task carries nothing but block indices
         tasks = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -283,7 +283,8 @@ class TestDeterminism:
         one = outage_monte_carlo(workers=1, **kw)
         assert two.rows == one.rows
         # ProcessPoolExecutor.map submits chunks of argument tuples to a
-        # wrapper around the mapped function
+        # wrapper around the mapped function, here one chunk per worker
+        assert len(tasks) == 2
         blocks = []
         for fn, (chunk,), kwargs in tasks:
             assert fn.args == (outage._run_pool_block,) and not kwargs
@@ -312,7 +313,7 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
+            def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
         monkeypatch.setattr(outage, "ProcessPoolExecutor", FakePool)
@@ -619,10 +620,36 @@ class TestJointTable:
         assert np.array_equal(got, np.stack(want, axis=1))
 
 
-@pytest.fixture(scope="module", params=["default", "dense-tile"])
+def _tile_row(copies, step_m=4.0):
+    """``copies`` of the dense tile, each ``step_m`` further along y than
+    the last, in the tile's own 12 m room: 31 links a copy."""
+    tile = load_scenario(DENSE_TILE)
+
+    def shifted(cfg, k):
+        x, y, z = cfg.position_m
+        return dataclasses.replace(cfg, id=f"{cfg.id}-{k}", position_m=(x, y + k * step_m, z))
+
+    ks = range(copies)
+    return dataclasses.replace(
+        tile,
+        aps=tuple(shifted(a, k) for k in ks for a in tile.aps),
+        relays=tuple(shifted(r, k) for k in ks for r in tile.relays),
+        users=tuple(shifted(u, k) for k in ks for u in tile.users),
+        associations={f"{ap}-{k}": tuple(f"{u}-{k}" for u in users)
+                      for k in ks for ap, users in tile.associations.items()},
+        relay_pairings={f"{r}-{k}": f"{ap}-{k}"
+                        for k in ks for r, ap in tile.relay_pairings.items()},
+    )
+
+
+@pytest.fixture(scope="module", params=["default", "dense-tile", "three-tiles"])
 def independent_budget(request, budget):
     if request.param == "default":
         return budget
+    if request.param == "three-tiles":
+        b = build_link_budget(_tile_row(3))
+        assert b.link_count == 93  # more than one 64-bit word per packed row
+        return b
     return build_link_budget(_joint_room(request.param))
 
 
@@ -642,6 +669,66 @@ class TestIndependentBlock:
         want = [is_outage(s, threshold_db).sum(axis=1) for s in evaluate_sinr(b, clear)]
         assert got.dtype == np.int64
         assert np.array_equal(got, np.stack(want, axis=1))
+
+    def test_sinr_sees_each_distinct_state_once(self, budget, monkeypatch):
+        columns = []
+
+        def counting(b, clear):
+            columns.append(clear.shape[1])
+            return evaluate_sinr(b, clear)
+
+        monkeypatch.setattr(outage, "evaluate_sinr", counting)
+        p = ensure_marginals(budget)
+        outage._run_block(budget, 5, "independent", BLOCK_SIZE, None, 0)
+        u = np.random.default_rng([5, 0]).random((BLOCK_SIZE, budget.link_count))
+        distinct = np.unique(u >= p, axis=0)
+        assert columns == [len(distinct)]
+        assert len(distinct) < BLOCK_SIZE / 10
+
+    def test_budget_without_links(self, default_sc):
+        # a serving map that serves no one leaves no link, so every sample
+        # is the one empty state, in which every user is in outage
+        b = build_link_budget(dataclasses.replace(default_sc, associations={"ap1": ()}))
+        assert b.link_count == 0
+        report = outage_monte_carlo(b, 4096, 1, blockage_model="independent")
+        assert all(row.p_out == 1.0 for row in report.rows)
+
+
+def _assert_counts_are_multiplicities(rows, states, counts):
+    # every row is some listed state, and the counts listed for a state sum
+    # to the times it occurs, even where one state is listed more than once
+    want, times = np.unique(rows, axis=0, return_counts=True)
+    listed = np.all(states[:, None, :] == want[None, :, :], axis=2)
+    assert (listed.sum(axis=1) == 1).all()
+    assert (counts > 0).all() and np.array_equal(counts @ listed, times)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("columns", [0, 1, 32, 64, 65, 128])
+    def test_states_and_counts_equal_unique(self, columns):
+        rng = np.random.default_rng(columns)
+        # few columns take every pattern many times, many columns mostly once
+        rows = rng.random((3000, columns)) < rng.random(columns) ** 3
+        rows[:500] = rows[500:1000]
+        states, counts = outage._distinct_rows(rows)
+        assert states.dtype == bool and states.shape[1] == columns
+        _assert_counts_are_multiplicities(rows, states, counts)
+        # up to 64 columns a key is the row itself: each state is listed once
+        if columns <= 64:
+            assert len(states) == len(np.unique(rows, axis=0))
+
+    def test_rows_that_share_a_key(self):
+        # two 64-bit words a and b fold into the key a * M ^ b, so the rows
+        # packed as (0, 0) and (1, M) share the key 0
+        m = outage._KEY_MULTIPLIER
+        words = np.array([[0, 0], [1, m]], dtype=np.uint64)
+        pair = np.unpackbits(words.view(np.uint8), axis=1).astype(bool)
+        assert pair.shape == (2, 128) and not np.array_equal(pair[0], pair[1])
+        rng = np.random.default_rng(7)
+        rows = np.concatenate([pair[rng.integers(0, 2, 200)], rng.random((50, 128)) < 0.5])
+        rows = rows[rng.permutation(len(rows))]
+        states, counts = outage._distinct_rows(rows)
+        _assert_counts_are_multiplicities(rows, states, counts)
 
 
 class TestValidation:
