@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--samples", type=_count, default=None, help="Monte Carlo sample count")
     sim.add_argument("--seed", type=_count, default=None, help="master seed")
     sim.add_argument(
-        "--workers", type=_count, default=1, help="worker processes, at most one per sample block"
+        "--workers", type=_count, default=1, help="worker processes, at most one per block and core"
     )
     sim.add_argument(
         "--mode",

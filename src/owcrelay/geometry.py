@@ -21,8 +21,8 @@ region integral of :mod:`owcrelay.mobility` all measure from the clipped spine
 through one point-to-spine offset kernel, and every exact membership answer
 comes from one comparison, :func:`_covers`.
 :class:`FloorCells` tiles the floor of a room at a cell size it takes from
-the walker's radius, decides whole cells at once where no region boundary
-comes near them, and numbers the distinct link states of those cells.
+the walker's radius and decides whole cells at once where no region
+boundary comes near them; :mod:`owcrelay.outage` numbers their link states.
 """
 
 from __future__ import annotations
@@ -205,10 +205,9 @@ class FloorCells:
     region's bounding box are measured; every other cell is farther than
     radius + hd from the spine.  ``inside`` is boolean (cells, regions); the
     undecided regions of cell c are ``near[start[c]:start[c + 1]]``, and
-    ``decided`` marks the cells with none.  ``states`` holds the distinct
-    rows of ``inside`` among the decided cells, ordered by their packed
-    bits, and ``state`` gives each cell its row there, ``len(states)`` for
-    an undecided cell.  Cell c covers column ``c % nx`` and row ``c // nx``.
+    ``decided`` marks the cells with none.  The cells decide membership
+    only; numbering their link states is the outage engine's.  Cell c
+    covers column ``c % nx`` and row ``c // nx``.
     """
 
     def __init__(self, regions, room: RoomConfig, human: HumanConfig):
@@ -242,16 +241,6 @@ class FloorCells:
         pair_cell, self.near = np.nonzero(undecided)
         self.start = np.searchsorted(pair_cell, np.arange(self.count + 1))
         self.decided = self.start[1:] == self.start[:-1]
-        decided = np.flatnonzero(self.decided)
-        # decided cells sorted by their packed link states; equal states run together
-        keys = np.packbits(self.inside[decided], axis=1)
-        order = np.lexsort(keys.T)
-        decided, keys = decided[order], keys[order]
-        new = np.ones(decided.size, dtype=bool)
-        new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        self.states = self.inside[decided[new]]
-        self.state = np.full(self.count, len(self.states), dtype=np.int32)
-        self.state[decided] = np.cumsum(new) - 1
 
     @property
     def count(self) -> int:

@@ -4,15 +4,16 @@ Two engines share the compiled link budget.  The Monte Carlo engine draws
 blocker positions (or, optionally, independent per-link states) in fixed
 blocks with per-block seeds derived from the master seed, so the result is
 identical no matter how many worker processes execute the blocks.  Under
-the joint model :class:`~owcrelay.geometry.FloorCells` numbers the distinct
-link states of the floor cells that no region boundary crosses, and a run
-decides, once, the outage of each; a sample there is counted by its cell's
-state, and only samples of the other cells are tested exactly and go
-through the SINR.  Under the independent model a block draws each link's
-state and evaluates each distinct link state once, counting it as often
-as it was drawn: the default room's 16,384-sample block holds about 960.
-A process pool gives each worker one contiguous run of blocks.  The
-enumeration engine works under the independent-link model, weighting by
+the joint model :class:`~owcrelay.geometry.FloorCells` finds the floor
+cells that no region boundary crosses, and a run decides, once, the outage
+of each distinct link state of those cells; a sample there is counted by
+its cell's state, and only the other samples are tested exactly and go
+through the SINR.  Under the independent model a block evaluates each
+distinct link state of its draws once, counting it as often as it was
+drawn: the default room's 16,384-sample block holds about 960.  Both number
+link states by :func:`_distinct_rows`.  A process pool, of at most one
+worker per block and per usable core, gives each worker one run of blocks.
+The enumeration engine works under the independent-link model, weighting by
 the link marginals that :mod:`owcrelay.mobility` integrates: a user's
 direct SINR and relayed SINR hang off disjoint links, so it walks the
 clear/blocked combinations of each half separately, for that user alone,
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,19 +123,19 @@ def _outage(budget: LinkBudget, clear) -> np.ndarray:
     return np.stack([is_outage(s, budget.scenario.noma.threshold_db) for s in sinr], axis=1)
 
 
-def _joint_table(budget: LinkBudget) -> tuple[FloorCells, np.ndarray]:
-    """The floor cells of a joint run over the budget's room, and the
-    outage of each of their states: boolean (states + 1, users * 2), the
-    direct and coop outage of every user in each row of ``cells.states``,
-    and a last row of zeros, which the undecided cells read."""
+def _joint_table(budget: LinkBudget) -> tuple[FloorCells, np.ndarray, np.ndarray]:
+    """The floor cells of a joint run over the budget's room, each cell's
+    link state, numbered by :func:`_distinct_rows`, and the outage of each
+    state: boolean (states + 1, users * 2), the direct and coop outage of
+    every user, and a last row of zeros, the undecided cells' state."""
     cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
-    outage = np.zeros((len(cells.states) + 1, 2 * len(budget.user_terms)), dtype=bool)
-    # at most a block's worth of columns per evaluate_sinr
-    for start in range(0, len(cells.states), BLOCK_SIZE):
-        part = cells.states[start : start + BLOCK_SIZE]
-        clear = ~np.ascontiguousarray(part.T)
-        outage[start : start + len(part)] = _outage(budget, clear).reshape(outage.shape[1], -1).T
-    return cells, outage
+    decided = np.flatnonzero(cells.decided)
+    states, counts, order = _distinct_rows(cells.inside[decided])
+    state = np.full(cells.count, len(states), dtype=np.int32)
+    state[decided[order]] = np.repeat(np.arange(len(states), dtype=np.int32), counts)
+    outage = np.zeros((len(states) + 1, 2 * len(budget.user_terms)), dtype=bool)
+    outage[:-1] = _outage(budget, ~np.ascontiguousarray(states.T)).reshape(outage.shape[1], -1).T
+    return cells, state, outage
 
 
 # An odd 64-bit multiplier: each further word of a packed link row is folded
@@ -141,9 +143,10 @@ def _joint_table(budget: LinkBudget) -> tuple[FloorCells, np.ndarray]:
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the boolean matrix ``rows`` and how many times
-    each occurs.
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of the boolean matrix ``rows``, how many times
+    each occurs, and the order that groups them: ``rows[order]`` runs
+    through the distinct rows in turn, each as many times as it occurs.
 
     Each row is packed into whole 64-bit words, at least one, and folded
     into one key; a row of at most 64 columns is its own key.  Equal rows
@@ -162,31 +165,31 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key ^= word
     order = np.argsort(key)
     words = words[order]
-    start = np.flatnonzero(np.concatenate([[True], (words[1:] != words[:-1]).any(axis=1)]))
-    return rows[order[start]], np.diff(start, append=len(rows))
+    # a run starts at the first row, if any, and wherever the words change
+    start = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])[: len(rows)]
+    return rows[order[start]], np.diff(start, append=len(rows)), order
 
 
 def _run_block(budget, master_seed, model, n_total, table, block_index):
     """Direct and coop outage counts of every user, shape (users, 2), over
     block ``block_index`` of a ``n_total``-sample run; ``table`` is the
-    joint run's ``(cells, outage)`` from :func:`_joint_table`.  A joint
-    sample in a decided cell counts by its cell's state; the others are
-    tested exactly.  An independent block evaluates each of its distinct
-    link states once and counts it as often as it was drawn."""
+    joint run's ``(cells, state, outage)`` from :func:`_joint_table`.  A
+    joint sample in a decided cell counts by its cell's state; the others
+    are tested exactly.  An independent block counts by distinct states."""
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     if model == "joint":
         pts = sample_human_positions(budget.scenario.room, n, rng)
         x, y = pts[:, 0], pts[:, 1]
-        cells, outage = table
+        cells, cell_state, outage = table
         cell = cells.cell_of(x, y)
-        state = cells.state[cell]
+        state = cell_state[cell]
         counts = np.bincount(state, minlength=len(outage)) @ outage
-        near = np.flatnonzero(state == len(cells.states))
+        near = np.flatnonzero(state == len(outage) - 1)
         clear = ~cells.contain(x[near], y[near], cell[near])
         return counts.reshape(-1, 2) + _outage(budget, clear).sum(axis=2)
     u = rng.random((n, budget.link_count))
-    states, counts = _distinct_rows(u >= budget.marginals)
+    states, counts, _ = _distinct_rows(u >= budget.marginals)
     return _outage(budget, np.ascontiguousarray(states.T)) @ counts
 
 
@@ -198,6 +201,12 @@ ProcessPoolExecutor = None
 # A pool worker's run, ``_run_block`` with all but the block index bound, set
 # once per worker by its initializer; the parent process never sets it.
 _pool_run = None
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _keep_pool_run(run):
@@ -234,7 +243,8 @@ def outage_monte_carlo(
     blocks = range(-(-n_total // BLOCK_SIZE))
     table = _joint_table(budget) if model == "joint" else None
     run = functools.partial(_run_block, budget, seed, model, n_total, table)
-    workers = min(workers, len(blocks))  # a worker without a block would only start up
+    # a worker without a block would only start up, one without a core only wait
+    workers = min(workers, len(blocks), _usable_cores())
     if workers <= 1:
         counts = sum(map(run, blocks))
     else:

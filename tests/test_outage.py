@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from owcrelay import outage
-from owcrelay.geometry import FloorCells, regions_contain
+from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, evaluate_sinr
 from owcrelay.mobility import region_probabilities, sample_human_positions
 from owcrelay.outage import (
@@ -268,8 +268,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("model", ["joint", "independent"])
     def test_pool_tasks_are_block_indices(self, budget, model, monkeypatch):
         # a pool worker gets the whole run once, through its initializer, so
-        # a task carries nothing but block indices
+        # a task carries nothing but block indices; two cores are claimed so
+        # that a one-core machine still runs a two-worker pool
         tasks = []
+        monkeypatch.setattr(outage, "_usable_cores", lambda: 2)
 
         class RecordingPool(ProcessPoolExecutor):
             def submit(self, fn, /, *args, **kwargs):
@@ -297,9 +299,10 @@ class TestDeterminism:
     def test_pool_has_at_most_one_worker_per_block(
         self, single_link_budget, monkeypatch, n_samples, pool
     ):
-        # however many workers are asked for, the pool gets one per block,
-        # and a one-block run none; the fake pool records its size and runs
-        # the blocks here, so no process starts
+        # however many workers are asked for, the pool gets at most one per
+        # block and one per usable core, and a one-block or one-core run
+        # none; the fake pool records its size and runs the blocks here, so
+        # no process starts
         sizes = []
 
         class FakePool:
@@ -320,9 +323,15 @@ class TestDeterminism:
         monkeypatch.setattr(outage, "_pool_run", None)
         kw = dict(budget=single_link_budget, n_samples=n_samples, master_seed=5,
                   blockage_model="joint")
-        many = outage_monte_carlo(workers=5000, **kw)
-        assert sizes == pool
-        assert many.rows == outage_monte_carlo(workers=1, **kw).rows
+        one = outage_monte_carlo(workers=1, **kw)
+        assert outage._usable_cores() >= 1
+        # min(workers, blocks, cores): 7 blocks on 3 cores take 3 workers
+        for cores, want in ((64, pool), (3, [3] if pool else []), (1, [])):
+            monkeypatch.setattr(outage, "_usable_cores", lambda: cores)
+            sizes.clear()
+            many = outage_monte_carlo(workers=5000, **kw)
+            assert sizes == want
+            assert many.rows == one.rows
 
     def test_sample_count_not_block_aligned(self, single_link_budget):
         # totals that end mid-block still reproduce across worker counts
@@ -542,7 +551,7 @@ class TestJointTable:
     # boundary comes near the cell; that must change no membership and no count
 
     def test_cells_agree_with_exact_membership(self, joint_budget):
-        cells, _ = outage._joint_table(joint_budget)
+        cells, _, _ = outage._joint_table(joint_budget)
         room = joint_budget.scenario.room
         pts = _adversarial_points(cells, joint_budget.regions, room.width_m, room.length_m)
         x, y = pts[:, 0], pts[:, 1]
@@ -559,7 +568,7 @@ class TestJointTable:
     def test_classification_equals_the_full_floor_loop(self, joint_budget):
         # each region is classified only near its bounding box; every cell
         # must come out as a test of every cell against every region says
-        cells, _ = outage._joint_table(joint_budget)
+        cells, _, _ = outage._joint_table(joint_budget)
         room = joint_budget.scenario.room
         inside, undecided, decided = classify_full_floor(
             joint_budget.regions, room.width_m, room.length_m, cells.size
@@ -574,25 +583,28 @@ class TestJointTable:
         assert np.array_equal(cells.decided, decided)
 
     def test_outage_rows_are_the_cells_own_states(self, joint_budget):
-        cells, rows = outage._joint_table(joint_budget)
+        cells, state, rows = outage._joint_table(joint_budget)
         decided = np.flatnonzero(cells.decided)
         states = cells.inside[decided]
         users = len(joint_budget.user_terms)
         want = outage._outage(joint_budget, ~states.T.copy()).reshape(2 * users, -1).T
         assert rows.shape[1] == 2 * users
-        assert np.array_equal(rows[cells.state[decided]], want)
-        assert np.array_equal(cells.states[cells.state[decided]], states)
+        assert np.array_equal(rows[state[decided]], want)
+        # each number stands for one link state: the row of any of its cells
+        numbered = np.zeros((len(rows) - 1, states.shape[1]), dtype=bool)
+        numbered[state[decided]] = states
+        assert np.array_equal(numbered[state[decided]], states)
         # undecided cells read the last row, which counts nothing
-        assert len(rows) - 1 == len(cells.states)
-        assert (cells.state[~cells.decided] == len(cells.states)).all()
+        assert state.shape == (cells.count,)
+        assert (state[~cells.decided] == len(rows) - 1).all()
         assert not rows[-1].any()
         # one row per distinct link state of the decided cells
         _, link_state = np.unique(states, axis=0, return_inverse=True)
-        pairs = np.unique(np.stack([cells.state[decided], link_state.ravel()]), axis=1)
+        pairs = np.unique(np.stack([state[decided], link_state.ravel()]), axis=1)
         assert pairs.shape[1] == len(rows) - 1 == link_state.max() + 1
 
     def test_cell_size_follows_the_walker_radius(self, joint_budget):
-        cells, _ = outage._joint_table(joint_budget)
+        cells, _, _ = outage._joint_table(joint_budget)
         radius = joint_budget.scenario.human.radius_m
         assert cells.size >= radius / 6
         assert cells.count <= 2**16 + cells.nx + cells.ny + 1
@@ -601,10 +613,10 @@ class TestJointTable:
 
     def test_default_room_table_is_the_readmes(self, budget):
         # the README quotes these figures for the default room
-        cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
+        cells, state, rows = outage._joint_table(budget)
         assert (cells.nx, cells.ny) == (80, 160)
         assert np.count_nonzero(cells.decided) == 10_826
-        assert cells.states.shape == (59, len(budget.regions))
+        assert len(rows) - 1 == len(np.unique(state[cells.decided])) == 59
 
     @pytest.mark.parametrize("n_total, block", [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2)])
     def test_block_counts_equal_exact_membership(self, joint_budget, n_total, block):
@@ -687,20 +699,27 @@ class TestIndependentBlock:
 
     def test_budget_without_links(self, default_sc):
         # a serving map that serves no one leaves no link, so every sample
-        # is the one empty state, in which every user is in outage
+        # is the one empty state, in which every user is in outage, under
+        # both Monte Carlo models and exact enumeration alike
         b = build_link_budget(dataclasses.replace(default_sc, associations={"ap1": ()}))
         assert b.link_count == 0
-        report = outage_monte_carlo(b, 4096, 1, blockage_model="independent")
-        assert all(row.p_out == 1.0 for row in report.rows)
+        for report in (outage_monte_carlo(b, 4096, 1, blockage_model="independent"),
+                       outage_monte_carlo(b, 4096, 1, blockage_model="joint"),
+                       outage_independent_approx(b)):
+            assert len(report.rows) == 2 * len(b.user_terms)
+            assert all(row.p_out == 1.0 for row in report.rows)
 
 
-def _assert_counts_are_multiplicities(rows, states, counts):
+def _assert_counts_are_multiplicities(rows, states, counts, order):
     # every row is some listed state, and the counts listed for a state sum
     # to the times it occurs, even where one state is listed more than once
     want, times = np.unique(rows, axis=0, return_counts=True)
     listed = np.all(states[:, None, :] == want[None, :, :], axis=2)
     assert (listed.sum(axis=1) == 1).all()
     assert (counts > 0).all() and np.array_equal(counts @ listed, times)
+    # the order runs through the listed states, each ``counts`` times
+    assert np.array_equal(np.sort(order), np.arange(len(rows)))
+    assert np.array_equal(rows[order], np.repeat(states, counts, axis=0))
 
 
 class TestDistinctRows:
@@ -710,12 +729,15 @@ class TestDistinctRows:
         # few columns take every pattern many times, many columns mostly once
         rows = rng.random((3000, columns)) < rng.random(columns) ** 3
         rows[:500] = rows[500:1000]
-        states, counts = outage._distinct_rows(rows)
+        states, counts, order = outage._distinct_rows(rows)
         assert states.dtype == bool and states.shape[1] == columns
-        _assert_counts_are_multiplicities(rows, states, counts)
+        _assert_counts_are_multiplicities(rows, states, counts, order)
         # up to 64 columns a key is the row itself: each state is listed once
         if columns <= 64:
             assert len(states) == len(np.unique(rows, axis=0))
+        # no rows, no states
+        states, counts, order = outage._distinct_rows(rows[:0])
+        assert states.shape == (0, columns) and counts.size == order.size == 0
 
     def test_rows_that_share_a_key(self):
         # two 64-bit words a and b fold into the key a * M ^ b, so the rows
@@ -727,8 +749,8 @@ class TestDistinctRows:
         rng = np.random.default_rng(7)
         rows = np.concatenate([pair[rng.integers(0, 2, 200)], rng.random((50, 128)) < 0.5])
         rows = rows[rng.permutation(len(rows))]
-        states, counts = outage._distinct_rows(rows)
-        _assert_counts_are_multiplicities(rows, states, counts)
+        states, counts, order = outage._distinct_rows(rows)
+        _assert_counts_are_multiplicities(rows, states, counts, order)
 
 
 class TestValidation:
