@@ -67,9 +67,16 @@ __all__ = [
 
 SPEED_OF_LIGHT = 2.99792458e8
 
+_MAX_CELLS = 2**22  # most tiles along a face axis or in a grid, or delay bins of a response
+
 
 class UnservableLinkError(ValueError):
     """A steering target lies outside the transmitter's steering cone."""
+
+
+def _check_size(count, what: str) -> None:
+    if not count <= _MAX_CELLS:
+        raise ValueError(f"{count:.4g} {what}, more than {_MAX_CELLS}")
 
 
 @functools.lru_cache
@@ -189,6 +196,7 @@ def _axis_cells(extent: float, resolution: float):
     Full-width cells of the requested resolution, plus one narrower edge
     cell when the extent does not divide evenly; total width is exact.
     """
+    _check_size(extent / resolution, f"tiles of {resolution:g} m along a face axis")
     n_full = int(extent / resolution + 1e-9)
     rem = extent - n_full * resolution
     centers = (np.arange(n_full) + 0.5) * resolution
@@ -219,10 +227,11 @@ def discretize_surfaces(room: RoomConfig, resolution: float) -> SurfaceGrid:
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
+    faces = _face_layout(room)
+    axes = [(_axis_cells(f[2], resolution), _axis_cells(f[4], resolution)) for f in faces]
+    _check_size(sum(u[0].size * v[0].size for u, v in axes), f"tiles of {resolution:g} m in a grid")
     centers, normals, areas, rhos = [], [], [], []
-    for origin, u, ue, v, ve, normal, rho in _face_layout(room):
-        cu, wu = _axis_cells(ue, resolution)
-        cv, wv = _axis_cells(ve, resolution)
+    for (origin, u, ue, v, ve, normal, rho), ((cu, wu), (cv, wv)) in zip(faces, axes):
         uu, vv = np.meshgrid(cu, cv, indexing="ij")
         ww = np.outer(wu, wv)
         pts = origin[:, None] + u[:, None] * uu.reshape(-1) + v[:, None] * vv.reshape(-1)
@@ -428,6 +437,7 @@ def impulse_response(
     gains = np.zeros(0)
     if path_gains:
         delays = np.hstack(path_lengths) / SPEED_OF_LIGHT
+        _check_size(delays.max(initial=0) / bin_duration + 1, f"bins of {channel.bin_ns:g} ns")
         bins = np.rint(delays / bin_duration).astype(int)
         # an empty bincount comes back as integers
         gains = np.bincount(bins, weights=np.hstack(path_gains)).astype(float, copy=False)

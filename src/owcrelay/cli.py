@@ -22,7 +22,6 @@ from owcrelay.links import build_link_budget, link_cir
 from owcrelay.mobility import QuadratureError, pdf_xy, peak_density, sample_human_positions
 from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
 from owcrelay.scenario import (
-    ScenarioError,
     default_scenario,
     load_scenario,
     result_lines,
@@ -229,13 +228,9 @@ def main(argv=None) -> int:
         # flush at shutdown goes to devnull, so it cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ScenarioError, ValueError, KeyError, OSError, QuadratureError) as exc:
+    except (ValueError, KeyError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main_entry() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

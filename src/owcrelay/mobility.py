@@ -47,7 +47,7 @@ __all__ = [
     "pdf_xy",
     "cell_mass",
     "peak_density",
-    "region_probabilities",
+    "integrate_region",
     "sample_human_positions",
 ]
 
@@ -90,13 +90,6 @@ def peak_density(room: RoomConfig) -> float:
     """The density at the floor's centre, where both parabolas peak:
     (3/2L)^2 scaled by 1/L."""
     return 2.25 / (room.width_m * room.length_m)
-
-
-def region_probabilities(regions, room: RoomConfig, rel_tol: float = 1e-4) -> np.ndarray:
-    """Probability mass of each stadium region under the stationary density,
-    integrated over the part of the region on the floor; all regions in one
-    quadrature pass."""
-    return integrate_region(regions, room, rel_tol=rel_tol)
 
 
 def sample_human_positions(room: RoomConfig, n: int, rng) -> np.ndarray:
@@ -150,7 +143,7 @@ _MAX_LEVELS = 48
 # whose peak RSS of a bare ``owcrelay simulate --method exact`` run on the
 # 93-link dense room (perfbench seed 3) stays within 2% of 3,072 cells'.
 # Medians of 15 alternating runs on a 2-core Xeon, Python 3.11, numpy 2.4:
-# CPU ms of region_probabilities on that room and on the default one, its
+# CPU ms of integrate_region on that room and on the default one, its
 # tracemalloc peak on that room, and the CLI run's peak RSS:
 #
 #     cells    dense ms  default ms  tracemalloc MB  CLI peak MiB
@@ -294,9 +287,9 @@ def _classify(b: _Batch, x, y, n, halfdiag):
 
 
 def integrate_region(regions, room: RoomConfig, rel_tol: float = 1e-4) -> np.ndarray:
-    """Probability mass of each stadium region of ``regions`` on the floor of
-    ``room``; one value per region, 0 for an empty region or one off the
-    floor.
+    """Probability mass of each stadium region of ``regions`` under the
+    walker's stationary density on the floor of ``room``, all regions in one
+    pass; one value per region, 0 for an empty region or one off the floor.
 
     Inside cells take :func:`cell_mass`, boundary cells their cut fraction
     times the density at their centre, which never leaves the floor.  A

@@ -29,9 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from owcrelay import mobility
 from owcrelay.geometry import FloorCells
 from owcrelay.links import LinkBudget, evaluate_sinr
-from owcrelay.mobility import region_probabilities, sample_human_positions
+from owcrelay.mobility import sample_human_positions
 
 __all__ = [
     "BLOCK_SIZE",
@@ -110,9 +111,10 @@ def _report(budget, p_out, method, model, n_samples=0, seed=0) -> OutageReport:
 def ensure_marginals(budget: LinkBudget) -> np.ndarray:
     """Per-link blocking probabilities under the stationary mobility law,
     computed once per budget at the default relative tolerance (1e-4) of
-    :func:`~owcrelay.mobility.region_probabilities` and cached on it."""
+    :func:`~owcrelay.mobility.integrate_region` and cached on it.  The
+    integral is read off its module, so a wrapper set there sees the call."""
     if budget.marginals is None:
-        budget.marginals = region_probabilities(budget.regions, budget.scenario.room)
+        budget.marginals = mobility.integrate_region(budget.regions, budget.scenario.room)
     return budget.marginals
 
 

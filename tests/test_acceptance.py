@@ -15,7 +15,7 @@ import pytest
 from owcrelay.channel import impulse_response
 from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.links import build_link_budget, evaluate_sinr
-from owcrelay.mobility import pdf_xy, region_probabilities, sample_human_positions
+from owcrelay.mobility import integrate_region, pdf_xy, sample_human_positions
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
 from owcrelay.scenario import ApConfig, ChannelConfig, HumanConfig, RoomConfig, UserConfig
 
@@ -33,7 +33,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_density_normalization():
     whole_floor = StadiumRegion(spine_p0=(-10.0, 4.0), spine_p1=(14.0, 4.0), radius=20.0)
-    total = region_probabilities([whole_floor], FLOOR, rel_tol=1e-6)[0]
+    total = integrate_region([whole_floor], FLOOR, rel_tol=1e-6)[0]
     center = float(pdf_xy(FLOOR, 2.0, 4.0))
     ok = abs(total - 1.0) <= 1e-9 and abs(center - 0.0703125) <= 1e-12
     _report(1, ok, f"floor integral {total:.12f}, center density {center:.10f}")
@@ -72,7 +72,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
             regions.append(region)
             labels.append(link.link_id)
 
-    probs = region_probabilities(regions, FLOOR, rel_tol=1e-4)
+    probs = integrate_region(regions, FLOOR, rel_tol=1e-4)
     pts = sample_human_positions(FLOOR, 1_000_000, np.random.default_rng(123))
     worst = 0.0
     ok = True
@@ -93,7 +93,7 @@ def test_criterion_3_blockage_quadrature_vs_mc(default_sc, budget):
 
 
 def test_criterion_4_single_link_equivalence(single_link_budget):
-    p_quad = region_probabilities(single_link_budget.regions, FLOOR, rel_tol=1e-6)[0]
+    p_quad = integrate_region(single_link_budget.regions, FLOOR, rel_tol=1e-6)[0]
     report = outage_monte_carlo(
         budget=single_link_budget, n_samples=1_000_000, master_seed=17,
         blockage_model="joint",

@@ -253,6 +253,17 @@ class TestDiscretization:
         assert fine.areas.size == 24
         assert total_area(fine) == pytest.approx(6.0, rel=1e-12)
 
+    def test_grid_above_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # the default grid has 3,400 tiles, at most 160 along a face axis
+        monkeypatch.setattr(channel, "_MAX_CELLS", 3_399)
+        with pytest.raises(ValueError, match=r"^3400 tiles of 0.2 m in a grid, more than 3399$"):
+            discretize_surfaces(ROOM, 0.20)
+        monkeypatch.setattr(channel, "_MAX_CELLS", 159)
+        with pytest.raises(ValueError, match=r"^160 tiles of 0.05 m along a face axis, more "):
+            discretize_surfaces(ROOM, 0.05)
+        monkeypatch.setattr(channel, "_MAX_CELLS", 3_400)
+        assert discretize_surfaces(ROOM, 0.20).areas.size == 3_400
+
     def test_bad_resolution_rejected(self):
         with pytest.raises(ValueError):
             discretize_surfaces(ROOM, -0.05)

@@ -351,6 +351,25 @@ class TestErrors:
         assert res.stdout == ""
         assert res.stderr == "error: room.width_m: must be positive\n"
 
+    @pytest.mark.parametrize(
+        "key, size",
+        [
+            ("first_bounce_res_m", "8e+15 tiles of 1e-15 m along a face axis"),
+            ("second_bounce_res_m", "4e+15 tiles of 1e-15 m along a face axis"),
+            ("bin_ns", "6.044e+16 bins of 1e-15 ns"),
+        ],
+    )
+    def test_channel_size_too_large_to_allocate(self, tmp_path, capsys, key, size):
+        # each size would ask numpy for petabytes; it fails with one line
+        # naming the size before any array is built
+        path = tmp_path / "fine.yaml"
+        path.write_text(f"channel: {{{key}: 1.0e-15}}\n")
+        for argv in (["channel"], ["simulate", "--samples", "4096"]):
+            assert cli.main([*argv, "--scenario", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {size}, more than 4194304\n"
+
     def test_closed_stdout_is_not_an_error(self):
         # a reader that stops after one line, as ``| head -n 1`` does: the
         # 40,000 density rows overflow the pipe, so the writer meets the

@@ -9,7 +9,7 @@ from owcrelay.geometry import (
     blocked_region,
     regions_contain,
 )
-from owcrelay.mobility import region_probabilities, sample_human_positions
+from owcrelay.mobility import integrate_region, sample_human_positions
 from owcrelay.scenario import HumanConfig, RoomConfig, ScenarioError
 
 from reference import region_area, segment_meets_cylinder
@@ -145,7 +145,7 @@ class TestBlockedRegion:
         # the walker never stands off the floor, so sampling agrees with the
         # quadrature over the floor part
         room = RoomConfig(width_m=4.0, length_m=8.0)
-        p = region_probabilities([region], room)[0]
+        p = integrate_region([region], room)[0]
         n = 200_000
         pts = sample_human_positions(room, n, np.random.default_rng(6))
         hat = float(np.mean(region.contains(pts)))

@@ -13,9 +13,9 @@ from owcrelay.links import build_link_budget
 from owcrelay.mobility import (
     QuadratureError,
     cell_mass,
+    integrate_region,
     pdf_xy,
     peak_density,
-    region_probabilities,
     sample_human_positions,
 )
 from owcrelay.outage import ensure_marginals
@@ -28,7 +28,7 @@ CYL = HumanConfig()
 
 
 def link_probability(a, b) -> float:
-    return region_probabilities([blocked_region(a, b, CYL)], ROOM)[0]
+    return integrate_region([blocked_region(a, b, CYL)], ROOM)[0]
 
 
 def gauss_integral(room, n=24, weight=lambda x, y: 1.0):
@@ -107,7 +107,7 @@ class TestRegionProbability:
 
     def test_entire_floor_is_one(self):
         region = StadiumRegion((-10.0, 4.0), (14.0, 4.0), 20.0)
-        assert region_probabilities([region], ROOM)[0] == pytest.approx(1.0, abs=1e-9)
+        assert integrate_region([region], ROOM)[0] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "a, b", [((1, 1, 3), (1, 1, 1)), ((1, 1, 3), (2, 4, 1))]
@@ -177,7 +177,7 @@ class TestOnePass:
     def test_regions_past_the_walls(self, rel_tol):
         # at a loose tolerance the estimates settle before the cells are
         # within a quarter of the radius, so the cut-scale rule decides
-        probs = region_probabilities(EDGE_REGIONS, ROOM, rel_tol=rel_tol)
+        probs = integrate_region(EDGE_REGIONS, ROOM, rel_tol=rel_tol)
         assert_matches_one_by_one(probs, EDGE_REGIONS, ROOM, rel_tol=rel_tol)
         assert probs[4:7].tolist() == [0.0, 0.0, 0.0]
         assert 0.0 < probs[0] < probs[1]
@@ -196,7 +196,7 @@ class TestOnePass:
 
         monkeypatch.setattr(mobility, "_refine", counted)
         monkeypatch.setattr(mobility, "SLICE_CELLS", 64)
-        probs = region_probabilities(budget.regions, budget.scenario.room)
+        probs = integrate_region(budget.regions, budget.scenario.room)
         assert max(parts) > 1
         assert_matches_one_by_one(probs, budget.regions, budget.scenario.room)
 
@@ -204,7 +204,7 @@ class TestOnePass:
         # one parent cell a slice, and every batch split down to one region
         monkeypatch.setattr(mobility, "SLICE_CELLS", 7)
         regions = [EDGE_REGIONS[j] for j in (0, 3, 4, 5, 6)]
-        assert_matches_one_by_one(region_probabilities(regions, ROOM), regions, ROOM)
+        assert_matches_one_by_one(integrate_region(regions, ROOM), regions, ROOM)
 
     def test_slices_bound_the_memory(self):
         # a level is evaluated SLICE_CELLS cells at a time: the dense tile's
@@ -212,7 +212,7 @@ class TestOnePass:
         budget = build_link_budget(_room("dense-tile"))
         tracemalloc.start()
         try:
-            region_probabilities(budget.regions, budget.scenario.room)
+            integrate_region(budget.regions, budget.scenario.room)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,16 +1,18 @@
 import dataclasses
+import functools
 import hashlib
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from owcrelay import outage
+from owcrelay import mobility, outage
 from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, evaluate_sinr
-from owcrelay.mobility import region_probabilities, sample_human_positions
+from owcrelay.mobility import integrate_region, sample_human_positions
 from owcrelay.outage import (
     BLOCK_SIZE,
     MAX_LINKS,
@@ -62,7 +64,7 @@ class TestSingleLink:
     def test_exact_matches_quadrature(self, single_link_budget):
         report = outage_independent_approx(budget=single_link_budget)
         room = single_link_budget.scenario.room
-        p_region = region_probabilities(single_link_budget.regions, room)[0]
+        p_region = integrate_region(single_link_budget.regions, room)[0]
         row = report.by_user("u1", "direct")
         assert row.p_out == pytest.approx(p_region, rel=1e-12)
         # no relays: the combined link is the direct link
@@ -75,7 +77,7 @@ class TestSingleLink:
             blockage_model="joint",
         )
         room = single_link_budget.scenario.room
-        p_region = region_probabilities(single_link_budget.regions, room)[0]
+        p_region = integrate_region(single_link_budget.regions, room)[0]
         row = report.by_user("u1", "direct")
         assert abs(row.p_out - p_region) <= 3.0 * row.stderr
         assert report.blockage_model == "joint"
@@ -87,7 +89,7 @@ class TestSingleLink:
             blockage_model="independent",
         )
         room = single_link_budget.scenario.room
-        p_region = region_probabilities(single_link_budget.regions, room)[0]
+        p_region = integrate_region(single_link_budget.regions, room)[0]
         row = report.by_user("u1", "direct")
         assert abs(row.p_out - p_region) <= 3.0 * row.stderr
 
@@ -141,6 +143,22 @@ class TestZeroHumans:
     def test_marginals_cached(self, single_link_budget):
         first = ensure_marginals(single_link_budget)
         assert ensure_marginals(single_link_budget) is first
+
+    def test_marginals_reach_the_integral_through_its_module(self, monkeypatch):
+        # a wrapper set on owcrelay.mobility.integrate_region, as a tracer
+        # sets one, sees the one integral a budget's marginals take
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate_region(*args, **kwargs)
+
+        monkeypatch.setattr(mobility, "integrate_region", counting)
+        budget = build_link_budget(make_single_link_scenario())
+        first = ensure_marginals(budget)
+        assert np.array_equal(ensure_marginals(budget), first)
+        assert len(calls) == 1
+        assert np.array_equal(first, integrate_region(budget.regions, budget.scenario.room))
 
 
 class TestUnreachedUser:
@@ -294,6 +312,22 @@ class TestDeterminism:
                 assert len(args) == 1 and type(args[0]) is int
                 blocks.append(args[0])
         assert sorted(blocks) == [0, 1, 2]
+
+    @pytest.mark.parametrize("model", ["joint", "independent"])
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_start_method(self, budget, model, method, monkeypatch):
+        # a worker that does not fork from the run's process gets the run by
+        # pickling its initializer's arguments; forkserver is Linux's default
+        # from Python 3.14
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        context = multiprocessing.get_context(method)
+        pool = functools.partial(ProcessPoolExecutor, mp_context=context)
+        monkeypatch.setattr(outage, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(outage, "_usable_cores", lambda: 2)
+        kw = dict(budget=budget, n_samples=3 * BLOCK_SIZE + 7, master_seed=31,
+                  blockage_model=model)
+        assert outage_monte_carlo(workers=2, **kw).rows == outage_monte_carlo(workers=1, **kw).rows
 
     @pytest.mark.parametrize("n_samples, pool", [(100_000, [7]), (BLOCK_SIZE, [])])
     def test_pool_has_at_most_one_worker_per_block(
