@@ -437,7 +437,9 @@ def impulse_response(
     gains = np.zeros(0)
     if path_gains:
         delays = np.hstack(path_lengths) / SPEED_OF_LIGHT
-        _check_size(delays.max(initial=0) / bin_duration + 1, f"bins of {channel.bin_ns:g} ns")
+        # counted in nanoseconds: a width of a few 1e-315 ns underflows to 0 s
+        delay_ns = float(delays.max(initial=0)) * 1e9
+        _check_size(delay_ns / channel.bin_ns + 1, f"bins of {channel.bin_ns:g} ns")
         bins = np.rint(delays / bin_duration).astype(int)
         # an empty bincount comes back as integers
         gains = np.bincount(bins, weights=np.hstack(path_gains)).astype(float, copy=False)

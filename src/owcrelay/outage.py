@@ -8,11 +8,16 @@ the joint model :class:`~owcrelay.geometry.FloorCells` finds the floor
 cells that no region boundary crosses, and a run decides, once, the outage
 of each distinct link state of those cells; a sample there is counted by
 its cell's state, and only the other samples are tested exactly and go
-through the SINR.  Under the independent model a block evaluates each
-distinct link state of its draws once, counting it as often as it was
-drawn: the default room's 16,384-sample block holds about 960.  Both number
-link states by :func:`_distinct_rows`.  A process pool, of at most one
-worker per block and per usable core, gives each worker one run of blocks.
+through the SINR.  Under the independent model a block draws its uniforms
+in row slices of about 1 MB, and compares and packs each slice into 64-bit
+words while it is still in cache.  It then evaluates each distinct link
+state of its draws once, counting it as often as it was drawn: the default
+room's 16,384-sample block holds about 960.  A row of at most 64 links is
+its own 64-bit key, so :func:`_distinct_rows` counts such states by sorting
+the keys alone; wider rows, and the joint model's numbering of its cells,
+go through an argsort of folded keys, :func:`_sorted_runs`.  A process
+pool, of at most one worker per block and per usable core, gives each
+worker one run of blocks.
 The enumeration engine works under the independent-link model, weighting by
 the link marginals that :mod:`owcrelay.mobility` integrates: a user's
 direct SINR and relayed SINR hang off disjoint links, so it walks the
@@ -127,49 +132,87 @@ def _outage(budget: LinkBudget, clear) -> np.ndarray:
 
 def _joint_table(budget: LinkBudget) -> tuple[FloorCells, np.ndarray, np.ndarray]:
     """The floor cells of a joint run over the budget's room, each cell's
-    link state, numbered by :func:`_distinct_rows`, and the outage of each
+    link state, numbered by :func:`_sorted_runs`, and the outage of each
     state: boolean (states + 1, users * 2), the direct and coop outage of
     every user, and a last row of zeros, the undecided cells' state."""
     cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
     decided = np.flatnonzero(cells.decided)
-    states, counts, order = _distinct_rows(cells.inside[decided])
+    words = _zero_words(len(decided), budget.link_count)
+    _pack_rows(cells.inside[decided], words)
+    order, start = _sorted_runs(words)
+    states = cells.inside[decided[order[start]]]
     state = np.full(cells.count, len(states), dtype=np.int32)
-    state[decided[order]] = np.repeat(np.arange(len(states), dtype=np.int32), counts)
+    state[decided[order]] = np.repeat(
+        np.arange(len(states), dtype=np.int32), np.diff(start, append=len(order))
+    )
     outage = np.zeros((len(states) + 1, 2 * len(budget.user_terms)), dtype=bool)
     outage[:-1] = _outage(budget, ~np.ascontiguousarray(states.T)).reshape(outage.shape[1], -1).T
     return cells, state, outage
 
 
-# An odd 64-bit multiplier: each further word of a packed link row is folded
-# into the row's sort key as ``key * _KEY_MULTIPLIER ^ word``.
+# Boolean link rows are packed by ``np.packbits`` into whole 64-bit words,
+# at least one a row, zero-padded.  An odd 64-bit multiplier: each further
+# word of a wider row is folded into the row's sort key as
+# ``key * _KEY_MULTIPLIER ^ word``.
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of the boolean matrix ``rows``, how many times
-    each occurs, and the order that groups them: ``rows[order]`` runs
-    through the distinct rows in turn, each as many times as it occurs.
+def _zero_words(n: int, columns: int) -> np.ndarray:
+    return np.zeros((n, max(1, -(-columns // 64))), dtype=np.uint64)
 
-    Each row is packed into whole 64-bit words, at least one, and folded
-    into one key; a row of at most 64 columns is its own key.  Equal rows
-    share a key, so they sort next to each other, and a run ends wherever
-    the packed words change.  Two different rows that share a key can split
-    a run, which lists their state twice but never counts a row under
-    another state.
-    """
+
+def _pack_rows(rows: np.ndarray, words: np.ndarray) -> None:
+    """Pack the boolean ``rows`` into ``words`` from :func:`_zero_words`."""
     packed = np.packbits(rows, axis=1)
-    padded = np.zeros((len(rows), max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    words = padded.view(np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+
+
+def _sorted_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that groups the packed rows ``words`` into runs of equal
+    rows, and where each run starts in ``words[order]``.
+
+    Each row's words fold into one key; a row of one word is its own key.
+    Equal rows share a key, so they sort next to each other, and a run ends
+    wherever the words change.  Two different rows that share a key can
+    split a run, which lists their state twice but never counts a row
+    under another state.  A run starts at the first row, if any.
+    """
     key = words[:, 0].copy()
     for word in words.T[1:]:
         key *= _KEY_MULTIPLIER
         key ^= word
     order = np.argsort(key)
-    words = words[order]
-    # a run starts at the first row, if any, and wherever the words change
-    start = np.flatnonzero(np.r_[True, (words[1:] != words[:-1]).any(axis=1)])[: len(rows)]
-    return rows[order[start]], np.diff(start, append=len(rows)), order
+    change = np.zeros(max(0, len(order) - 1), dtype=bool)
+    for word in words.T:
+        word = word[order]
+        change |= word[1:] != word[:-1]
+    start = np.flatnonzero(np.r_[True, change])[: len(order)]
+    return order, start
+
+
+def _distinct_rows(words: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, of ``columns`` booleans, among the rows packed in
+    ``words``, and how many times each occurs.
+
+    A row of at most 64 columns is one word, and the words themselves are
+    sorted, with no order kept, so each row is listed once.  Wider rows go
+    through :func:`_sorted_runs`, which may list one row twice, each time
+    with some of its count.
+    """
+    if words.shape[1] == 1:
+        distinct, counts = np.unique(words, return_counts=True)
+        distinct = distinct[:, None]
+    else:
+        order, start = _sorted_runs(words)
+        distinct, counts = words[order[start]], np.diff(start, append=len(order))
+    return np.unpackbits(distinct.view(np.uint8), axis=1, count=columns).view(bool), counts
+
+
+# An independent block draws its uniforms in row slices of about this many
+# bytes, each compared and packed while it is still in cache.  Numpy fills
+# an array from the stream in row-major order, so the slices hold the draws
+# of one (n, links) array, whatever their size.
+_DRAW_SLICE_BYTES = 1 << 20
 
 
 def _run_block(budget, master_seed, model, n_total, table, block_index):
@@ -177,7 +220,8 @@ def _run_block(budget, master_seed, model, n_total, table, block_index):
     block ``block_index`` of a ``n_total``-sample run; ``table`` is the
     joint run's ``(cells, state, outage)`` from :func:`_joint_table`.  A
     joint sample in a decided cell counts by its cell's state; the others
-    are tested exactly.  An independent block counts by distinct states."""
+    are tested exactly.  An independent block draws, compares and packs its
+    link states a slice of rows at a time, and counts by distinct states."""
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     if model == "joint":
@@ -190,8 +234,17 @@ def _run_block(budget, master_seed, model, n_total, table, block_index):
         near = np.flatnonzero(state == len(outage) - 1)
         clear = ~cells.contain(x[near], y[near], cell[near])
         return counts.reshape(-1, 2) + _outage(budget, clear).sum(axis=2)
-    u = rng.random((n, budget.link_count))
-    states, counts, _ = _distinct_rows(u >= budget.marginals)
+    links = budget.link_count
+    words = _zero_words(n, links)
+    # one reused slice of uniforms, at least one row even without links
+    u = np.empty((min(n, max(1, _DRAW_SLICE_BYTES // (8 * max(1, links)))), links))
+    clear = np.empty(u.shape, dtype=bool)
+    for lo in range(0, n, len(u)):
+        m = min(len(u), n - lo)
+        rng.random(out=u[:m])
+        np.greater_equal(u[:m], budget.marginals, out=clear[:m])
+        _pack_rows(clear[:m], words[lo : lo + m])
+    states, counts = _distinct_rows(words, links)
     return _outage(budget, np.ascontiguousarray(states.T)) @ counts
 
 

@@ -370,6 +370,17 @@ class TestErrors:
             assert out == ""
             assert err == f"error: {size}, more than 4194304\n"
 
+    def test_subnormal_bin_width_is_too_fine(self, tmp_path):
+        # 1e-320 ns is a positive width whose value in seconds underflows to
+        # 0: the bins are counted without dividing by it, and nothing is warned
+        path = tmp_path / "subnormal.yaml"
+        path.write_text("channel: {bin_ns: 1.0e-320}\n")
+        for argv in (["channel"], ["simulate", "--samples", "4096"]):
+            res = run_cli(*argv, "--scenario", str(path))
+            assert res.returncode == 1
+            assert res.stdout == ""
+            assert res.stderr == "error: inf bins of 9.99989e-321 ns, more than 4194304\n"
+
     def test_closed_stdout_is_not_an_error(self):
         # a reader that stops after one line, as ``| head -n 1`` does: the
         # 40,000 density rows overflow the pipe, so the writer meets the

@@ -264,6 +264,17 @@ class TestSampler:
             assert got.shape == want.shape == (n, 2)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("chunk", [1, 3, 8192, 65536])
+    def test_chunk_size_is_not_part_of_the_output(self, chunk, monkeypatch):
+        # _SAMPLE_CHUNK's own claim: the output depends only on the
+        # generator's stream; a chunk of one row is tried on small n only
+        sizes = (0, 1, 16_384, 20_000) if chunk > 1 else (0, 1, 40)
+        draw = lambda n: sample_human_positions(ROOM, n, np.random.default_rng([11, n]))
+        want = {n: draw(n).tobytes() for n in sizes}
+        monkeypatch.setattr(mobility, "_SAMPLE_CHUNK", chunk)
+        for n in sizes:
+            assert draw(n).tobytes() == want[n]
+
     def test_single_sample_helper(self):
         (x, y), = sample_human_positions(ROOM, 1, np.random.default_rng(3))
         assert 0 <= x <= 4 and 0 <= y <= 8

@@ -688,7 +688,7 @@ def _tile_row(copies, step_m=4.0):
     )
 
 
-@pytest.fixture(scope="module", params=["default", "dense-tile", "three-tiles"])
+@pytest.fixture(scope="module", params=["default", "dense-tile", "three-tiles", "no-links"])
 def independent_budget(request, budget):
     if request.param == "default":
         return budget
@@ -696,17 +696,35 @@ def independent_budget(request, budget):
         b = build_link_budget(_tile_row(3))
         assert b.link_count == 93  # more than one 64-bit word per packed row
         return b
+    if request.param == "no-links":
+        b = build_link_budget(dataclasses.replace(default_scenario(), associations={"ap1": ()}))
+        assert b.link_count == 0
+        return b
     return build_link_budget(_joint_room(request.param))
+
+
+# Block sizes given by their offset from the rows of one draw slice.
+_AROUND_SLICE = {"slice-1": -1, "slice": 0, "slice+1": 1}
 
 
 class TestIndependentBlock:
     # an independent block hands its boolean link states to the SINR as they
-    # are; the counts must be those of the same draws as a float 0/1 matrix
+    # are; the counts must be those of the same draws as a float 0/1 matrix,
+    # whatever the block's size is against the slices it draws in
 
-    @pytest.mark.parametrize("n_total, block", [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2)])
+    @pytest.mark.parametrize(
+        "n_total, block",
+        [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2), (1, 0),
+         ("slice-1", 0), ("slice", 0), ("slice+1", 0)],
+    )
     def test_block_counts_equal_float_link_states(self, independent_budget, n_total, block):
         b = independent_budget
         p = ensure_marginals(b)
+        if n_total in _AROUND_SLICE:
+            rows = outage._DRAW_SLICE_BYTES // (8 * max(1, b.link_count))
+            # a room with links fills a block with more than one slice
+            assert b.link_count == 0 or 1 < rows < BLOCK_SIZE / 2
+            n_total = rows + _AROUND_SLICE[n_total]
         got = outage._run_block(b, 5, "independent", n_total, None, block)
         n = min(BLOCK_SIZE, n_total - block * BLOCK_SIZE)
         u = np.random.default_rng([5, block]).random((n, b.link_count))
@@ -744,16 +762,28 @@ class TestIndependentBlock:
             assert all(row.p_out == 1.0 for row in report.rows)
 
 
-def _assert_counts_are_multiplicities(rows, states, counts, order):
+def _packed(rows):
+    words = outage._zero_words(len(rows), rows.shape[1])
+    outage._pack_rows(rows, words)
+    return words
+
+
+def _assert_counts_are_multiplicities(rows, states, counts):
     # every row is some listed state, and the counts listed for a state sum
     # to the times it occurs, even where one state is listed more than once
     want, times = np.unique(rows, axis=0, return_counts=True)
     listed = np.all(states[:, None, :] == want[None, :, :], axis=2)
     assert (listed.sum(axis=1) == 1).all()
     assert (counts > 0).all() and np.array_equal(counts @ listed, times)
-    # the order runs through the listed states, each ``counts`` times
+
+
+def _assert_runs_group_rows(rows, order, start):
+    # the order runs through the rows in runs of equal rows, one starting at
+    # each start, and the runs' first rows and lengths are their counts
     assert np.array_equal(np.sort(order), np.arange(len(rows)))
+    states, counts = rows[order[start]], np.diff(start, append=len(rows))
     assert np.array_equal(rows[order], np.repeat(states, counts, axis=0))
+    _assert_counts_are_multiplicities(rows, states, counts)
 
 
 class TestDistinctRows:
@@ -763,15 +793,19 @@ class TestDistinctRows:
         # few columns take every pattern many times, many columns mostly once
         rows = rng.random((3000, columns)) < rng.random(columns) ** 3
         rows[:500] = rows[500:1000]
-        states, counts, order = outage._distinct_rows(rows)
+        words = _packed(rows)
+        assert words.shape == (len(rows), max(1, -(-columns // 64)))
+        states, counts = outage._distinct_rows(words, columns)
         assert states.dtype == bool and states.shape[1] == columns
-        _assert_counts_are_multiplicities(rows, states, counts, order)
+        _assert_counts_are_multiplicities(rows, states, counts)
+        _assert_runs_group_rows(rows, *outage._sorted_runs(words))
         # up to 64 columns a key is the row itself: each state is listed once
         if columns <= 64:
             assert len(states) == len(np.unique(rows, axis=0))
         # no rows, no states
-        states, counts, order = outage._distinct_rows(rows[:0])
-        assert states.shape == (0, columns) and counts.size == order.size == 0
+        states, counts = outage._distinct_rows(words[:0], columns)
+        order, start = outage._sorted_runs(words[:0])
+        assert states.shape == (0, columns) and counts.size == order.size == start.size == 0
 
     def test_rows_that_share_a_key(self):
         # two 64-bit words a and b fold into the key a * M ^ b, so the rows
@@ -780,11 +814,13 @@ class TestDistinctRows:
         words = np.array([[0, 0], [1, m]], dtype=np.uint64)
         pair = np.unpackbits(words.view(np.uint8), axis=1).astype(bool)
         assert pair.shape == (2, 128) and not np.array_equal(pair[0], pair[1])
+        assert np.array_equal(_packed(pair), words)
         rng = np.random.default_rng(7)
         rows = np.concatenate([pair[rng.integers(0, 2, 200)], rng.random((50, 128)) < 0.5])
         rows = rows[rng.permutation(len(rows))]
-        states, counts, order = outage._distinct_rows(rows)
-        _assert_counts_are_multiplicities(rows, states, counts, order)
+        states, counts = outage._distinct_rows(_packed(rows), 128)
+        _assert_counts_are_multiplicities(rows, states, counts)
+        _assert_runs_group_rows(rows, *outage._sorted_runs(_packed(rows)))
 
 
 class TestValidation:
