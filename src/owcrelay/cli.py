@@ -19,7 +19,7 @@ import numpy as np
 from owcrelay.channel import cir_rows
 from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, link_cir
-from owcrelay.mobility import QuadratureError, pdf_xy, peak_density, sample_human_positions
+from owcrelay.mobility import pdf_xy, peak_density, sample_human_positions
 from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
 from owcrelay.scenario import (
     default_scenario,
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
         # flush at shutdown goes to devnull, so it cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, KeyError, OSError, QuadratureError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

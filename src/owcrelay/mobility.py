@@ -165,7 +165,7 @@ _CHILD_X = np.array([-1.0, 1.0, -1.0, 1.0])
 _CHILD_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ValueError):
     """Raised when refinement stalls; carries the best estimate so far."""
 
     def __init__(self, message: str, best_estimate: float):

@@ -5,12 +5,12 @@ A scenario document is a plain mapping with the same shape as
 rejects unknown keys by path, and coerces every value to its field's
 annotated type, so the dataclasses below are the only schema.  Numbers go
 through float so scientific-notation strings survive YAML's parsing quirks.
-Each field states its default and its range rule together, and one check
-runs them all whenever a section or entry is built: a library call names
-the field (``width_m: must be positive``), a document its path
-(``room.width_m: ...``).  A :class:`Scenario` checks the rules across them,
-so a config that exists is valid, whether a document or a library call
-built it.
+Each field states its default and its range rule together.  ``_section``
+declares every section and entry frozen, with one check that runs all its
+rules whenever it is built: a library call names the field (``width_m:
+must be positive``), a document its path (``room.width_m: ...``).  A
+:class:`Scenario` checks the rules across them, so a config that exists is
+valid, whether a document or a library call built it.
 """
 
 from __future__ import annotations
@@ -78,17 +78,22 @@ def _one_of(*options):
 
 
 def _check(config) -> None:
-    """The ``__post_init__`` of every section and entry: each field with a
-    rule must pass it.  A config does not know its place in a document, so
-    the message names the field alone; loading a document prefixes the path."""
+    """The ``__post_init__`` that :func:`_section` installs: each field must
+    pass its rule.  A config does not know its place in a document, so the
+    message names the field alone; loading a document prefixes the path."""
     for f in fields(config):
-        if "rule" in f.metadata:
-            test, text = f.metadata["rule"]
-            if not test(getattr(config, f.name)):
-                raise ScenarioError(f"{f.name}: {text}")
+        test, text = f.metadata["rule"]
+        if not test(getattr(config, f.name)):
+            raise ScenarioError(f"{f.name}: {text}")
 
 
-@dataclass(frozen=True)
+def _section(cls):
+    """Declare a section or entry: a frozen dataclass that checks its rules."""
+    setattr(cls, "__post_init__", _check)
+    return dataclass(frozen=True)(cls)
+
+
+@_section
 class RoomConfig:
     """Rectangular room, corner at the origin, z up."""
 
@@ -101,10 +106,8 @@ class RoomConfig:
     # cosine exponent of surface re-emission; 1 is ideal diffuse
     lambertian_mode: float = _rule(1.0, (lambda v: 1 <= v < math.inf, "must be at least 1"))
 
-    __post_init__ = _check
 
-
-@dataclass(frozen=True)
+@_section
 class ApConfig:
     id: str = _rule(MISSING, _ID)
     position_m: tuple[float, float, float] = _rule(MISSING, _POSITION)
@@ -112,10 +115,8 @@ class ApConfig:
     divergence_mrad: float = _rule(2.1, _DIVERGENCE)
     max_steering_deg: float = _rule(40.0, _ANGLE)
 
-    __post_init__ = _check
 
-
-@dataclass(frozen=True)
+@_section
 class RelayConfig:
     id: str = _rule(MISSING, _ID)
     position_m: tuple[float, float, float] = _rule(MISSING, _POSITION)
@@ -127,10 +128,8 @@ class RelayConfig:
     # boresight; None means "face away from the nearest wall"
     axis: tuple[float, float, float] | None = _rule(None, _AXIS)
 
-    __post_init__ = _check
 
-
-@dataclass(frozen=True)
+@_section
 class UserConfig:
     id: str = _rule(MISSING, _ID)
     position_m: tuple[float, float, float] = _rule(MISSING, _POSITION)
@@ -140,58 +139,46 @@ class UserConfig:
     elevation_deg: float = _rule(90.0, (lambda v: 0 <= v <= 90, "must lie in [0, 90]"))
     azimuth_deg: float = _rule(0.0, (math.isfinite, "must be finite"))
 
-    __post_init__ = _check
 
-
-@dataclass(frozen=True)
+@_section
 class HumanConfig:
     height_m: float = _rule(1.8, _POSITIVE)
     radius_m: float = _rule(0.3, _POSITIVE)
     # 0 disables blockage
     count: int = _rule(1, _integer(0, 1, "only 0 or 1 blocking humans are modelled"))
 
-    __post_init__ = _check
 
-
-@dataclass(frozen=True)
+@_section
 class NoiseConfig:
     bandwidth_ghz: float = _rule(10.0, _POSITIVE)
     noise_density_a2hz: float = _rule(1e-24, _NON_NEGATIVE)
     background_current_a: float = _rule(0.0, _NON_NEGATIVE)
 
-    __post_init__ = _check
 
-
-@dataclass(frozen=True)
+@_section
 class NomaConfig:
     power_ratio: float = _rule(4.0, (lambda v: 1 < v < math.inf, "must exceed 1"))
     threshold_db: float = _rule(15.6, _POSITIVE)
     combining: str = _rule("summed", _one_of("summed", "per_branch"))
-
-    __post_init__ = _check
 
 
 # Largest Monte Carlo sample count: 262,144 blocks of 16,384 samples.
 MAX_SAMPLES = 2**32
 
 
-@dataclass(frozen=True)
+@_section
 class SamplerConfig:
     samples: int = _rule(100000, _integer(1, MAX_SAMPLES, f"must lie in [1, {MAX_SAMPLES}]"))
     seed: int = _rule(1, _integer(0, math.inf, "must be a non-negative integer"))
     blockage_model: str = _rule("joint", _one_of("joint", "independent"))
 
-    __post_init__ = _check
 
-
-@dataclass(frozen=True)
+@_section
 class ChannelConfig:
     max_bounces: int = _rule(2, _integer(0, 2, "must be 0, 1 or 2"))
     first_bounce_res_m: float = _rule(0.05, _POSITIVE)
     second_bounce_res_m: float = _rule(0.20, _POSITIVE)
     bin_ns: float = _rule(0.01, _POSITIVE)
-
-    __post_init__ = _check
 
 
 @dataclass(frozen=True)

@@ -424,6 +424,21 @@ class TestErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv", [("blockage", "--mc", "10"), ("pdf", "--samples", "10")], ids=["blockage", "pdf"]
+    )
+    def test_allocation_failure_is_clean_error(self, argv, monkeypatch, capsys):
+        # whether a real huge count fails fast depends on the host's memory
+        # overcommit, so the failure is injected where the sample array is made
+        def too_large(room, n, rng):
+            raise MemoryError(f"Unable to allocate an array with shape (2, {n})")
+
+        monkeypatch.setattr(cli, "sample_human_positions", too_large)
+        assert cli.main(list(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("pdf", "--grid", "-1"),

@@ -162,6 +162,22 @@ class TestDefaults:
         assert default_sc.associations is None
         assert default_sc.relay_pairings is None
 
+    @pytest.mark.parametrize(
+        "entry, cls",
+        [
+            pytest.param(entry, cls, id=key)
+            for key, entry, cls in dict.fromkeys(f[:3] for f in _config_fields())
+        ],
+    )
+    def test_sections_are_frozen_and_hashable(self, entry, cls):
+        # the channel's caches key on the room and the terminal entries
+        terminal = {"id": "t1", "position_m": (2.0, 4.0, 2.0)} if entry else {}
+        config = cls(**terminal)
+        name = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+        hash(config)
+
 
 class TestRoundTrip:
     def test_save_load_identity(self, default_sc, tmp_path):
