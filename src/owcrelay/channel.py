@@ -1,7 +1,7 @@
 """Optical channel model: steered narrow-beam line of sight plus up to two
 diffuse reflections off the surfaces of the scenario's room section
-(:class:`owcrelay.scenario.RoomConfig`), with the bounce count, tile sizes
-and delay bins of its channel section
+(:class:`owcrelay.scenario.RoomConfig`), with the bounce count, grid tile
+size and delay bins of its channel section
 (:class:`owcrelay.scenario.ChannelConfig`).
 
 Terminals are the scenario's AP, relay and user entries
@@ -9,28 +9,28 @@ Terminals are the scenario's AP, relay and user entries
 are used; :func:`pointing` gives each one's boresight, which a relay's
 source and detector share.  One table of the room's six faces -- their
 order, origin, axes, extents, inward normal and reflectivity -- drives the
-tile grids, the first-bounce tile and a wall relay's default boresight, the
-inward normal of its nearest face.  :func:`can_serve` says whether a target
-lies inside a transmitter's steering cone, and a response into a receiver
-outside it raises :class:`UnservableLinkError`, so every response checks
-its own link's steering.
+tile grid, the face a beam's first bounce meets and a wall relay's default
+boresight, the inward normal of its nearest face.  :func:`can_serve` says
+whether a target lies inside a transmitter's steering cone, and a response
+into a receiver outside it raises :class:`UnservableLinkError`, so every
+response checks its own link's steering.
 
 The beam is a top-hat cone steered at the receiver's centre.  The receiver
 collects the share of the spot its centred aperture disk covers, projected
 onto its face.  Power that misses the aperture continues along the beam axis
-to the first face it meets, is deposited on the first-bounce tile
-containing the hit point, and re-radiates as a Lambertian source; a beam
-the aperture catches whole has no first bounce.
-Second-order paths go through a coarser grid covering every room surface.
-A patch the receiver cannot see carries no path, so the grid keeps the
-patches that the last receiver it served can see, with their gains to it,
-and responses into that receiver run their tile-to-patch leg over those
-alone.
+to the first face it meets and re-radiates from the hit point as a
+Lambertian point source; a beam the aperture catches whole has no first
+bounce.  Second-order paths go through a grid of tiles covering every room
+surface.  A patch the receiver cannot see carries no path, so the grid
+keeps the patches that the last receiver it served can see, with their
+gains to it, and responses into that receiver run their hit-to-patch leg
+over those alone.
 
-Every diffuse leg -- tile to detector, tile to grid patch, grid patch to
-detector -- is the same transfer from a Lambertian point source to a small
-flat patch, computed by one vectorised kernel, :func:`lambertian_gain`, on
-positions and normals held as columns, x, y and z along the first axis.
+Every diffuse leg -- hit point to detector, hit point to grid patch, grid
+patch to detector -- is the same transfer from a Lambertian point source to
+a small flat patch, computed by one vectorised kernel,
+:func:`lambertian_gain`, on positions and normals held as columns, x, y and
+z along the first axis.
 Every path, direct or reflected, becomes a (gain, length) pair, and one
 ``np.bincount`` over the propagation delays bins them all into a
 fixed-width impulse response.
@@ -210,16 +210,6 @@ def _axis_cells(extent: float, resolution: float):
     return centers, widths
 
 
-@functools.lru_cache
-def _axis_bounds(extent: float, resolution: float):
-    """Cell centre offsets along one face axis and the upper bound of each
-    cell, read-only; cached, as the first bounce of every link reads them."""
-    centres, widths = _axis_cells(extent, resolution)
-    bounds = np.cumsum(widths)
-    centres.flags.writeable = bounds.flags.writeable = False
-    return centres, bounds
-
-
 def discretize_surfaces(room: RoomConfig, resolution: float) -> SurfaceGrid:
     """Tile all six faces at the given resolution.
 
@@ -317,10 +307,10 @@ def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos
     return gain, dist
 
 
-def _first_bounce_tile(room: RoomConfig, origin, direction, resolution: float):
-    """Centre, normal and reflectivity of the tile, at the given tiling
-    resolution, holding the first point where a ray from inside the room
-    meets a face; the earlier face in :func:`_face_layout` wins a tie."""
+def _first_bounce(room: RoomConfig, origin, direction):
+    """The first point where a ray from inside the room meets a face, with
+    that face's inward normal and reflectivity; the earlier face in
+    :func:`_face_layout` wins a tie."""
     best_t, best = math.inf, None
     for face in _face_layout(room):
         along = float(np.dot(face[5], direction))
@@ -331,14 +321,8 @@ def _first_bounce_tile(room: RoomConfig, origin, direction, resolution: float):
             best_t, best = t, face
     if best is None:
         raise ValueError("beam direction never leaves the room")
-    face_origin, u, ue, v, ve, normal, rho = best
-    hit = origin + best_t * direction
-    cells = []
-    for axis, extent in ((u, ue), (v, ve)):
-        centres, bounds = _axis_bounds(extent, resolution)
-        i = int(np.searchsorted(bounds, float(np.dot(hit - face_origin, axis))))
-        cells.append(centres[min(i, bounds.size - 1)])
-    return face_origin + cells[0] * u + cells[1] * v, normal, rho
+    *_, normal, rho = best
+    return origin + best_t * direction, normal, rho
 
 
 @dataclass(frozen=True)
@@ -377,10 +361,10 @@ def impulse_response(
     """Unobstructed impulse response of one steered link under the
     scenario's channel section, binned at ``channel.bin_ns``.
 
-    The first bounce lands on the ``channel.first_bounce_res_m`` tile
-    containing the beam's exit point; second-order paths go through
-    ``second_grid``, tiled at ``channel.second_bounce_res_m`` by
-    :func:`discretize_surfaces` when not given.
+    The first bounce re-radiates from the point where the beam leaves the
+    room; second-order paths go through ``second_grid``, tiled at
+    ``channel.second_bounce_res_m`` by :func:`discretize_surfaces` when not
+    given.
 
     Raises :class:`UnservableLinkError` when the receiver is outside the
     transmitter's steering cone.
@@ -405,15 +389,14 @@ def impulse_response(
     second = 0.0
     residue = 1.0 - los
     if channel.max_bounces >= 1 and residue > 0.0:
-        res = channel.first_bounce_res_m
-        e_center, e_normal, e_rho = _first_bounce_tile(room, tx_pos, beam, res)
-        d0 = float(np.linalg.norm(e_center - tx_pos))
+        hit, hit_normal, hit_rho = _first_bounce(room, tx_pos, beam)
+        d0 = float(np.linalg.norm(hit - tx_pos))
         mode = room.lambertian_mode
 
         g1, d1 = lambertian_gain(
-            e_center, e_normal, mode, rx_pos, rx_normal, rx.area_cm2 * 1e-4, cos_fov
+            hit, hit_normal, mode, rx_pos, rx_normal, rx.area_cm2 * 1e-4, cos_fov
         )
-        first = residue * e_rho * float(g1[0])
+        first = residue * hit_rho * float(g1[0])
         if first > 0.0:
             path_gains.append(first)
             path_lengths.append(d0 + d1)
@@ -424,11 +407,11 @@ def impulse_response(
                 grid = discretize_surfaces(room, channel.second_bounce_res_m)
             seen = grid.visible_to(rx, room)
             to_patch, d_ep = lambertian_gain(
-                e_center, e_normal, mode, seen.centers, seen.normals, seen.areas
+                hit, hit_normal, mode, seen.centers, seen.normals, seen.areas
             )
             live = to_patch > 0.0
             rho, to_rx = seen.reflectivities[live], seen.gains[live]
-            contrib = residue * e_rho * to_patch[live] * rho * to_rx
+            contrib = residue * hit_rho * to_patch[live] * rho * to_rx
             second = float(np.sum(contrib))
             path_gains.append(contrib)
             path_lengths.append(d0 + d_ep[live] + seen.distances[live])

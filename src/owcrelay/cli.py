@@ -58,6 +58,9 @@ def _cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.format and not args.out:
+        print("error: --format needs --out; standard output is always CSV", file=sys.stderr)
+        return 2
     scenario = _load(args)
     budget = build_link_budget(scenario)
     if args.method == "exact":
@@ -74,7 +77,7 @@ def _cmd_simulate(args) -> int:
     for line in result_lines(rows):
         print(line)
     if args.out:
-        write_results(rows, args.out, fmt=args.format)
+        write_results(rows, args.out, fmt=args.format or "csv")
     return 0
 
 
@@ -183,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo, or exact enumeration under the independent model",
     )
     sim.add_argument("--out", help="also write rows to this file")
-    sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    sim.add_argument("--format", choices=["csv", "jsonl"], help="file format for --out (csv)")
     sim.set_defaults(func=_cmd_simulate)
 
     blk = sub.add_parser("blockage", help="per-link blocking probabilities")

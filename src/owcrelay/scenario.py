@@ -176,7 +176,6 @@ class SamplerConfig:
 @_section
 class ChannelConfig:
     max_bounces: int = _rule(2, _integer(0, 2, "must be 0, 1 or 2"))
-    first_bounce_res_m: float = _rule(0.05, _POSITIVE)
     second_bounce_res_m: float = _rule(0.20, _POSITIVE)
     bin_ns: float = _rule(0.01, _POSITIVE)
 

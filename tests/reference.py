@@ -166,9 +166,12 @@ class SinrBreakdown:
 
 def point_source_gain(src, src_normal, mode, dst, dst_normal, dst_area, cos_fov=0.0) -> float:
     """Lambertian point source of cosine order ``mode`` to one small flat
-    patch, evaluated with scalar arithmetic."""
+    patch, evaluated with scalar arithmetic; a source on the patch centre
+    gives 0, as the channel kernel does."""
     d = [b - a for a, b in zip(src, dst)]
     dist = math.sqrt(sum(c * c for c in d))
+    if dist == 0.0:
+        return 0.0
     u = [c / dist for c in d]
     cos_e = sum(n * c for n, c in zip(src_normal, u))
     cos_i = -sum(n * c for n, c in zip(dst_normal, u))

@@ -254,7 +254,7 @@ class TestDiscretization:
         assert total_area(fine) == pytest.approx(6.0, rel=1e-12)
 
     def test_grid_above_the_cap_is_refused_before_it_is_built(self, monkeypatch):
-        # the default grid has 3,400 tiles, at most 160 along a face axis
+        # the default grid has 3,400 tiles; one of 0.05 m has 160 along y
         monkeypatch.setattr(channel, "_MAX_CELLS", 3_399)
         with pytest.raises(ValueError, match=r"^3400 tiles of 0.2 m in a grid, more than 3399$"):
             discretize_surfaces(ROOM, 0.20)
@@ -271,13 +271,14 @@ class TestDiscretization:
 
 class TestFaceTable:
     def test_first_bounce_in_a_narrow_edge_tile(self):
-        # 4.03 x 8.07 m at 0.05 m: the floor's last cells are 0.03 m wide
-        # along x and 0.02 m along y, and the ray lands at (4.02, 8.065, 0)
+        # 4.03 x 8.07 m, whose 0.05 m tiles end in cells 0.03 m wide along x
+        # and 0.02 m along y: the ray re-radiates from where it lands,
+        # (4.02, 8.065, 0), not from the centre of the tile holding it
         uneven = RoomConfig(width_m=4.03, length_m=8.07, height_m=3.0)
         origin = np.array([3.02, 7.065, 3.0])
         direction = np.array([0.5, 0.5, -1.5]) / math.sqrt(2.75)
-        centre, normal, rho = channel._first_bounce_tile(uneven, origin, direction, 0.05)
-        assert centre == pytest.approx([4.015, 8.06, 0.0], abs=1e-12)
+        hit, normal, rho = channel._first_bounce(uneven, origin, direction)
+        assert hit == pytest.approx([4.02, 8.065, 0.0], abs=1e-12)
         np.testing.assert_array_equal(normal, [0.0, 0.0, 1.0])
         assert rho == 0.3
 
@@ -303,8 +304,8 @@ class TestFaceTable:
 
 # A low source lights an upward detector from below: the beam steered at the
 # detector meets the back of its face, so the whole beam continues to the
-# off-lattice wall spot WALL_SPOT above the detector plane.  The detector
-# sits halfway between the source and the spot.
+# wall spot WALL_SPOT above the detector plane.  The detector sits halfway
+# between the source and the spot.
 WALL_SPOT = (0.0, 2.013, 1.487)
 
 
@@ -395,32 +396,27 @@ class TestImpulseResponse:
             assert cir.dc_gain() <= 1.0
 
     def test_refinement_convergence(self):
-        # deposit cell snaps toward the true wall exit point as the first
-        # bounce grid refines, so the gain approaches the analytic value
+        # the first bounce re-radiates from the wall exit point itself, so
+        # the gain is the analytic point-source value
         tx, rx = lit_from_below()
         analytic = 0.8 * point_to_rx(WALL_SPOT, (1, 0, 0), 1.0, rx)
-        errs = []
-        for res in (0.05, 0.0125):
-            channel = ChannelConfig(max_bounces=1, first_bounce_res_m=res)
-            cir = impulse_response(tx, rx, ROOM, channel)
-            assert cir.los_gain == 0.0 and cir.first_order_gain > 0
-            errs.append(abs(cir.first_order_gain - analytic) / analytic)
-        assert errs[1] < errs[0]
-        assert errs[1] < 0.02
+        cir = impulse_response(tx, rx, ROOM, ChannelConfig(max_bounces=1))
+        assert cir.los_gain == 0.0 and cir.first_order_gain > 0
+        assert cir.first_order_gain == pytest.approx(analytic, rel=1e-12, abs=0.0)
 
 
-def first_bounce(tx, rx, room, cfg):
-    """Centre, normal and reflectivity of the first-bounce tile of a link."""
+def first_bounce(tx, rx, room):
+    """Hit point, normal and reflectivity of the first bounce of a link."""
     tx_pos = np.asarray(tx.position_m, dtype=float)
     beam = (np.asarray(rx.position_m, dtype=float) - tx_pos) / math.dist(tx_pos, rx.position_m)
-    return channel._first_bounce_tile(room, tx_pos, beam, cfg.first_bounce_res_m)
+    return channel._first_bounce(room, tx_pos, beam)
 
 
 def second_order_reference(tx, rx, room, cfg):
     """Second-order gain of a link summed with the scalar kernel over every
     tile of the grid, and the centres of the tiles with a non-zero path."""
     residue = 1.0 - narrow_beam_los_gain(tx, rx, room)
-    e, e_normal, e_rho = first_bounce(tx, rx, room, cfg)
+    e, e_normal, e_rho = first_bounce(tx, rx, room)
     grid = discretize_surfaces(room, cfg.second_bounce_res_m)
     mode, rx_normal = room.lambertian_mode, pointing(rx, room)
     cos_fov = math.cos(math.radians(rx.fov_deg))
@@ -466,7 +462,7 @@ class TestVisibleTiles:
             ref, live = second_order_reference(tx, rx, sc_room, cfg)
             assert live.shape[1] > 0
             assert cir.second_order_gain == pytest.approx(ref, rel=1e-12, abs=0.0)
-            e, e_normal, _ = first_bounce(tx, rx, sc_room, cfg)
+            e, e_normal, _ = first_bounce(tx, rx, sc_room)
             seen = grid.visible_to(rx, sc_room)
             to_patch, _ = lambertian_gain(
                 e, e_normal, sc_room.lambertian_mode, seen.centers, seen.normals, seen.areas
@@ -526,11 +522,10 @@ class TestBlockageConsistency:
 
 class TestEnergyBound:
     def test_grid_sum_with_first_bounce(self):
-        # receivers tile a hemisphere of radius 0.4 m around an off-lattice
-        # wall spot, facing it, each served by its own source 0.6 m behind
-        # it on the same ray: every beam meets the back of its receiver and
-        # lands whole on the tile under the spot, whose re-emission the
-        # hemisphere catches
+        # receivers tile a hemisphere of radius 0.4 m around a wall spot,
+        # facing it, each served by its own source 0.6 m behind it on the
+        # same ray: every beam meets the back of its receiver and lands whole
+        # on the spot, whose re-emission the hemisphere catches
         spot = np.array([0.0, 4.013, 1.487])
         n_theta, n_phi = 6, 12
         edges = np.linspace(0.0, math.pi / 2, n_theta + 1)

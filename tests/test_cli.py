@@ -185,12 +185,13 @@ class TestChannel:
         assert res.returncode == 2
         assert "single link" in res.stderr
 
-    # stdout SHA-256 of the default room, recorded before the channel kernel
-    # and binning were merged; any change to a printed gain shows here
+    # stdout SHA-256 of the default room, recorded when the first bounce
+    # moved from its tile centre to the beam's hit point; any change to a
+    # printed gain shows here
     DEFAULT_ROOM_STDOUT_SHA256 = {
-        "matrix": "fdb8a6e1c92d1206c54150493176256ad3df73528f54cf1d90dc1b137e200b71",
-        "cir-r1-u1": "6ca9603ed67dcbb377c1ae0f88860c6b152028ebc03453a872eaf8558d1d7bbc",
-        "cir-ap1-r1": "9737c12d74d7f517b4ace1aaa5918706494b5e842c406d03e92c5e62fe09c3ee",
+        "matrix": "9bc0539f39da7fcacdf94ebcaba4a155720612ed6fcb700bfe81a65add70193a",
+        "cir-r1-u1": "327a3f182073e1d28ac0b15999091cfa3f8bc9c4c6593fe5f219b333484e23ed",
+        "cir-ap1-r1": "fe48f411d1a7d3ed84baea1dd4248b9b581d4877dcb436b57cab2774e66bf478",
     }
 
     @pytest.mark.parametrize(
@@ -209,11 +210,10 @@ class TestChannel:
         assert digest == self.DEFAULT_ROOM_STDOUT_SHA256[key]
 
     # the same for tests/tilted.yaml, whose users and relay r1 point along
-    # other boresights than the defaults; recorded before the terminals
-    # became the scenario entries themselves
+    # other boresights than the defaults
     TILTED_ROOM_STDOUT_SHA256 = {
-        "matrix": "89cc7e01e01f7c87a8c94537e5c6df7a4d5d9ea2bfdbb7d2964719ef20d28dda",
-        "cir-r1-u1": "d7b213bcd30871f248a054598977f510015b958e3465d9ab9f2a9b6b03cfa7ba",
+        "matrix": "1e4f780e579244e9f3f9c4db734c0395b85d319d889fce4fb3c3beddbd0634ff",
+        "cir-r1-u1": "b76e6c5d3d62e686e92c4450fe9e84df4275548d2af06c2f1b0dae3eee6a8881",
     }
 
     @pytest.mark.parametrize(
@@ -229,10 +229,9 @@ class TestChannel:
         assert digest == self.TILTED_ROOM_STDOUT_SHA256[key]
 
     # the same for tests/dense_tile.yaml, whose four users and three relays
-    # each see their own share of the grid's tiles; recorded before the
-    # channel took its legs in column form
+    # each see their own share of the grid's tiles
     DENSE_TILE_STDOUT_SHA256 = (
-        "3eccd8875287df76bb00cc0d1d6f021c6f10074bda9b0d64edca50b360080635"
+        "0e82c6d99c0064f38cad64b876f990a017a487f79aa9e83bbd890ac1a7395d62"
     )
 
     def test_dense_tile_room_stdout_digest(self):
@@ -354,9 +353,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "key, size",
         [
-            ("first_bounce_res_m", "8e+15 tiles of 1e-15 m along a face axis"),
             ("second_bounce_res_m", "4e+15 tiles of 1e-15 m along a face axis"),
-            ("bin_ns", "6.044e+16 bins of 1e-15 ns"),
+            ("bin_ns", "6.028e+16 bins of 1e-15 ns"),
         ],
     )
     def test_channel_size_too_large_to_allocate(self, tmp_path, capsys, key, size):
@@ -369,6 +367,17 @@ class TestErrors:
             out, err = capsys.readouterr()
             assert out == ""
             assert err == f"error: {size}, more than 4194304\n"
+
+    def test_first_bounce_tile_size_is_an_unknown_key(self, tmp_path, capsys):
+        # the first bounce re-radiates from the hit point itself, so a file
+        # that still sizes its tile names a key that no longer exists
+        path = tmp_path / "tile.yaml"
+        path.write_text("channel: {first_bounce_res_m: 0.05}\n")
+        for argv in (["channel"], ["simulate", "--samples", "4096"]):
+            assert cli.main([*argv, "--scenario", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: unknown key: channel.first_bounce_res_m\n"
 
     def test_subnormal_bin_width_is_too_fine(self, tmp_path):
         # 1e-320 ns is a positive width whose value in seconds underflows to
@@ -496,6 +505,19 @@ class TestErrors:
         assert res.stderr.startswith("error: exact enumeration is the independent-link model")
         assert "--method mc" in res.stderr
         assert run_cli("simulate", "--method", "exact", "--blockage-model", "independent").returncode == 0
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_format_without_out_is_refused(self, fmt, tmp_path):
+        # standard output is always CSV, so a format with no file to write
+        # would be ignored without a word
+        res = run_cli("simulate", "--samples", "4096", "--format", fmt)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: --format needs --out; standard output is always CSV\n"
+        out = tmp_path / f"rows.{fmt}"
+        res = run_cli("simulate", "--samples", "4096", "--format", fmt, "--out", str(out))
+        assert res.returncode == 0
+        assert out.read_text().startswith("{" if fmt == "jsonl" else "user_id,")
 
     def test_unknown_mode_rejected_at_parse_time(self):
         res = run_cli("simulate", "--mode", "relay")

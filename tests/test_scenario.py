@@ -96,7 +96,6 @@ DEFAULT_AUDIT = [
     ("noma.power_ratio", 4.0),
     ("noma.threshold_db", 15.6),
     ("channel.max_bounces", 2),
-    ("channel.first_bounce_res_m", 0.05),
     ("channel.second_bounce_res_m", 0.20),
     ("channel.bin_ns", 0.01),
 ]
@@ -601,11 +600,6 @@ class TestRejection:
                 ChannelConfig,
                 {"second_bounce_res_m": 0.0},
                 "channel.second_bounce_res_m: must be positive",
-            ),
-            (
-                ChannelConfig,
-                {"first_bounce_res_m": math.nan},
-                "channel.first_bounce_res_m: must be positive",
             ),
             (ChannelConfig, {"bin_ns": 0.0}, "channel.bin_ns: must be positive"),
             (ChannelConfig, {"bin_ns": math.nan}, "channel.bin_ns: must be positive"),
