@@ -31,9 +31,11 @@ patch to detector -- is the same transfer from a Lambertian point source to
 a small flat patch, computed by one vectorised kernel,
 :func:`lambertian_gain`, on positions and normals held as columns, x, y and
 z along the first axis.
-Every path, direct or reflected, becomes a (gain, length) pair, and one
-``np.bincount`` over the propagation delays bins them all into a
-fixed-width impulse response.
+Every path, direct or reflected, becomes a (gain, length) pair.  A response
+keeps these pairs with the total gain of each bounce order, and bins them
+by propagation delay, in one ``np.bincount``, only when its bins are read;
+the link budget (:mod:`owcrelay.links`) sums the per-order totals and bins
+nothing.
 
 Responses are unobstructed: the channel knows nothing of pedestrians.
 Whether a walker cuts a link is decided by the link's blocking region in
@@ -325,18 +327,34 @@ def _first_bounce(room: RoomConfig, origin, direction):
     return origin + best_t * direction, normal, rho
 
 
+def _bin(path_gains: np.ndarray, path_lengths: np.ndarray, bin_duration: float) -> np.ndarray:
+    """Path gains summed into bins ``bin_duration`` seconds wide by the
+    rounded delay of each path."""
+    bins = np.rint(path_lengths / SPEED_OF_LIGHT / bin_duration).astype(int)
+    # an empty bincount comes back as integers
+    return np.bincount(bins, weights=path_gains).astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class ChannelImpulseResponse:
-    """Binned power gains plus the per-order totals they were built from.
+    """The paths of one link, as gains and lengths, plus the per-order
+    totals of their gains.
 
-    Bin ``k`` covers the instant ``k * bin_duration``.
+    The paths are binned on the first read of :attr:`gains`; bin ``k``
+    covers the instant ``k * bin_duration``.
     """
 
     bin_duration: float
-    gains: np.ndarray
+    path_gains: np.ndarray
+    path_lengths: np.ndarray
     los_gain: float
     first_order_gain: float
     second_order_gain: float
+
+    @functools.cached_property
+    def gains(self) -> np.ndarray:
+        """Binned power gains, one entry per delay bin up to the last path."""
+        return _bin(self.path_gains, self.path_lengths, self.bin_duration)
 
     def dc_gain(self) -> float:
         """Total power gain of the response: the exactly rounded sum of all
@@ -359,7 +377,9 @@ def impulse_response(
     second_grid: SurfaceGrid | None = None,
 ) -> ChannelImpulseResponse:
     """Unobstructed impulse response of one steered link under the
-    scenario's channel section, binned at ``channel.bin_ns``.
+    scenario's channel section, binned at ``channel.bin_ns`` when its gains
+    are first read.  A bin count too large to allocate is refused here, not
+    at that read.
 
     The first bounce re-radiates from the point where the beam leaves the
     room; second-order paths go through ``second_grid``, tiled at
@@ -378,7 +398,7 @@ def impulse_response(
     beam = rx_pos - tx_pos
     beam = beam / np.linalg.norm(beam)
 
-    # every path as (gain, length), binned once at the end
+    # every path as (gain, length), stacked at the end
     path_gains: list = []
     path_lengths: list = []
     if los > 0.0:
@@ -416,19 +436,14 @@ def impulse_response(
             path_gains.append(contrib)
             path_lengths.append(d0 + d_ep[live] + seen.distances[live])
 
-    bin_duration = channel.bin_ns * 1e-9
-    gains = np.zeros(0)
-    if path_gains:
-        delays = np.hstack(path_lengths) / SPEED_OF_LIGHT
-        # counted in nanoseconds: a width of a few 1e-315 ns underflows to 0 s
-        delay_ns = float(delays.max(initial=0)) * 1e9
-        _check_size(delay_ns / channel.bin_ns + 1, f"bins of {channel.bin_ns:g} ns")
-        bins = np.rint(delays / bin_duration).astype(int)
-        # an empty bincount comes back as integers
-        gains = np.bincount(bins, weights=np.hstack(path_gains)).astype(float, copy=False)
+    lengths = np.hstack(path_lengths) if path_lengths else np.zeros(0)
+    # counted in nanoseconds: a width of a few 1e-315 ns underflows to 0 s
+    delay_ns = float(lengths.max(initial=0)) / SPEED_OF_LIGHT * 1e9
+    _check_size(delay_ns / channel.bin_ns + 1, f"bins of {channel.bin_ns:g} ns")
     return ChannelImpulseResponse(
-        bin_duration=bin_duration,
-        gains=gains,
+        bin_duration=channel.bin_ns * 1e-9,
+        path_gains=np.hstack(path_gains) if path_gains else np.zeros(0),
+        path_lengths=lengths,
         los_gain=los,
         first_order_gain=first,
         second_order_gain=second,

@@ -206,7 +206,9 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
     The second-bounce grid is tiled once, and the responses are computed
     receiver by receiver, so the grid works out once which of its tiles
     each receiver sees, and the responses into it go through those alone;
-    an unservable link is named by the first response that meets it."""
+    an unservable link is named by the first response that meets it.
+    A link's gain is the sum of its response's per-order totals, so no
+    response is binned."""
     room, channel = scenario.room, scenario.channel
     grid = None
     if channel.max_bounces >= 2:
@@ -225,7 +227,7 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
             kind=kind,
             tx_id=tx_id,
             rx_id=rx_id,
-            h=cir.dc_gain(),
+            h=(cir.los_gain + cir.first_order_gain) + cir.second_order_gain,
             h_los=cir.los_gain,
             h_reflected=cir.first_order_gain + cir.second_order_gain,
         )
@@ -359,7 +361,8 @@ def link_cir(budget: LinkBudget, tx_id: str, rx_id: str):
     """Recompute the unobstructed impulse response of one budget link.
 
     The budget keeps only the integrated gains; this rebuilds the full
-    binned response for inspection or dumping.
+    response, whose paths are binned when its gains are read, for
+    inspection or dumping.
     """
     budget.link_index(tx_id, rx_id)  # raises KeyError when absent
     sc = budget.scenario

@@ -1,8 +1,18 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from owcrelay.links import build_link_budget
 from owcrelay.outage import ensure_marginals
-from owcrelay.scenario import ApConfig, Scenario, UserConfig, default_scenario, scenario_from_dict
+from owcrelay.scenario import (
+    ApConfig,
+    Scenario,
+    UserConfig,
+    default_scenario,
+    load_scenario,
+    scenario_from_dict,
+)
 
 # Documents YAML cannot read, each with the line its error names and a
 # subcommand that reads it.
@@ -20,6 +30,20 @@ MALFORMED_YAML = pytest.mark.parametrize(
 @pytest.fixture(scope="session")
 def default_sc():
     return default_scenario()
+
+
+@pytest.fixture(scope="session")
+def dense_seed_3(tmp_path_factory):
+    """The benchmark's generated 93-link room at seed 3, written by its own
+    generator."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    path = tmp_path_factory.mktemp("dense") / "dense3.yaml"
+    workloads.write_dense_scenario(3, path)
+    return load_scenario(path)
 
 
 @pytest.fixture(scope="session")

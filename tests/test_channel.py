@@ -29,6 +29,7 @@ from owcrelay.scenario import (
     default_scenario,
     load_scenario,
     result_lines,
+    scenario_from_dict,
 )
 
 from reference import point_source_gain
@@ -356,20 +357,26 @@ class TestImpulseResponse:
         assert cir.dc_gain() >= cir.los_gain
 
     def test_dc_gain_trivials(self):
+        bin_duration = ChannelConfig().bin_ns * 1e-9
+        # one path one bin wide away: the response bins it into bin 1
         single = ChannelImpulseResponse(
-            bin_duration=ChannelConfig().bin_ns * 1e-9,
-            gains=np.array([0.0, 1.0]),
+            bin_duration=bin_duration,
+            path_gains=np.array([1.0]),
+            path_lengths=np.array([SPEED_OF_LIGHT * bin_duration]),
             los_gain=1.0,
             first_order_gain=0.0,
             second_order_gain=0.0,
         )
         empty = ChannelImpulseResponse(
-            bin_duration=ChannelConfig().bin_ns * 1e-9,
-            gains=np.zeros(0),
+            bin_duration=bin_duration,
+            path_gains=np.zeros(0),
+            path_lengths=np.zeros(0),
             los_gain=0.0,
             first_order_gain=0.0,
             second_order_gain=0.0,
         )
+        assert single.gains.tolist() == [0.0, 1.0]
+        assert empty.gains.size == 0
         assert single.dc_gain() == 1.0
         assert empty.dc_gain() == 0.0
 
@@ -553,15 +560,18 @@ class TestEnergyBound:
 
 
 class TestLinkBudgetResponses:
-    @pytest.mark.parametrize("room", ["default", "dense-tile"])
-    def test_gains_equal_responses_computed_alone(self, room):
+    @pytest.mark.parametrize("room", ["default", "dense-tile", "tilted", "dense-seed-3"])
+    def test_gains_equal_responses_computed_alone(self, room, request):
         # the budget computes responses receiver by receiver through one
-        # grid that keeps its last receiver's gains; each link's gains must
-        # equal its response computed alone on a fresh grid
-        scenario = (
-            default_scenario() if room == "default"
-            else load_scenario(Path(__file__).with_name("dense_tile.yaml"))
-        )
+        # grid that keeps its last receiver's gains, and sums each link's
+        # per-order totals without binning it; each link's gains must equal
+        # its binned response computed alone on a fresh grid
+        if room == "default":
+            scenario = default_scenario()
+        elif room == "dense-seed-3":
+            scenario = request.getfixturevalue("dense_seed_3")
+        else:
+            scenario = load_scenario(Path(__file__).with_name(f"{room.replace('-', '_')}.yaml"))
         budget = build_link_budget(scenario)
         assert [link.index for link in budget.links] == list(range(budget.link_count))
         for link in budget.links:
@@ -569,6 +579,31 @@ class TestLinkBudgetResponses:
             assert (link.h, link.h_los, link.h_reflected) == (
                 cir.dc_gain(), cir.los_gain, cir.first_order_gain + cir.second_order_gain,
             )
+
+    def test_responses_bin_on_request(self, monkeypatch):
+        # the budget reads no bin, and a response bins its paths on the
+        # first read of its gains alone
+        calls = []
+        bin_paths = channel._bin
+
+        def counted(*args):
+            calls.append(args)
+            return bin_paths(*args)
+
+        monkeypatch.setattr(channel, "_bin", counted)
+        budget = build_link_budget(default_scenario())
+        assert budget.link_count > 0 and calls == []
+        cir = link_cir(budget, "r1", "u1")
+        assert calls == []
+        assert cir.gains is cir.gains
+        assert len(calls) == 1
+
+    def test_bins_too_many_to_allocate_are_refused_by_the_budget(self):
+        # the budget bins nothing, yet a response still refuses a bin count
+        # that could never be allocated
+        scenario = scenario_from_dict({"channel": {"bin_ns": 1e-15}})
+        with pytest.raises(ValueError, match=r"^6\.028e\+16 bins of 1e-15 ns, more than 4194304$"):
+            build_link_budget(scenario)
 
     @pytest.mark.parametrize("room", ["default", "tilted"])
     def test_steering_checked_at_most_twice_per_pair(self, room, monkeypatch):
@@ -603,9 +638,13 @@ class TestLinkBudgetResponses:
         assert via_budget.bin_duration == direct.bin_duration == scenario.channel.bin_ns * 1e-9
 
     def test_dc_gain_is_the_exact_sum_of_all_bins(self):
-        gains = np.zeros(4000)
-        gains[[3, 100, 3999]] = [1e-3, 1e-20, 0.5]
-        cir = ChannelImpulseResponse(1e-11, gains, 0.5, 1e-3, 1e-20)
+        bins = np.array([3, 100, 3999])
+        cir = ChannelImpulseResponse(
+            1e-11, np.array([1e-3, 1e-20, 0.5]), bins * SPEED_OF_LIGHT * 1e-11, 0.5, 1e-3, 1e-20
+        )
+        gains = cir.gains
+        assert gains.size == 4000
+        assert np.flatnonzero(gains).tolist() == bins.tolist()
         assert cir.dc_gain() == math.fsum(gains.tolist())
         assert cir.dc_gain() == 0.5 + 1e-3 + 1e-20
 

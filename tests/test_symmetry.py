@@ -9,7 +9,6 @@ every outage row.  Each relay's explicit ``axis`` and each user's
 
 import dataclasses
 import math
-import sys
 from pathlib import Path
 
 import pytest
@@ -64,26 +63,13 @@ def mapped(scenario, name):
     )
 
 
-def dense_seed_3(tmp_path_factory):
-    """The benchmark's generated 93-link room at seed 3, written by its own
-    generator."""
-    sys.path.insert(0, str(HERE.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    path = tmp_path_factory.mktemp("dense") / "dense3.yaml"
-    workloads.write_dense_scenario(3, path)
-    return load_scenario(path)
-
-
 @pytest.fixture(scope="module", params=["default", "dense_tile", "tilted", "dense-seed-3"])
-def room_answers(request, tmp_path_factory):
+def room_answers(request):
     """The scenario's links, marginals, exact rows and joint MC rows."""
     if request.param == "default":
         scenario = default_scenario()
     elif request.param == "dense-seed-3":
-        scenario = dense_seed_3(tmp_path_factory)
+        scenario = request.getfixturevalue("dense_seed_3")
     else:
         scenario = load_scenario(HERE / f"{request.param}.yaml")
     return scenario, answers(scenario)
