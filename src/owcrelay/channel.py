@@ -8,12 +8,13 @@ Terminals are the scenario's AP, relay and user entries
 (:mod:`owcrelay.scenario`), converted from the document's units where they
 are used; :func:`pointing` gives each one's boresight, which a relay's
 source and detector share.  One table of the room's six faces -- their
-order, origin, axes, extents, inward normal and reflectivity -- drives the
-tile grid, the face a beam's first bounce meets and a wall relay's default
-boresight, the inward normal of its nearest face.  :func:`can_serve` says
-whether a target lies inside a transmitter's steering cone, and a response
-into a receiver outside it raises :class:`UnservableLinkError`, so every
-response checks its own link's steering.
+order, the axis each lies across, its inward normal and reflectivity --
+drives the tile grid, the face a beam's first bounce meets and a wall
+relay's default boresight, the inward normal of its nearest face.
+:func:`can_serve` says whether a target lies inside a transmitter's
+steering cone, and a response into a receiver outside it raises
+:class:`UnservableLinkError`, so every response checks its own link's
+steering.
 
 The beam is a top-hat cone steered at the receiver's centre.  The receiver
 collects the share of the spot its centred aperture disk covers, projected
@@ -21,10 +22,12 @@ onto its face.  Power that misses the aperture continues along the beam axis
 to the first face it meets and re-radiates from the hit point as a
 Lambertian point source; a beam the aperture catches whole has no first
 bounce.  Second-order paths go through a grid of tiles covering every room
-surface.  A patch the receiver cannot see carries no path, so the grid
-keeps the patches that the last receiver it served can see, with their
-gains to it, and responses into that receiver run their hit-to-patch leg
-over those alone.
+surface.  A grid works out, once for all the responses through it, each
+terminal's boresight and the last receiver it served: that receiver's
+position, boresight, field of view and aperture, and the patches it can
+see with their gains to it, since a patch it cannot see carries no path.
+Responses into that receiver run their hit-to-patch leg over those patches
+alone.
 
 Every diffuse leg -- hit point to detector, hit point to grid patch, grid
 patch to detector -- is the same transfer from a Lambertian point source to
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,6 +74,23 @@ SPEED_OF_LIGHT = 2.99792458e8
 
 _MAX_CELLS = 2**22  # most tiles along a face axis or in a grid, or delay bins of a response
 
+# The room's six faces in table order -- floor, ceiling, the walls at x = 0
+# and x = W, the walls at y = 0 and y = L -- each as (k, s, reflectivity
+# field): the face lies across axis k, at 0 when s is +1 and at the room's
+# extent along k when s is -1, and its inward normal is s along axis k.
+# A dot product with an axis-aligned normal is exact, so a point's
+# distance to a face along its normal is one signed coordinate difference.
+_FACES = (
+    (2, 1.0, "floor_reflectivity"),
+    (2, -1.0, "ceiling_reflectivity"),
+    (0, 1.0, "wall_reflectivity"),
+    (0, -1.0, "wall_reflectivity"),
+    (1, 1.0, "wall_reflectivity"),
+    (1, -1.0, "wall_reflectivity"),
+)
+_NORMALS = np.array([s * np.eye(3)[k] for k, s, _ in _FACES])
+_NORMALS.flags.writeable = False
+
 
 class UnservableLinkError(ValueError):
     """A steering target lies outside the transmitter's steering cone."""
@@ -81,14 +101,18 @@ def _check_size(count, what: str) -> None:
         raise ValueError(f"{count:.4g} {what}, more than {_MAX_CELLS}")
 
 
-@functools.lru_cache
+def _face_offsets(room: RoomConfig) -> tuple[float, ...]:
+    """Where each face of the table lies along the axis it lies across."""
+    extent = (room.width_m, room.length_m, room.height_m)
+    return tuple(0.0 if s > 0 else extent[k] for k, s, _ in _FACES)
+
+
 def _inward_axis(position, room: RoomConfig) -> np.ndarray:
     """Boresight of a wall node: the inward normal of its nearest face, walls
-    first on a tie; cached, as every response of a relay asks for it again."""
-    p = np.asarray(position, dtype=float)
-    faces = _face_layout(room)
-    nearest = min(faces[2:] + faces[:2], key=lambda f: float(np.dot(f[5], p - f[0])))
-    return nearest[5]
+    first on a tie."""
+    p, offset = [float(c) for c in position], _face_offsets(room)
+    nearest = min((2, 3, 4, 5, 0, 1), key=lambda i: _FACES[i][1] * (p[_FACES[i][0]] - offset[i]))
+    return _NORMALS[nearest]
 
 
 def pointing(entry: ApConfig | RelayConfig | UserConfig, room: RoomConfig) -> np.ndarray:
@@ -102,9 +126,18 @@ def pointing(entry: ApConfig | RelayConfig | UserConfig, room: RoomConfig) -> np
         az = math.radians(entry.azimuth_deg)
         v = (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
     else:
-        v = entry.axis if entry.axis is not None else _inward_axis(tuple(entry.position_m), room)
+        v = entry.axis if entry.axis is not None else _inward_axis(entry.position_m, room)
     a = np.asarray(v, dtype=float)
     return a / np.linalg.norm(a)
+
+
+def _angle(direction: np.ndarray, boresight: np.ndarray) -> float:
+    """Angle between a unit direction and a unit boresight."""
+    return math.acos(min(1.0, max(-1.0, float(np.dot(direction, boresight)))))
+
+
+def _in_cone(tx: ApConfig | RelayConfig, angle: float) -> bool:
+    return angle <= math.radians(tx.max_steering_deg) + 1e-12
 
 
 def steering_angle(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> float:
@@ -113,16 +146,15 @@ def steering_angle(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> floa
     n = np.linalg.norm(d)
     if n == 0.0:
         raise ValueError("steering target coincides with the transmitter")
-    c = float(np.dot(d / n, pointing(tx, room)))
-    return math.acos(min(1.0, max(-1.0, c)))
+    return _angle(d / n, pointing(tx, room))
 
 
 def can_serve(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> bool:
     """Whether the point ``target`` lies inside the steering cone of ``tx``."""
-    return steering_angle(tx, target, room) <= math.radians(tx.max_steering_deg) + 1e-12
+    return _in_cone(tx, steering_angle(tx, target, room))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibleTiles:
     """The tiles of a grid a detector sees: their centre and normal columns,
     ``(3, tiles)``, areas and reflectivities, and each one's gain to the
@@ -136,7 +168,92 @@ class VisibleTiles:
     distances: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Receiver:
+    """A detector as every response into it sees it: its position and unit
+    boresight, ``(3,)`` arrays, the cosine of its field of view, its
+    aperture area in m^2 and, once a grid has been asked, the tiles of the
+    grid it sees.
+
+    ``ends`` are the far ends of the diffuse legs from a first-bounce hit
+    point, one kernel call's worth: the detector, then each tile it sees,
+    as centre and normal columns, areas, and the cosine each one's
+    incidence must reach, its field of view for the detector and 0 for a
+    tile."""
+
+    position: np.ndarray
+    normal: np.ndarray
+    cos_fov: float
+    area: float
+    tiles: VisibleTiles | None
+    ends: tuple
+
+
+def _receiver(rx: RelayConfig | UserConfig, boresight: np.ndarray) -> Receiver:
+    """The view of ``rx`` before any grid is asked: its ends are the
+    detector alone."""
+    position = np.asarray(rx.position_m, dtype=float)
+    cos_fov = math.cos(math.radians(rx.fov_deg))
+    area = rx.area_cm2 * 1e-4
+    ends = (position.reshape(3, 1), boresight.reshape(3, 1), area, cos_fov)
+    return Receiver(position, boresight, cos_fov, area, None, ends)
+
+
+def _with_tiles(rx: Receiver, grid: SurfaceGrid, mode: float) -> Receiver:
+    """``rx`` with the tiles of ``grid`` it sees, as sources of cosine
+    order ``mode``, appended to its ends; the tiles' centres, normals and
+    areas are views of those ends."""
+    gain, dist = lambertian_gain(
+        grid.centers, grid.normals, mode, rx.position, rx.normal, rx.area, rx.cos_fov
+    )
+    seen = np.flatnonzero(gain)
+    centers, normals, area, cos_fov = rx.ends
+    ends = (
+        np.hstack((centers, grid.centers.take(seen, axis=1))),
+        np.hstack((normals, grid.normals.take(seen, axis=1))),
+        np.hstack((area, grid.areas[seen])),
+        np.hstack((cos_fov, np.zeros(seen.size))),
+    )
+    tiles = VisibleTiles(
+        centers=ends[0][:, 1:],
+        normals=ends[1][:, 1:],
+        areas=ends[2][1:],
+        reflectivities=grid.reflectivities[seen],
+        gains=gain[seen],
+        distances=dist[seen],
+    )
+    return replace(rx, tiles=tiles, ends=ends)
+
+
+class _Terminals:
+    """The terminals of one room as the responses through one grid, or one
+    lone response, see them: each terminal's boresight, worked out once,
+    and the last receiver asked for, with the tiles of the grid it sees
+    once they are asked for."""
+
+    def __init__(self, room: RoomConfig):
+        self.room = room
+        self._boresights: dict = {}
+        self._rx = None
+        self._receiver: Receiver | None = None
+
+    def boresight(self, entry: ApConfig | RelayConfig | UserConfig) -> np.ndarray:
+        axis = self._boresights.get(entry)
+        if axis is None:
+            axis = self._boresights[entry] = pointing(entry, self.room)
+        return axis
+
+    def receiver(self, rx: RelayConfig | UserConfig, grid: SurfaceGrid | None = None) -> Receiver:
+        """The view of ``rx``; given the grid these terminals belong to,
+        one that holds the tiles of it that ``rx`` sees."""
+        if rx != self._rx:
+            self._rx, self._receiver = rx, _receiver(rx, self.boresight(rx))
+        if grid is not None and self._receiver.tiles is None:
+            self._receiver = _with_tiles(self._receiver, grid, self.room.lambertian_mode)
+        return self._receiver
+
+
+@dataclass(frozen=True, eq=False)
 class SurfaceGrid:
     """Element arrays for the six room faces: centre and normal columns,
     ``(3, elements)``, and one area and reflectivity per element."""
@@ -145,8 +262,14 @@ class SurfaceGrid:
     normals: np.ndarray
     areas: np.ndarray
     reflectivities: np.ndarray
-    # (detector, room) -> VisibleTiles of the last detector asked for
-    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the terminals of the last room served, alone in the list; they hold
+    # no reference back to the grid, so a grid is freed as soon as dropped
+    _last: list = field(default_factory=list, init=False, repr=False)
+
+    def _terminals(self, room: RoomConfig) -> _Terminals:
+        if not self._last or self._last[0].room != room:
+            self._last[:] = [_Terminals(room)]
+        return self._last[0]
 
     def visible_to(self, rx: RelayConfig | UserConfig, room: RoomConfig) -> VisibleTiles:
         """The elements with a non-zero :func:`lambertian_gain`, as sources
@@ -154,42 +277,22 @@ class SurfaceGrid:
         other element adds nothing to a path ending there.  The last
         detector's set is kept, so responses into one receiver computed one
         after another share it."""
-        key = (rx, room)
-        if key not in self._last:
-            gain, dist = lambertian_gain(
-                self.centers, self.normals, room.lambertian_mode, rx.position_m,
-                pointing(rx, room), rx.area_cm2 * 1e-4, math.cos(math.radians(rx.fov_deg)),
-            )
-            seen = np.flatnonzero(gain)
-            self._last.clear()
-            self._last[key] = VisibleTiles(
-                centers=self.centers.take(seen, axis=1),
-                normals=self.normals.take(seen, axis=1),
-                areas=self.areas[seen],
-                reflectivities=self.reflectivities[seen],
-                gains=gain[seen],
-                distances=dist[seen],
-            )
-        return self._last[key]
+        return self._terminals(room).receiver(rx, self).tiles
 
 
 def _face_layout(room: RoomConfig):
     """(origin, u axis, u extent, v axis, v extent, normal, reflectivity)
-    for each face, normals pointing into the room: floor, ceiling, the x
-    walls, the y walls."""
-    w, l, h = room.width_m, room.length_m, room.height_m
-    ex = np.array([1.0, 0.0, 0.0])
-    ey = np.array([0.0, 1.0, 0.0])
-    ez = np.array([0.0, 0.0, 1.0])
-    zero = np.zeros(3)
-    return [
-        (zero, ex, w, ey, l, ez, room.floor_reflectivity),
-        (h * ez, ex, w, ey, l, -ez, room.ceiling_reflectivity),
-        (zero, ey, l, ez, h, ex, room.wall_reflectivity),
-        (w * ex, ey, l, ez, h, -ex, room.wall_reflectivity),
-        (zero, ex, w, ez, h, ey, room.wall_reflectivity),
-        (l * ey, ex, w, ez, h, -ey, room.wall_reflectivity),
-    ]
+    for each face of the table; its tiles run along the other two axes in
+    increasing order."""
+    extent = (room.width_m, room.length_m, room.height_m)
+    unit = np.eye(3)
+    layout = []
+    for (k, _, rho), offset, normal in zip(_FACES, _face_offsets(room), _NORMALS):
+        u, v = (a for a in range(3) if a != k)
+        layout.append(
+            (offset * unit[k], unit[u], extent[u], unit[v], extent[v], normal, getattr(room, rho))
+        )
+    return layout
 
 
 def _axis_cells(extent: float, resolution: float):
@@ -239,6 +342,30 @@ def discretize_surfaces(room: RoomConfig, resolution: float) -> SurfaceGrid:
     )
 
 
+def _direct(tx: ApConfig | RelayConfig, tx_pos: np.ndarray, boresight: np.ndarray, rx: Receiver):
+    """The steering check and line of sight of one link: its LOS gain, the
+    unit beam direction and the link's length."""
+    rel = rx.position - tx_pos
+    d = float(np.linalg.norm(rel))
+    if d == 0.0:
+        raise ValueError("steering target coincides with the transmitter")
+    beam = rel / d
+    angle = _angle(beam, boresight)
+    if not _in_cone(tx, angle):
+        raise UnservableLinkError(
+            f"target needs {math.degrees(angle):.2f} deg "
+            f"of steering, limit is {tx.max_steering_deg:.2f} deg"
+        )
+    cos_in = float(np.dot(rx.normal, -beam))
+    if cos_in < rx.cos_fov:
+        return 0.0, beam, d
+    spot_radius = float(np.dot(rel, beam)) * math.tan(tx.divergence_mrad * 1e-3)
+    aperture_radius = math.sqrt(rx.area / math.pi)
+    aperture_area = math.pi * aperture_radius * aperture_radius
+    capture = min(1.0, aperture_area / (math.pi * spot_radius * spot_radius))
+    return capture * cos_in, beam, d
+
+
 def narrow_beam_los_gain(
     tx: ApConfig | RelayConfig, rx: RelayConfig | UserConfig, room: RoomConfig
 ) -> float:
@@ -251,31 +378,9 @@ def narrow_beam_los_gain(
     share of the spot, ``min(1, r_aperture^2 / r_spot^2)``, times the
     incidence cosine.
     """
-    if not can_serve(tx, rx.position_m, room):
-        raise UnservableLinkError(
-            f"target needs {math.degrees(steering_angle(tx, rx.position_m, room)):.2f} deg "
-            f"of steering, limit is {tx.max_steering_deg:.2f} deg"
-        )
-    rel = np.asarray(rx.position_m, dtype=float) - np.asarray(tx.position_m, dtype=float)
-    d = float(np.linalg.norm(rel))
-    axial = float(np.dot(rel, rel / d))
-    spot_radius = axial * math.tan(tx.divergence_mrad * 1e-3)
-    aperture_radius = math.sqrt(rx.area_cm2 * 1e-4 / math.pi)
-
-    cos_in = float(np.dot(pointing(rx, room), -rel / d))
-    if cos_in < math.cos(math.radians(rx.fov_deg)):
-        return 0.0
-    aperture_area = math.pi * aperture_radius * aperture_radius
-    capture = min(1.0, aperture_area / (math.pi * spot_radius * spot_radius))
-    return capture * cos_in
-
-
-def _columns(a) -> np.ndarray:
-    """``a`` as ``(3, N)`` float columns; a ``(3,)`` point is one column."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[0] != 3:
-        raise ValueError(f"expected x, y, z along the first axis, got shape {a.shape}")
-    return a.reshape(3, -1)
+    seen = _Terminals(room)
+    tx_pos = np.asarray(tx.position_m, dtype=float)
+    return _direct(tx, tx_pos, seen.boresight(tx), seen.receiver(rx))[0]
 
 
 def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos_fov: float = 0.0):
@@ -287,44 +392,70 @@ def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos
     a single point.  A pair gets exactly zero unless both ends face each
     other and the incidence cosine reaches ``cos_fov`` (0 for room surfaces,
     ``cos(fov)`` for a detector).  Returns ``(gain, distance)``, one entry
-    per pair, 1-D even for a single pair.
+    per pair, 1-D even for a single pair.  ``cos_fov`` and ``dst_area``
+    may also hold one entry per pair.
+
+    The kernel works in place on the x, y and z rows of its ends, a single
+    point's rows being scalars, and zeroes the pairs that do not see each
+    other in one selection at the end.
     """
-    src, src_normal, dst, dst_normal = map(_columns, (src, src_normal, dst, dst_normal))
-    dx, dy, dz = dst - src
+    columns = [np.asarray(a, dtype=float) for a in (src, src_normal, dst, dst_normal)]
+    for a in columns:
+        if a.ndim not in (1, 2) or a.shape[0] != 3:
+            raise ValueError(f"expected x, y, z along the first axis, got shape {a.shape}")
+    (sx, sy, sz), (snx, sny, snz), (x, y, z), (nx, ny, nz) = (
+        columns[0], columns[1], columns[2].reshape(3, -1), columns[3],
+    )
+    dx, dy, dz = x - sx, y - sy, z - sz
     # each 3-term dot product adds x and z first, then y: the order numpy's
     # einsum takes over C-ordered (N, 3) rows, which gave the recorded gains;
     # summed in x, y, z order, some distances differ in their last bit
-    dist2 = (dx * dx + dz * dz) + dy * dy
+    dist2 = dx * dx
+    term = dz * dz
+    dist2 += term
+    dist2 += np.multiply(dy, dy, out=term)
     ok = dist2 > 0.0
-    dist = np.sqrt(np.where(ok, dist2, 1.0))
-    ux, uy, uz = dx / dist, dy / dist, dz / dist
-    cos_e = (ux * src_normal[0] + uz * src_normal[2]) + uy * src_normal[1]
-    cos_i = -((ux * dst_normal[0] + uz * dst_normal[2]) + uy * dst_normal[1])
-    vis = ok & (cos_e > 0.0) & (cos_i > 0.0) & (cos_i >= cos_fov)
-    area = np.broadcast_to(dst_area, dist.shape)
-    gain = np.zeros(dist.shape)
-    gain[vis] = (
-        (mode + 1) / (2.0 * math.pi * dist2[vis]) * cos_e[vis] ** mode * cos_i[vis] * area[vis]
-    )
-    return gain, dist
+    safe2 = np.where(ok, dist2, 1.0)
+    dist = np.sqrt(safe2)
+    dx /= dist
+    dy /= dist
+    dz /= dist
+    cos_e = dx * snx
+    cos_e += np.multiply(dz, snz, out=term)
+    cos_e += np.multiply(dy, sny, out=term)
+    cos_i = dx * nx
+    cos_i += np.multiply(dz, nz, out=term)
+    cos_i += np.multiply(dy, ny, out=term)
+    np.negative(cos_i, out=cos_i)
+    vis = cos_e > 0.0
+    vis &= ok
+    vis &= cos_i > 0.0
+    vis &= cos_i >= cos_fov
+    np.maximum(cos_e, 0.0, out=cos_e)
+    gain = np.multiply(2.0 * math.pi, safe2, out=safe2)
+    np.divide(mode + 1, gain, out=gain)
+    gain *= cos_e ** mode
+    gain *= cos_i
+    gain *= dst_area
+    return np.where(vis, gain, 0.0), dist
 
 
-def _first_bounce(room: RoomConfig, origin, direction):
+def _first_bounce(room: RoomConfig, origin: np.ndarray, direction: np.ndarray):
     """The first point where a ray from inside the room meets a face, with
-    that face's inward normal and reflectivity; the earlier face in
-    :func:`_face_layout` wins a tie."""
+    that face's inward normal and reflectivity; the earlier face in the
+    table wins a tie."""
+    o, u = origin.tolist(), direction.tolist()
     best_t, best = math.inf, None
-    for face in _face_layout(room):
-        along = float(np.dot(face[5], direction))
+    for i, ((k, s, _), offset) in enumerate(zip(_FACES, _face_offsets(room))):
+        along = s * u[k]
         if abs(along) < 1e-300:
             continue
-        t = float(np.dot(face[5], face[0] - origin)) / along
+        t = s * (offset - o[k]) / along
         if 1e-9 < t < best_t:
-            best_t, best = t, face
+            best_t, best = t, i
     if best is None:
         raise ValueError("beam direction never leaves the room")
-    *_, normal, rho = best
-    return origin + best_t * direction, normal, rho
+    return origin + best_t * direction, _NORMALS[best], getattr(room, _FACES[best][2])
 
 
 def _bin(path_gains: np.ndarray, path_lengths: np.ndarray, bin_duration: float) -> np.ndarray:
@@ -335,7 +466,7 @@ def _bin(path_gains: np.ndarray, path_lengths: np.ndarray, bin_duration: float) 
     return np.bincount(bins, weights=path_gains).astype(float, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelImpulseResponse:
     """The paths of one link, as gains and lengths, plus the per-order
     totals of their gains.
@@ -384,57 +515,57 @@ def impulse_response(
     The first bounce re-radiates from the point where the beam leaves the
     room; second-order paths go through ``second_grid``, tiled at
     ``channel.second_bounce_res_m`` by :func:`discretize_surfaces` when not
-    given.
+    given.  A given grid supplies the terminals as it has worked them out,
+    each one's boresight and the last receiver with the tiles it sees, so
+    responses through one grid into one receiver, one after another, work
+    that receiver out once.
 
     Raises :class:`UnservableLinkError` when the receiver is outside the
     transmitter's steering cone.
     """
-    los = narrow_beam_los_gain(tx, rx, room)
-
+    grid = second_grid if channel.max_bounces >= 2 else None
+    seen = _Terminals(room) if grid is None else grid._terminals(room)
+    receiver = seen.receiver(rx)
     tx_pos = np.asarray(tx.position_m, dtype=float)
-    rx_pos = np.asarray(rx.position_m, dtype=float)
-    rx_normal = pointing(rx, room)
-    cos_fov = math.cos(math.radians(rx.fov_deg))
-    beam = rx_pos - tx_pos
-    beam = beam / np.linalg.norm(beam)
+    los, beam, length = _direct(tx, tx_pos, seen.boresight(tx), receiver)
 
     # every path as (gain, length), stacked at the end
     path_gains: list = []
     path_lengths: list = []
     if los > 0.0:
         path_gains.append(los)
-        path_lengths.append(float(np.linalg.norm(rx_pos - tx_pos)))
+        path_lengths.append(length)
 
     first = 0.0
     second = 0.0
     residue = 1.0 - los
     if channel.max_bounces >= 1 and residue > 0.0:
-        hit, hit_normal, hit_rho = _first_bounce(room, tx_pos, beam)
-        d0 = float(np.linalg.norm(hit - tx_pos))
-        mode = room.lambertian_mode
-
-        g1, d1 = lambertian_gain(
-            hit, hit_normal, mode, rx_pos, rx_normal, rx.area_cm2 * 1e-4, cos_fov
-        )
-        first = residue * hit_rho * float(g1[0])
-        if first > 0.0:
-            path_gains.append(first)
-            path_lengths.append(d0 + d1)
-
         if channel.max_bounces >= 2:
-            grid = second_grid
             if grid is None:
                 grid = discretize_surfaces(room, channel.second_bounce_res_m)
-            seen = grid.visible_to(rx, room)
-            to_patch, d_ep = lambertian_gain(
-                hit, hit_normal, mode, seen.centers, seen.normals, seen.areas
-            )
+                seen = grid._terminals(room)
+            receiver = seen.receiver(rx, grid)
+        hit, hit_normal, hit_rho = _first_bounce(room, tx_pos, beam)
+        d0 = float(np.linalg.norm(hit - tx_pos))
+        # one kernel call: the hit point to the detector, then to each tile it sees
+        gain, dist = lambertian_gain(hit, hit_normal, room.lambertian_mode, *receiver.ends)
+        first = residue * hit_rho * float(gain[0])
+        if first > 0.0:
+            path_gains.append(first)
+            path_lengths.append(d0 + dist[:1])
+
+        tiles = receiver.tiles
+        if tiles is not None:
+            to_patch, d_ep = gain[1:], dist[1:]
             live = to_patch > 0.0
-            rho, to_rx = seen.reflectivities[live], seen.gains[live]
-            contrib = residue * hit_rho * to_patch[live] * rho * to_rx
+            contrib = residue * hit_rho * to_patch[live]
+            contrib *= tiles.reflectivities[live]
+            contrib *= tiles.gains[live]
             second = float(np.sum(contrib))
+            via_patch = d0 + d_ep[live]
+            via_patch += tiles.distances[live]
             path_gains.append(contrib)
-            path_lengths.append(d0 + d_ep[live] + seen.distances[live])
+            path_lengths.append(via_patch)
 
     lengths = np.hstack(path_lengths) if path_lengths else np.zeros(0)
     # counted in nanoseconds: a width of a few 1e-315 ns underflows to 0 s

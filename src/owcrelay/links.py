@@ -203,11 +203,13 @@ def _relay_branch_map(
 def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
     """The link of each entry (tx_id, rx_id) -> (kind, tx, rx) of ``ends``,
     keyed and ordered the same way, with its unobstructed gains.
-    The second-bounce grid is tiled once, and the responses are computed
-    receiver by receiver, so the grid works out once which of its tiles
-    each receiver sees, and the responses into it go through those alone;
-    an unservable link is named by the first response that meets it.
-    A link's gain is the sum of its response's per-order totals, so no
+    The second-bounce grid is tiled once per build, and the responses are
+    computed receiver by receiver through it, so the grid works out each
+    terminal's boresight once, and each receiver once: its position,
+    boresight, field of view and aperture, and the tiles it sees, through
+    which alone the responses into it go.  The grid is dropped with the
+    build.  An unservable link is named by the first response that meets
+    it.  A link's gain is the sum of its response's per-order totals, so no
     response is binned."""
     room, channel = scenario.room, scenario.channel
     grid = None

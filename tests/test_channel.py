@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from collections import Counter
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from owcrelay import channel
+from owcrelay import channel, links
 from owcrelay.channel import (
     SPEED_OF_LIGHT,
     ChannelImpulseResponse,
@@ -559,26 +560,111 @@ class TestEnergyBound:
         assert total == pytest.approx(ROOM.wall_reflectivity, rel=0.02)
 
 
+def budget_scenario(room, request):
+    """The default room, a test room file, or the dense seed 3 fixture."""
+    if room == "default":
+        return default_scenario()
+    if room == "dense-seed-3":
+        return request.getfixturevalue("dense_seed_3")
+    return load_scenario(Path(__file__).with_name(f"{room.replace('-', '_')}.yaml"))
+
+
+# SHA-256 over every budget link's id and the float.hex of its h, h_los and
+# h_reflected, one line per link in link order, as first recorded
+GAIN_DIGESTS = {
+    "default": "ed32292e90bd689840fff9692d59b51c03a7abcd0d940f2304c9cd7259bdb24c",
+    "dense-tile": "35e9d7ca9873ec15c66a7694edf6ce7d173fcd9e033a8ff118b2c1c41f872385",
+    "tilted": "28e16ede0f53178e2ca53596a7db6a9e5c762ae8fb906aa6df60fde4c5dd9a37",
+    "dense-seed-3": "42b465ac14d0c50767efb6141b64b22913bdc692f91adbc79c94dfc48fcf1a3d",
+}
+
+
 class TestLinkBudgetResponses:
+    @pytest.mark.parametrize("room", list(GAIN_DIGESTS))
+    def test_gains_pinned_to_the_bit(self, room, request):
+        # the budget and a lone response share the Lambertian kernel, so
+        # comparing them cannot see a change to it; these digests can
+        digest = hashlib.sha256()
+        for link in build_link_budget(budget_scenario(room, request)).links:
+            gains = (link.h, link.h_los, link.h_reflected)
+            digest.update(f"{link.link_id} {' '.join(g.hex() for g in gains)}\n".encode())
+        assert digest.hexdigest() == GAIN_DIGESTS[room]
+
     @pytest.mark.parametrize("room", ["default", "dense-tile", "tilted", "dense-seed-3"])
     def test_gains_equal_responses_computed_alone(self, room, request):
         # the budget computes responses receiver by receiver through one
         # grid that keeps its last receiver's gains, and sums each link's
         # per-order totals without binning it; each link's gains must equal
         # its binned response computed alone on a fresh grid
-        if room == "default":
-            scenario = default_scenario()
-        elif room == "dense-seed-3":
-            scenario = request.getfixturevalue("dense_seed_3")
-        else:
-            scenario = load_scenario(Path(__file__).with_name(f"{room.replace('-', '_')}.yaml"))
-        budget = build_link_budget(scenario)
+        budget = build_link_budget(budget_scenario(room, request))
         assert [link.index for link in budget.links] == list(range(budget.link_count))
         for link in budget.links:
             cir = link_cir(budget, link.tx_id, link.rx_id)
             assert (link.h, link.h_los, link.h_reflected) == (
                 cir.dc_gain(), cir.los_gain, cir.first_order_gain + cir.second_order_gain,
             )
+
+    def test_responses_and_grids_compare_by_identity(self):
+        # their fields are arrays, so a field-wise == of two responses with
+        # more than one path, or of two grids, has no single truth value
+        budget = build_link_budget(default_scenario())
+        for tx_id, rx_id in [("ap5", "u4"), ("r1", "u1"), ("ap2", "u2"), ("ap1", "u1")]:
+            one, other = (link_cir(budget, tx_id, rx_id) for _ in range(2))
+            assert one == one and one != other
+            assert len({one, other, one}) == 2
+        grid, again = discretize_surfaces(ROOM, 0.20), discretize_surfaces(ROOM, 0.20)
+        assert grid == grid and grid != again
+        assert len({grid, again, grid}) == 2
+        # and so do the views of a receiver and of the tiles it sees
+        rx = make_rx((1.0, 2.0, 1.0))
+        views = [channel._Terminals(ROOM).receiver(rx, g) for g in (grid, again)]
+        for one, other in (views, [view.tiles for view in views]):
+            assert one == one and one != other
+            assert len({one, other, one}) == 2
+
+    @pytest.mark.parametrize("room, receivers", [("default", 14), ("dense-seed-3", 21)])
+    def test_each_receiver_worked_out_once(self, room, receivers, request, monkeypatch):
+        # the budget's responses run receiver by receiver through one grid,
+        # which keeps the receiver's view, and the tiles it sees, for the
+        # next response into it
+        scenario = budget_scenario(room, request)
+        views, tiled, grids = Counter(), Counter(), []
+        view_of, with_tiles, tile = channel._receiver, channel._with_tiles, links.discretize_surfaces
+
+        def counted_view(rx, boresight):
+            views[rx.id] += 1
+            return view_of(rx, boresight)
+
+        def counted_tiles(rx, grid, mode):
+            tiled[tuple(rx.position)] += 1
+            return with_tiles(rx, grid, mode)
+
+        def counted_grid(*args):
+            grids.append(tile(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(channel, "_receiver", counted_view)
+        monkeypatch.setattr(channel, "_with_tiles", counted_tiles)
+        monkeypatch.setattr(links, "discretize_surfaces", counted_grid)
+        budget = build_link_budget(scenario)
+        assert len(grids) == 1
+        assert set(views) == {link.rx_id for link in budget.links}
+        assert len(views) == len(tiled) == receivers
+        assert set(views.values()) == set(tiled.values()) == {1}
+
+    @pytest.mark.parametrize("bounces", [0, 1])
+    def test_no_grid_below_two_bounces(self, bounces, monkeypatch):
+        # without second-order paths the budget tiles nothing, and no
+        # receiver is asked which tiles it sees
+        def refused(*args):
+            raise AssertionError("tiles worked out")
+
+        monkeypatch.setattr(channel, "_with_tiles", refused)
+        monkeypatch.setattr(channel, "discretize_surfaces", refused)
+        monkeypatch.setattr(links, "discretize_surfaces", refused)
+        scenario = scenario_from_dict({"channel": {"max_bounces": bounces}})
+        budget = build_link_budget(scenario)
+        assert budget.link_count == 32
 
     def test_responses_bin_on_request(self, monkeypatch):
         # the budget reads no bin, and a response bins its paths on the
@@ -607,8 +693,9 @@ class TestLinkBudgetResponses:
 
     @pytest.mark.parametrize("room", ["default", "tilted"])
     def test_steering_checked_at_most_twice_per_pair(self, room, monkeypatch):
-        # a link's steering is checked once by the map that chose it and
-        # once by its response, which names an unservable link itself
+        # a link's steering is checked once by the map that chose it, through
+        # steering_angle, and once by its response, from the beam direction
+        # the response works out anyway, which names an unservable link itself
         scenario = (
             default_scenario() if room == "default"
             else load_scenario(Path(__file__).with_name("tilted.yaml"))
