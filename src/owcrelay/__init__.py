@@ -32,6 +32,7 @@ from owcrelay.channel import (
     cir_rows,
     discretize_surfaces,
     impulse_response,
+    receiver_view,
 )
 from owcrelay.mobility import QuadratureError, sample_human_positions
 from owcrelay.links import LinkBudget, build_link_budget, evaluate_sinr, link_cir

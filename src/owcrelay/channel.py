@@ -22,12 +22,11 @@ onto its face.  Power that misses the aperture continues along the beam axis
 to the first face it meets and re-radiates from the hit point as a
 Lambertian point source; a beam the aperture catches whole has no first
 bounce.  Second-order paths go through a grid of tiles covering every room
-surface.  A grid works out, once for all the responses through it, each
-terminal's boresight and the last receiver it served: that receiver's
-position, boresight, field of view and aperture, and the patches it can
-see with their gains to it, since a patch it cannot see carries no path.
-Responses into that receiver run their hit-to-patch leg over those patches
-alone.
+surface.  A receiver's view (:func:`receiver_view`) holds what every
+response into it shares: its position, boresight, field of view and
+aperture and, given a grid, the tiles it can see with their gains to it,
+since a tile it cannot see carries no path.  Responses given that view run
+their hit-to-tile leg over those tiles alone.
 
 Every diffuse leg -- hit point to detector, hit point to grid patch, grid
 patch to detector -- is the same transfer from a Lambertian point source to
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +63,7 @@ __all__ = [
     "can_serve",
     "ChannelImpulseResponse",
     "discretize_surfaces",
-    "narrow_beam_los_gain",
+    "receiver_view",
     "lambertian_gain",
     "impulse_response",
     "cir_rows",
@@ -90,6 +89,9 @@ _FACES = (
 )
 _NORMALS = np.array([s * np.eye(3)[k] for k, s, _ in _FACES])
 _NORMALS.flags.writeable = False
+# an AP's boresight; it and the face normals are unit vectors as they stand
+_DOWN = np.array([0.0, 0.0, -1.0])
+_DOWN.flags.writeable = False
 
 
 class UnservableLinkError(ValueError):
@@ -118,15 +120,18 @@ def _inward_axis(position, room: RoomConfig) -> np.ndarray:
 def pointing(entry: ApConfig | RelayConfig | UserConfig, room: RoomConfig) -> np.ndarray:
     """Unit boresight of a terminal: an AP points straight down, a user
     along its elevation and azimuth, and a relay's source and detector share
-    its ``axis``, or face away from the nearest room face."""
+    its ``axis``, or face away from the nearest room face.  The array may be
+    a shared read-only constant."""
     if isinstance(entry, ApConfig):
-        v = (0.0, 0.0, -1.0)
-    elif isinstance(entry, UserConfig):
+        return _DOWN
+    if isinstance(entry, UserConfig):
         el = math.radians(entry.elevation_deg)
         az = math.radians(entry.azimuth_deg)
         v = (math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el))
+    elif entry.axis is None:
+        return _inward_axis(entry.position_m, room)
     else:
-        v = entry.axis if entry.axis is not None else _inward_axis(entry.position_m, room)
+        v = entry.axis
     a = np.asarray(v, dtype=float)
     return a / np.linalg.norm(a)
 
@@ -172,8 +177,8 @@ class VisibleTiles:
 class Receiver:
     """A detector as every response into it sees it: its position and unit
     boresight, ``(3,)`` arrays, the cosine of its field of view, its
-    aperture area in m^2 and, once a grid has been asked, the tiles of the
-    grid it sees.
+    aperture area in m^2 and, when built with a grid, the tiles of the grid
+    it sees.
 
     ``ends`` are the far ends of the diffuse legs from a first-bounce hit
     point, one kernel call's worth: the detector, then each tile it sees,
@@ -189,28 +194,39 @@ class Receiver:
     ends: tuple
 
 
-def _receiver(rx: RelayConfig | UserConfig, boresight: np.ndarray) -> Receiver:
-    """The view of ``rx`` before any grid is asked: its ends are the
-    detector alone."""
+@dataclass(frozen=True, eq=False)
+class SurfaceGrid:
+    """Element arrays for the six room faces: centre and normal columns,
+    ``(3, elements)``, and one area and reflectivity per element."""
+
+    centers: np.ndarray
+    normals: np.ndarray
+    areas: np.ndarray
+    reflectivities: np.ndarray
+
+
+def receiver_view(
+    rx: RelayConfig | UserConfig, room: RoomConfig, grid: SurfaceGrid | None = None
+) -> Receiver:
+    """The view of ``rx`` that responses into it share.  Given a grid, it
+    holds the tiles with a non-zero :func:`lambertian_gain` to the detector,
+    as sources of the room's ``lambertian_mode``, appended to its ends;
+    every other tile adds nothing to a path ending there.  The tiles'
+    centres, normals and areas are views of those ends."""
     position = np.asarray(rx.position_m, dtype=float)
+    normal = pointing(rx, room)
     cos_fov = math.cos(math.radians(rx.fov_deg))
     area = rx.area_cm2 * 1e-4
-    ends = (position.reshape(3, 1), boresight.reshape(3, 1), area, cos_fov)
-    return Receiver(position, boresight, cos_fov, area, None, ends)
-
-
-def _with_tiles(rx: Receiver, grid: SurfaceGrid, mode: float) -> Receiver:
-    """``rx`` with the tiles of ``grid`` it sees, as sources of cosine
-    order ``mode``, appended to its ends; the tiles' centres, normals and
-    areas are views of those ends."""
+    ends = (position.reshape(3, 1), normal.reshape(3, 1), area, cos_fov)
+    if grid is None:
+        return Receiver(position, normal, cos_fov, area, None, ends)
     gain, dist = lambertian_gain(
-        grid.centers, grid.normals, mode, rx.position, rx.normal, rx.area, rx.cos_fov
+        grid.centers, grid.normals, room.lambertian_mode, position, normal, area, cos_fov
     )
     seen = np.flatnonzero(gain)
-    centers, normals, area, cos_fov = rx.ends
     ends = (
-        np.hstack((centers, grid.centers.take(seen, axis=1))),
-        np.hstack((normals, grid.normals.take(seen, axis=1))),
+        np.hstack((ends[0], grid.centers.take(seen, axis=1))),
+        np.hstack((ends[1], grid.normals.take(seen, axis=1))),
         np.hstack((area, grid.areas[seen])),
         np.hstack((cos_fov, np.zeros(seen.size))),
     )
@@ -222,62 +238,7 @@ def _with_tiles(rx: Receiver, grid: SurfaceGrid, mode: float) -> Receiver:
         gains=gain[seen],
         distances=dist[seen],
     )
-    return replace(rx, tiles=tiles, ends=ends)
-
-
-class _Terminals:
-    """The terminals of one room as the responses through one grid, or one
-    lone response, see them: each terminal's boresight, worked out once,
-    and the last receiver asked for, with the tiles of the grid it sees
-    once they are asked for."""
-
-    def __init__(self, room: RoomConfig):
-        self.room = room
-        self._boresights: dict = {}
-        self._rx = None
-        self._receiver: Receiver | None = None
-
-    def boresight(self, entry: ApConfig | RelayConfig | UserConfig) -> np.ndarray:
-        axis = self._boresights.get(entry)
-        if axis is None:
-            axis = self._boresights[entry] = pointing(entry, self.room)
-        return axis
-
-    def receiver(self, rx: RelayConfig | UserConfig, grid: SurfaceGrid | None = None) -> Receiver:
-        """The view of ``rx``; given the grid these terminals belong to,
-        one that holds the tiles of it that ``rx`` sees."""
-        if rx != self._rx:
-            self._rx, self._receiver = rx, _receiver(rx, self.boresight(rx))
-        if grid is not None and self._receiver.tiles is None:
-            self._receiver = _with_tiles(self._receiver, grid, self.room.lambertian_mode)
-        return self._receiver
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceGrid:
-    """Element arrays for the six room faces: centre and normal columns,
-    ``(3, elements)``, and one area and reflectivity per element."""
-
-    centers: np.ndarray
-    normals: np.ndarray
-    areas: np.ndarray
-    reflectivities: np.ndarray
-    # the terminals of the last room served, alone in the list; they hold
-    # no reference back to the grid, so a grid is freed as soon as dropped
-    _last: list = field(default_factory=list, init=False, repr=False)
-
-    def _terminals(self, room: RoomConfig) -> _Terminals:
-        if not self._last or self._last[0].room != room:
-            self._last[:] = [_Terminals(room)]
-        return self._last[0]
-
-    def visible_to(self, rx: RelayConfig | UserConfig, room: RoomConfig) -> VisibleTiles:
-        """The elements with a non-zero :func:`lambertian_gain`, as sources
-        of the room's ``lambertian_mode``, to the detector of ``rx``; every
-        other element adds nothing to a path ending there.  The last
-        detector's set is kept, so responses into one receiver computed one
-        after another share it."""
-        return self._terminals(room).receiver(rx, self).tiles
+    return Receiver(position, normal, cos_fov, area, tiles, ends)
 
 
 def _face_layout(room: RoomConfig):
@@ -364,23 +325,6 @@ def _direct(tx: ApConfig | RelayConfig, tx_pos: np.ndarray, boresight: np.ndarra
     aperture_area = math.pi * aperture_radius * aperture_radius
     capture = min(1.0, aperture_area / (math.pi * spot_radius * spot_radius))
     return capture * cos_in, beam, d
-
-
-def narrow_beam_los_gain(
-    tx: ApConfig | RelayConfig, rx: RelayConfig | UserConfig, room: RoomConfig
-) -> float:
-    """Fraction of transmit power collected by the detector over the direct
-    path.
-
-    The beam is steered at the receiver's centre, so the aperture disk sits
-    centred in the top-hat spot; a receiver outside the steering cone raises
-    :class:`UnservableLinkError`.  The captured fraction is the aperture's
-    share of the spot, ``min(1, r_aperture^2 / r_spot^2)``, times the
-    incidence cosine.
-    """
-    seen = _Terminals(room)
-    tx_pos = np.asarray(tx.position_m, dtype=float)
-    return _direct(tx, tx_pos, seen.boresight(tx), seen.receiver(rx))[0]
 
 
 def lambertian_gain(src, src_normal, mode: float, dst, dst_normal, dst_area, cos_fov: float = 0.0):
@@ -505,7 +449,7 @@ def impulse_response(
     rx: RelayConfig | UserConfig,
     room: RoomConfig,
     channel: ChannelConfig,
-    second_grid: SurfaceGrid | None = None,
+    view: Receiver | None = None,
 ) -> ChannelImpulseResponse:
     """Unobstructed impulse response of one steered link under the
     scenario's channel section, binned at ``channel.bin_ns`` when its gains
@@ -513,21 +457,24 @@ def impulse_response(
     at that read.
 
     The first bounce re-radiates from the point where the beam leaves the
-    room; second-order paths go through ``second_grid``, tiled at
-    ``channel.second_bounce_res_m`` by :func:`discretize_surfaces` when not
-    given.  A given grid supplies the terminals as it has worked them out,
-    each one's boresight and the last receiver with the tiles it sees, so
-    responses through one grid into one receiver, one after another, work
-    that receiver out once.
+    room; second-order paths go through the tiles held by ``view``, the
+    :func:`receiver_view` of ``rx``.  A response given no view builds its
+    own, through a grid tiled at ``channel.second_bounce_res_m`` when
+    ``channel.max_bounces`` is 2; a given view must hold tiles exactly
+    then, or a ``ValueError`` is raised.
 
     Raises :class:`UnservableLinkError` when the receiver is outside the
     transmitter's steering cone.
     """
-    grid = second_grid if channel.max_bounces >= 2 else None
-    seen = _Terminals(room) if grid is None else grid._terminals(room)
-    receiver = seen.receiver(rx)
+    if view is None:
+        grid = None
+        if channel.max_bounces >= 2:
+            grid = discretize_surfaces(room, channel.second_bounce_res_m)
+        view = receiver_view(rx, room, grid)
+    elif (view.tiles is not None) != (channel.max_bounces >= 2):
+        raise ValueError("a receiver view holds tiles exactly when max_bounces is 2")
     tx_pos = np.asarray(tx.position_m, dtype=float)
-    los, beam, length = _direct(tx, tx_pos, seen.boresight(tx), receiver)
+    los, beam, length = _direct(tx, tx_pos, pointing(tx, room), view)
 
     # every path as (gain, length), stacked at the end
     path_gains: list = []
@@ -540,21 +487,16 @@ def impulse_response(
     second = 0.0
     residue = 1.0 - los
     if channel.max_bounces >= 1 and residue > 0.0:
-        if channel.max_bounces >= 2:
-            if grid is None:
-                grid = discretize_surfaces(room, channel.second_bounce_res_m)
-                seen = grid._terminals(room)
-            receiver = seen.receiver(rx, grid)
         hit, hit_normal, hit_rho = _first_bounce(room, tx_pos, beam)
         d0 = float(np.linalg.norm(hit - tx_pos))
         # one kernel call: the hit point to the detector, then to each tile it sees
-        gain, dist = lambertian_gain(hit, hit_normal, room.lambertian_mode, *receiver.ends)
+        gain, dist = lambertian_gain(hit, hit_normal, room.lambertian_mode, *view.ends)
         first = residue * hit_rho * float(gain[0])
         if first > 0.0:
             path_gains.append(first)
             path_lengths.append(d0 + dist[:1])
 
-        tiles = receiver.tiles
+        tiles = view.tiles
         if tiles is not None:
             to_patch, d_ep = gain[1:], dist[1:]
             live = to_patch > 0.0

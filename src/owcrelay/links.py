@@ -33,7 +33,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from owcrelay.channel import UnservableLinkError, can_serve, discretize_surfaces, impulse_response
+from owcrelay.channel import (
+    UnservableLinkError,
+    can_serve,
+    discretize_surfaces,
+    impulse_response,
+    receiver_view,
+)
 from owcrelay.geometry import StadiumRegion, blocked_region
 from owcrelay.scenario import ApConfig, NoiseConfig, NomaConfig, Scenario
 
@@ -203,12 +209,10 @@ def _relay_branch_map(
 def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
     """The link of each entry (tx_id, rx_id) -> (kind, tx, rx) of ``ends``,
     keyed and ordered the same way, with its unobstructed gains.
-    The second-bounce grid is tiled once per build, and the responses are
-    computed receiver by receiver through it, so the grid works out each
-    terminal's boresight once, and each receiver once: its position,
-    boresight, field of view and aperture, and the tiles it sees, through
-    which alone the responses into it go.  The grid is dropped with the
-    build.  An unservable link is named by the first response that meets
+    The responses are computed receiver by receiver, each through one
+    :func:`receiver_view` of its receiver, which holds the tiles it sees of
+    the one second-bounce grid of the build; below two bounces there is no
+    grid.  An unservable link is named by the first response that meets
     it.  A link's gain is the sum of its response's per-order totals, so no
     response is binned."""
     room, channel = scenario.room, scenario.channel
@@ -217,10 +221,13 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
         grid = discretize_surfaces(room, channel.second_bounce_res_m)
     index = {key: i for i, key in enumerate(ends)}
     links = {}
+    receiver = view = None
     for tx_id, rx_id in sorted(ends, key=lambda key: key[1]):
         kind, tx, rx = ends[tx_id, rx_id]
+        if rx_id != receiver:
+            receiver, view = rx_id, receiver_view(rx, room, grid)
         try:
-            cir = impulse_response(tx, rx, room, channel, grid)
+            cir = impulse_response(tx, rx, room, channel, view)
         except UnservableLinkError as exc:
             raise UnservableLinkError(f"link {tx_id}->{rx_id}: {exc}") from None
         links[tx_id, rx_id] = Link(

@@ -16,8 +16,8 @@ from owcrelay.channel import (
     discretize_surfaces,
     impulse_response,
     lambertian_gain,
-    narrow_beam_los_gain,
     pointing,
+    receiver_view,
 )
 from owcrelay.links import build_link_budget, link_cir
 from owcrelay.outage import outage_independent_approx, outage_monte_carlo
@@ -64,6 +64,11 @@ def point_to_rx(src_pos, src_normal, mode, rx):
     return float(gain[0])
 
 
+def los_gain(tx, rx, room):
+    """The line-of-sight gain of one link: its response's without reflections."""
+    return impulse_response(tx, rx, room, ChannelConfig(max_bounces=0)).los_gain
+
+
 def padded(gains, length):
     out = np.zeros(length)
     out[: gains.size] = gains
@@ -74,12 +79,12 @@ class TestNarrowBeam:
     def test_full_capture_at_two_meters(self):
         tx = make_tx((1, 1, 3))
         rx = make_rx((1, 1, 1))
-        assert narrow_beam_los_gain(tx, rx, ROOM) == 1.0
+        assert los_gain(tx, rx, ROOM) == 1.0
 
     def test_partial_capture_at_four_meters(self):
         tall = make_tx((1, 1, 4))
         rx = make_rx((1, 1, 0))
-        g = narrow_beam_los_gain(tall, rx, ROOM)
+        g = los_gain(tall, rx, ROOM)
         assert abs(g - 0.45112) < 1e-4
         # frozen regression value for the exact overlap expression
         assert g == pytest.approx(0.45111812691771264, rel=1e-12)
@@ -89,7 +94,7 @@ class TestNarrowBeam:
         tx = make_tx((1, 1, 3))
         assert 2.0 * math.tan(2.1e-3) < math.sqrt(1e-4 / math.pi)
         assert 4.0 * math.tan(2.1e-3) > math.sqrt(1e-4 / math.pi)
-        assert narrow_beam_los_gain(tx, make_rx((1, 1, 1)), ROOM) == 1.0
+        assert los_gain(tx, make_rx((1, 1, 1)), ROOM) == 1.0
 
     @pytest.mark.parametrize("drop", [1.0, 2.0, 2.6, 2.8, 3.2, 4.0])
     def test_capture_is_the_aperture_share_of_the_spot(self, drop):
@@ -100,7 +105,7 @@ class TestNarrowBeam:
         rx = make_rx((1, 1, 4 - drop))
         spot_radius = drop * math.tan(2.1e-3)
         share = (1e-4 / math.pi) / (spot_radius * spot_radius)
-        g = narrow_beam_los_gain(tx, rx, ROOM)
+        g = los_gain(tx, rx, ROOM)
         assert (g == 1.0) == (drop < 2.69)
         assert g == pytest.approx(min(1.0, share), rel=1e-12)
 
@@ -108,21 +113,21 @@ class TestNarrowBeam:
         tx = make_tx((1, 1, 3), steer_deg=30.0)
         rx = make_rx((3.5, 1, 1))  # 51 degrees off the downward axis
         with pytest.raises(UnservableLinkError):
-            narrow_beam_los_gain(tx, rx, ROOM)
+            los_gain(tx, rx, ROOM)
 
     def test_receiver_behind_transmitter(self):
         # a beam can only be steered at a receiver inside the steering cone
         tx = make_tx((1, 1, 3))
         behind = make_rx((1, 1, 3.5), normal=(0, 0, -1))
         with pytest.raises(UnservableLinkError):
-            narrow_beam_los_gain(tx, behind, ROOM)
+            los_gain(tx, behind, ROOM)
         with pytest.raises(UnservableLinkError):
             impulse_response(tx, behind, ROOM, ChannelConfig())
 
     def test_incidence_cosine_applied(self):
         tx = make_tx((1, 1, 3), steer_deg=80.0)
         slanted = make_rx((2.0, 1, 1))
-        g = narrow_beam_los_gain(tx, slanted, ROOM)
+        g = los_gain(tx, slanted, ROOM)
         d = math.sqrt(1 + 4)
         assert g == pytest.approx(2.0 / d, rel=1e-12)  # full capture times cos
 
@@ -423,7 +428,7 @@ def first_bounce(tx, rx, room):
 def second_order_reference(tx, rx, room, cfg):
     """Second-order gain of a link summed with the scalar kernel over every
     tile of the grid, and the centres of the tiles with a non-zero path."""
-    residue = 1.0 - narrow_beam_los_gain(tx, rx, room)
+    residue = 1.0 - los_gain(tx, rx, room)
     e, e_normal, e_rho = first_bounce(tx, rx, room)
     grid = discretize_surfaces(room, cfg.second_bounce_res_m)
     mode, rx_normal = room.lambertian_mode, pointing(rx, room)
@@ -466,12 +471,13 @@ class TestVisibleTiles:
         grid = discretize_surfaces(sc_room, cfg.second_bounce_res_m)
         for tx_id in tx_ids:
             tx, rx = terminal[tx_id], terminal[rx_id]
-            cir = impulse_response(tx, rx, sc_room, cfg, grid)
+            view = receiver_view(rx, sc_room, grid)
+            cir = impulse_response(tx, rx, sc_room, cfg, view)
             ref, live = second_order_reference(tx, rx, sc_room, cfg)
             assert live.shape[1] > 0
             assert cir.second_order_gain == pytest.approx(ref, rel=1e-12, abs=0.0)
             e, e_normal, _ = first_bounce(tx, rx, sc_room)
-            seen = grid.visible_to(rx, sc_room)
+            seen = view.tiles
             to_patch, _ = lambertian_gain(
                 e, e_normal, sc_room.lambertian_mode, seen.centers, seen.normals, seen.areas
             )
@@ -479,16 +485,17 @@ class TestVisibleTiles:
 
     def test_shared_grid_matches_fresh_grids(self):
         # receivers u1 (tilted user), r1 (relay on an explicit axis) and u2
-        # in the order A, B, A, C, B through one grid: no receiver's tiles
-        # may serve another's response
+        # in the order A, B, A, C, B, each through its view of one grid: no
+        # receiver's tiles may serve another's response
         scenario = scenario_named("tilted")
         room, cfg = scenario.room, scenario.channel
         terminal = {t.id: t for t in (*scenario.aps, *scenario.relays, *scenario.users)}
         grid = discretize_surfaces(room, cfg.second_bounce_res_m)
+        view = {rx_id: receiver_view(terminal[rx_id], room, grid) for rx_id in ("u1", "r1", "u2")}
         order = [("ap1", "u1"), ("ap2", "r1"), ("ap2", "u1"), ("ap7", "u2"), ("ap2", "r1")]
         for tx_id, rx_id in order:
             tx, rx = terminal[tx_id], terminal[rx_id]
-            shared = impulse_response(tx, rx, room, cfg, grid)
+            shared = impulse_response(tx, rx, room, cfg, view[rx_id])
             fresh = impulse_response(tx, rx, room, cfg)
             assert shared.second_order_gain > 0.0
             assert np.array_equal(shared.gains, fresh.gains)
@@ -503,9 +510,11 @@ class TestVisibleTiles:
         wide = make_rx((1.4, 1.2, 1.0))
         narrow = make_rx((1.4, 1.2, 1.0), fov_deg=0.5)
         grid = discretize_surfaces(ROOM, 0.20)
-        assert impulse_response(tx, wide, ROOM, ChannelConfig(), grid).second_order_gain > 0.0
-        assert grid.visible_to(narrow, ROOM).centers.shape == (3, 0)
-        cir = impulse_response(tx, narrow, ROOM, ChannelConfig(), grid)
+        wide_view = receiver_view(wide, ROOM, grid)
+        assert impulse_response(tx, wide, ROOM, ChannelConfig(), wide_view).second_order_gain > 0.0
+        narrow_view = receiver_view(narrow, ROOM, grid)
+        assert narrow_view.tiles.centers.shape == (3, 0)
+        cir = impulse_response(tx, narrow, ROOM, ChannelConfig(), narrow_view)
         one_bounce = impulse_response(tx, narrow, ROOM, ChannelConfig(max_bounces=1))
         assert cir.los_gain == 0.0
         assert cir.second_order_gain == 0.0
@@ -592,8 +601,8 @@ class TestLinkBudgetResponses:
 
     @pytest.mark.parametrize("room", ["default", "dense-tile", "tilted", "dense-seed-3"])
     def test_gains_equal_responses_computed_alone(self, room, request):
-        # the budget computes responses receiver by receiver through one
-        # grid that keeps its last receiver's gains, and sums each link's
+        # the budget computes responses receiver by receiver, each through
+        # one view of its receiver on one grid, and sums each link's
         # per-order totals without binning it; each link's gains must equal
         # its binned response computed alone on a fresh grid
         budget = build_link_budget(budget_scenario(room, request))
@@ -617,54 +626,88 @@ class TestLinkBudgetResponses:
         assert len({grid, again, grid}) == 2
         # and so do the views of a receiver and of the tiles it sees
         rx = make_rx((1.0, 2.0, 1.0))
-        views = [channel._Terminals(ROOM).receiver(rx, g) for g in (grid, again)]
+        views = [receiver_view(rx, ROOM, g) for g in (grid, again)]
         for one, other in (views, [view.tiles for view in views]):
             assert one == one and one != other
             assert len({one, other, one}) == 2
 
-    @pytest.mark.parametrize("room, receivers", [("default", 14), ("dense-seed-3", 21)])
-    def test_each_receiver_worked_out_once(self, room, receivers, request, monkeypatch):
-        # the budget's responses run receiver by receiver through one grid,
-        # which keeps the receiver's view, and the tiles it sees, for the
-        # next response into it
+    @pytest.mark.parametrize(
+        "room, receivers, bounces",
+        [
+            pytest.param(
+                room, receivers, bounces,
+                id=f"{room}-{receivers}" + ("" if bounces == 2 else f"-{bounces}-bounces"),
+            )
+            for room, receivers in [("default", 14), ("dense-seed-3", 21)]
+            for bounces in (2, 1, 0)
+        ],
+    )
+    def test_each_receiver_worked_out_once(self, room, receivers, bounces, request, monkeypatch):
+        # the budget's responses run receiver by receiver, each through one
+        # view of its receiver, whatever the bounce count; the one grid the
+        # views share is tiled only for second-order paths
         scenario = budget_scenario(room, request)
-        views, tiled, grids = Counter(), Counter(), []
-        view_of, with_tiles, tile = channel._receiver, channel._with_tiles, links.discretize_surfaces
+        scenario = dataclasses.replace(
+            scenario, channel=dataclasses.replace(scenario.channel, max_bounces=bounces)
+        )
+        views, grids = Counter(), []
+        view_of, tile = channel.receiver_view, channel.discretize_surfaces
 
-        def counted_view(rx, boresight):
+        def counted_view(rx, *args):
             views[rx.id] += 1
-            return view_of(rx, boresight)
-
-        def counted_tiles(rx, grid, mode):
-            tiled[tuple(rx.position)] += 1
-            return with_tiles(rx, grid, mode)
+            return view_of(rx, *args)
 
         def counted_grid(*args):
             grids.append(tile(*args))
             return grids[-1]
 
-        monkeypatch.setattr(channel, "_receiver", counted_view)
-        monkeypatch.setattr(channel, "_with_tiles", counted_tiles)
-        monkeypatch.setattr(links, "discretize_surfaces", counted_grid)
+        for module in (channel, links):
+            monkeypatch.setattr(module, "receiver_view", counted_view)
+            monkeypatch.setattr(module, "discretize_surfaces", counted_grid)
         budget = build_link_budget(scenario)
-        assert len(grids) == 1
+        assert len(grids) == (1 if bounces == 2 else 0)
         assert set(views) == {link.rx_id for link in budget.links}
-        assert len(views) == len(tiled) == receivers
-        assert set(views.values()) == set(tiled.values()) == {1}
+        assert len(views) == receivers
+        assert set(views.values()) == {1}
 
     @pytest.mark.parametrize("bounces", [0, 1])
     def test_no_grid_below_two_bounces(self, bounces, monkeypatch):
         # without second-order paths the budget tiles nothing, and no
         # receiver is asked which tiles it sees
+        view_of = channel.receiver_view
+
         def refused(*args):
             raise AssertionError("tiles worked out")
 
-        monkeypatch.setattr(channel, "_with_tiles", refused)
-        monkeypatch.setattr(channel, "discretize_surfaces", refused)
-        monkeypatch.setattr(links, "discretize_surfaces", refused)
+        def untiled_view(rx, room, grid=None):
+            if grid is not None:
+                refused()
+            return view_of(rx, room)
+
+        for module in (channel, links):
+            monkeypatch.setattr(module, "receiver_view", untiled_view)
+            monkeypatch.setattr(module, "discretize_surfaces", refused)
         scenario = scenario_from_dict({"channel": {"max_bounces": bounces}})
         budget = build_link_budget(scenario)
         assert budget.link_count == 32
+
+    @pytest.mark.parametrize("bounces", [0, 1, 2])
+    def test_view_tiled_exactly_for_second_order_paths(self, bounces):
+        # a view's tiles carry the second-order paths, so a view without
+        # them cannot serve two bounces, nor one with them fewer
+        tx, rx = make_tx((1, 1, 3)), make_rx((1.0, 1.5, 0.1))
+        cfg = ChannelConfig(max_bounces=bounces)
+        grid = discretize_surfaces(ROOM, cfg.second_bounce_res_m)
+        fits, misfits = receiver_view(rx, ROOM), receiver_view(rx, ROOM, grid)
+        if bounces == 2:
+            fits, misfits = misfits, fits
+        cir = impulse_response(tx, rx, ROOM, cfg, fits)
+        alone = impulse_response(tx, rx, ROOM, cfg)
+        assert (cir.second_order_gain > 0.0) == (bounces == 2)
+        assert np.array_equal(cir.path_gains, alone.path_gains)
+        assert np.array_equal(cir.path_lengths, alone.path_lengths)
+        with pytest.raises(ValueError, match="holds tiles exactly when max_bounces is 2"):
+            impulse_response(tx, rx, ROOM, cfg, misfits)
 
     def test_responses_bin_on_request(self, monkeypatch):
         # the budget reads no bin, and a response bins its paths on the
