@@ -459,18 +459,15 @@ def impulse_response(
     The first bounce re-radiates from the point where the beam leaves the
     room; second-order paths go through the tiles held by ``view``, the
     :func:`receiver_view` of ``rx``.  A response given no view builds its
-    own, through a grid tiled at ``channel.second_bounce_res_m`` when
-    ``channel.max_bounces`` is 2; a given view must hold tiles exactly
-    then, or a ``ValueError`` is raised.
+    own, tiled at ``channel.second_bounce_res_m`` only when the aperture
+    misses part of the beam and ``channel.max_bounces`` is 2; a given view
+    must hold tiles exactly then, or a ``ValueError`` is raised.
 
     Raises :class:`UnservableLinkError` when the receiver is outside the
     transmitter's steering cone.
     """
     if view is None:
-        grid = None
-        if channel.max_bounces >= 2:
-            grid = discretize_surfaces(room, channel.second_bounce_res_m)
-        view = receiver_view(rx, room, grid)
+        view = receiver_view(rx, room)
     elif (view.tiles is not None) != (channel.max_bounces >= 2):
         raise ValueError("a receiver view holds tiles exactly when max_bounces is 2")
     tx_pos = np.asarray(tx.position_m, dtype=float)
@@ -487,6 +484,8 @@ def impulse_response(
     second = 0.0
     residue = 1.0 - los
     if channel.max_bounces >= 1 and residue > 0.0:
+        if channel.max_bounces >= 2 and view.tiles is None:
+            view = receiver_view(rx, room, discretize_surfaces(room, channel.second_bounce_res_m))
         hit, hit_normal, hit_rho = _first_bounce(room, tx_pos, beam)
         d0 = float(np.linalg.norm(hit - tx_pos))
         # one kernel call: the hit point to the detector, then to each tile it sees

@@ -340,29 +340,32 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
 
     ``clear`` is a boolean (link_count, n) array, True where a link is
     unobstructed; it is not copied, and only the rows a user gathers meet
-    the float weights, inside the matrix products.  Returns (direct,
-    combined), each (user_count, n).  The factors are binary, so squaring
-    commutes with the gating; an empty index array sums to 0.
+    the float weights, inside the matrix products, 2^14 columns (a Monte
+    Carlo block) at a time: that bounds their float copies, and whole
+    4-column groups keep each column's sum in the BLAS kernel it meets
+    unsliced.  Returns (direct, combined), each (user_count, n).  The
+    factors are binary, so squaring commutes with the gating; an empty
+    index array sums to 0.
 
     A 0/0 term is 0: nothing reaches the user.  Every denominator holds the
     user's noise floor, so only a noise-free user's ratios are guarded.
     """
     clear = np.asarray(clear)
     n = clear.shape[1]
-    users = len(budget.user_terms)
-    direct = np.empty((users, n))
-    combined = np.empty((users, n))
-    for i, t in enumerate(budget.user_terms):
-        div = _zero_over_zero_is_zero if t.noise_var == 0.0 else np.true_divide
-        d = div(t.direct_w @ clear[t.direct_idx], t.noise_var + t.int_w @ clear[t.int_idx])
-        gamma = clear[t.branch_feeder_idx] * clear[t.branch_delivery_idx]
-        if budget.scenario.noma.combining == "per_branch":
-            # a live branch adds sig / (noise + den), a dead one adds 0
-            r = div(t.branch_sig_w, t.noise_var + t.branch_den_w) @ gamma
-        else:
-            r = div(t.branch_sig_w @ gamma, t.noise_var + t.branch_den_w @ gamma)
-        direct[i] = d
-        combined[i] = d + r
+    direct, combined = np.empty((2, len(budget.user_terms), n))
+    for lo in range(0, n, 1 << 14):
+        part, d_out, c_out = (a[:, lo : lo + (1 << 14)] for a in (clear, direct, combined))
+        for i, t in enumerate(budget.user_terms):
+            div = _zero_over_zero_is_zero if t.noise_var == 0.0 else np.true_divide
+            d = div(t.direct_w @ part[t.direct_idx], t.noise_var + t.int_w @ part[t.int_idx])
+            gamma = part[t.branch_feeder_idx] * part[t.branch_delivery_idx]
+            if budget.scenario.noma.combining == "per_branch":
+                # a live branch adds sig / (noise + den), a dead one adds 0
+                r = div(t.branch_sig_w, t.noise_var + t.branch_den_w) @ gamma
+            else:
+                r = div(t.branch_sig_w @ gamma, t.noise_var + t.branch_den_w @ gamma)
+            d_out[i] = d
+            c_out[i] = d + r
     return direct, combined
 
 

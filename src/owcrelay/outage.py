@@ -20,9 +20,9 @@ pool, of at most one worker per block and per usable core, gives each
 worker one run of blocks.
 The enumeration engine works under the independent-link model, weighting by
 the link marginals that :mod:`owcrelay.mobility` integrates: a user's
-direct SINR and relayed SINR hang off disjoint links, so it walks the
-clear/blocked combinations of each half separately, for that user alone,
-and merges the two through one sorted cumulative sum.
+direct SINR and relayed SINR hang off disjoint links, so it takes the
+clear/blocked states of each half separately, side by side in one SINR pass
+for that user alone, and merges the two through one sorted cumulative sum.
 """
 
 from __future__ import annotations
@@ -312,19 +312,6 @@ def outage_monte_carlo(
     return _report(budget, counts / n_total, "mc", model, n_samples=n_total, seed=seed)
 
 
-def _half_states(link_count: int, idx: np.ndarray, p: np.ndarray):
-    """Every clear/blocked state of the links ``idx``, all other links
-    blocked, as a boolean (link_count, 2^len(idx)) matrix, with the
-    probability of each state under the marginals ``p``."""
-    combos = np.arange(1 << idx.size)
-    clear = np.zeros((link_count, combos.size), dtype=bool)
-    prob = np.ones(combos.size)
-    for j, link_idx in enumerate(idx):
-        clear[link_idx] = (combos >> j) & 1
-        prob *= np.where(clear[link_idx], 1.0 - p[link_idx], p[link_idx])
-    return clear, prob
-
-
 def _outage_cut(d: np.ndarray, r: np.ndarray, threshold_db: float) -> np.ndarray:
     """For each direct SINR in ``d``, the number of leading entries of the
     ascending ``r`` with ``is_outage(d + r)``.
@@ -351,21 +338,26 @@ def outage_independent_approx(budget: LinkBudget) -> OutageReport:
 
     A user's direct SINR d hangs off its direct and interfering links, its
     relayed SINR r off its relay branches' links, so under independence d
-    and r are independent: each half's states are enumerated and weighted
-    by products of quadrature marginals, and P(d + r in outage) is summed
-    over d from the cumulative distribution of sorted r.  This ignores the
-    correlation one walking blocker induces across links.  Raises when
-    either half exceeds ``MAX_LINKS`` links; use the Monte Carlo engine
-    there instead.
+    and r are independent.  One SINR pass per user, on the budget holding
+    its terms alone, takes both halves' states, each weighted by products
+    of quadrature marginals: d from the direct-half columns, r as the
+    combined SINR of the relay-half ones, where every direct-half link is
+    blocked and d is exactly 0.0.  P(d + r in outage) is summed over d from
+    the cumulative distribution of sorted r.  This ignores the correlation
+    one walking blocker induces across links.  Raises when either half
+    exceeds ``MAX_LINKS`` links; use the Monte Carlo engine there instead.
     """
     p = ensure_marginals(budget)
     threshold_db = budget.scenario.noma.threshold_db
     p_out = np.empty((len(budget.user_terms), 2))
+    # the states of m links, by m: state k clears link j when bit j of k is set
+    bits = {}
     for i, t in enumerate(budget.user_terms):
         direct_half = np.unique(np.concatenate([t.direct_idx, t.int_idx]))
         relay_half = np.unique(np.concatenate([t.branch_feeder_idx, t.branch_delivery_idx]))
         if np.intersect1d(direct_half, relay_half).size:
             raise ValueError(f"user {t.user_id!r}: a link enters both its direct and relayed SINR")
+        prob = []
         for name, half in (("direct", direct_half), ("relay", relay_half)):
             if half.size > MAX_LINKS:
                 raise ValueError(
@@ -373,14 +365,20 @@ def outage_independent_approx(budget: LinkBudget) -> OutageReport:
                     f"(limit {MAX_LINKS} per half); "
                     "use outage_monte_carlo with blockage_model='independent'"
                 )
-        # the budget seen by this user alone: its SINR rows, no one else's
-        own = replace(budget, user_terms=(t,))
-        clear, p_d = _half_states(budget.link_count, direct_half, p)
-        d = evaluate_sinr(own, clear)[0][0]
-        # every direct-half link blocked: the direct SINR is exactly 0.0, so
-        # the combined SINR is exactly the relayed one
-        clear, p_r = _half_states(budget.link_count, relay_half, p)
-        r = evaluate_sinr(own, clear)[1][0]
+            if half.size not in bits:
+                k = np.arange(1 << half.size, dtype=np.uint32)
+                bits[half.size] = (k >> np.arange(half.size, dtype=np.uint32)[:, None]) & 1 == 1
+            prob.append(np.where(bits[half.size], 1.0 - p[half, None], p[half, None]).prod(axis=0))
+        p_d, p_r = prob
+        n = p_d.size + p_r.size
+        # both halves side by side, every other link blocked, padded to whole
+        # 4-column groups: BLAS sums a product's last n % 4 columns in another
+        # order, and each state's SINR stays the one its half gives alone
+        clear = np.zeros((budget.link_count, (n + 3) & -4), dtype=bool)
+        clear[direct_half, : p_d.size] = bits[direct_half.size]
+        clear[relay_half, p_d.size : n] = bits[relay_half.size]
+        direct, combined = evaluate_sinr(replace(budget, user_terms=(t,)), clear)
+        d, r = direct[0, : p_d.size], combined[0, p_d.size : n]
         order = np.argsort(r, kind="stable")
         below = np.concatenate([[0.0], np.cumsum(p_r[order])])
         p_out[i, 0] = np.sum(p_d[is_outage(d, threshold_db)])

@@ -709,6 +709,27 @@ class TestLinkBudgetResponses:
         with pytest.raises(ValueError, match="holds tiles exactly when max_bounces is 2"):
             impulse_response(tx, rx, ROOM, cfg, misfits)
 
+    def test_lone_response_tiles_only_for_a_missed_beam(self, monkeypatch):
+        # the README's lone response: the aperture catches the whole beam, so
+        # there is no reflection and no grid is tiled; a beam the aperture
+        # misses in part tiles one
+        grids = []
+        tile = channel.discretize_surfaces
+
+        def counted_grid(*args):
+            grids.append(tile(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(channel, "discretize_surfaces", counted_grid)
+        tx = ApConfig(id="ap1", position_m=(1.0, 1.0, 3.0))
+        cir = impulse_response(tx, UserConfig(id="u1", position_m=(1.0, 1.0, 1.0)), ROOM,
+                               ChannelConfig())
+        assert (cir.los_gain, cir.first_order_gain, cir.second_order_gain) == (1.0, 0.0, 0.0)
+        assert grids == []
+        cir = impulse_response(tx, UserConfig(id="u1", position_m=(1.0, 1.5, 0.1)), ROOM,
+                               ChannelConfig())
+        assert len(grids) == 1 and cir.second_order_gain > 0.0
+
     def test_responses_bin_on_request(self, monkeypatch):
         # the budget reads no bin, and a response bins its paths on the
         # first read of its gains alone

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import math
 import multiprocessing
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -423,30 +424,34 @@ class TestDefaultScenario:
         assert outage_independent_approx(budget).rows == outage_independent_approx(fresh).rows
 
 
+def _many_ap_budget(count, relays=(), relay_pairings=None):
+    """``count`` sources side by side over u1, each serving it alone."""
+    aps = tuple(
+        ApConfig(f"ap{k}", (0.96 + 0.005 * k, 1.0, 3.0)) for k in range(count)
+    )
+    return build_link_budget(
+        Scenario(
+            name="many-beams",
+            aps=aps,
+            relays=relays,
+            users=(UserConfig("u1", (1.0, 1.0, 1.0)),),
+            associations={ap.id: ("u1",) for ap in aps},
+            relay_pairings=relay_pairings,
+        )
+    )
+
+
 class TestEnumerationLimits:
     # MAX_LINKS caps each half of a user's links: direct (here one beam per
     # source) and relay (feeder and delivery of each branch)
-    def _many_ap_budget(self, count, relays=()):
-        aps = tuple(
-            ApConfig(f"ap{k}", (0.96 + 0.005 * k, 1.0, 3.0)) for k in range(count)
-        )
-        return build_link_budget(
-            Scenario(
-                name="many-beams",
-                aps=aps,
-                relays=relays,
-                users=(UserConfig("u1", (1.0, 1.0, 1.0)),),
-                associations={ap.id: ("u1",) for ap in aps},
-            )
-        )
 
     def test_link_cap_names_the_alternative(self):
-        budget = self._many_ap_budget(MAX_LINKS + 1)
+        budget = _many_ap_budget(MAX_LINKS + 1)
         with pytest.raises(ValueError, match="outage_monte_carlo"):
             outage_independent_approx(budget)
 
     def test_cap_override_enumerates_exactly(self):
-        budget = self._many_ap_budget(MAX_LINKS)
+        budget = _many_ap_budget(MAX_LINKS)
         p = ensure_marginals(budget)
         report = outage_independent_approx(budget)
         # any single clear beam clears the threshold, so outage needs every
@@ -459,7 +464,7 @@ class TestEnumerationLimits:
         # 16 direct links plus one relay branch: 18 links in all, 2^16 + 2^2
         # states; the branch alone clears the threshold, so coop outage needs
         # every beam blocked and the branch broken
-        budget = self._many_ap_budget(MAX_LINKS, relays=(RelayConfig("r1", (0.0, 1.0, 1.5)),))
+        budget = _many_ap_budget(MAX_LINKS, relays=(RelayConfig("r1", (0.0, 1.0, 1.5)),))
         t = budget.user_terms[0]
         assert (t.direct_idx.size, t.branch_feeder_idx.size, budget.link_count) == (16, 1, 18)
         p = ensure_marginals(budget)
@@ -527,6 +532,151 @@ class TestSplitEnumeration:
             own = evaluate_sinr(dataclasses.replace(budget, user_terms=(t,)), clear)
             assert own[0].tobytes() == direct[i].tobytes()
             assert own[1].tobytes() == combined[i].tobytes()
+
+
+
+def _exact_room(room, request, combining=None):
+    """The budget of a named room, with the given combining rule."""
+    if room == "dense-seed-3":
+        sc = request.getfixturevalue("dense_seed_3")
+    elif room == "default":
+        sc = default_scenario()
+    elif room == "lone-beam":
+        # one beam into u1 and eight relay branches fed by its source: the
+        # pass's 2 + 2^16 states are no whole number of 4-column groups
+        relays = tuple(RelayConfig(f"r{k}", (0.0, 0.6 + 0.1 * k, 1.5)) for k in range(8))
+        sc = Scenario(
+            name="lone-beam",
+            aps=(ApConfig("ap1", (1.0, 1.0, 3.0)),),
+            relays=relays,
+            users=(UserConfig("u1", (1.0, 1.0, 1.0)),),
+            associations={"ap1": ("u1",)},
+            relay_pairings={r.id: "ap1" for r in relays},
+        )
+    else:
+        sc = load_scenario(Path(__file__).with_name(f"{room.replace('-', '_')}.yaml"))
+    if combining is not None:
+        sc = dataclasses.replace(sc, noma=dataclasses.replace(sc.noma, combining=combining))
+    return build_link_budget(sc)
+
+
+def _halves(t):
+    return (
+        np.unique(np.concatenate([t.direct_idx, t.int_idx])),
+        np.unique(np.concatenate([t.branch_feeder_idx, t.branch_delivery_idx])),
+    )
+
+
+def _split_sinr(budget, t):
+    """The user's direct SINR over its direct half's states and its combined
+    SINR over its relay half's, each half in an evaluate_sinr call of its
+    own, with its states set a link at a time, every other link blocked."""
+    own = dataclasses.replace(budget, user_terms=(t,))
+    out = []
+    for half, which in zip(_halves(t), (0, 1)):
+        combos = np.arange(1 << half.size)
+        clear = np.zeros((budget.link_count, combos.size), dtype=bool)
+        for j, link in enumerate(half):
+            clear[link] = (combos >> j) & 1
+        out.append(evaluate_sinr(own, clear)[which][0])
+    return out
+
+
+def _sinr_passes(budget, monkeypatch):
+    """The exact rows of ``budget`` and each evaluate_sinr call they made:
+    (user terms, clear, (direct, combined))."""
+    calls = []
+
+    def recording(b, clear):
+        calls.append((b.user_terms[0], clear, evaluate_sinr(b, clear)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(outage, "evaluate_sinr", recording)
+    return outage_independent_approx(budget).rows, calls
+
+
+def _rows_digest(rows):
+    return hashlib.sha256("".join(f"{row.p_out.hex()}\n" for row in rows).encode()).hexdigest()
+
+
+class TestOnePassEnumeration:
+    # each user's direct-half and relay-half states go side by side through
+    # one SINR call; the rows are those of a call per half, to the bit
+
+    # SHA-256 over float.hex(p_out) of every exact row, a line each, as the
+    # enumeration with one SINR call per half printed them
+    ROWS_SHA256 = {
+        "default": "8f53766da886312ad0fb279485868640714496f554c761b5aadf1682aad262e5",
+        "dense-tile": "41777e2bef2a7000a6b9df0105b86d47e019aeb3f1223f514fba5ed80d9219d4",
+        "tilted": "490043922b542551ef1c90b19628887ccc792c3230be246f50be183db59d4a8e",
+        "dense-seed-3": "98b78a818a670997292cc166be0546034e9c9638fad637b9c5ab268e308b8130",
+    }
+
+    @pytest.mark.parametrize("room", list(ROWS_SHA256))
+    def test_rows_pinned_to_the_bit(self, room, request):
+        rows = outage_independent_approx(_exact_room(room, request)).rows
+        assert _rows_digest(rows) == self.ROWS_SHA256[room]
+
+    @pytest.mark.parametrize("room, users", [("default", 6), ("dense-seed-3", 12)])
+    def test_one_sinr_call_per_user(self, room, users, request, monkeypatch):
+        budget = _exact_room(room, request)
+        _, calls = _sinr_passes(budget, monkeypatch)
+        assert len(calls) == users
+        assert [c[0].user_id for c in calls] == [t.user_id for t in budget.user_terms]
+
+    @pytest.mark.parametrize("combining", ["summed", "per_branch"])
+    @pytest.mark.parametrize("room", ["default", "dense-seed-3", "lone-beam"])
+    def test_pass_gives_the_split_calls_sinr(self, room, combining, request, monkeypatch):
+        budget = _exact_room(room, request, combining)
+        _, calls = _sinr_passes(budget, monkeypatch)
+        for t, clear, (direct, combined) in calls:
+            n_d, n_r = (1 << half.size for half in _halves(t))
+            # padded with blocked states to whole 4-column groups
+            assert clear.shape == (budget.link_count, (n_d + n_r + 3) & -4)
+            assert not clear[:, n_d + n_r :].any()
+            d, r = _split_sinr(budget, t)
+            assert direct[0, :n_d].tobytes() == d.tobytes()
+            assert combined[0, n_d : n_d + n_r].tobytes() == r.tobytes()
+
+
+class TestWorstCaseEnumeration:
+    # a user at MAX_LINKS in both halves: 16 direct beams, and 8 relay
+    # branches fed by 8 of their sources, so 2^16 + 2^16 states in one call
+
+    # float.hex(p_out) of u1's direct and coop rows
+    ROWS = ["0x1.f2eea0cd3a750p-117", "0x1.88c1977e9e35ep-167"]
+    # tracemalloc peaks of the enumeration with one SINR call per half, under
+    # numpy 2.4.6, here and on TestEnumerationLimits.test_cap_applies_per_half's
+    # room; the one pass must stay within 1.1 times these
+    SPLIT_PEAK_BYTES = {"worst-case": 14_682_520, "cap-per-half": 12_716_040}
+
+    @staticmethod
+    def _budget(room):
+        if room == "cap-per-half":
+            return _many_ap_budget(MAX_LINKS, relays=(RelayConfig("r1", (0.0, 1.0, 1.5)),))
+        relays = tuple(RelayConfig(f"r{k}", (0.0, 0.6 + 0.1 * k, 1.5)) for k in range(8))
+        return _many_ap_budget(MAX_LINKS, relays, {r.id: f"ap{k}" for k, r in enumerate(relays)})
+
+    def test_rows_pinned_in_one_call(self, monkeypatch):
+        budget = self._budget("worst-case")
+        t = budget.user_terms[0]
+        assert [half.size for half in _halves(t)] == [MAX_LINKS, MAX_LINKS]
+        assert t.branch_feeder_idx.size == 8
+        rows, calls = _sinr_passes(budget, monkeypatch)
+        assert [clear.shape for _, clear, _ in calls] == [(32, 2 * 65536)]
+        assert [r.p_out.hex() for r in rows] == self.ROWS
+
+    @pytest.mark.parametrize("room", list(SPLIT_PEAK_BYTES))
+    def test_peak_memory(self, room):
+        budget = self._budget(room)
+        outage_independent_approx(budget)  # marginals and any first-call allocations
+        tracemalloc.start()
+        try:
+            outage_independent_approx(budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.SPLIT_PEAK_BYTES[room]
 
 
 def _joint_room(name):
