@@ -59,7 +59,6 @@ __all__ = [
     "SurfaceGrid",
     "UnservableLinkError",
     "pointing",
-    "steering_angle",
     "can_serve",
     "ChannelImpulseResponse",
     "discretize_surfaces",
@@ -136,27 +135,25 @@ def pointing(entry: ApConfig | RelayConfig | UserConfig, room: RoomConfig) -> np
     return a / np.linalg.norm(a)
 
 
-def _angle(direction: np.ndarray, boresight: np.ndarray) -> float:
-    """Angle between a unit direction and a unit boresight."""
-    return math.acos(min(1.0, max(-1.0, float(np.dot(direction, boresight)))))
-
-
 def _in_cone(tx: ApConfig | RelayConfig, angle: float) -> bool:
     return angle <= math.radians(tx.max_steering_deg) + 1e-12
 
 
-def steering_angle(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> float:
-    """Angle between the boresight of ``tx`` and the direction to ``target``."""
-    d = np.asarray(target, dtype=float) - np.asarray(tx.position_m, dtype=float)
-    n = np.linalg.norm(d)
-    if n == 0.0:
+def _aim(tx_pos: np.ndarray, boresight: np.ndarray, target: np.ndarray):
+    """A beam from ``tx_pos`` steered at ``target``: the offset, its length,
+    the unit beam direction and its angle from the unit ``boresight``."""
+    rel = target - tx_pos
+    length = float(np.linalg.norm(rel))
+    if length == 0.0:
         raise ValueError("steering target coincides with the transmitter")
-    return _angle(d / n, pointing(tx, room))
+    beam = rel / length
+    return rel, length, beam, math.acos(min(1.0, max(-1.0, float(np.dot(beam, boresight)))))
 
 
 def can_serve(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> bool:
     """Whether the point ``target`` lies inside the steering cone of ``tx``."""
-    return _in_cone(tx, steering_angle(tx, target, room))
+    tx_pos = np.asarray(tx.position_m, dtype=float)
+    return _in_cone(tx, _aim(tx_pos, pointing(tx, room), np.asarray(target, dtype=float))[3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,12 +303,7 @@ def discretize_surfaces(room: RoomConfig, resolution: float) -> SurfaceGrid:
 def _direct(tx: ApConfig | RelayConfig, tx_pos: np.ndarray, boresight: np.ndarray, rx: Receiver):
     """The steering check and line of sight of one link: its LOS gain, the
     unit beam direction and the link's length."""
-    rel = rx.position - tx_pos
-    d = float(np.linalg.norm(rel))
-    if d == 0.0:
-        raise ValueError("steering target coincides with the transmitter")
-    beam = rel / d
-    angle = _angle(beam, boresight)
+    rel, d, beam, angle = _aim(tx_pos, boresight, rx.position)
     if not _in_cone(tx, angle):
         raise UnservableLinkError(
             f"target needs {math.degrees(angle):.2f} deg "

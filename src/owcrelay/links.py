@@ -341,20 +341,30 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     ``clear`` is a boolean (link_count, n) array, True where a link is
     unobstructed; it is not copied, and only the rows a user gathers meet
     the float weights, inside the matrix products, 2^14 columns (a Monte
-    Carlo block) at a time: that bounds their float copies, and whole
-    4-column groups keep each column's sum in the BLAS kernel it meets
-    unsliced.  Returns (direct, combined), each (user_count, n).  The
-    factors are binary, so squaring commutes with the gating; an empty
-    index array sums to 0.
+    Carlo block) at a time, which bounds their float copies.  Returns
+    (direct, combined), each (user_count, n).  The factors are binary, so
+    squaring commutes with the gating; an empty index array sums to 0.
+
+    A state's SINR does not depend on where it sits in the batch.  BLAS sums
+    a product's last n % 4 columns in another order than the rest, so the
+    products run on whole 4-column groups only: the last partial group goes
+    alone, padded with blocked states.
 
     A 0/0 term is 0: nothing reaches the user.  Every denominator holds the
     user's noise floor, so only a noise-free user's ratios are guarded.
     """
     clear = np.asarray(clear)
     n = clear.shape[1]
+    whole = n & -4
     direct, combined = np.empty((2, len(budget.user_terms), n))
-    for lo in range(0, n, 1 << 14):
-        part, d_out, c_out = (a[:, lo : lo + (1 << 14)] for a in (clear, direct, combined))
+    parts = [(lo, clear[:, lo : min(lo + (1 << 14), whole)]) for lo in range(0, whole, 1 << 14)]
+    if whole < n:
+        tail = np.zeros((clear.shape[0], 4), dtype=clear.dtype)
+        tail[:, : n - whole] = clear[:, whole:]
+        parts.append((whole, tail))
+    for lo, part in parts:
+        d_out, c_out = (a[:, lo : lo + part.shape[1]] for a in (direct, combined))
+        m = d_out.shape[1]
         for i, t in enumerate(budget.user_terms):
             div = _zero_over_zero_is_zero if t.noise_var == 0.0 else np.true_divide
             d = div(t.direct_w @ part[t.direct_idx], t.noise_var + t.int_w @ part[t.int_idx])
@@ -364,8 +374,8 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
                 r = div(t.branch_sig_w, t.noise_var + t.branch_den_w) @ gamma
             else:
                 r = div(t.branch_sig_w @ gamma, t.noise_var + t.branch_den_w @ gamma)
-            d_out[i] = d
-            c_out[i] = d + r
+            d_out[i] = d[:m]
+            np.add(d[:m], r[:m], out=c_out[i])
     return direct, combined
 
 

@@ -370,15 +370,12 @@ def outage_independent_approx(budget: LinkBudget) -> OutageReport:
                 bits[half.size] = (k >> np.arange(half.size, dtype=np.uint32)[:, None]) & 1 == 1
             prob.append(np.where(bits[half.size], 1.0 - p[half, None], p[half, None]).prod(axis=0))
         p_d, p_r = prob
-        n = p_d.size + p_r.size
-        # both halves side by side, every other link blocked, padded to whole
-        # 4-column groups: BLAS sums a product's last n % 4 columns in another
-        # order, and each state's SINR stays the one its half gives alone
-        clear = np.zeros((budget.link_count, (n + 3) & -4), dtype=bool)
+        # both halves side by side, every other link blocked
+        clear = np.zeros((budget.link_count, p_d.size + p_r.size), dtype=bool)
         clear[direct_half, : p_d.size] = bits[direct_half.size]
-        clear[relay_half, p_d.size : n] = bits[relay_half.size]
+        clear[relay_half, p_d.size :] = bits[relay_half.size]
         direct, combined = evaluate_sinr(replace(budget, user_terms=(t,)), clear)
-        d, r = direct[0, : p_d.size], combined[0, p_d.size : n]
+        d, r = direct[0, : p_d.size], combined[0, p_d.size :]
         order = np.argsort(r, kind="stable")
         below = np.concatenate([[0.0], np.cumsum(p_r[order])])
         p_out[i, 0] = np.sum(p_d[is_outage(d, threshold_db)])

@@ -757,24 +757,27 @@ class TestLinkBudgetResponses:
 
     @pytest.mark.parametrize("room", ["default", "tilted"])
     def test_steering_checked_at_most_twice_per_pair(self, room, monkeypatch):
-        # a link's steering is checked once by the map that chose it, through
-        # steering_angle, and once by its response, from the beam direction
-        # the response works out anyway, which names an unservable link itself
+        # a link's beam is aimed once by the map that chose it, through
+        # can_serve, and once by its response, which needs the beam direction
+        # anyway and names an unservable link itself; both aim through _aim
         scenario = (
             default_scenario() if room == "default"
             else load_scenario(Path(__file__).with_name("tilted.yaml"))
         )
         calls = Counter()
-        steering_angle = channel.steering_angle
+        aim = channel._aim
 
-        def counted(tx, target, room):
-            calls[tx.id, tuple(target)] += 1
-            return steering_angle(tx, target, room)
+        def counted(tx_pos, boresight, target):
+            calls[tuple(tx_pos), tuple(target)] += 1
+            return aim(tx_pos, boresight, target)
 
-        monkeypatch.setattr(channel, "steering_angle", counted)
+        monkeypatch.setattr(channel, "_aim", counted)
         budget = build_link_budget(scenario)
-        position = {t.id: t.position_m for t in (*scenario.relays, *scenario.users)}
-        assert all(calls[ln.tx_id, position[ln.rx_id]] >= 1 for ln in budget.links)
+        position = {
+            t.id: tuple(map(float, t.position_m))
+            for t in (*scenario.aps, *scenario.relays, *scenario.users)
+        }
+        assert all(calls[position[ln.tx_id], position[ln.rx_id]] >= 1 for ln in budget.links)
         assert max(calls.values()) <= 2
 
     def test_one_bin_grid_for_budget_and_direct_calls(self):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from owcrelay import mobility, outage
-from owcrelay.geometry import regions_contain
+from owcrelay.geometry import StadiumRegion, regions_contain
 from owcrelay.links import build_link_budget, evaluate_sinr
 from owcrelay.mobility import integrate_region, sample_human_positions
 from owcrelay.outage import (
@@ -612,10 +612,25 @@ class TestOnePassEnumeration:
         "dense-seed-3": "98b78a818a670997292cc166be0546034e9c9638fad637b9c5ab268e308b8130",
     }
 
+    # SHA-256 over float.hex of every link marginal, a line each, in link order
+    MARGINALS_SHA256 = {
+        "default": "af2ef67a724237578f4d5323be122c83c705fe5393729301f47f492d59e63765",
+        "dense-tile": "88647b607e1dea18c3741b42782da7b01b502de2e648ac58f1945dfd5e631b9d",
+        "tilted": "61fbdbe52f24db1aa344e6f6d2949ccbe60b886e13db375a484201aad9865a60",
+        "dense-seed-3": "649b8d09080346f7225a6974a85fbb1f340c4d0a8be0a457b47fd743db9410fd",
+    }
+
     @pytest.mark.parametrize("room", list(ROWS_SHA256))
     def test_rows_pinned_to_the_bit(self, room, request):
         rows = outage_independent_approx(_exact_room(room, request)).rows
         assert _rows_digest(rows) == self.ROWS_SHA256[room]
+
+    @pytest.mark.parametrize("room", list(MARGINALS_SHA256))
+    def test_marginals_pinned_to_the_bit(self, room, request):
+        # the blockage digests see 10 significant digits; these see every bit
+        p = ensure_marginals(_exact_room(room, request))
+        digest = hashlib.sha256("".join(f"{float(x).hex()}\n" for x in p).encode()).hexdigest()
+        assert digest == self.MARGINALS_SHA256[room]
 
     @pytest.mark.parametrize("room, users", [("default", 6), ("dense-seed-3", 12)])
     def test_one_sinr_call_per_user(self, room, users, request, monkeypatch):
@@ -631,12 +646,64 @@ class TestOnePassEnumeration:
         _, calls = _sinr_passes(budget, monkeypatch)
         for t, clear, (direct, combined) in calls:
             n_d, n_r = (1 << half.size for half in _halves(t))
-            # padded with blocked states to whole 4-column groups
-            assert clear.shape == (budget.link_count, (n_d + n_r + 3) & -4)
-            assert not clear[:, n_d + n_r :].any()
+            assert clear.shape == (budget.link_count, n_d + n_r)
+            # the pass's last states, which sit in its last partial 4-column
+            # group when there is one, each give the SINR they give alone
+            own = dataclasses.replace(budget, user_terms=(t,))
+            for j in range(n_d + n_r - 4, n_d + n_r):
+                alone = evaluate_sinr(own, clear[:, [j]])
+                assert alone[0].tobytes() == direct[:, [j]].tobytes()
+                assert alone[1].tobytes() == combined[:, [j]].tobytes()
             d, r = _split_sinr(budget, t)
             assert direct[0, :n_d].tobytes() == d.tobytes()
             assert combined[0, n_d : n_d + n_r].tobytes() == r.tobytes()
+
+
+class TestOneSinrPerState:
+    # a link state's SINR is the one it has alone, wherever it sits in a batch
+
+    @pytest.mark.parametrize("combining", ["summed", "per_branch"])
+    @pytest.mark.parametrize("room", ["default", "dense-seed-3", "lone-beam"])
+    def test_every_column_equals_its_state_alone(self, room, combining, request):
+        budget = _exact_room(room, request, combining)
+        rng = np.random.default_rng(36)
+        # 43 states, each link clear with probability 0.9, each evaluated alone
+        states = rng.random((budget.link_count, 43)) < 0.9
+        alone = [evaluate_sinr(budget, states[:, [k]]) for k in range(43)]
+        alone_d, alone_c = (np.concatenate([a[m] for a in alone], axis=1) for m in (0, 1))
+        # batches of 0, 1, 2 and 3 columns mod 4, and one over two 2^14-column
+        # slices, each column one of the states, in shuffled order
+        for n in (40, 41, 42, 43, (1 << 14) + 43):
+            pick = rng.permutation(np.arange(n) % 43)
+            direct, combined = evaluate_sinr(budget, states[:, pick])
+            assert direct.tobytes() == alone_d[:, pick].tobytes()
+            assert combined.tobytes() == alone_c[:, pick].tobytes()
+
+
+class TestSeatBound:
+    # a user seated no higher than the walker is the lower end of every link
+    # it receives, so while the walker stands within its radius of the seat
+    # every one of them is blocked: under the joint model no relay brings
+    # coop outage below that disk's walker mass
+
+    @pytest.mark.parametrize("room", ["default", "tilted", "dense_tile"])
+    def test_joint_coop_rows_reach_the_seat_disk(self, room):
+        sc = (
+            default_scenario() if room == "default"
+            else load_scenario(Path(__file__).with_name(f"{room}.yaml"))
+        )
+        human = sc.human
+        seated = [u for u in sc.users if u.position_m[2] <= human.height_m]
+        assert seated
+        disks = [StadiumRegion(u.position_m[:2], u.position_m[:2], human.radius_m) for u in seated]
+        seat_mass = integrate_region(disks, sc.room, rel_tol=1e-8)
+        report = outage_monte_carlo(
+            build_link_budget(sc), n_samples=200_000, master_seed=7, blockage_model="joint"
+        )
+        for u, mass in zip(seated, seat_mass):
+            row = report.by_user(u.id, "coop")
+            assert mass > 0.0
+            assert row.p_out >= mass - 4.0 * row.stderr
 
 
 class TestWorstCaseEnumeration:
