@@ -22,7 +22,9 @@ through one point-to-spine offset kernel, and every exact membership answer
 comes from one comparison, :func:`_covers`.
 :class:`FloorCells` tiles the floor of a room at a cell size it takes from
 the walker's radius and decides whole cells at once where no region
-boundary comes near them; :mod:`owcrelay.outage` numbers their link states.
+boundary comes near them; :mod:`owcrelay.outage` numbers their link states,
+and tests a point of any other cell with :func:`_covers` against that
+cell's undecided regions only.
 """
 
 from __future__ import annotations
@@ -252,20 +254,6 @@ class FloorCells:
         ix = np.minimum((x / self.size).astype(np.intp), self.nx - 1)
         iy = np.minimum((y / self.size).astype(np.intp), self.ny - 1)
         return iy * self.nx + ix
-
-    def contain(self, x, y, cells) -> np.ndarray:
-        """:func:`regions_contain` of the floor points (x, y) lying in
-        ``cells``: each point's row of ``inside``, with its cell's undecided
-        regions tested exactly."""
-        out = self.inside[cells]
-        lo = self.start[cells]
-        runs = self.start[cells + 1] - lo
-        # pair i belongs to point k[i] and sits at its cell's run start
-        # plus its rank within the point's run
-        k = np.repeat(np.arange(len(cells)), runs)
-        j = self.near[np.arange(k.size) + np.repeat(lo - (np.cumsum(runs) - runs), runs)]
-        out[k, j] = _covers(x[k], y[k], *self.spines[:, j])
-        return np.ascontiguousarray(out.T)
 
 
 def blocked_region(a, b, human: HumanConfig) -> StadiumRegion:

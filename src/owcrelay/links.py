@@ -339,32 +339,32 @@ def evaluate_sinr(budget: LinkBudget, clear: np.ndarray) -> tuple[np.ndarray, np
     """SINR of every user for a batch of link states.
 
     ``clear`` is a boolean (link_count, n) array, True where a link is
-    unobstructed; it is not copied, and only the rows a user gathers meet
-    the float weights, inside the matrix products, 2^14 columns (a Monte
-    Carlo block) at a time, which bounds their float copies.  Returns
+    unobstructed; only its last slice is ever copied (see below), and only
+    the rows a user gathers meet the float weights, inside the matrix
+    products, 2^14 columns (a Monte Carlo block) at a time, which bounds
+    their float copies.  Returns
     (direct, combined), each (user_count, n).  The factors are binary, so
     squaring commutes with the gating; an empty index array sums to 0.
 
     A state's SINR does not depend on where it sits in the batch.  BLAS sums
     a product's last n % 4 columns in another order than the rest, so the
-    products run on whole 4-column groups only: the last partial group goes
-    alone, padded with blocked states.
+    products run on whole 4-column groups only: a last slice that is no
+    whole number of groups is copied into whole groups, padded with blocked
+    states.
 
     A 0/0 term is 0: nothing reaches the user.  Every denominator holds the
     user's noise floor, so only a noise-free user's ratios are guarded.
     """
     clear = np.asarray(clear)
     n = clear.shape[1]
-    whole = n & -4
     direct, combined = np.empty((2, len(budget.user_terms), n))
-    parts = [(lo, clear[:, lo : min(lo + (1 << 14), whole)]) for lo in range(0, whole, 1 << 14)]
-    if whole < n:
-        tail = np.zeros((clear.shape[0], 4), dtype=clear.dtype)
-        tail[:, : n - whole] = clear[:, whole:]
-        parts.append((whole, tail))
-    for lo, part in parts:
-        d_out, c_out = (a[:, lo : lo + part.shape[1]] for a in (direct, combined))
-        m = d_out.shape[1]
+    for lo in range(0, n, 1 << 14):
+        part = clear[:, lo : lo + (1 << 14)]
+        m = part.shape[1]
+        if m % 4:
+            part = np.zeros((clear.shape[0], (m + 3) & -4), dtype=clear.dtype)
+            part[:, :m] = clear[:, lo:]
+        d_out, c_out = direct[:, lo : lo + m], combined[:, lo : lo + m]
         for i, t in enumerate(budget.user_terms):
             div = _zero_over_zero_is_zero if t.noise_var == 0.0 else np.true_divide
             d = div(t.direct_w @ part[t.direct_idx], t.noise_var + t.int_w @ part[t.int_idx])

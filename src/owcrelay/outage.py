@@ -5,19 +5,23 @@ blocker positions (or, optionally, independent per-link states) in fixed
 blocks with per-block seeds derived from the master seed, so the result is
 identical no matter how many worker processes execute the blocks.  Under
 the joint model :class:`~owcrelay.geometry.FloorCells` finds the floor
-cells that no region boundary crosses, and a run decides, once, the outage
-of each distinct link state of those cells; a sample there is counted by
-its cell's state, and only the other samples are tested exactly and go
-through the SINR.  Under the independent model a block draws its uniforms
-in row slices of about 1 MB, and compares and packs each slice into 64-bit
-words while it is still in cache.  It then evaluates each distinct link
-state of its draws once, counting it as often as it was drawn: the default
-room's 16,384-sample block holds about 960.  A row of at most 64 links is
-its own 64-bit key, so :func:`_distinct_rows` counts such states by sorting
-the keys alone; wider rows, and the joint model's numbering of its cells,
-go through an argsort of folded keys, :func:`_sorted_runs`.  A process
-pool, of at most one worker per block and per usable core, gives each
-worker one run of blocks.
+cells that no region boundary crosses.  A run keeps one table of the link
+states it has met, each packed into 64-bit words and indexed by its folded
+key, and numbers the states of those cells in it when it starts.  A
+sample there takes its cell's number; any other sample is tested exactly,
+against its cell's undecided regions only, and its packed state is looked
+up in the table.  Only a state the run has not met goes through the SINR,
+so each is evaluated once a run (the default room's 500k-sample run meets
+78), and a block counts its samples by one bincount of their numbers.
+Under the independent model a block draws its uniforms in row slices of
+about 1 MB, and compares and packs each slice into 64-bit words while it
+is still in cache.  It then evaluates each distinct link state of its
+draws once, counting it as often as it was drawn: the default room's
+16,384-sample block holds about 960.  A row of at most 64 links is its own
+64-bit key, so :func:`_distinct_rows` counts such states by sorting the
+keys alone; wider rows go through an argsort of folded keys,
+:func:`_sorted_runs`.  A process pool, of at most one worker per block and
+per usable core, gives each worker one run of blocks.
 The enumeration engine works under the independent-link model, weighting by
 the link marginals that :mod:`owcrelay.mobility` integrates: a user's
 direct SINR and relayed SINR hang off disjoint links, so it takes the
@@ -35,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from owcrelay import mobility
-from owcrelay.geometry import FloorCells
+from owcrelay.geometry import FloorCells, _covers
 from owcrelay.links import LinkBudget, evaluate_sinr
 from owcrelay.mobility import sample_human_positions
 
@@ -130,24 +134,115 @@ def _outage(budget: LinkBudget, clear) -> np.ndarray:
     return np.stack([is_outage(s, budget.scenario.noma.threshold_db) for s in sinr], axis=1)
 
 
-def _joint_table(budget: LinkBudget) -> tuple[FloorCells, np.ndarray, np.ndarray]:
-    """The floor cells of a joint run over the budget's room, each cell's
-    link state, numbered by :func:`_sorted_runs`, and the outage of each
-    state: boolean (states + 1, users * 2), the direct and coop outage of
-    every user, and a last row of zeros, the undecided cells' state."""
-    cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
-    decided = np.flatnonzero(cells.decided)
-    words = _zero_words(len(decided), budget.link_count)
-    _pack_rows(cells.inside[decided], words)
-    order, start = _sorted_runs(words)
-    states = cells.inside[decided[order[start]]]
-    state = np.full(cells.count, len(states), dtype=np.int32)
-    state[decided[order]] = np.repeat(
-        np.arange(len(states), dtype=np.int32), np.diff(start, append=len(order))
-    )
-    outage = np.zeros((len(states) + 1, 2 * len(budget.user_terms)), dtype=bool)
-    outage[:-1] = _outage(budget, ~np.ascontiguousarray(states.T)).reshape(outage.shape[1], -1).T
-    return cells, state, outage
+class _JointTable:
+    """The floor cells of a joint run over the budget's room, and the table
+    of the link states the run has met.
+
+    ``words`` holds each state packed, numbered in the order the run met
+    it, and ``outage`` its direct and coop outage, boolean (states,
+    users * 2).  ``keys`` holds their folded keys, sorted, with the number
+    of each in ``key_state``; a key found there is checked word by word, so
+    two states that share a key keep a number each.  ``cell_words`` is
+    each cell's packed ``inside`` row and ``cell_state`` the number of its
+    state, -1 in an undecided cell; ``near_bits`` is (words, pairs), the
+    one-bit word of each undecided pair's region.  The decided cells'
+    states are numbered when the table is built, and a state the run meets
+    later joins it.  No count depends on the numbers, so a pool worker's
+    table may number its states in another order.
+    """
+
+    def __init__(self, budget: LinkBudget):
+        cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
+        links = budget.link_count
+        self.cells = cells
+        self.cell_words = _zero_words(cells.count, links)
+        _pack_rows(cells.inside, self.cell_words)
+        bits = _zero_words(links, links)
+        _pack_rows(np.eye(links, dtype=bool), bits)
+        self.near_bits = np.ascontiguousarray(bits[cells.near].T)
+        self.words = self.cell_words[:0]
+        self.outage = np.zeros((0, 2 * len(budget.user_terms)), dtype=bool)
+        self.keys = np.zeros(0, dtype=np.uint64)
+        self.key_state = np.zeros(0, dtype=np.intp)
+        self.cell_state = np.full(cells.count, -1, dtype=np.intp)
+        self.cell_state[cells.decided] = self.number(budget, self.cell_words[cells.decided])
+
+    def states_at(self, budget: LinkBudget, x, y) -> np.ndarray:
+        """The state number of each floor point (x, y).  A point in an
+        undecided cell takes its cell's ``inside`` row with a bit set for
+        each of the cell's undecided regions that covers it."""
+        cells = self.cells
+        cell = cells.cell_of(x, y)
+        state = self.cell_state[cell]
+        near = np.flatnonzero(state < 0)
+        cell = cell[near]
+        lo = cells.start[cell]
+        runs = cells.start[cell + 1] - lo
+        first = np.cumsum(runs) - runs
+        # pair i belongs to point k[i] and sits at its cell's run start plus
+        # its rank within the point's run; every run holds at least one pair
+        k = near[np.repeat(np.arange(len(cell)), runs)]
+        pair = np.arange(k.size) + np.repeat(lo - first, runs)
+        hit = _covers(x[k], y[k], *cells.spines[:, cells.near[pair]])
+        words = self.cell_words[cell]
+        for word, bits in zip(words.T, self.near_bits):
+            word |= np.bitwise_or.reduceat(bits[pair] * hit, first)
+        state[near] = self.number(budget, words)
+        return state
+
+    def number(self, budget: LinkBudget, words: np.ndarray) -> np.ndarray:
+        """The number of each packed link state of ``words``; the states
+        the table does not hold join it."""
+        key = _folded_keys(words)
+        state = self._find(words, key)
+        miss = np.flatnonzero(state < 0)
+        while miss.size:
+            # one miss of each key joins the table as a new state, and each
+            # miss equal to it takes its number; a miss that only shares its
+            # key is none of the table's states, and joins it next time
+            _, first, of = np.unique(key[miss], return_index=True, return_inverse=True)
+            new = miss[first]
+            self._add(budget, words[new], key[new])
+            same = (words[miss] == words[new[of]]).all(axis=1)
+            state[miss[same]] = len(self.words) - len(new) + of[same]
+            miss = miss[~same]
+        return state
+
+    def _find(self, words, key):
+        """The number of each packed state of ``words`` with folded ``key``,
+        or -1 where the table does not hold it."""
+        n = len(self.keys)
+        if not n:
+            return np.full(len(key), -1, dtype=np.intp)
+        # a key past the last compares with the last, which differs from it
+        at = np.minimum(np.searchsorted(self.keys, key), n - 1)
+        state = self.key_state[at]
+        hit = (self.words[state] == words).all(axis=1)
+        state[~hit] = -1
+        # the states of one key sit side by side: a miss whose key the table
+        # holds tries the next ones until one is equal
+        todo = np.flatnonzero(~hit & (self.keys[at] == key))
+        while todo.size:
+            at[todo] += 1
+            todo = todo[at[todo] < n]
+            todo = todo[self.keys[at[todo]] == key[todo]]
+            s = self.key_state[at[todo]]
+            hit = (self.words[s] == words[todo]).all(axis=1)
+            state[todo[hit]] = s[hit]
+            todo = todo[~hit]
+        return state
+
+    def _add(self, budget, words, key):
+        """Number the new packed states ``words``, of folded ``key``, after
+        the table's last, with their outage from one SINR call."""
+        rows = _unpack_rows(words, budget.link_count)
+        outage = _outage(budget, ~np.ascontiguousarray(rows.T))
+        number = np.arange(len(self.words), len(self.words) + len(words))
+        self.words = np.concatenate([self.words, words])
+        self.outage = np.concatenate([self.outage, outage.reshape(self.outage.shape[1], -1).T])
+        keys = np.concatenate([self.keys, key])
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.key_state = keys[order], np.concatenate([self.key_state, number])[order]
 
 
 # Boolean link rows are packed by ``np.packbits`` into whole 64-bit words,
@@ -167,21 +262,32 @@ def _pack_rows(rows: np.ndarray, words: np.ndarray) -> None:
     words.view(np.uint8)[:, : packed.shape[1]] = packed
 
 
-def _sorted_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that groups the packed rows ``words`` into runs of equal
-    rows, and where each run starts in ``words[order]``.
+def _unpack_rows(words: np.ndarray, columns: int) -> np.ndarray:
+    """The boolean rows, of ``columns`` links, packed in ``words``."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=columns).view(bool)
 
-    Each row's words fold into one key; a row of one word is its own key.
-    Equal rows share a key, so they sort next to each other, and a run ends
-    wherever the words change.  Two different rows that share a key can
-    split a run, which lists their state twice but never counts a row
-    under another state.  A run starts at the first row, if any.
-    """
+
+def _folded_keys(words: np.ndarray) -> np.ndarray:
+    """The key of each packed row of ``words``: its words folded into one;
+    a row of one word is its own key."""
     key = words[:, 0].copy()
     for word in words.T[1:]:
         key *= _KEY_MULTIPLIER
         key ^= word
-    order = np.argsort(key)
+    return key
+
+
+def _sorted_runs(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that groups the packed rows ``words`` into runs of equal
+    rows, and where each run starts in ``words[order]``.
+
+    Each row's words fold into one key (:func:`_folded_keys`).  Equal rows
+    share a key, so they sort next to each other, and a run ends
+    wherever the words change.  Two different rows that share a key can
+    split a run, which lists their state twice but never counts a row
+    under another state.  A run starts at the first row, if any.
+    """
+    order = np.argsort(_folded_keys(words))
     change = np.zeros(max(0, len(order) - 1), dtype=bool)
     for word in words.T:
         word = word[order]
@@ -205,7 +311,7 @@ def _distinct_rows(words: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndar
     else:
         order, start = _sorted_runs(words)
         distinct, counts = words[order[start]], np.diff(start, append=len(order))
-    return np.unpackbits(distinct.view(np.uint8), axis=1, count=columns).view(bool), counts
+    return _unpack_rows(distinct, columns), counts
 
 
 # An independent block draws its uniforms in row slices of about this many
@@ -218,22 +324,16 @@ _DRAW_SLICE_BYTES = 1 << 20
 def _run_block(budget, master_seed, model, n_total, table, block_index):
     """Direct and coop outage counts of every user, shape (users, 2), over
     block ``block_index`` of a ``n_total``-sample run; ``table`` is the
-    joint run's ``(cells, state, outage)`` from :func:`_joint_table`.  A
-    joint sample in a decided cell counts by its cell's state; the others
-    are tested exactly.  An independent block draws, compares and packs its
-    link states a slice of rows at a time, and counts by distinct states."""
+    joint run's :class:`_JointTable`.  A joint block counts its samples by
+    their state numbers, and a state the run has not met joins the table.
+    An independent block draws, compares and packs its link states a slice
+    of rows at a time, and counts by distinct states."""
     n = min(BLOCK_SIZE, n_total - block_index * BLOCK_SIZE)
     rng = np.random.default_rng([master_seed, block_index])
     if model == "joint":
         pts = sample_human_positions(budget.scenario.room, n, rng)
-        x, y = pts[:, 0], pts[:, 1]
-        cells, cell_state, outage = table
-        cell = cells.cell_of(x, y)
-        state = cell_state[cell]
-        counts = np.bincount(state, minlength=len(outage)) @ outage
-        near = np.flatnonzero(state == len(outage) - 1)
-        clear = ~cells.contain(x[near], y[near], cell[near])
-        return counts.reshape(-1, 2) + _outage(budget, clear).sum(axis=2)
+        state = table.states_at(budget, pts[:, 0], pts[:, 1])
+        return (np.bincount(state, minlength=len(table.outage)) @ table.outage).reshape(-1, 2)
     links = budget.link_count
     words = _zero_words(n, links)
     # one reused slice of uniforms, at least one row even without links
@@ -296,7 +396,7 @@ def outage_monte_carlo(
         ensure_marginals(budget)
 
     blocks = range(-(-n_total // BLOCK_SIZE))
-    table = _joint_table(budget) if model == "joint" else None
+    table = _JointTable(budget) if model == "joint" else None
     run = functools.partial(_run_block, budget, seed, model, n_total, table)
     # a worker without a block would only start up, one without a core only wait
     workers = min(workers, len(blocks), _usable_cores())
@@ -353,10 +453,14 @@ def outage_independent_approx(budget: LinkBudget) -> OutageReport:
     # the states of m links, by m: state k clears link j when bit j of k is set
     bits = {}
     for i, t in enumerate(budget.user_terms):
-        direct_half = np.unique(np.concatenate([t.direct_idx, t.int_idx]))
-        relay_half = np.unique(np.concatenate([t.branch_feeder_idx, t.branch_delivery_idx]))
-        if np.intersect1d(direct_half, relay_half).size:
+        # 1 marks a link of the direct half, 2 one of the relay half, 3 both
+        half_of = np.zeros(budget.link_count, dtype=np.int8)
+        half_of[t.direct_idx] = half_of[t.int_idx] = 1
+        half_of[t.branch_feeder_idx] |= 2
+        half_of[t.branch_delivery_idx] |= 2
+        if (half_of == 3).any():
             raise ValueError(f"user {t.user_id!r}: a link enters both its direct and relayed SINR")
+        direct_half, relay_half = np.flatnonzero(half_of == 1), np.flatnonzero(half_of == 2)
         prob = []
         for name, half in (("direct", direct_half), ("relay", relay_half)):
             if half.size > MAX_LINKS:

@@ -33,17 +33,28 @@ def default_sc():
 
 
 @pytest.fixture(scope="session")
-def dense_seed_3(tmp_path_factory):
-    """The benchmark's generated 93-link room at seed 3, written by its own
-    generator."""
+def dense_room(tmp_path_factory):
+    """The benchmark's generated 93-link room at a given seed, written by
+    its own generator."""
     sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    path = tmp_path_factory.mktemp("dense") / "dense3.yaml"
-    workloads.write_dense_scenario(3, path)
-    return load_scenario(path)
+    folder = tmp_path_factory.mktemp("dense")
+
+    def room(seed: int) -> Scenario:
+        path = folder / f"dense{seed}.yaml"
+        if not path.exists():
+            workloads.write_dense_scenario(seed, path)
+        return load_scenario(path)
+
+    return room
+
+
+@pytest.fixture(scope="session")
+def dense_seed_3(dense_room):
+    return dense_room(3)
 
 
 @pytest.fixture(scope="session")

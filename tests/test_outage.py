@@ -460,6 +460,13 @@ class TestEnumerationLimits:
             float(np.prod(p)), rel=1e-10
         )
 
+    def test_halves_must_be_disjoint(self, budget):
+        # a link in both of a user's halves would make d and r dependent
+        t = budget.user_terms[0]
+        shared = dataclasses.replace(t, int_idx=np.append(t.int_idx, t.branch_delivery_idx[0]))
+        with pytest.raises(ValueError, match="enters both its direct and relayed SINR"):
+            outage_independent_approx(dataclasses.replace(budget, user_terms=(shared,)))
+
     def test_cap_applies_per_half(self):
         # 16 direct links plus one relay branch: 18 links in all, 2^16 + 2^2
         # states; the branch alone clears the threshold, so coop outage needs
@@ -686,12 +693,16 @@ class TestSeatBound:
     # every one of them is blocked: under the joint model no relay brings
     # coop outage below that disk's walker mass
 
-    @pytest.mark.parametrize("room", ["default", "tilted", "dense_tile"])
-    def test_joint_coop_rows_reach_the_seat_disk(self, room):
-        sc = (
-            default_scenario() if room == "default"
-            else load_scenario(Path(__file__).with_name(f"{room}.yaml"))
-        )
+    @pytest.mark.parametrize(
+        "room", ["default", "tilted", "dense_tile"] + [f"dense-seed-{k}" for k in range(10)]
+    )
+    def test_joint_coop_rows_reach_the_seat_disk(self, room, dense_room):
+        if room == "default":
+            sc = default_scenario()
+        elif room.startswith("dense-seed-"):
+            sc = dense_room(int(room.rsplit("-", 1)[1]))
+        else:
+            sc = load_scenario(Path(__file__).with_name(f"{room}.yaml"))
         human = sc.human
         seated = [u for u in sc.users if u.position_m[2] <= human.height_m]
         assert seated
@@ -797,18 +808,26 @@ def _adversarial_points(cells, regions, width, length):
     return pts[on_floor]
 
 
+def _decoded(words, columns):
+    """The boolean link rows of ``columns`` links packed in ``words``."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=columns).view(bool)
+
+
 class TestJointTable:
     # joint Monte Carlo counts a sample by its floor cell wherever no region
-    # boundary comes near the cell; that must change no membership and no count
+    # boundary comes near the cell, and by the state number of its exact link
+    # state elsewhere; that must change no membership and no count
 
     def test_cells_agree_with_exact_membership(self, joint_budget):
-        cells, _, _ = outage._joint_table(joint_budget)
+        table = outage._JointTable(joint_budget)
+        cells = table.cells
         room = joint_budget.scenario.room
         pts = _adversarial_points(cells, joint_budget.regions, room.width_m, room.length_m)
         x, y = pts[:, 0], pts[:, 1]
         cell = cells.cell_of(x, y)
         exact = regions_contain(joint_budget.regions, pts)
-        assert np.array_equal(cells.contain(x, y, cell), exact)
+        state = table.states_at(joint_budget, x, y)
+        assert np.array_equal(_decoded(table.words[state], joint_budget.link_count), exact.T)
         if all(r.empty for r in joint_budget.regions):
             assert cells.decided.all() and not exact.any()
         else:
@@ -819,7 +838,7 @@ class TestJointTable:
     def test_classification_equals_the_full_floor_loop(self, joint_budget):
         # each region is classified only near its bounding box; every cell
         # must come out as a test of every cell against every region says
-        cells, _, _ = outage._joint_table(joint_budget)
+        cells = outage._JointTable(joint_budget).cells
         room = joint_budget.scenario.room
         inside, undecided, decided = classify_full_floor(
             joint_budget.regions, room.width_m, room.length_m, cells.size
@@ -834,7 +853,8 @@ class TestJointTable:
         assert np.array_equal(cells.decided, decided)
 
     def test_outage_rows_are_the_cells_own_states(self, joint_budget):
-        cells, state, rows = outage._joint_table(joint_budget)
+        table = outage._JointTable(joint_budget)
+        cells, state, rows = table.cells, table.cell_state, table.outage
         decided = np.flatnonzero(cells.decided)
         states = cells.inside[decided]
         users = len(joint_budget.user_terms)
@@ -842,20 +862,22 @@ class TestJointTable:
         assert rows.shape[1] == 2 * users
         assert np.array_equal(rows[state[decided]], want)
         # each number stands for one link state: the row of any of its cells
-        numbered = np.zeros((len(rows) - 1, states.shape[1]), dtype=bool)
+        numbered = np.zeros((len(rows), states.shape[1]), dtype=bool)
         numbered[state[decided]] = states
         assert np.array_equal(numbered[state[decided]], states)
-        # undecided cells read the last row, which counts nothing
+        assert np.array_equal(_decoded(table.words, states.shape[1]), numbered)
+        # undecided cells hold no number
         assert state.shape == (cells.count,)
-        assert (state[~cells.decided] == len(rows) - 1).all()
-        assert not rows[-1].any()
-        # one row per distinct link state of the decided cells
+        assert (state[~cells.decided] == -1).all()
+        # at the start of a run the table holds one row per distinct link
+        # state of the decided cells, and each of its states once
         _, link_state = np.unique(states, axis=0, return_inverse=True)
         pairs = np.unique(np.stack([state[decided], link_state.ravel()]), axis=1)
-        assert pairs.shape[1] == len(rows) - 1 == link_state.max() + 1
+        assert pairs.shape[1] == len(rows) == link_state.max() + 1
+        assert len(np.unique(table.words, axis=0)) == len(table.words) == len(rows)
 
     def test_cell_size_follows_the_walker_radius(self, joint_budget):
-        cells, _, _ = outage._joint_table(joint_budget)
+        cells = outage._JointTable(joint_budget).cells
         radius = joint_budget.scenario.human.radius_m
         assert cells.size >= radius / 6
         assert cells.count <= 2**16 + cells.nx + cells.ny + 1
@@ -864,14 +886,15 @@ class TestJointTable:
 
     def test_default_room_table_is_the_readmes(self, budget):
         # the README quotes these figures for the default room
-        cells, state, rows = outage._joint_table(budget)
+        table = outage._JointTable(budget)
+        cells = table.cells
         assert (cells.nx, cells.ny) == (80, 160)
         assert np.count_nonzero(cells.decided) == 10_826
-        assert len(rows) - 1 == len(np.unique(state[cells.decided])) == 59
+        assert len(table.outage) == len(np.unique(table.cell_state[cells.decided])) == 59
 
     @pytest.mark.parametrize("n_total, block", [(3 * BLOCK_SIZE, 0), (2 * BLOCK_SIZE + 999, 2)])
     def test_block_counts_equal_exact_membership(self, joint_budget, n_total, block):
-        table = outage._joint_table(joint_budget)
+        table = outage._JointTable(joint_budget)
         got = outage._run_block(joint_budget, 5, "joint", n_total, table, block)
         n = min(BLOCK_SIZE, n_total - block * BLOCK_SIZE)
         room = joint_budget.scenario.room
@@ -881,6 +904,53 @@ class TestJointTable:
                 for s in evaluate_sinr(joint_budget, clear)]
         assert got.dtype == np.int64
         assert np.array_equal(got, np.stack(want, axis=1))
+
+    @pytest.mark.parametrize("room, states", [("default", 78), ("dense-seed-3", None)])
+    def test_sinr_sees_each_state_of_a_run_once(self, room, states, request, monkeypatch):
+        # only a state the run has not met goes through the SINR: a serial
+        # run's columns are the states of its table when it ends
+        budget = _exact_room(room, request)
+        columns, tables = [], []
+
+        def counting(b, clear):
+            columns.append(clear.shape[1])
+            return evaluate_sinr(b, clear)
+
+        class Kept(outage._JointTable):
+            def __init__(self, b):
+                super().__init__(b)
+                tables.append(self)
+
+        monkeypatch.setattr(outage, "evaluate_sinr", counting)
+        monkeypatch.setattr(outage, "_JointTable", Kept)
+        outage_monte_carlo(budget, 500_000, 11, blockage_model="joint")
+        (table,) = tables
+        assert sum(columns) == len(table.words) == len(table.outage)
+        # the run met states beyond those of its decided cells
+        assert len(table.words) > len(np.unique(table.cell_state[table.cells.decided]))
+        if states is not None:  # the README's figure
+            assert len(table.words) == states
+
+    def test_rows_that_share_a_key_keep_their_own_numbers(self, dense_seed_3):
+        # two-word rows (0, 0) and (v, 1), with v * M = 1 mod 2^64, share the
+        # folded key (v * M) ^ 1 = 0, yet each is a state of its own
+        budget = build_link_budget(dense_seed_3)
+        assert budget.link_count == 93
+        m = int(outage._KEY_MULTIPLIER)
+        pair = np.array([[0, 0], [pow(m, -1, 1 << 64), 1]], dtype=np.uint64)
+        rows = _decoded(pair, 93)
+        assert not np.array_equal(rows[0], rows[1]) and np.array_equal(_packed(rows), pair)
+        key = outage._folded_keys(pair)
+        assert key[0] == key[1] == 0
+        table = outage._JointTable(budget)
+        words = pair[[0, 1, 1, 0, 1]]
+        state = table.number(budget, words)
+        assert state[0] != state[1]
+        assert state[0] == state[3] and state[1] == state[2] == state[4]
+        assert np.array_equal(table.words[state], words)
+        # equal rows keep their numbers, and the table holds each state once
+        assert np.array_equal(table.number(budget, words[::-1]), state[::-1])
+        assert len(np.unique(table.words, axis=0)) == len(table.words)
 
 
 def _tile_row(copies, step_m=4.0):
