@@ -22,9 +22,11 @@ through one point-to-spine offset kernel, and every exact membership answer
 comes from one comparison, :func:`_covers`.
 :class:`FloorCells` tiles the floor of a room at a cell size it takes from
 the walker's radius and decides whole cells at once where no region
-boundary comes near them; :mod:`owcrelay.outage` numbers their link states,
-and tests a point of any other cell with :func:`_covers` against that
-cell's undecided regions only.
+boundary comes near them.  It keeps each cell's regions packed into 64-bit
+words, the one bit layout of this module's packing helpers, in which
+:mod:`owcrelay.outage` also packs link states.  That engine numbers the
+cells' states, and tests a point of any other cell with :func:`_covers`
+against that cell's undecided regions only.
 """
 
 from __future__ import annotations
@@ -186,6 +188,25 @@ def regions_contain(regions, points) -> np.ndarray:
     return out
 
 
+# Boolean rows, such as a link state or a cell's regions, are packed by
+# ``np.packbits`` into whole 64-bit words, at least one a row, zero-padded.
+
+
+def _zero_words(n: int, columns: int) -> np.ndarray:
+    return np.zeros((n, max(1, -(-columns // 64))), dtype=np.uint64)
+
+
+def _pack_rows(rows: np.ndarray, words: np.ndarray) -> None:
+    """Pack the boolean ``rows`` into ``words`` from :func:`_zero_words`."""
+    packed = np.packbits(rows, axis=1)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+
+
+def _unpack_rows(words: np.ndarray, columns: int) -> np.ndarray:
+    """The boolean rows, of ``columns`` booleans, packed in ``words``."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=columns).view(bool)
+
+
 # Slack of the cell classification beyond half a cell diagonal: rounding in
 # a cell lookup or a centre distance is far below it, so a point of a
 # decided cell is never near enough a boundary for its exact test to differ.
@@ -205,11 +226,12 @@ class FloorCells:
     d <= radius - hd - 1e-9 m and outside it where d >= radius + hd + 1e-9 m;
     otherwise the pair is undecided.  Only the cells within two cells of a
     region's bounding box are measured; every other cell is farther than
-    radius + hd from the spine.  ``inside`` is boolean (cells, regions); the
-    undecided regions of cell c are ``near[start[c]:start[c + 1]]``, and
-    ``decided`` marks the cells with none.  The cells decide membership
-    only; numbering their link states is the outage engine's.  Cell c
-    covers column ``c % nx`` and row ``c // nx``.
+    radius + hd from the spine.  ``words`` holds each cell's row of the
+    regions it lies inside, packed by :func:`_pack_rows`; the undecided
+    regions of cell c are ``near[start[c]:start[c + 1]]``, and ``decided``
+    marks the cells with none.  The cells decide membership only; numbering
+    their link states is the outage engine's.  Cell c covers column
+    ``c % nx`` and row ``c // nx``.
     """
 
     def __init__(self, regions, room: RoomConfig, human: HumanConfig):
@@ -222,8 +244,8 @@ class FloorCells:
         # (5, regions): one column of spine parameters per region, zero
         # where the region is empty and so never undecided
         self.spines = np.zeros((5, len(regions)))
-        self.inside = np.zeros((self.count, len(regions)), dtype=bool)
-        undecided = np.zeros_like(self.inside)
+        inside = np.zeros((self.count, len(regions)), dtype=bool)
+        undecided = np.zeros_like(inside)
         for j, region in enumerate(regions):
             if region.empty:
                 continue
@@ -238,8 +260,10 @@ class FloorCells:
             cx, cy = (ix + 0.5) * size, (iy[:, None] + 0.5) * size
             d = np.hypot(*_spine_offset(cx, cy, p0x, p0y, wx, wy)).ravel()
             inner = d <= r - half - _CELL_MARGIN
-            self.inside[cell[inner], j] = True
+            inside[cell[inner], j] = True
             undecided[cell[~inner & (d < r + half + _CELL_MARGIN)], j] = True
+        self.words = _zero_words(self.count, len(regions))
+        _pack_rows(inside, self.words)
         pair_cell, self.near = np.nonzero(undecided)
         self.start = np.searchsorted(pair_cell, np.arange(self.count + 1))
         self.decided = self.start[1:] == self.start[:-1]

@@ -6,11 +6,12 @@ blocks with per-block seeds derived from the master seed, so the result is
 identical no matter how many worker processes execute the blocks.  Under
 the joint model :class:`~owcrelay.geometry.FloorCells` finds the floor
 cells that no region boundary crosses.  A run keeps one table of the link
-states it has met, each packed into 64-bit words and indexed by its folded
-key, and numbers the states of those cells in it when it starts.  A
+states it has met, each packed into 64-bit words and keyed by their
+bytes, and numbers the states of those cells in it when it starts.  A
 sample there takes its cell's number; any other sample is tested exactly,
-against its cell's undecided regions only, and its packed state is looked
-up in the table.  Only a state the run has not met goes through the SINR,
+against its cell's undecided regions only.  A block groups those samples'
+packed states by :func:`_sorted_runs` and looks each group up in the table
+by its bytes.  Only a state the run has not met goes through the SINR,
 so each is evaluated once a run (the default room's 500k-sample run meets
 78), and a block counts its samples by one bincount of their numbers.
 Under the independent model a block draws its uniforms in row slices of
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from owcrelay import mobility
-from owcrelay.geometry import FloorCells, _covers
+from owcrelay.geometry import FloorCells, _covers, _pack_rows, _unpack_rows, _zero_words
 from owcrelay.links import LinkBudget, evaluate_sinr
 from owcrelay.mobility import sample_human_positions
 
@@ -138,38 +139,33 @@ class _JointTable:
     """The floor cells of a joint run over the budget's room, and the table
     of the link states the run has met.
 
-    ``words`` holds each state packed, numbered in the order the run met
-    it, and ``outage`` its direct and coop outage, boolean (states,
-    users * 2).  ``keys`` holds their folded keys, sorted, with the number
-    of each in ``key_state``; a key found there is checked word by word, so
-    two states that share a key keep a number each.  ``cell_words`` is
-    each cell's packed ``inside`` row and ``cell_state`` the number of its
-    state, -1 in an undecided cell; ``near_bits`` is (words, pairs), the
-    one-bit word of each undecided pair's region.  The decided cells'
-    states are numbered when the table is built, and a state the run meets
-    later joins it.  No count depends on the numbers, so a pool worker's
-    table may number its states in another order.
+    ``states`` maps each state's packed words, as bytes, to its number, in
+    the order the run met it, and ``outage`` holds its direct and coop
+    outage, boolean (states, users * 2); :meth:`number` groups the rows it
+    is given by :func:`_sorted_runs` and looks each run up by its bytes.
+    ``cell_state`` is the number of each cell's state, -1 in an undecided
+    cell; ``near_bits`` is (words, pairs), the one-bit word of each
+    undecided pair's region.  The decided cells' states are numbered when
+    the table is built, and a state the run meets later joins it.  No count
+    depends on the numbers, so a pool worker's table may number its states
+    in another order.
     """
 
     def __init__(self, budget: LinkBudget):
         cells = FloorCells(budget.regions, budget.scenario.room, budget.scenario.human)
         links = budget.link_count
         self.cells = cells
-        self.cell_words = _zero_words(cells.count, links)
-        _pack_rows(cells.inside, self.cell_words)
         bits = _zero_words(links, links)
         _pack_rows(np.eye(links, dtype=bool), bits)
         self.near_bits = np.ascontiguousarray(bits[cells.near].T)
-        self.words = self.cell_words[:0]
+        self.states = {}
         self.outage = np.zeros((0, 2 * len(budget.user_terms)), dtype=bool)
-        self.keys = np.zeros(0, dtype=np.uint64)
-        self.key_state = np.zeros(0, dtype=np.intp)
         self.cell_state = np.full(cells.count, -1, dtype=np.intp)
-        self.cell_state[cells.decided] = self.number(budget, self.cell_words[cells.decided])
+        self.cell_state[cells.decided] = self.number(budget, cells.words[cells.decided])
 
     def states_at(self, budget: LinkBudget, x, y) -> np.ndarray:
         """The state number of each floor point (x, y).  A point in an
-        undecided cell takes its cell's ``inside`` row with a bit set for
+        undecided cell takes its cell's packed regions with a bit set for
         each of the cell's undecided regions that covers it."""
         cells = self.cells
         cell = cells.cell_of(x, y)
@@ -184,7 +180,7 @@ class _JointTable:
         k = near[np.repeat(np.arange(len(cell)), runs)]
         pair = np.arange(k.size) + np.repeat(lo - first, runs)
         hit = _covers(x[k], y[k], *cells.spines[:, cells.near[pair]])
-        words = self.cell_words[cell]
+        words = cells.words[cell]
         for word, bits in zip(words.T, self.near_bits):
             word |= np.bitwise_or.reduceat(bits[pair] * hit, first)
         state[near] = self.number(budget, words)
@@ -192,79 +188,27 @@ class _JointTable:
 
     def number(self, budget: LinkBudget, words: np.ndarray) -> np.ndarray:
         """The number of each packed link state of ``words``; the states
-        the table does not hold join it."""
-        key = _folded_keys(words)
-        state = self._find(words, key)
-        miss = np.flatnonzero(state < 0)
-        while miss.size:
-            # one miss of each key joins the table as a new state, and each
-            # miss equal to it takes its number; a miss that only shares its
-            # key is none of the table's states, and joins it next time
-            _, first, of = np.unique(key[miss], return_index=True, return_inverse=True)
-            new = miss[first]
-            self._add(budget, words[new], key[new])
-            same = (words[miss] == words[new[of]]).all(axis=1)
-            state[miss[same]] = len(self.words) - len(new) + of[same]
-            miss = miss[~same]
+        the table does not hold join it, with their outage from one SINR
+        call.  Each run of equal rows is looked up by its bytes, so a state
+        that :func:`_sorted_runs` lists twice keeps one number."""
+        order, start = _sorted_runs(words)
+        first = words[order[start]]
+        states, met = self.states, len(self.states)
+        number = np.array([states.setdefault(r.tobytes(), len(states)) for r in first], np.intp)
+        if len(states) > met:
+            # the first run of each new state, in number order
+            numbers, run = np.unique(number, return_index=True)
+            rows = _unpack_rows(first[run[numbers >= met]], budget.link_count)
+            outage = _outage(budget, ~np.ascontiguousarray(rows.T))
+            self.outage = np.concatenate([self.outage, outage.reshape(self.outage.shape[1], -1).T])
+        state = np.empty(len(order), dtype=np.intp)
+        state[order] = np.repeat(number, np.diff(start, append=len(order)))
         return state
 
-    def _find(self, words, key):
-        """The number of each packed state of ``words`` with folded ``key``,
-        or -1 where the table does not hold it."""
-        n = len(self.keys)
-        if not n:
-            return np.full(len(key), -1, dtype=np.intp)
-        # a key past the last compares with the last, which differs from it
-        at = np.minimum(np.searchsorted(self.keys, key), n - 1)
-        state = self.key_state[at]
-        hit = (self.words[state] == words).all(axis=1)
-        state[~hit] = -1
-        # the states of one key sit side by side: a miss whose key the table
-        # holds tries the next ones until one is equal
-        todo = np.flatnonzero(~hit & (self.keys[at] == key))
-        while todo.size:
-            at[todo] += 1
-            todo = todo[at[todo] < n]
-            todo = todo[self.keys[at[todo]] == key[todo]]
-            s = self.key_state[at[todo]]
-            hit = (self.words[s] == words[todo]).all(axis=1)
-            state[todo[hit]] = s[hit]
-            todo = todo[~hit]
-        return state
 
-    def _add(self, budget, words, key):
-        """Number the new packed states ``words``, of folded ``key``, after
-        the table's last, with their outage from one SINR call."""
-        rows = _unpack_rows(words, budget.link_count)
-        outage = _outage(budget, ~np.ascontiguousarray(rows.T))
-        number = np.arange(len(self.words), len(self.words) + len(words))
-        self.words = np.concatenate([self.words, words])
-        self.outage = np.concatenate([self.outage, outage.reshape(self.outage.shape[1], -1).T])
-        keys = np.concatenate([self.keys, key])
-        order = np.argsort(keys, kind="stable")
-        self.keys, self.key_state = keys[order], np.concatenate([self.key_state, number])[order]
-
-
-# Boolean link rows are packed by ``np.packbits`` into whole 64-bit words,
-# at least one a row, zero-padded.  An odd 64-bit multiplier: each further
-# word of a wider row is folded into the row's sort key as
-# ``key * _KEY_MULTIPLIER ^ word``.
+# An odd 64-bit multiplier: each further word of a packed row is folded
+# into the row's sort key as ``key * _KEY_MULTIPLIER ^ word``.
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _zero_words(n: int, columns: int) -> np.ndarray:
-    return np.zeros((n, max(1, -(-columns // 64))), dtype=np.uint64)
-
-
-def _pack_rows(rows: np.ndarray, words: np.ndarray) -> None:
-    """Pack the boolean ``rows`` into ``words`` from :func:`_zero_words`."""
-    packed = np.packbits(rows, axis=1)
-    words.view(np.uint8)[:, : packed.shape[1]] = packed
-
-
-def _unpack_rows(words: np.ndarray, columns: int) -> np.ndarray:
-    """The boolean rows, of ``columns`` links, packed in ``words``."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=columns).view(bool)
 
 
 def _folded_keys(words: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from owcrelay import mobility, outage
-from owcrelay.geometry import StadiumRegion, regions_contain
+from owcrelay.geometry import StadiumRegion, _pack_rows, _zero_words, regions_contain
 from owcrelay.links import build_link_budget, evaluate_sinr
 from owcrelay.mobility import integrate_region, sample_human_positions
 from owcrelay.outage import (
@@ -813,6 +813,13 @@ def _decoded(words, columns):
     return np.unpackbits(words.view(np.uint8), axis=1, count=columns).view(bool)
 
 
+def _table_words(table):
+    """The packed words of each state of ``table``, in number order: its
+    dict's keys, which it inserts in that order."""
+    width = table.cells.words.shape[1]
+    return np.frombuffer(b"".join(table.states), dtype=np.uint64).reshape(-1, width)
+
+
 class TestJointTable:
     # joint Monte Carlo counts a sample by its floor cell wherever no region
     # boundary comes near the cell, and by the state number of its exact link
@@ -827,7 +834,8 @@ class TestJointTable:
         cell = cells.cell_of(x, y)
         exact = regions_contain(joint_budget.regions, pts)
         state = table.states_at(joint_budget, x, y)
-        assert np.array_equal(_decoded(table.words[state], joint_budget.link_count), exact.T)
+        words = _table_words(table)[state]
+        assert np.array_equal(_decoded(words, joint_budget.link_count), exact.T)
         if all(r.empty for r in joint_budget.regions):
             assert cells.decided.all() and not exact.any()
         else:
@@ -844,11 +852,14 @@ class TestJointTable:
             joint_budget.regions, room.width_m, room.length_m, cells.size
         )
         runs = np.diff(cells.start)
-        listed = np.zeros_like(cells.inside)
+        regions = len(joint_budget.regions)
+        assert cells.words.shape == (cells.count, max(1, -(-regions // 64)))
+        cell_inside = _decoded(cells.words, regions)
+        listed = np.zeros_like(cell_inside)
         listed[np.repeat(np.arange(cells.count), runs), cells.near] = True
         assert cells.start[0] == 0 and cells.start[-1] == cells.near.size == undecided.sum()
-        assert cells.inside.shape == (cells.count, len(joint_budget.regions))
-        assert np.array_equal(cells.inside, inside.T)
+        assert cell_inside.shape == (cells.count, regions)
+        assert np.array_equal(cell_inside, inside.T)
         assert np.array_equal(listed, undecided.T)
         assert np.array_equal(cells.decided, decided)
 
@@ -856,7 +867,7 @@ class TestJointTable:
         table = outage._JointTable(joint_budget)
         cells, state, rows = table.cells, table.cell_state, table.outage
         decided = np.flatnonzero(cells.decided)
-        states = cells.inside[decided]
+        states = _decoded(cells.words[decided], len(joint_budget.regions))
         users = len(joint_budget.user_terms)
         want = outage._outage(joint_budget, ~states.T.copy()).reshape(2 * users, -1).T
         assert rows.shape[1] == 2 * users
@@ -865,7 +876,7 @@ class TestJointTable:
         numbered = np.zeros((len(rows), states.shape[1]), dtype=bool)
         numbered[state[decided]] = states
         assert np.array_equal(numbered[state[decided]], states)
-        assert np.array_equal(_decoded(table.words, states.shape[1]), numbered)
+        assert np.array_equal(_decoded(_table_words(table), states.shape[1]), numbered)
         # undecided cells hold no number
         assert state.shape == (cells.count,)
         assert (state[~cells.decided] == -1).all()
@@ -874,7 +885,8 @@ class TestJointTable:
         _, link_state = np.unique(states, axis=0, return_inverse=True)
         pairs = np.unique(np.stack([state[decided], link_state.ravel()]), axis=1)
         assert pairs.shape[1] == len(rows) == link_state.max() + 1
-        assert len(np.unique(table.words, axis=0)) == len(table.words) == len(rows)
+        words = _table_words(table)
+        assert len(np.unique(words, axis=0)) == len(words) == len(rows)
 
     def test_cell_size_follows_the_walker_radius(self, joint_budget):
         cells = outage._JointTable(joint_budget).cells
@@ -925,11 +937,12 @@ class TestJointTable:
         monkeypatch.setattr(outage, "_JointTable", Kept)
         outage_monte_carlo(budget, 500_000, 11, blockage_model="joint")
         (table,) = tables
-        assert sum(columns) == len(table.words) == len(table.outage)
+        met = len(_table_words(table))
+        assert sum(columns) == met == len(table.outage)
         # the run met states beyond those of its decided cells
-        assert len(table.words) > len(np.unique(table.cell_state[table.cells.decided]))
+        assert met > len(np.unique(table.cell_state[table.cells.decided]))
         if states is not None:  # the README's figure
-            assert len(table.words) == states
+            assert met == states
 
     def test_rows_that_share_a_key_keep_their_own_numbers(self, dense_seed_3):
         # two-word rows (0, 0) and (v, 1), with v * M = 1 mod 2^64, share the
@@ -947,10 +960,43 @@ class TestJointTable:
         state = table.number(budget, words)
         assert state[0] != state[1]
         assert state[0] == state[3] and state[1] == state[2] == state[4]
-        assert np.array_equal(table.words[state], words)
+        assert np.array_equal(_table_words(table)[state], words)
         # equal rows keep their numbers, and the table holds each state once
         assert np.array_equal(table.number(budget, words[::-1]), state[::-1])
-        assert len(np.unique(table.words, axis=0)) == len(table.words)
+        held = _table_words(table)
+        assert len(np.unique(held, axis=0)) == len(held)
+
+    @pytest.mark.parametrize("room", ["default", "dense-seed-3"])
+    def test_a_state_split_over_runs_keeps_one_number(self, room, request, monkeypatch):
+        # _sorted_runs may list one state in more than one run; with every
+        # row a run of its own, equal rows still share one number, different
+        # rows keep their own, and each new state goes through the SINR once
+        budget = _exact_room(room, request)
+        table = outage._JointTable(budget)
+        columns = []
+
+        def counting(b, clear):
+            columns.append(clear.shape[1])
+            return evaluate_sinr(b, clear)
+
+        def every_row_a_run(words):
+            return np.arange(len(words)), np.arange(len(words))
+
+        monkeypatch.setattr(outage, "evaluate_sinr", counting)
+        monkeypatch.setattr(outage, "_sorted_runs", every_row_a_run)
+        rng = np.random.default_rng(4)
+        held = _table_words(table)
+        # states the table holds and states it does not, each four times, interleaved
+        rows = np.concatenate([held[rng.choice(len(held), 5, replace=False)],
+                               _packed(rng.random((6, budget.link_count)) < 0.5)])
+        words = rows[rng.permutation(np.repeat(np.arange(len(rows)), 4))]
+        state = table.number(budget, words)
+        distinct, row = np.unique(words, axis=0, return_inverse=True)
+        pairs = np.unique(np.stack([state, row.ravel()]), axis=1)
+        assert pairs.shape[1] == len(np.unique(state)) == len(distinct)
+        assert np.array_equal(_table_words(table)[state], words)
+        new = ~(distinct[:, None] == held[None]).all(axis=2).any(axis=1)
+        assert 0 < sum(columns) == new.sum() == len(table.states) - len(held)
 
 
 def _tile_row(copies, step_m=4.0):
@@ -1050,8 +1096,8 @@ class TestIndependentBlock:
 
 
 def _packed(rows):
-    words = outage._zero_words(len(rows), rows.shape[1])
-    outage._pack_rows(rows, words)
+    words = _zero_words(len(rows), rows.shape[1])
+    _pack_rows(rows, words)
     return words
 
 
