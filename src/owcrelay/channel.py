@@ -11,10 +11,10 @@ source and detector share.  One table of the room's six faces -- their
 order, the axis each lies across, its inward normal and reflectivity --
 drives the tile grid, the face a beam's first bounce meets and a wall
 relay's default boresight, the inward normal of its nearest face.
-:func:`can_serve` says whether a target lies inside a transmitter's
-steering cone, and a response into a receiver outside it raises
+A response into a receiver outside the transmitter's steering cone raises
 :class:`UnservableLinkError`, so every response checks its own link's
-steering.
+steering; the link budget (:mod:`owcrelay.links`) picks the links it builds
+by the same rule, all at once.
 
 The beam is a top-hat cone steered at the receiver's centre.  The receiver
 collects the share of the spot its centred aperture disk covers, projected
@@ -59,7 +59,6 @@ __all__ = [
     "SurfaceGrid",
     "UnservableLinkError",
     "pointing",
-    "can_serve",
     "ChannelImpulseResponse",
     "discretize_surfaces",
     "receiver_view",
@@ -148,12 +147,6 @@ def _aim(tx_pos: np.ndarray, boresight: np.ndarray, target: np.ndarray):
         raise ValueError("steering target coincides with the transmitter")
     beam = rel / length
     return rel, length, beam, math.acos(min(1.0, max(-1.0, float(np.dot(beam, boresight)))))
-
-
-def can_serve(tx: ApConfig | RelayConfig, target, room: RoomConfig) -> bool:
-    """Whether the point ``target`` lies inside the steering cone of ``tx``."""
-    tx_pos = np.asarray(tx.position_m, dtype=float)
-    return _in_cone(tx, _aim(tx_pos, pointing(tx, room), np.asarray(target, dtype=float))[3])
 
 
 @dataclass(frozen=True, eq=False)

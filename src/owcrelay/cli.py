@@ -20,7 +20,12 @@ from owcrelay.channel import cir_rows
 from owcrelay.geometry import regions_contain
 from owcrelay.links import build_link_budget, link_cir
 from owcrelay.mobility import pdf_xy, peak_density, sample_human_positions
-from owcrelay.outage import ensure_marginals, outage_independent_approx, outage_monte_carlo
+from owcrelay.outage import (
+    BLOCK_SIZE,
+    ensure_marginals,
+    outage_independent_approx,
+    outage_monte_carlo,
+)
 from owcrelay.scenario import (
     default_scenario,
     load_scenario,
@@ -91,8 +96,13 @@ def _cmd_blockage(args) -> int:
     if args.mc:
         rng = np.random.default_rng(args.seed)
         pts = sample_human_positions(scenario.room, args.mc, rng)
-        for link, inside in zip(budget.links, regions_contain(budget.regions, pts)):
-            print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(np.mean(inside))},mc")
+        # hits are counted a block of points at a time, so memory does not grow with
+        # --mc; an integer count over n is np.mean of the link's row to the bit
+        hits = np.zeros(budget.link_count, dtype=np.int64)
+        for lo in range(0, args.mc, BLOCK_SIZE):
+            hits += regions_contain(budget.regions, pts[lo : lo + BLOCK_SIZE]).sum(axis=1)
+        for link, count in zip(budget.links, hits):
+            print(f"{link.link_id},{link.tx_id},{link.rx_id},{_g(count / args.mc)},mc")
     return 0
 
 

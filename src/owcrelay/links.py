@@ -8,8 +8,9 @@ blocked/clear states into SINR values with a handful of matrix products.
 Terminals are the scenario's AP, relay and user entries, keyed by id; the
 channel (:mod:`owcrelay.channel`) takes them as they are, with the room and
 channel sections, and each link's response, which checks its steering, is
-computed once.  The budget keeps its scenario, whose sections hold the
-threshold and the combining rule.
+computed once.  The links come from the scenario's explicit maps or, where
+it has none, from one steering table per build.  The budget keeps its
+scenario, whose sections hold the threshold and the combining rule.
 
 Each access point splits its power over the users it serves with
 geometrically decaying weights, largest share to the weakest channel
@@ -35,9 +36,9 @@ import numpy as np
 
 from owcrelay.channel import (
     UnservableLinkError,
-    can_serve,
     discretize_surfaces,
     impulse_response,
+    pointing,
     receiver_view,
 )
 from owcrelay.geometry import StadiumRegion, blocked_region
@@ -156,22 +157,49 @@ def _terminals(scenario: Scenario) -> dict:
     return {t.id: t for t in (*scenario.aps, *scenario.relays, *scenario.users)}
 
 
-def _association_map(scenario: Scenario) -> dict[str, tuple[str, ...]]:
+def _steering_table(scenario: Scenario) -> set[tuple[str, str]]:
+    """(transmitter id, target id) of every source-to-relay, source-to-user
+    and relay-to-user beam whose target lies inside the transmitter's
+    steering cone, decided in one array pass by the rule of the channel's
+    steering check: the beam's angle to the transmitter's boresight at most
+    its ``max_steering_deg`` plus 1e-12 rad.  Terminals of two kinds never
+    share a point, so every beam has a length."""
+    aps, relays, users = scenario.aps, scenario.relays, scenario.users
+    txs, targets = (*aps, *relays), (*relays, *users)
+    # a source aims at relays and users, a relay at users only
+    pair = np.ones((len(txs), len(targets)), dtype=bool)
+    pair[len(aps) :, : len(relays)] = False
+    tx_of, target_of = np.nonzero(pair)
+    position = np.array([t.position_m for t in (*txs, *users)], dtype=float)
+    boresight = np.array([pointing(t, scenario.room) for t in txs])
+    limit = np.array([math.radians(t.max_steering_deg) + 1e-12 for t in txs])
+    rel = position[target_of + len(aps)] - position[tx_of]
+    beam = rel / np.sqrt(np.einsum("ij,ij->i", rel, rel))[:, None]
+    cos = np.clip(np.einsum("ij,ij->i", beam, boresight[tx_of]), -1.0, 1.0)
+    inside = np.arccos(cos) <= limit[tx_of]
+    return {
+        (txs[i].id, targets[j].id)
+        for i, j in zip(tx_of[inside].tolist(), target_of[inside].tolist())
+    }
+
+
+def _association_map(scenario: Scenario, steerable: set) -> dict[str, tuple[str, ...]]:
     """Users served by each source: the scenario's explicit map when present,
     each user once in its first place, otherwise every user inside the
-    source's steering cone, in scenario order."""
+    source's steering cone, by the ``steerable`` table of
+    :func:`_steering_table`, in scenario order."""
     if scenario.associations is not None:
         return {
             ap.id: tuple(dict.fromkeys(scenario.associations.get(ap.id, ())))
             for ap in scenario.aps
         }
     return {
-        ap.id: tuple(u.id for u in scenario.users if can_serve(ap, u.position_m, scenario.room))
+        ap.id: tuple(u.id for u in scenario.users if (ap.id, u.id) in steerable)
         for ap in scenario.aps
     }
 
 
-def _relay_pairing_map(scenario: Scenario) -> dict[str, str]:
+def _relay_pairing_map(scenario: Scenario, steerable: set) -> dict[str, str]:
     """Feeder source of each relay: the scenario's explicit map when present,
     otherwise the nearest source able to steer onto the relay, the first
     in scenario order on a tie."""
@@ -180,14 +208,17 @@ def _relay_pairing_map(scenario: Scenario) -> dict[str, str]:
     out: dict[str, str] = {}
     for relay in scenario.relays:
         rp = relay.position_m
-        feeders = [ap for ap in scenario.aps if can_serve(ap, rp, scenario.room)]
+        feeders = [ap for ap in scenario.aps if (ap.id, relay.id) in steerable]
         if feeders:
             out[relay.id] = min(feeders, key=lambda ap: math.dist(ap.position_m, rp)).id
     return out
 
 
 def _relay_branch_map(
-    scenario: Scenario, associations: dict[str, tuple[str, ...]], pairings: dict[str, str]
+    scenario: Scenario,
+    associations: dict[str, tuple[str, ...]],
+    pairings: dict[str, str],
+    steerable: set,
 ) -> dict[str, tuple[tuple[str, str], ...]]:
     """Second-phase branches per user as (feeder source, relay) pairs.
 
@@ -199,8 +230,7 @@ def _relay_branch_map(
         u.id: tuple(
             (pairings[r.id], r.id)
             for r in scenario.relays
-            if u.id in associations.get(pairings.get(r.id), ())
-            and can_serve(r, u.position_m, scenario.room)
+            if u.id in associations.get(pairings.get(r.id), ()) and (r.id, u.id) in steerable
         )
         for u in scenario.users
     }
@@ -246,9 +276,10 @@ def _links(scenario: Scenario, ends) -> dict[tuple[str, str], Link]:
 def build_link_budget(scenario: Scenario) -> LinkBudget:
     """Evaluate every deterministic quantity the outage engines need."""
     terminal = _terminals(scenario)
-    associations = _association_map(scenario)
-    pairings = _relay_pairing_map(scenario)
-    branches = _relay_branch_map(scenario, associations, pairings)
+    steerable = _steering_table(scenario)
+    associations = _association_map(scenario, steerable)
+    pairings = _relay_pairing_map(scenario, steerable)
+    branches = _relay_branch_map(scenario, associations, pairings, steerable)
 
     # (tx_id, rx_id) -> (kind, tx entry, rx entry) of every link, in link order
     ends: dict[tuple[str, str], tuple] = {}

@@ -756,14 +756,11 @@ class TestLinkBudgetResponses:
             build_link_budget(scenario)
 
     @pytest.mark.parametrize("room", ["default", "tilted"])
-    def test_steering_checked_at_most_twice_per_pair(self, room, monkeypatch):
-        # a link's beam is aimed once by the map that chose it, through
-        # can_serve, and once by its response, which needs the beam direction
-        # anyway and names an unservable link itself; both aim through _aim
-        scenario = (
-            default_scenario() if room == "default"
-            else load_scenario(Path(__file__).with_name("tilted.yaml"))
-        )
+    def test_each_link_aimed_once(self, room, monkeypatch):
+        # the maps take steering from the budget's one table, so a link's
+        # beam is aimed once, by its response, which needs the beam
+        # direction anyway and names an unservable link itself
+        scenario = scenario_named(room)
         calls = Counter()
         aim = channel._aim
 
@@ -777,8 +774,10 @@ class TestLinkBudgetResponses:
             t.id: tuple(map(float, t.position_m))
             for t in (*scenario.aps, *scenario.relays, *scenario.users)
         }
-        assert all(calls[position[ln.tx_id], position[ln.rx_id]] >= 1 for ln in budget.links)
-        assert max(calls.values()) <= 2
+        assert calls == Counter(
+            (position[ln.tx_id], position[ln.rx_id]) for ln in budget.links
+        )
+        assert max(calls.values()) == 1
 
     def test_one_bin_grid_for_budget_and_direct_calls(self):
         # a budget link and a direct call under the same channel section
@@ -801,6 +800,108 @@ class TestLinkBudgetResponses:
         assert np.flatnonzero(gains).tolist() == bins.tolist()
         assert cir.dc_gain() == math.fsum(gains.tolist())
         assert cir.dc_gain() == 0.5 + 1e-3 + 1e-20
+
+
+def steerable_alone(scenario):
+    """Every (source or relay, target) pair of the scenario whose target
+    lies inside the transmitter's cone, each pair aimed alone by the rule of
+    a response's steering check."""
+    txs = (*scenario.aps, *scenario.relays)
+    targets = {tx.id: (*scenario.relays, *scenario.users) for tx in scenario.aps}
+    targets.update({tx.id: scenario.users for tx in scenario.relays})
+    return {
+        (tx.id, t.id)
+        for tx in txs
+        for t in targets[tx.id]
+        if channel._in_cone(
+            tx,
+            channel._aim(
+                np.asarray(tx.position_m, dtype=float),
+                pointing(tx, scenario.room),
+                np.asarray(t.position_m, dtype=float),
+            )[3],
+        )
+    }
+
+
+def steering_scenarios(room, request):
+    """The rooms of the steering table checks; "dense-seeds" is the dense
+    room at seeds 0-49 with its associations and relay pairings removed, so
+    that every map comes from the table."""
+    if room != "dense-seeds":
+        return [budget_scenario(room, request)]
+    dense_room = request.getfixturevalue("dense_room")
+    return [
+        dataclasses.replace(dense_room(seed), associations=None, relay_pairings=None)
+        for seed in range(50)
+    ]
+
+
+# SHA-256 over every budget link's id, one line per link in link order and an
+# empty line after each room, as first recorded, before the maps took
+# steering from one table
+LINK_ID_DIGESTS = {
+    "default": "d976db2c7ef6c78302e4681b90f099e4700c674605ab1dd5a17f6f309c206b1b",
+    "tilted": "4c151cf5e6cbacebf3c7f376aa8ea27efd482de8145db2a86071d2a8205f38fc",
+    "dense-tile": "35eb8f82f8abb9d72a62b712390ab9db10a0fa50336215f9e2df3a54d3c64561",
+    "dense-seeds": "e6d8695458f6358d9fa4193d41cba999927718870188b53304428c23910619f3",
+}
+
+
+class TestSteeringTable:
+    @pytest.mark.parametrize("room", list(LINK_ID_DIGESTS))
+    def test_table_equals_each_pair_aimed_alone(self, room, request):
+        for scenario in steering_scenarios(room, request):
+            assert links._steering_table(scenario) == steerable_alone(scenario)
+
+    @pytest.mark.parametrize("room", list(LINK_ID_DIGESTS))
+    def test_link_ids_pinned(self, room, request):
+        digest = hashlib.sha256()
+        for scenario in steering_scenarios(room, request):
+            for link in build_link_budget(scenario).links:
+                digest.update(f"{link.link_id}\n".encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == LINK_ID_DIGESTS[room]
+
+    def test_dense_room_without_maps_keeps_its_links(self, dense_seed_3):
+        scenario = dataclasses.replace(dense_seed_3, associations=None, relay_pairings=None)
+        assert build_link_budget(scenario).link_count == 93
+
+    def test_cone_edges(self):
+        # targets 1e-9 rad inside and outside the edge of a source's 40 deg
+        # cone, straight down, and of a relay's 30 deg cone about a tilted axis
+        def around_ap(name, angle, azimuth):
+            r = 2.0 * math.tan(angle)
+            return (name, (2.0 + r * math.cos(azimuth), 4.0 + r * math.sin(azimuth), 1.0))
+
+        def around_relay(name, azimuth):
+            return (name, (0.5 + 1.5 * math.cos(azimuth), 1.0 + 1.5 * math.sin(azimuth), 1.5))
+
+        edge, tilt, step = math.radians(40.0), math.radians(30.0), 1e-9
+        relays = [
+            RelayConfig("r1", (0.5, 1.0, 1.5), max_steering_deg=30.0, axis=(1.0, 1.0, 0.0)),
+            RelayConfig(*around_ap("r_in", edge - step, math.pi / 2)),
+            RelayConfig(*around_ap("r_out", edge + step, -math.pi / 2)),
+        ]
+        users = [
+            UserConfig(*around_ap("u_in", edge - step, 0.0)),
+            UserConfig(*around_ap("u_out", edge + step, math.pi)),
+            UserConfig(*around_relay("u_near", math.pi / 4 + tilt - step)),
+            UserConfig(*around_relay("u_far", math.pi / 4 - tilt - step)),
+        ]
+        scenario = dataclasses.replace(
+            default_scenario(),
+            aps=(ApConfig("ap1", (2.0, 4.0, 3.0)),),
+            relays=tuple(relays),
+            users=tuple(users),
+            associations=None,
+            relay_pairings=None,
+        )
+        table = links._steering_table(scenario)
+        assert table == steerable_alone(scenario)
+        inside = {("ap1", "u_in"), ("ap1", "r_in"), ("r1", "u_near")}
+        outside = {("ap1", "u_out"), ("ap1", "r_out"), ("r1", "u_far")}
+        assert inside <= table and not outside & table
 
 
 class TestReflections:

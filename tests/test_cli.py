@@ -2,12 +2,17 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from owcrelay import cli
-from owcrelay.mobility import QuadratureError, pdf_xy
+from owcrelay.geometry import regions_contain
+from owcrelay.links import build_link_budget
+from owcrelay.mobility import QuadratureError, pdf_xy, sample_human_positions
+from owcrelay.outage import BLOCK_SIZE
 from owcrelay.scenario import default_scenario, load_scenario, save_scenario
 
 from conftest import MALFORMED_YAML, make_single_link_scenario
@@ -127,6 +132,34 @@ class TestBlockage:
         rows = res.stdout.splitlines()[1:]
         assert {r.split(",")[4] for r in rows} == {"quadrature", "mc"}
         assert all(float(r.split(",")[3]) == 0.0 for r in rows)
+
+    def test_mc_shares_are_the_mean_of_each_row(self, capsys):
+        # hits are counted a block of points at a time, over three blocks and
+        # a part; each share prints as the mean of the link's whole row
+        n = 3 * BLOCK_SIZE + 123
+        assert cli.main(["blockage", "--mc", str(n), "--seed", "5"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        scenario = default_scenario()
+        budget = build_link_budget(scenario)
+        pts = sample_human_positions(scenario.room, n, np.random.default_rng(5))
+        rows = regions_contain(budget.regions, pts)
+        want = [
+            f"{ln.link_id},{ln.tx_id},{ln.rx_id},{cli._g(np.mean(row))},mc"
+            for ln, row in zip(budget.links, rows)
+        ]
+        assert printed[-budget.link_count :] == want
+
+    def test_mc_holds_no_table_of_every_point(self, capsys):
+        # 2M points are 32 MB of coordinates; one boolean per link and point
+        # would add 64 MB, and its float temporaries more
+        tracemalloc.start()
+        try:
+            assert cli.main(["blockage", "--mc", "2000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 32
+        assert peak < 40e6
 
     def test_default_room_stdout_digest(self):
         # one quadrature marginal per link of the default room: a change to
